@@ -527,11 +527,12 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
         cfg.as_printed = True
     if getattr(args, "out", None):
         cfg.out = args.out
-    if getattr(args, "tol_oracle", None):
+    # a tolerance of 0 is a valid request, so test for presence, not truth
+    if getattr(args, "tol_oracle", None) is not None:
         cfg.tol_oracle = args.tol_oracle
-    if getattr(args, "tol_quadrature", None):
+    if getattr(args, "tol_quadrature", None) is not None:
         cfg.tol_quadrature = args.tol_quadrature
-    if getattr(args, "tol_reduction", None):
+    if getattr(args, "tol_reduction", None) is not None:
         cfg.tol_reduction = args.tol_reduction
     return cfg
 

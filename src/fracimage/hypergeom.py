@@ -5,6 +5,9 @@ series are collected term by term and compensated with math.fsum, infinite
 series stream with Neumaier summation and an explicit tail criterion. No
 analytic continuation is attempted; arguments outside the convergence
 domain raise DivergenceError rather than returning a continuation value.
+
+gauss_2f1_array sums the same 2F1 series over an array of arguments at
+once, rounding exactly as the scalar loop does at every element.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy
 
 from .errors import DenominatorPoleError, DivergenceError, NonConvergedError
 from .gammafns import GammaProduct, gamma_product_eval, is_nonpositive_integer
@@ -23,6 +28,9 @@ DEFAULT_MAX_DIAGONALS = 2000
 # short terminating series are summed in exact rational arithmetic (floats
 # are exact rationals), so heavy cancellation costs no accuracy
 EXACT_TERM_LIMIT = 64
+# terms per block of gauss_2f1_array: memory is O(arguments x block) however
+# many terms a slow argument near 1 needs
+ARRAY_BLOCK_TERMS = 64
 
 
 def _termination_index(numerator_params: tuple[float, ...]) -> int | None:
@@ -217,6 +225,94 @@ def gauss_2f1(
         gp = GammaProduct((c, c - a - b), (c - a, c - b))
         return gamma_product_eval(gp).to_float()
     return pfq((a, b), (c,), z, rtol=rtol, max_terms=max_terms)
+
+
+def gauss_2f1_array(
+    a: float,
+    b: float,
+    c: float,
+    z: numpy.ndarray,
+    *,
+    rtol: float = DEFAULT_RTOL,
+    max_terms: int = DEFAULT_MAX_TERMS,
+) -> numpy.ndarray:
+    """gauss_2f1(a, b, c, zi) at every element zi of a 1-D array, bit for bit.
+
+    The non-terminating series at 0 < |zi| < 1 is summed on the whole
+    array; every other element (terminating or pole parameters, zi = 0,
+    |zi| >= 1) goes through the scalar gauss_2f1 and raises its errors."""
+    z = numpy.asarray(z, dtype=float)
+    a, b, c = float(a), float(b), float(c)
+    if _termination_index((a, b)) is not None or is_nonpositive_integer(c):
+        return numpy.array(
+            [gauss_2f1(a, b, c, zi, rtol=rtol, max_terms=max_terms) for zi in z.tolist()],
+            dtype=float,
+        )
+    out = numpy.empty(z.shape)
+    series = (numpy.abs(z) < 1.0) & (z != 0.0)
+    for i in numpy.flatnonzero(~series).tolist():
+        out[i] = gauss_2f1(a, b, c, float(z[i]), rtol=rtol, max_terms=max_terms)
+    if series.any():
+        out[series] = _series_2f1(a, b, c, z[series], rtol, max_terms)
+    return out
+
+
+def _series_2f1(
+    a: float, b: float, c: float, z: numpy.ndarray, rtol: float, max_terms: int
+) -> numpy.ndarray:
+    """pfq's non-terminating 2F1 loop run for every element of z at once.
+
+    Each row is one argument, each column one term index. Terms and
+    partial sums come from multiply/add.accumulate, which are sequential
+    scans, so each product and sum rounds as in the scalar loop. TwoSum
+    gives each addition's exact rounding error, which is what Neumaier's
+    branch computes, and the errors are accumulated the same way. A block
+    starts its scans from the values the previous block carried; rows that
+    met the stopping rule are dropped."""
+    out = numpy.empty(z.shape)
+    rows = numpy.arange(z.size)
+    tail_scale = 1.0 / (1.0 - numpy.abs(z))
+    term = numpy.ones(z.size)
+    acc = numpy.zeros(z.size)
+    comp = numpy.zeros(z.size)
+    small_before = numpy.zeros(z.size, dtype=bool)
+    for start in range(0, max_terms, ARRAY_BLOCK_TERMS):
+        k = numpy.arange(start, min(start + ARRAY_BLOCK_TERMS, max_terms), dtype=float)
+        factor = (a + k) * (b + k) / (c + k)
+        ratio = factor * z[:, None] / (k + 1.0)
+        # terms[:, j] is the term added at step start+j; the last column is
+        # the next term, the one the stopping rule bounds
+        terms = numpy.multiply.accumulate(
+            numpy.concatenate((term[:, None], ratio), axis=1), axis=1
+        )
+        sums = numpy.add.accumulate(
+            numpy.concatenate((acc[:, None], terms[:, :-1]), axis=1), axis=1
+        )
+        before, added, after = sums[:, :-1], terms[:, :-1], sums[:, 1:]
+        back = after - before
+        errors = (before - (after - back)) + (added - back)
+        comps = numpy.add.accumulate(
+            numpy.concatenate((comp[:, None], errors), axis=1), axis=1
+        )[:, 1:]
+        values = after + comps
+        small = numpy.abs(terms[:, 1:]) * tail_scale[:, None] <= rtol * numpy.maximum(
+            numpy.abs(values), 1e-300
+        )
+        # two consecutive small bounds stop a row, also across blocks
+        stops = small & numpy.concatenate((small_before[:, None], small[:, :-1]), axis=1)
+        done = stops.any(axis=1)
+        if done.any():
+            first = stops[done].argmax(axis=1)
+            out[rows[done]] = values[done, first]
+            keep = ~done
+            rows, z, tail_scale = rows[keep], z[keep], tail_scale[keep]
+            terms, after, comps, small = terms[keep], after[keep], comps[keep], small[keep]
+            if rows.size == 0:
+                return out
+        term, acc, comp, small_before = terms[:, -1], after[:, -1], comps[:, -1], small[:, -1]
+    raise NonConvergedError(
+        f"pfq did not converge within {max_terms} terms (z = {float(z[0])!r})"
+    )
 
 
 def appell_f3(

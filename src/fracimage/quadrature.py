@@ -10,7 +10,10 @@ Left-sided integrals substitute t = x*u; right-sided ones t = x/u, mapping
 (x, inf) onto (0, 1). The 2F1 kernels (argument 1-u) are split at u = 1/2:
 the right half is evaluated by the fast-converging series directly, the
 left half through the standard connection formula at 1-u, which turns the
-u -> 0 behavior into two more Jacobi-weighted smooth integrals.
+u -> 0 behavior into two more Jacobi-weighted smooth integrals. Each kernel
+series is summed once on a rule's whole node array (gauss_2f1_array); the
+rest of the integrand stays per-node float arithmetic, so every value is
+the one the per-node series gives.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy
-from scipy.special import roots_jacobi
 
 from .errors import (
     DenominatorPoleError,
@@ -30,7 +32,7 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .gammafns import GammaProduct, gamma_product_eval, is_nonpositive_integer
-from .hypergeom import gauss_2f1
+from .hypergeom import gauss_2f1_array
 from .operators import Family, OperatorSpec
 
 # |diff| <= NOISE_FLOOR * (sum of |weighted terms|) counts as converged: the
@@ -76,16 +78,27 @@ class QuadResult(NamedTuple):
     nodes: int
 
 
+def roots_jacobi(n: int, alpha: float, beta: float):
+    """scipy.special.roots_jacobi, imported on the first rule build so that
+    work without quadrature never loads scipy."""
+    from scipy.special import roots_jacobi as build
+
+    return build(n, alpha, beta)
+
+
 @lru_cache(maxsize=256)
 def _gj_rule(n: int, a0: float, a1: float):
-    """Nodes/weights for int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale*sum w g(u)."""
+    """Nodes/weights for int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale*sum w g(u),
+    and the nodes once more as an array."""
     # scipy computes, then discards, an invalid intermediate when a0+a1 = -1
     with numpy.errstate(invalid="ignore", divide="ignore"):
         t, w = roots_jacobi(n, a1, a0)
-    nodes = tuple((1.0 + ti) / 2.0 for ti in t)
-    weights = tuple(float(wi) for wi in w)
+    node_array = (1.0 + t) / 2.0
+    node_array.flags.writeable = False
+    nodes = tuple(node_array.tolist())
+    weights = tuple(w.tolist())
     scale = 2.0 ** (-(a0 + a1 + 1.0))
-    return nodes, weights, scale
+    return nodes, weights, scale, node_array
 
 
 def quad_endpoint_singular(
@@ -93,11 +106,14 @@ def quad_endpoint_singular(
     exponent_at_0: float,
     exponent_at_1: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
+    *,
+    on_node_array: bool = False,
 ) -> QuadResult:
     """int_0^1 u^exponent_at_0 (1-u)^exponent_at_1 g(u) du for smooth g.
 
     Both exponents must exceed -1 (integrability). Nodes are strictly
-    interior, so g is never called at 0 or 1."""
+    interior, so g is never called at 0 or 1. With on_node_array, g takes
+    a rule's whole (read-only) node array and returns g at every node."""
     if exponent_at_0 <= -1.0 or exponent_at_1 <= -1.0:
         raise DomainError(
             "weight exponents must be > -1, got "
@@ -107,8 +123,9 @@ def quad_endpoint_singular(
     n = cfg.node_count
     prev = None
     for _ in range(cfg.max_refinements + 1):
-        nodes, weights, scale = _gj_rule(n, exponent_at_0, exponent_at_1)
-        terms = [w * g(u) for u, w in zip(nodes, weights)]
+        nodes, weights, scale, node_array = _gj_rule(n, exponent_at_0, exponent_at_1)
+        values = g(node_array) if on_node_array else map(g, nodes)
+        terms = [w * gu for w, gu in zip(weights, values, strict=True)]
         est = scale * math.fsum(terms)
         l1 = scale * math.fsum(abs(t) for t in terms)
         if prev is not None:
@@ -146,27 +163,37 @@ def _kernel_quad(
     2F1 connection formula, so every piece has a pure Jacobi weight."""
     ka, kb, kc = kernel
 
-    def kernel_at(u: float) -> float:
-        return gauss_2f1(ka, kb, kc, 1.0 - u)
+    def whole(u: numpy.ndarray) -> list[float]:
+        kern = gauss_2f1_array(ka, kb, kc, 1.0 - u).tolist()
+        return [k * s(ui) for ui, k in zip(u.tolist(), kern)]
+
+    def right_half(v: numpy.ndarray) -> list[float]:
+        # u = 1 - v/2 in (1/2, 1), series argument v/2 < 1/2
+        u = 1.0 - v / 2.0
+        kern = gauss_2f1_array(ka, kb, kc, 1.0 - u).tolist()
+        return [ui**a0 * k * s(ui) for ui, k in zip(u.tolist(), kern)]
+
+    def left_half(pa: float, pb: float, pc: float):
+        # u = v/2 in (0, 1/2): one connection-formula series at argument u
+        def g(v: numpy.ndarray) -> list[float]:
+            u = v / 2.0
+            kern = gauss_2f1_array(pa, pb, pc, u).tolist()
+            return [(1.0 - ui) ** b0 * k * s(ui) for ui, k in zip(u.tolist(), kern)]
+
+        return g
 
     if is_nonpositive_integer(ka) or is_nonpositive_integer(kb):
-        return quad_endpoint_singular(lambda u: kernel_at(u) * s(u), a0, b0, cfg)
+        return quad_endpoint_singular(whole, a0, b0, cfg, on_node_array=True)
     e = kc - ka - kb
     if abs(e - round(e)) < 1e-9:
         # logarithmic endpoint case: no pure-power split exists; fall back
         # to the single rule and let refinement do the work
-        return quad_endpoint_singular(lambda u: kernel_at(u) * s(u), a0, b0, cfg)
+        return quad_endpoint_singular(whole, a0, b0, cfg, on_node_array=True)
 
     coeff_a = _connection_coefficient((kc, e), (kc - ka, kc - kb))
     coeff_b = _connection_coefficient((kc, -e), (ka, kb))
 
-    # right half, u in (1/2, 1): u = 1 - v/2, series argument v/2 < 1/2
-    right = quad_endpoint_singular(
-        lambda v: (1.0 - v / 2.0) ** a0 * kernel_at(1.0 - v / 2.0) * s(1.0 - v / 2.0),
-        b0,
-        0.0,
-        cfg,
-    )
+    right = quad_endpoint_singular(right_half, b0, 0.0, cfg, on_node_array=True)
     value = 0.5 ** (b0 + 1.0) * right.value
     error = 0.5 ** (b0 + 1.0) * right.error
     nodes = right.nodes
@@ -174,12 +201,7 @@ def _kernel_quad(
     # left half, u = v/2: K(u) = coeff_a*phi1(u) + coeff_b*u^e*phi2(u)
     if coeff_a != 0.0:
         part = quad_endpoint_singular(
-            lambda v: (1.0 - v / 2.0) ** b0
-            * gauss_2f1(ka, kb, 1.0 - e, v / 2.0)
-            * s(v / 2.0),
-            a0,
-            0.0,
-            cfg,
+            left_half(ka, kb, 1.0 - e), a0, 0.0, cfg, on_node_array=True
         )
         value += coeff_a * 0.5 ** (a0 + 1.0) * part.value
         error += abs(coeff_a) * 0.5 ** (a0 + 1.0) * part.error
@@ -191,12 +213,7 @@ def _kernel_quad(
                 conditions=("a0 + (kc-ka-kb) > -1",),
             )
         part = quad_endpoint_singular(
-            lambda v: (1.0 - v / 2.0) ** b0
-            * gauss_2f1(kc - ka, kc - kb, 1.0 + e, v / 2.0)
-            * s(v / 2.0),
-            a0 + e,
-            0.0,
-            cfg,
+            left_half(kc - ka, kc - kb, 1.0 + e), a0 + e, 0.0, cfg, on_node_array=True
         )
         value += coeff_b * 0.5 ** (a0 + e + 1.0) * part.value
         error += abs(coeff_b) * 0.5 ** (a0 + e + 1.0) * part.error

@@ -6,12 +6,16 @@ import pytest
 
 from fracimage.cli import (
     DEFAULT_GRIDS,
+    SweepConfig,
     build_parser,
+    build_sweep_config,
     load_config_file,
     main,
     rel_diff,
+    run_verification,
 )
-from fracimage.identities import IdentityId, lhs_oracle
+from fracimage.errors import NonConvergedError
+from fracimage.identities import IdentityId, lhs_oracle, quadrature_value
 from fracimage.jacobi import PolySpec
 
 
@@ -243,6 +247,50 @@ lem2.x = 1
     rec = json.loads(out_path.read_text(encoding="utf-8"))
     assert rec["verdict"] == "SKIPPED(unsupported-kernel)"
     assert rec["closed_form_value"] is not None
+
+
+@pytest.mark.parametrize("flag", ["tol_oracle", "tol_quadrature", "tol_reduction"])
+def test_verify_zero_tolerance_flag_is_honoured(flag):
+    args = build_parser().parse_args(["verify", "--" + flag.replace("_", "-"), "0"])
+    cfg = build_sweep_config({}, args)
+    assert getattr(cfg, flag) == 0.0
+
+
+def test_verify_zero_oracle_tolerance_fails_inexact_records(tmp_path, capsys):
+    # the default cor2 grid passed with every rel_diff near 1e-15 when
+    # --tol-oracle 0 was dropped as falsy
+    out_path = tmp_path / "strict.jsonl"
+    rc, _, _ = run(capsys, "verify", "--identities", "cor2", "--tol-oracle", "0",
+                   "--out", str(out_path))
+    records = [json.loads(line) for line in
+               out_path.read_text(encoding="utf-8").splitlines()]
+    inexact = [r for r in records if r["rel_diff"] > 0.0]
+    assert inexact
+    assert all(r["verdict"] == "FAIL" for r in inexact)
+    assert rc == 1
+
+
+# a jittered cor5 point (random-grid seed 1 of the benchmark) whose
+# quadrature never stabilizes: the rule's weights at exponent -0.92 are
+# inaccurate (see test_quadrature.test_gj_rule_first_moment_at_strong_singularity)
+COR5_NONCONVERGED = {
+    "delta": 0.4863487217003225, "n": 1, "p": 9, "q": 0,
+    "tau": 0.43419323235677404, "x": 0.9714197245768867,
+}
+
+
+def test_cor5_nonconverged_point_keeps_pass():
+    pt = COR5_NONCONVERGED
+    with pytest.raises(NonConvergedError):
+        quadrature_value(IdentityId.COR5, (pt["delta"],),
+                         PolySpec(pt["n"], pt["p"], pt["q"]), pt["tau"], pt["x"])
+    cfg = SweepConfig(identities=["cor5"],
+                      grids={"cor5": {k: [v] for k, v in pt.items()}})
+    (record,) = run_verification(cfg)
+    assert record.verdict == "PASS"
+    assert record.quadrature_value is None
+    assert record.rel_diff <= 1e-10
+    assert record.ledger_note.startswith("quadrature comparison omitted:")
 
 
 def test_verify_rejects_unknown_key(tmp_path, capsys):

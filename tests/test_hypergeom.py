@@ -6,15 +6,24 @@ with exact Fraction arithmetic, independent of the float evaluator.
 """
 
 import math
+import random
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracimage.errors import DivergenceError, PoleError
+from fracimage.errors import DivergenceError, NonConvergedError, PoleError
 from fracimage.gammafns import GammaProduct, gamma_product_eval
-from fracimage.hypergeom import HypSeriesSpec, appell_f3, gauss_2f1, pfq
+from fracimage.hypergeom import (
+    ARRAY_BLOCK_TERMS,
+    HypSeriesSpec,
+    appell_f3,
+    gauss_2f1,
+    gauss_2f1_array,
+    pfq,
+)
 
 
 def exact_terminating_pfq(num, den, z):
@@ -217,3 +226,61 @@ def test_appell_f3_domain_errors():
         appell_f3(0.5, 0.3, 0.2, 0.4, 1.1, 0.25, -1.0)
     with pytest.raises(PoleError):
         appell_f3(0.5, 0.3, 0.2, 0.4, -2.0, 0.25, 0.25)
+
+
+def scalar_2f1(a, b, c, z, **kwargs):
+    """The per-element reference for gauss_2f1_array."""
+    return [gauss_2f1(a, b, c, zi, **kwargs) for zi in z.tolist()]
+
+
+def test_2f1_array_bit_equal_to_scalar_sweep():
+    rng = random.Random(20261018)
+    compared = 0
+    for _ in range(150):
+        a, b = rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)
+        c = rng.uniform(0.05, 8.0) * rng.choice((-1.0, 1.0))
+        reach = rng.choice((0.5, 0.9, 0.99))
+        z = numpy.array([rng.uniform(-reach, reach) for _ in range(32)])
+        assert gauss_2f1_array(a, b, c, z).tolist() == scalar_2f1(a, b, c, z)
+        compared += z.size
+    assert compared == 4800
+
+
+def test_2f1_array_near_one_crosses_blocks():
+    # at z = 0.999 the series needs tens of thousands of terms, so rows
+    # finish in many different blocks
+    z = numpy.array([0.2, -0.7, 0.95, 0.999, 0.9995, -0.999])
+    got = gauss_2f1_array(0.3, 0.45, 1.2, z)
+    assert got.tolist() == scalar_2f1(0.3, 0.45, 1.2, z)
+    with pytest.raises(NonConvergedError):
+        gauss_2f1(0.3, 0.45, 1.2, 0.999, max_terms=100 * ARRAY_BLOCK_TERMS)
+
+
+def test_2f1_array_scalar_fallbacks():
+    # terminating parameters use the exact path at any argument
+    z = numpy.array([-3.0, 0.25, 1.0, 2.5])
+    assert gauss_2f1_array(-3.0, 1.5, 2.25, z).tolist() == scalar_2f1(-3.0, 1.5, 2.25, z)
+    # z = 0 and the z = 1 Gauss value sit beside series elements
+    z = numpy.array([0.0, 0.3, -0.0, 1.0])
+    got = gauss_2f1_array(0.5, 0.25, 2.0, z)
+    assert got.tolist() == scalar_2f1(0.5, 0.25, 2.0, z)
+    assert got[0] == 1.0 and got[2] == 1.0
+    assert gauss_2f1_array(0.5, 0.25, 2.0, numpy.array([])).size == 0
+
+
+def test_2f1_array_errors_match_scalar():
+    for bad in (1.5, -1.0, 1.0):
+        z = numpy.array([0.1, bad])
+        # z = 1 diverges here because c - a - b <= 0
+        with pytest.raises(DivergenceError):
+            gauss_2f1(0.5, 0.75, 1.0, bad)
+        with pytest.raises(DivergenceError):
+            gauss_2f1_array(0.5, 0.75, 1.0, z)
+    with pytest.raises(PoleError):
+        gauss_2f1_array(0.5, 0.75, -2.0, numpy.array([0.1, 0.2]))
+    with pytest.raises(NonConvergedError):
+        gauss_2f1(0.5, 0.75, 1.5, 0.9, max_terms=10)
+    with pytest.raises(NonConvergedError):
+        gauss_2f1_array(0.5, 0.75, 1.5, numpy.array([0.01, 0.9]), max_terms=10)
+    with pytest.raises(NonConvergedError):
+        gauss_2f1_array(0.5, 0.75, 1.5, numpy.array([0.01]), max_terms=0)

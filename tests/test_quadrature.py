@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracimage.errors import DomainError, NonConvergedError, UnsupportedKernelError
+from fracimage.gammafns import is_nonpositive_integer
+from fracimage.hypergeom import gauss_2f1
 from fracimage.operators import (
     ek_left,
     ek_right,
@@ -28,6 +30,9 @@ from fracimage.operators import (
 from fracimage.quadrature import (
     QuadConfig,
     QuadResult,
+    _connection_coefficient,
+    _gj_rule,
+    _kernel_quad,
     operator_apply,
     quad_endpoint_singular,
 )
@@ -266,3 +271,100 @@ def test_error_estimate_is_usable():
     assert isinstance(res, QuadResult)
     assert res.error >= 0.0
     assert abs(res.value - want) <= max(100.0 * res.error, 1e-12 * abs(want))
+
+
+def test_node_array_evaluator_matches_per_node():
+    def g(u):
+        return math.exp(u) * math.cos(3.0 * u)
+
+    per_node = quad_endpoint_singular(g, -0.4, 0.7)
+    whole = quad_endpoint_singular(
+        lambda u: [g(ui) for ui in u.tolist()], -0.4, 0.7, on_node_array=True
+    )
+    assert whole == per_node
+
+
+def test_gj_rule_node_array_is_cached_readonly():
+    nodes, _, _, node_array = _gj_rule(16, -0.25, 0.5)
+    assert node_array.tolist() == list(nodes)
+    assert not node_array.flags.writeable
+    assert _gj_rule(16, -0.25, 0.5)[3] is node_array
+
+
+def per_node_kernel_quad(kernel, a0, b0, s, cfg=QuadConfig()):
+    """_kernel_quad with the scalar series called once per node: the
+    reference the node-array evaluation must reproduce bit for bit."""
+    ka, kb, kc = kernel
+    if is_nonpositive_integer(ka) or is_nonpositive_integer(kb) or abs(
+        (kc - ka - kb) - round(kc - ka - kb)
+    ) < 1e-9:
+        return quad_endpoint_singular(
+            lambda u: gauss_2f1(ka, kb, kc, 1.0 - u) * s(u), a0, b0, cfg
+        )
+    e = kc - ka - kb
+    right = quad_endpoint_singular(
+        lambda v: (1.0 - v / 2.0) ** a0
+        * gauss_2f1(ka, kb, kc, 1.0 - (1.0 - v / 2.0))
+        * s(1.0 - v / 2.0),
+        b0, 0.0, cfg,
+    )
+    value = 0.5 ** (b0 + 1.0) * right.value
+    error = 0.5 ** (b0 + 1.0) * right.error
+    nodes = right.nodes
+    halves = (
+        (_connection_coefficient((kc, e), (kc - ka, kc - kb)), (ka, kb, 1.0 - e), a0),
+        (_connection_coefficient((kc, -e), (ka, kb)), (kc - ka, kc - kb, 1.0 + e), a0 + e),
+    )
+    for coeff, (pa, pb, pc), power in halves:
+        if coeff == 0.0:
+            continue
+        part = quad_endpoint_singular(
+            lambda v: (1.0 - v / 2.0) ** b0 * gauss_2f1(pa, pb, pc, v / 2.0) * s(v / 2.0),
+            power, 0.0, cfg,
+        )
+        value += coeff * 0.5 ** (power + 1.0) * part.value
+        error += abs(coeff) * 0.5 ** (power + 1.0) * part.error
+        nodes = max(nodes, part.nodes)
+    return QuadResult(value, error, nodes)
+
+
+@pytest.mark.parametrize("alpha,beta,eta", [
+    (0.6, 0.2, 0.4),    # split at 1/2, both connection halves
+    (0.6, 0.2, 1.0),    # polynomial kernel
+    (0.6, 0.2, 1.2),    # integer exponent difference: one rule, z -> 1
+    (1.3, -0.45, 0.7),
+])
+def test_kernel_quad_bit_equal_to_per_node_series(alpha, beta, eta):
+    def s(u):
+        t = 2.0 * u
+        return (1.0 + t * t) ** 0.5
+
+    kernel = (alpha + beta, -eta, alpha)
+    got = _kernel_quad(kernel, 0.5, alpha - 1.0, s, QuadConfig())
+    assert got == per_node_kernel_quad(kernel, 0.5, alpha - 1.0, s)
+
+
+# Weight exponents of the cor5 point whose quadrature never stabilizes
+# (see test_cli.test_cor5_nonconverged_point_keeps_pass); moments of the
+# weight frozen from mpmath at 40 digits.
+COR5_WEIGHT = (-0.9205419540570966, -0.5136512782996775)
+COR5_MASS = 13.98789790805212364814708590872913351788
+COR5_FIRST_MOMENT = 1.964365041535668847772142153111062851493
+
+
+def test_gj_rule_mass_at_strong_singularity():
+    for n in (64, 128, 512):
+        nodes, weights, scale, _ = _gj_rule(n, *COR5_WEIGHT)
+        assert math.isclose(scale * math.fsum(weights), COR5_MASS, rel_tol=1e-15)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="scipy roots_jacobi weights at exponent -0.92 are good to about "
+    "1e-8: the first moment is off by 8.8e-12 (n = 64) to 8e-9 (n = 512)",
+)
+def test_gj_rule_first_moment_at_strong_singularity():
+    for n in (64, 128, 512):
+        nodes, weights, scale, _ = _gj_rule(n, *COR5_WEIGHT)
+        moment = scale * math.fsum(w * u for w, u in zip(weights, nodes))
+        assert math.isclose(moment, COR5_FIRST_MOMENT, rel_tol=1e-13)
