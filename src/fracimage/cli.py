@@ -34,7 +34,6 @@ from fractions import Fraction
 
 from .errors import (
     ConfigError,
-    DenominatorPoleError,
     DivergenceError,
     DomainError,
     NonConvergedError,
@@ -325,11 +324,7 @@ def _identity_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRec
             identity, params, poly, tau, x, as_printed=cfg.as_printed
         ).value
         oracle = lhs_oracle(identity, params, poly, tau, x)
-    except DomainError as exc:
-        return VerificationRecord(
-            tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)
-        )
-    except (PoleError, DenominatorPoleError) as exc:
+    except (DomainError, PoleError) as exc:
         return VerificationRecord(
             tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)
         )
@@ -378,34 +373,39 @@ def _lemma_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord
 
     f, hints = _monomial_for(family, tau)
     qcfg = _quad_config(cfg)
+    embed_quad = None
     try:
         quad = operator_apply(op, f, x, qcfg, **hints)
+        if tag in ("lem3", "lem4"):
+            # quadrature-vs-quadrature reduction: the three-parameter
+            # operator must match its five-parameter embedding
+            embed = (saigo_left_as_msm if tag == "lem3" else saigo_right_as_msm)(
+                *op.params
+            )
+            try:
+                embed_quad = operator_apply(embed, f, x, qcfg, **hints)
+            except UnsupportedKernelError:
+                pass
     except UnsupportedKernelError as exc:
         return VerificationRecord(
             tag, point, None, closed, None, 0.0,
             "SKIPPED(unsupported-kernel)", str(exc),
         )
+    except NonConvergedError as exc:
+        return VerificationRecord(
+            tag, point, None, closed, None, 0.0, "SKIPPED(nonconverged)", str(exc)
+        )
     diff = rel_diff(closed, quad.value)
     ok = diff <= cfg.tol_quadrature
     note = None
-    if tag in ("lem3", "lem4"):
-        # quadrature-vs-quadrature reduction: the three-parameter
-        # operator must match its five-parameter embedding
-        embed = (saigo_left_as_msm if tag == "lem3" else saigo_right_as_msm)(
-            *op.params
-        )
-        try:
-            embed_quad = operator_apply(embed, f, x, qcfg, **hints)
-        except UnsupportedKernelError:
-            embed_quad = None
-        if embed_quad is not None:
-            embed_diff = rel_diff(embed_quad.value, quad.value)
-            if embed_diff > cfg.tol_reduction:
-                ok = False
-                note = (
-                    "five-parameter embedding quadrature disagrees: "
-                    f"rel diff {embed_diff:.3e}"
-                )
+    if embed_quad is not None:
+        embed_diff = rel_diff(embed_quad.value, quad.value)
+        if embed_diff > cfg.tol_reduction:
+            ok = False
+            note = (
+                "five-parameter embedding quadrature disagrees: "
+                f"rel diff {embed_diff:.3e}"
+            )
     return VerificationRecord(
         tag, point, quad.value, closed, quad.value, diff,
         "PASS" if ok else "FAIL", note,
@@ -521,7 +521,9 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
         if bad:
             raise ConfigError(f"unknown identities: {', '.join(bad)}")
         cfg.identities = tags
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
+        if args.jobs < 1:
+            raise ConfigError("jobs must be at least 1")
         cfg.jobs = args.jobs
     if getattr(args, "as_printed", False):
         cfg.as_printed = True
@@ -936,8 +938,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         return cmd_report(args)
-    except (DomainError, PoleError, DenominatorPoleError, ConfigError,
-            UnsupportedKernelError, ValueError) as exc:
+    except (DomainError, PoleError, ConfigError, UnsupportedKernelError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (NonConvergedError, DivergenceError) as exc:

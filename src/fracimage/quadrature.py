@@ -13,7 +13,10 @@ left half through the standard connection formula at 1-u, which turns the
 u -> 0 behavior into two more Jacobi-weighted smooth integrals. Each kernel
 series is summed once on a rule's whole node array (gauss_2f1_array); the
 rest of the integrand stays per-node float arithmetic, so every value is
-the one the per-node series gives.
+the one the per-node series gives. Each kernel piece's per-node factor is
+memoised per (series, piece, power, rule nodes) in a bounded cache, since
+it does not depend on the integrand's other factor: a grid that sweeps x
+and the polynomial around one operator sums each series once per rule.
 """
 
 from __future__ import annotations
@@ -49,14 +52,12 @@ class QuadConfig:
 
     node_count is the starting rule size; refinement doubles it up to
     max_refinements times until two consecutive estimates agree within
-    tol (relative). right_tail_cutoff is accepted for diagnostic use but
-    verification integrals never truncate the tail (the t = x/u
-    substitution maps the full tail onto (0, 1))."""
+    tol (relative). Right-sided integrals never truncate the tail: the
+    t = x/u substitution maps all of it onto (0, 1)."""
 
     node_count: int = 64
     tol: float = 1e-10
     max_refinements: int = 6
-    right_tail_cutoff: float | None = None
 
     def __post_init__(self) -> None:
         if self.node_count < 8:
@@ -148,6 +149,40 @@ def _connection_coefficient(num: tuple, den: tuple) -> float:
         return 0.0
 
 
+@lru_cache(maxsize=128)
+def _kernel_piece(
+    series: tuple[float, float, float],
+    piece: str,
+    power: float | None,
+    node_bytes: bytes,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-node prefactors and points u of one 2F1 kernel piece on a rule's
+    nodes v (given as bytes), with K = 2F1(series; .):
+
+        whole       K(1-u)              at u = v
+        right_half  u^power K(1-u)      at u = 1 - v/2
+        left_half   (1-u)^power K(u)    at u = v/2
+
+    The piece's integrand at u is prefactor * s(u). None of this depends
+    on s, so the points of a grid that share an operator and a rule (every
+    x, polynomial and power) sum each series once. A prefactor is formed
+    as (u^power * K) before s(u) multiplies it, the order of the unmemoised
+    expression, so the values are bit for bit the same."""
+    v = numpy.frombuffer(node_bytes)
+    if piece == "whole":
+        u, z, base = v, 1.0 - v, None
+    elif piece == "right_half":
+        u = 1.0 - v / 2.0
+        z, base = 1.0 - u, u
+    else:
+        u = v / 2.0
+        z, base = u, 1.0 - u
+    pre = gauss_2f1_array(*series, z).tolist()
+    if base is not None:
+        pre = [b**power * k for b, k in zip(base.tolist(), pre)]
+    return tuple(pre), tuple(u.tolist())
+
+
 def _kernel_quad(
     kernel: tuple[float, float, float],
     a0: float,
@@ -163,45 +198,37 @@ def _kernel_quad(
     2F1 connection formula, so every piece has a pure Jacobi weight."""
     ka, kb, kc = kernel
 
-    def whole(u: numpy.ndarray) -> list[float]:
-        kern = gauss_2f1_array(ka, kb, kc, 1.0 - u).tolist()
-        return [k * s(ui) for ui, k in zip(u.tolist(), kern)]
-
-    def right_half(v: numpy.ndarray) -> list[float]:
-        # u = 1 - v/2 in (1/2, 1), series argument v/2 < 1/2
-        u = 1.0 - v / 2.0
-        kern = gauss_2f1_array(ka, kb, kc, 1.0 - u).tolist()
-        return [ui**a0 * k * s(ui) for ui, k in zip(u.tolist(), kern)]
-
-    def left_half(pa: float, pb: float, pc: float):
-        # u = v/2 in (0, 1/2): one connection-formula series at argument u
+    def piece(name: str, series=kernel, power: float | None = None):
         def g(v: numpy.ndarray) -> list[float]:
-            u = v / 2.0
-            kern = gauss_2f1_array(pa, pb, pc, u).tolist()
-            return [(1.0 - ui) ** b0 * k * s(ui) for ui, k in zip(u.tolist(), kern)]
+            pre, u = _kernel_piece(series, name, power, v.tobytes())
+            return [p * s(ui) for p, ui in zip(pre, u)]
 
         return g
 
     if is_nonpositive_integer(ka) or is_nonpositive_integer(kb):
-        return quad_endpoint_singular(whole, a0, b0, cfg, on_node_array=True)
+        return quad_endpoint_singular(piece("whole"), a0, b0, cfg, on_node_array=True)
     e = kc - ka - kb
     if abs(e - round(e)) < 1e-9:
         # logarithmic endpoint case: no pure-power split exists; fall back
         # to the single rule and let refinement do the work
-        return quad_endpoint_singular(whole, a0, b0, cfg, on_node_array=True)
+        return quad_endpoint_singular(piece("whole"), a0, b0, cfg, on_node_array=True)
 
     coeff_a = _connection_coefficient((kc, e), (kc - ka, kc - kb))
     coeff_b = _connection_coefficient((kc, -e), (ka, kb))
 
-    right = quad_endpoint_singular(right_half, b0, 0.0, cfg, on_node_array=True)
+    # right half, u = 1 - v/2 in (1/2, 1): series argument v/2 < 1/2
+    right = quad_endpoint_singular(
+        piece("right_half", power=a0), b0, 0.0, cfg, on_node_array=True
+    )
     value = 0.5 ** (b0 + 1.0) * right.value
     error = 0.5 ** (b0 + 1.0) * right.error
     nodes = right.nodes
 
-    # left half, u = v/2: K(u) = coeff_a*phi1(u) + coeff_b*u^e*phi2(u)
+    # left half, u = v/2 in (0, 1/2): K(u) = coeff_a*phi1(u) + coeff_b*u^e*phi2(u),
+    # one connection-formula series at argument u each
     if coeff_a != 0.0:
         part = quad_endpoint_singular(
-            left_half(ka, kb, 1.0 - e), a0, 0.0, cfg, on_node_array=True
+            piece("left_half", (ka, kb, 1.0 - e), b0), a0, 0.0, cfg, on_node_array=True
         )
         value += coeff_a * 0.5 ** (a0 + 1.0) * part.value
         error += abs(coeff_a) * 0.5 ** (a0 + 1.0) * part.error
@@ -213,7 +240,8 @@ def _kernel_quad(
                 conditions=("a0 + (kc-ka-kb) > -1",),
             )
         part = quad_endpoint_singular(
-            left_half(kc - ka, kc - kb, 1.0 + e), a0 + e, 0.0, cfg, on_node_array=True
+            piece("left_half", (kc - ka, kc - kb, 1.0 + e), b0),
+            a0 + e, 0.0, cfg, on_node_array=True,
         )
         value += coeff_b * 0.5 ** (a0 + e + 1.0) * part.value
         error += abs(coeff_b) * 0.5 ** (a0 + e + 1.0) * part.error

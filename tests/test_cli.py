@@ -1,9 +1,11 @@
 """Command line interface: eval targets, verification runs, reports."""
 
 import json
+import sys
 
 import pytest
 
+from fracimage import cli
 from fracimage.cli import (
     DEFAULT_GRIDS,
     SweepConfig,
@@ -17,6 +19,7 @@ from fracimage.cli import (
 from fracimage.errors import NonConvergedError
 from fracimage.identities import IdentityId, lhs_oracle, quadrature_value
 from fracimage.jacobi import PolySpec
+from fracimage.quadrature import _kernel_piece
 
 
 def run(capsys, *argv):
@@ -268,6 +271,70 @@ def test_verify_zero_oracle_tolerance_fails_inexact_records(tmp_path, capsys):
     assert inexact
     assert all(r["verdict"] == "FAIL" for r in inexact)
     assert rc == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_nonpositive_jobs_flag(tmp_path, capsys, jobs):
+    # the flag was tested for truth, so 0 and -3 both ran serially and
+    # exited 0, while a config file's `jobs = 0` was refused
+    out_path = tmp_path / "jobs.jsonl"
+    rc, _, err = run(capsys, "verify", "--identities", "cor2", "--jobs", jobs,
+                     "--out", str(out_path))
+    assert rc == 2
+    assert "jobs must be at least 1" in err
+    assert not out_path.exists()
+
+
+KERNEL_CFG = """
+# 2F1-kernel quadrature: every x shares each kernel piece's memo entry
+identities = cor1
+cor1.n = 0, 1
+cor1.tau = 2
+cor1.x = 1, 2, 4
+"""
+
+
+def test_verify_threads_match_serial_bytes(tmp_path, capsys):
+    # threads share the kernel-piece memo from cold; a short switch
+    # interval interleaves their misses and hits
+    cfg = write_cfg(tmp_path, KERNEL_CFG)
+    blobs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for jobs in ("1", "2", "4"):
+            _kernel_piece.cache_clear()
+            out_path = tmp_path / f"jobs{jobs}.jsonl"
+            rc, _, _ = run(capsys, "verify", "--config", cfg, "--jobs", jobs,
+                           "--out", str(out_path))
+            assert rc == 0
+            blobs.append(out_path.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert blobs[1] == blobs[0]
+    assert blobs[2] == blobs[0]
+    assert len(blobs[0].splitlines()) == 2 * 3 * len(DEFAULT_GRIDS["cor1"]["q"])
+
+
+def test_lemma_nonconverged_point_keeps_other_records(monkeypatch):
+    real_apply = cli.operator_apply
+
+    def apply(op, f, x, *args, **kwargs):
+        if x == 2.0:
+            raise NonConvergedError("quadrature did not stabilize (injected)")
+        return real_apply(op, f, x, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "operator_apply", apply)
+    grid = {k: v[:1] for k, v in DEFAULT_GRIDS["lem1"].items()}
+    grid["x"] = [0.5, 2.0]
+    records = run_verification(SweepConfig(identities=["lem1"], grids={"lem1": grid}))
+    assert [r.point["x"] for r in records] == [0.5, 2.0]
+    ok, skipped = records
+    assert ok.verdict == "PASS"
+    assert skipped.verdict == "SKIPPED(nonconverged)"
+    assert skipped.ledger_note == "quadrature did not stabilize (injected)"
+    assert skipped.quadrature_value is None
+    assert skipped.closed_form_value is not None
 
 
 # a jittered cor5 point (random-grid seed 1 of the benchmark) whose

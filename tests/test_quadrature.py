@@ -32,6 +32,7 @@ from fracimage.quadrature import (
     QuadResult,
     _connection_coefficient,
     _gj_rule,
+    _kernel_piece,
     _kernel_quad,
     operator_apply,
     quad_endpoint_singular,
@@ -77,9 +78,6 @@ def test_config_validation():
         QuadConfig(tol=0.0)
     with pytest.raises(ValueError):
         QuadConfig(max_refinements=-1)
-    # diagnostic field, accepted but never truncates verification integrals
-    cfg = QuadConfig(right_tail_cutoff=50.0)
-    assert cfg.right_tail_cutoff == 50.0
 
 
 def test_nonintegrable_weight_rejected():
@@ -340,8 +338,39 @@ def test_kernel_quad_bit_equal_to_per_node_series(alpha, beta, eta):
         return (1.0 + t * t) ** 0.5
 
     kernel = (alpha + beta, -eta, alpha)
-    got = _kernel_quad(kernel, 0.5, alpha - 1.0, s, QuadConfig())
-    assert got == per_node_kernel_quad(kernel, 0.5, alpha - 1.0, s)
+    want = per_node_kernel_quad(kernel, 0.5, alpha - 1.0, s)
+    _kernel_piece.cache_clear()
+    # the first call fills the memo, the second is served from it
+    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s, QuadConfig()) == want
+    misses = _kernel_piece.cache_info().misses
+    assert misses > 0
+    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s, QuadConfig()) == want
+    assert _kernel_piece.cache_info().misses == misses
+
+
+def test_kernel_piece_memo_is_a_bounded_module_cache():
+    # perfbench's cold passes empty every module-level cache_clear()
+    assert callable(_kernel_piece.cache_clear)
+    assert _kernel_piece.cache_parameters()["maxsize"] is not None
+
+
+def test_kernel_piece_memo_keys_on_the_power():
+    def s(u):
+        return 1.0 + u
+
+    kernel = (0.8, -0.4, 0.6)
+    nodes = _gj_rule(64, -0.4, 0.0)[3].tobytes()
+    _kernel_piece.cache_clear()
+    # two kernels differing only in a0 share the right half's rule
+    first = _kernel_piece(kernel, "right_half", 0.5, nodes)
+    second = _kernel_piece(kernel, "right_half", 0.25, nodes)
+    assert _kernel_piece.cache_info().misses == 2
+    assert first[1] == second[1]
+    assert first[0] != second[0]
+    for a0 in (0.5, 0.25):
+        assert _kernel_quad(kernel, a0, -0.4, s, QuadConfig()) == per_node_kernel_quad(
+            kernel, a0, -0.4, s
+        )
 
 
 # Weight exponents of the cor5 point whose quadrature never stabilizes
