@@ -15,7 +15,8 @@ delta, mu, epsilon for the three-parameter family; delta alone for the
 one-parameter family; epsilon (weight exponent) and delta (order) for
 the two-parameter family. The Python API uses alpha, alpha_prime, beta,
 beta_prime, gamma / alpha, beta, eta / alpha / eta, alpha for the same
-positions (operators.PARAM_NAMES); flag values map positionally.
+positions (operators.FAMILIES); flag values map positionally. verify
+writes each record to --out as soon as it is computed, in grid order.
 
 Exit codes: 0 all pass, 1 any verification failure, 2 domain or config
 error, 3 convergence error.
@@ -28,7 +29,7 @@ import csv
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,6 +56,7 @@ from .identities import (
 )
 from .jacobi import JacobiSpec, PolySpec, jacobi_p, m_poly
 from .operators import (
+    FAMILIES,
     Family,
     OperatorSpec,
     power_image,
@@ -67,21 +69,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
-
-MSM_SYMBOLS = ("delta", "delta_prime", "mu", "mu_prime", "epsilon")
-
-FAMILY_SYMBOLS = {
-    Family.MSM_LEFT_INT: MSM_SYMBOLS,
-    Family.MSM_RIGHT_INT: MSM_SYMBOLS,
-    Family.MSM_LEFT_DERIV: MSM_SYMBOLS,
-    Family.MSM_RIGHT_DERIV: MSM_SYMBOLS,
-    Family.SAIGO_LEFT: ("delta", "mu", "epsilon"),
-    Family.SAIGO_RIGHT: ("delta", "mu", "epsilon"),
-    Family.RL_LEFT: ("delta",),
-    Family.RL_RIGHT: ("delta",),
-    Family.EK_LEFT: ("epsilon", "delta"),
-    Family.EK_RIGHT: ("epsilon", "delta"),
-}
 
 # single power-image checks, tagged like the identities
 LEMMA_FAMILY = {
@@ -194,7 +181,6 @@ class SweepConfig:
     tol_oracle: float = 1e-10
     tol_quadrature: float = 1e-6
     tol_reduction: float = 1e-8
-    jobs: int = 1
     as_printed: bool = False
     out: str = "verification.jsonl"
 
@@ -278,9 +264,12 @@ def _quad_config(cfg: SweepConfig) -> QuadConfig:
 # ---------------------------------------------------------------------------
 # grid expansion and point evaluation
 
+def _tag_family(tag: str) -> Family:
+    return LEMMA_FAMILY.get(tag) or IDENTITY_FAMILY[IdentityId(tag)]
+
+
 def _point_symbols(tag: str) -> list[str]:
-    family = LEMMA_FAMILY.get(tag) or IDENTITY_FAMILY[IdentityId(tag)]
-    symbols = list(FAMILY_SYMBOLS[family])
+    symbols = list(FAMILIES[_tag_family(tag)].symbols)
     if tag not in LEMMA_FAMILY:
         symbols += ["n", "p", "q"]
     return symbols + ["tau", "x"]
@@ -301,17 +290,15 @@ def _expand_grid(tag: str, grid: dict[str, list]) -> list[dict]:
 
 
 def _op_params(tag: str, point: dict) -> tuple[float, ...]:
-    family = LEMMA_FAMILY.get(tag) or IDENTITY_FAMILY[IdentityId(tag)]
-    return tuple(float(point[s]) for s in FAMILY_SYMBOLS[family])
+    return tuple(float(point[s]) for s in FAMILIES[_tag_family(tag)].symbols)
 
 
 def _monomial_for(family: Family, tau: float):
     """The family's monomial convention and its decay hints."""
-    if family is Family.MSM_RIGHT_INT:
-        return (lambda t: t**-tau), {"power_at_inf": -tau}
-    if family in (Family.RL_RIGHT, Family.EK_RIGHT, Family.SAIGO_RIGHT):
-        return (lambda t: t ** (tau - 1.0)), {"power_at_inf": tau - 1.0}
-    return (lambda t: t ** (tau - 1.0)), {"power_at_zero": tau - 1.0}
+    spec = FAMILIES[family]
+    power = spec.monomial_power(tau)
+    hint = "power_at_inf" if spec.right else "power_at_zero"
+    return (lambda t: t**power), {hint: power}
 
 
 def _identity_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord:
@@ -328,28 +315,29 @@ def _identity_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRec
         return VerificationRecord(
             tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)
         )
-    note = None
+    notes = []
     try:
         quad = quadrature_value(identity, params, poly, tau, x, _quad_config(cfg))
     except NonConvergedError as exc:
         # supplementary check only: the oracle-vs-closed-form verdict
         # stands, but the omission is recorded
         quad = None
-        note = f"quadrature comparison omitted: {exc}"
+        notes.append(f"quadrature comparison omitted: {exc}")
     quad_val = None if quad is None else quad.value
     diff = rel_diff(closed, oracle)
     ok = diff <= cfg.tol_oracle
     if quad_val is not None and rel_diff(quad_val, closed) > cfg.tol_quadrature:
         ok = False
-        note = "quadrature disagrees with the closed form"
+        notes.append("quadrature disagrees with the closed form")
     if not ok and cfg.as_printed and identity in AS_PRINTED_IDS:
         correction = next(c for c in corrections_for(identity) if c.evaluable)
-        note = (
+        notes.append(
             f"as-printed schema; adjudicated correction "
             f"{correction.key}: {correction.implemented}"
         )
     return VerificationRecord(
-        tag, point, oracle, closed, quad_val, diff, "PASS" if ok else "FAIL", note
+        tag, point, oracle, closed, quad_val, diff, "PASS" if ok else "FAIL",
+        "; ".join(notes) or None,
     )
 
 
@@ -364,8 +352,8 @@ def _lemma_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord
             tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)
         )
 
-    if family in (Family.MSM_LEFT_DERIV, Family.MSM_RIGHT_DERIV):
-        side = "left" if family is Family.MSM_LEFT_DERIV else "right"
+    if FAMILIES[family].quadrature is None:
+        side = "right" if FAMILIES[family].right else "left"
         oracle = deriv_composition_oracle(side, op.params, tau, x)
         diff = rel_diff(closed, oracle)
         verdict = "PASS" if diff <= cfg.tol_oracle else "FAIL"
@@ -418,21 +406,17 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     return _identity_record(tag, point, cfg)
 
 
+def iter_verification(cfg: SweepConfig) -> Iterator[VerificationRecord]:
+    """The records for the configured grids, in deterministic order, each
+    evaluated when drawn; every grid is expanded (and checked) first."""
+    grids = [(tag, _expand_grid(tag, cfg.grids.get(tag, DEFAULT_GRIDS[tag])))
+             for tag in cfg.identities]
+    return (_evaluate_point(tag, p, cfg) for tag, points in grids for p in points)
+
+
 def run_verification(cfg: SweepConfig) -> list[VerificationRecord]:
     """All records for the configured grids, in deterministic order."""
-    jobs = []
-    for tag in cfg.identities:
-        grid = cfg.grids.get(tag, DEFAULT_GRIDS[tag])
-        for point in _expand_grid(tag, grid):
-            jobs.append((tag, point))
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(
-                pool.map(lambda tp: _evaluate_point(tp[0], tp[1], cfg), jobs)
-            )
-    else:
-        records = [_evaluate_point(tag, point, cfg) for tag, point in jobs]
-    return records
+    return list(iter_verification(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +475,6 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
             cfg.tol_quadrature = float(_parse_scalar(value))
         elif key == "tol_reduction":
             cfg.tol_reduction = float(_parse_scalar(value))
-        elif key == "jobs":
-            cfg.jobs = int(_parse_scalar(value))
-            if cfg.jobs < 1:
-                raise ConfigError("jobs must be at least 1")
         elif key == "as_printed":
             if value not in ("true", "false"):
                 raise ConfigError(f"as_printed must be true or false, got {value!r}")
@@ -521,10 +501,6 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
         if bad:
             raise ConfigError(f"unknown identities: {', '.join(bad)}")
         cfg.identities = tags
-    if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
-        cfg.jobs = args.jobs
     if getattr(args, "as_printed", False):
         cfg.as_printed = True
     if getattr(args, "out", None):
@@ -550,7 +526,7 @@ def _family_from_args(args) -> Family:
 
 def _params_from_args(args, family: Family) -> tuple[float, ...]:
     values = []
-    for symbol in FAMILY_SYMBOLS[family]:
+    for symbol in FAMILIES[family].symbols:
         value = getattr(args, symbol)
         if value is None:
             raise ConfigError(
@@ -648,7 +624,7 @@ def cmd_eval(args) -> int:
         print(f"prefactor = {_show(pv)}")
         print(f"exponent = {_show(img.exponent)}")
         out = {"target": "image", "family": family.value,
-               "params": dict(zip(FAMILY_SYMBOLS[family], params)),
+               "params": dict(zip(FAMILIES[family].symbols, params)),
                "tau": args.tau,
                "numerator_args": list(img.prefactor.numerator_args),
                "denominator_args": list(img.prefactor.denominator_args),
@@ -663,25 +639,23 @@ def cmd_eval(args) -> int:
         params = _params_from_args(args, family)
         if args.tau is None or args.x is None:
             raise ConfigError("eval apply needs --tau and --x")
-        op = OperatorSpec(family, params)
-        poly = None
-        if args.n is not None:
-            poly = _poly_from_args(args)
-        f, hints = _monomial_for(family, args.tau)
-        if poly is not None:
-            identity = _APPLY_IDENTITY[family]
+        poly = None if args.n is None else _poly_from_args(args)
+        if poly is None:
+            f, hints = _monomial_for(family, args.tau)
+            op = OperatorSpec(family, params)
+            quad = operator_apply(op, f, args.x, DEFAULT_CONFIG, **hints)
+        else:
+            identity = next(i for i, fam in IDENTITY_FAMILY.items() if fam is family)
             quad = quadrature_value(identity, params, poly, args.tau, args.x)
             if quad is None:
                 raise UnsupportedKernelError(
                     f"{family.value} has no supported quadrature here"
                 )
-        else:
-            quad = operator_apply(op, f, args.x, DEFAULT_CONFIG, **hints)
         print(f"value = {_show(quad.value)}")
         print(f"error = {_show(quad.error)}")
         print(f"nodes = {quad.nodes}")
         out = {"target": "apply", "family": family.value,
-               "params": dict(zip(FAMILY_SYMBOLS[family], params)),
+               "params": dict(zip(FAMILIES[family].symbols, params)),
                "tau": args.tau, "x": args.x, "value": quad.value,
                "error": quad.error, "nodes": quad.nodes}
         if poly is not None:
@@ -701,7 +675,7 @@ def cmd_eval(args) -> int:
         print(f"series = {_show(ev.series_value)}")
         print(f"exponent = {_show(ev.exponent)}")
         out = {"target": "rhs", "identity": identity.value,
-               "params": dict(zip(FAMILY_SYMBOLS[family], params)),
+               "params": dict(zip(FAMILIES[family].symbols, params)),
                "n": poly.n, "p": poly.p, "q": poly.q,
                "tau": args.tau, "x": args.x,
                "as_printed": args.as_printed,
@@ -721,7 +695,7 @@ def cmd_eval(args) -> int:
         value = lhs_oracle(identity, params, poly, args.tau, args.x)
         print(f"value = {_show(value)}")
         out = {"target": "oracle", "identity": identity.value,
-               "params": dict(zip(FAMILY_SYMBOLS[family], params)),
+               "params": dict(zip(FAMILIES[family].symbols, params)),
                "n": poly.n, "p": poly.p, "q": poly.q,
                "tau": args.tau, "x": args.x, "value": value}
     else:
@@ -730,22 +704,18 @@ def cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-_APPLY_IDENTITY = {
-    IDENTITY_FAMILY[i]: i
-    for i in IdentityId
-}
-
-
 # ---------------------------------------------------------------------------
 # verify / sweep / report
 
 def cmd_verify(args) -> int:
     pairs = load_config_file(args.config) if args.config else {}
     cfg = build_sweep_config(pairs, args)
-    records = run_verification(cfg)
+    pending = iter_verification(cfg)
+    records = []
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
-        for rec in records:
+        for rec in pending:
             handle.write(_json_line(_record_obj(rec)))
+            records.append(rec)
     n_pass = sum(1 for r in records if r.verdict == "PASS")
     n_fail = sum(1 for r in records if r.verdict == "FAIL")
     n_skip = len(records) - n_pass - n_fail
@@ -883,7 +853,6 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--out", help="output path")
     sub.add_argument("--identities", help="comma-separated identity tags")
-    sub.add_argument("--jobs", type=int, help="parallel evaluation degree")
     sub.add_argument("--as-printed", action="store_true",
                      help="verify the as-printed variants instead")
     sub.add_argument("--tol-oracle", type=float)

@@ -145,24 +145,11 @@ class SignedLogValue:
     log_magnitude: float
     sign: int
 
-    @classmethod
-    def of(cls, value: float) -> "SignedLogValue":
-        if value == 0.0:
-            return cls(float("-inf"), 0)
-        return cls(math.log(abs(value)), 1 if value > 0 else -1)
-
     def to_float(self) -> float:
         if self.sign == 0:
             return 0.0
         mag = math.exp(self.log_magnitude)  # may over/underflow naturally
         return mag if self.sign > 0 else -mag
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLogValue(float("-inf"), 0)
-        return SignedLogValue(
-            self.log_magnitude + other.log_magnitude, self.sign * other.sign
-        )
 
     def times_power(self, base: float, exponent: float) -> "SignedLogValue":
         """Multiply by base**exponent for base > 0."""

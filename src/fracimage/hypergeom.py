@@ -13,7 +13,6 @@ once, rounding exactly as the scalar loop does at every element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy
@@ -53,37 +52,6 @@ def _denominator_pole_index(denominator_params: tuple[float, ...]) -> int | None
             if worst is None or k < worst:
                 worst = k
     return worst
-
-
-@dataclass(frozen=True)
-class HypSeriesSpec:
-    """Parameter lists of a pFq series, kept symbolic so callers can
-    inspect termination before evaluating."""
-
-    numerator_params: tuple[float, ...]
-    denominator_params: tuple[float, ...]
-
-    def termination_index(self) -> int | None:
-        return _termination_index(self.numerator_params)
-
-    @property
-    def is_terminating(self) -> bool:
-        return self.termination_index() is not None
-
-    def evaluate(
-        self,
-        z: float,
-        *,
-        rtol: float = DEFAULT_RTOL,
-        max_terms: int = DEFAULT_MAX_TERMS,
-    ) -> float:
-        return pfq(
-            self.numerator_params,
-            self.denominator_params,
-            z,
-            rtol=rtol,
-            max_terms=max_terms,
-        )
 
 
 def _check_denominator(num: tuple[float, ...], den: tuple[float, ...]) -> None:

@@ -47,6 +47,7 @@ from .gammafns import GammaProduct, gamma_product_eval
 from .hypergeom import pfq
 from .jacobi import PolySpec, _coefficients_exact, m_poly_coefficients, _poly_eval
 from .operators import (
+    FAMILIES,
     Family,
     OperatorSpec,
     PowerImage,
@@ -98,32 +99,6 @@ IDENTITY_FAMILY = {
     IdentityId.COR5: Family.RL_RIGHT,
     IdentityId.COR6: Family.EK_RIGHT,
 }
-
-# Order shift of the k-th polynomial term: t^k against t^(tau-1) or
-# t^(-tau) raises the order, 1/t^k against t^(tau-1) lowers it.
-_ORDER_SHIFT = {
-    IdentityId.THM1: +1,
-    IdentityId.THM2: +1,
-    IdentityId.THM3: +1,
-    IdentityId.THM4: +1,
-    IdentityId.COR1: +1,
-    IdentityId.COR2: +1,
-    IdentityId.COR3: +1,
-    IdentityId.COR4: -1,
-    IdentityId.COR5: -1,
-    IdentityId.COR6: -1,
-}
-
-# Identities whose polynomial factor is M_n(1/t); their series run in -1/x.
-_RECIPROCAL_OPERAND = frozenset(
-    {
-        IdentityId.THM2,
-        IdentityId.THM4,
-        IdentityId.COR4,
-        IdentityId.COR5,
-        IdentityId.COR6,
-    }
-)
 
 # Identities that have an evaluable as-printed variant.
 AS_PRINTED_IDS = frozenset({IdentityId.THM1, IdentityId.THM3, IdentityId.COR4})
@@ -333,7 +308,7 @@ def image_rhs(
             tau + a + bp - g,
         )
 
-    argument = -1.0 / x if identity in _RECIPROCAL_OPERAND else -x
+    argument = -1.0 / x if FAMILIES[op.family].right else -x
     series_value = pfq(series_num, series_den, argument)
 
     sign = -1 if poly.n % 2 else 1
@@ -372,7 +347,10 @@ def lhs_oracle(
     if x <= 0.0:
         raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
     op = _make_operator(identity, op_params)
-    shift = _ORDER_SHIFT[identity]
+    spec = FAMILIES[op.family]
+    # t^k against t^(tau-1) or t^(-tau) raises the order; 1/t^k (operand
+    # M_n(1/t), right-sided) against t^(tau-1) lowers it
+    shift = -1 if spec.right and not spec.negative_power else 1
     base = power_image(op, tau)
     for k in range(1, poly.n + 1):
         power_image(op, tau + shift * k)  # conditions and poles at each order
@@ -380,9 +358,7 @@ def lhs_oracle(
     den = [Fraction(arg) for arg in base.prefactor.denominator_args]
     # every gamma argument moves by +k under the order shift, and the
     # output power moves with the operand's own power of t
-    power_step = (
-        1 / Fraction(x) if identity in _RECIPROCAL_OPERAND else Fraction(x)
-    )
+    power_step = 1 / Fraction(x) if spec.right else Fraction(x)
     total = Fraction(0)
     ratio = Fraction(1)
     power = Fraction(1)
@@ -447,33 +423,18 @@ def quadrature_value(
     supported quadrature kernel: the derivative families always, the
     five-parameter integral families outside their single-series slices.
     """
-    family = IDENTITY_FAMILY[identity]
-    if family in (Family.MSM_LEFT_DERIV, Family.MSM_RIGHT_DERIV):
+    spec = FAMILIES[IDENTITY_FAMILY[identity]]
+    if spec.quadrature is None:
         return None
-    op = OperatorSpec(family, tuple(float(v) for v in op_params))
+    op = _make_operator(identity, op_params)
     coeffs = m_poly_coefficients(poly)
-    if identity in _RECIPROCAL_OPERAND:
-        if identity is IdentityId.THM2:
-            power = -tau
-
-            def f(t: float) -> float:
-                return t**-tau * _poly_eval(coeffs, 1.0 / t)
-
-        else:
-            power = tau - 1.0
-
-            def f(t: float) -> float:
-                return t ** (tau - 1.0) * _poly_eval(coeffs, 1.0 / t)
-
-        try:
-            return operator_apply(op, f, x, cfg, power_at_inf=power)
-        except UnsupportedKernelError:
-            return None
+    power, right = spec.monomial_power(tau), spec.right
 
     def f(t: float) -> float:
-        return t ** (tau - 1.0) * _poly_eval(coeffs, t)
+        return t**power * _poly_eval(coeffs, 1.0 / t if right else t)
 
+    hint = "power_at_inf" if right else "power_at_zero"
     try:
-        return operator_apply(op, f, x, cfg, power_at_zero=tau - 1.0)
+        return operator_apply(op, f, x, cfg, **{hint: power})
     except UnsupportedKernelError:
         return None

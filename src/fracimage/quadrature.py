@@ -1,7 +1,8 @@
 """Direct numerical evaluation of the fractional integral operators.
 
 This is the independent oracle for the closed-form images: nothing here
-reuses the gamma-product formulas, only the integral definitions. Endpoint
+reuses the gamma-product formulas, only the integral definitions (the
+quadrature recipes of operators.FAMILIES, never their images). Endpoint
 singularities u^a (1-u)^b are absorbed into Gauss-Jacobi weights, so the
 evaluated factor of the integrand is smooth and the rules converge
 spectrally.
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .gammafns import GammaProduct, gamma_product_eval, is_nonpositive_integer
 from .hypergeom import gauss_2f1_array
-from .operators import Family, OperatorSpec
+from .operators import FAMILIES, OperatorSpec
 
 # |diff| <= NOISE_FLOOR * (sum of |weighted terms|) counts as converged: the
 # remaining difference is rounding, not discretization. Node accuracy limits
@@ -272,103 +273,39 @@ def operator_apply(
         raise DomainError(
             f"operator_apply needs x > 0, got {x!r}", conditions=("x > 0",)
         )
-    fam = op.family
-    if fam in (Family.MSM_LEFT_DERIV, Family.MSM_RIGHT_DERIV):
+    spec = FAMILIES[op.family]
+    recipe = spec.quadrature
+    if recipe is None:
         raise UnsupportedKernelError(
-            f"{fam.value} has no direct quadrature; use the derivative "
+            f"{op.family.value} has no direct quadrature; use the derivative "
             "composition oracle"
         )
-
-    if fam in (Family.RL_LEFT, Family.EK_LEFT, Family.SAIGO_LEFT, Family.MSM_LEFT_INT):
-        sigma = power_at_zero
-
-        def smooth(u: float) -> float:
-            t = x * u
-            return f(t) * t**-sigma
-
-        if fam is Family.RL_LEFT:
-            (alpha,) = op.params
-            _require_order(alpha, "alpha")
-            quad = quad_endpoint_singular(smooth, sigma, alpha - 1.0, cfg)
-            return _scaled(quad, x ** (alpha + sigma) / math.gamma(alpha))
-        if fam is Family.EK_LEFT:
-            eta, alpha = op.params
-            _require_order(alpha, "alpha")
-            quad = quad_endpoint_singular(smooth, eta + sigma, alpha - 1.0, cfg)
-            return _scaled(quad, x**sigma / math.gamma(alpha))
-        if fam is Family.SAIGO_LEFT:
-            alpha, beta, eta = op.params
-            _require_order(alpha, "alpha")
-            quad = _kernel_quad(
-                (alpha + beta, -eta, alpha), sigma, alpha - 1.0, smooth, cfg
-            )
-            return _scaled(quad, x ** (sigma - beta) / math.gamma(alpha))
-        a, ap, b, bp, g = op.params
-        _require_order(g, "gamma")
-        if ap != 0.0 and bp != 0.0:
-            raise UnsupportedKernelError(
-                "left integral quadrature needs alpha_prime = 0 or "
-                "beta_prime = 0 (two-series kernel regime is out of scope)"
-            )
-        quad = _kernel_quad((a, b, g), sigma - ap, g - 1.0, smooth, cfg)
-        return _scaled(quad, x ** (g - a - ap + sigma) / math.gamma(g))
-
-    rho = power_at_inf
-
-    def smooth_right(u: float) -> float:
-        t = x / u
-        return f(t) * t**-rho
-
-    if fam is Family.RL_RIGHT:
-        (alpha,) = op.params
-        _require_order(alpha, "alpha")
-        quad = quad_endpoint_singular(
-            smooth_right, -alpha - rho - 1.0, alpha - 1.0, cfg
-        )
-        return _scaled(quad, x ** (alpha + rho) / math.gamma(alpha))
-    if fam is Family.EK_RIGHT:
-        eta, alpha = op.params
-        _require_order(alpha, "alpha")
-        quad = quad_endpoint_singular(
-            smooth_right, eta - rho - 1.0, alpha - 1.0, cfg
-        )
-        return _scaled(quad, x**rho / math.gamma(alpha))
-    if fam is Family.SAIGO_RIGHT:
-        alpha, beta, eta = op.params
-        _require_order(alpha, "alpha")
-        quad = _kernel_quad(
-            (alpha + beta, -eta, alpha),
-            beta - rho - 1.0,
-            alpha - 1.0,
-            smooth_right,
-            cfg,
-        )
-        return _scaled(quad, x ** (rho - beta) / math.gamma(alpha))
-    if fam is Family.MSM_RIGHT_INT:
-        a, ap, b, bp, g = op.params
-        _require_order(g, "gamma")
-        if a != 0.0 and b != 0.0:
-            raise UnsupportedKernelError(
-                "right integral quadrature needs alpha = 0 or beta = 0 "
-                "(two-series kernel regime is out of scope)"
-            )
-        # the surviving series is in the unbounded argument 1 - t/x; the
-        # Pfaff transformation maps it onto 1 - x/t and shifts the power
-        # weight by alpha_prime
-        quad = _kernel_quad(
-            (ap, g - bp, g), a + ap - rho - g - 1.0, g - 1.0, smooth_right, cfg
-        )
-        return _scaled(quad, x ** (g - a - ap + rho) / math.gamma(g))
-    raise UnsupportedKernelError(f"no quadrature for family {fam.value}")
-
-
-def _require_order(value: float, name: str) -> None:
-    if value <= 0.0:
+    right = spec.right
+    named = op.named_params()
+    order = named[recipe.order]
+    if order <= 0.0:
         raise DomainError(
-            f"operator order must be positive: {name} = {value!r}",
-            conditions=(f"{name} > 0",),
+            f"operator order must be positive: {recipe.order} = {order!r}",
+            conditions=(f"{recipe.order} > 0",),
         )
+    if recipe.single_series and all(named[p] != 0.0 for p in recipe.single_series):
+        first, second = recipe.single_series
+        raise UnsupportedKernelError(
+            f"{'right' if right else 'left'} integral quadrature needs "
+            f"{first} = 0 or {second} = 0 (two-series kernel regime is out "
+            "of scope)"
+        )
+    s = power_at_inf if right else power_at_zero
 
+    def smooth(u: float) -> float:
+        t = x / u if right else x * u
+        return f(t) * t**-s
 
-def _scaled(quad: QuadResult, factor: float) -> QuadResult:
+    # |x - t|^(order - 1) becomes the weight (1 - u)^(order - 1)
+    w0, w1 = recipe.u_power(*op.params, s), order - 1.0
+    if recipe.kernel is None:
+        quad = quad_endpoint_singular(smooth, w0, w1, cfg)
+    else:
+        quad = _kernel_quad(recipe.kernel(*op.params), w0, w1, smooth, cfg)
+    factor = x ** recipe.x_power(*op.params, s) / math.gamma(order)
     return QuadResult(factor * quad.value, abs(factor) * quad.error, quad.nodes)

@@ -18,7 +18,6 @@ from fracimage.errors import DivergenceError, NonConvergedError, PoleError
 from fracimage.gammafns import GammaProduct, gamma_product_eval
 from fracimage.hypergeom import (
     ARRAY_BLOCK_TERMS,
-    HypSeriesSpec,
     appell_f3,
     gauss_2f1,
     gauss_2f1_array,
@@ -102,16 +101,6 @@ def test_pfq_divergence_and_poles():
 def test_pfq_trivial_values():
     assert pfq((0.7, 1.3), (2.1,), 0.0) == 1.0
     assert pfq((0.0, 5.0), (1.1,), 0.9) == 1.0  # zero numerator parameter
-
-
-def test_hyp_series_spec():
-    spec = HypSeriesSpec((-5.0, 2.2), (1.7,))
-    assert spec.is_terminating
-    assert spec.termination_index() == 5
-    assert spec.evaluate(0.4) == pytest.approx(pfq((-5.0, 2.2), (1.7,), 0.4))
-    open_spec = HypSeriesSpec((0.5,), (1.7,))
-    assert not open_spec.is_terminating
-    assert open_spec.termination_index() is None
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,6 +21,7 @@ from fracimage.identities import (
 )
 from fracimage.jacobi import PolySpec
 from fracimage.operators import (
+    FAMILIES,
     msm_left_deriv,
     msm_left_int,
     msm_right_deriv,
@@ -92,15 +93,29 @@ def test_rhs_matches_oracle(identity, param_sets, taus, xs):
                         assert closed.value == pytest.approx(oracle, rel=1e-10)
 
 
+# frozen reference: the identities whose polynomial terms lower the
+# order, and those whose operand is M_n(1/t), as first tabulated by tag
+LOWERING_IDS = {IdentityId.COR4, IdentityId.COR5, IdentityId.COR6}
+RECIPROCAL_IDS = {
+    IdentityId.THM2, IdentityId.THM4, IdentityId.COR4, IdentityId.COR5,
+    IdentityId.COR6,
+}
+
+
 def test_oracle_matches_independent_term_summation():
     # the same finite sum with every shifted image evaluated on its own,
     # with no shared gamma factor; cancellation caps agreement near 1e-8
-    from fracimage.identities import _ORDER_SHIFT, _make_operator
+    from fracimage.identities import _make_operator
     from fracimage.jacobi import m_poly_coefficients
 
+    for identity in IdentityId:
+        spec = FAMILIES[IDENTITY_FAMILY[identity]]
+        assert spec.right == (identity in RECIPROCAL_IDS)
+        lowering = spec.right and not spec.negative_power
+        assert lowering == (identity in LOWERING_IDS)
     for identity, param_sets, taus, xs in GRID:
         op = _make_operator(identity, param_sets[0])
-        shift = _ORDER_SHIFT[identity]
+        shift = -1 if identity in LOWERING_IDS else 1
         poly = PolySpec(5, 13, 1.5)
         for tau in taus:
             for x in xs:

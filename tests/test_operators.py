@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracimage.cli import LEMMA_FAMILY
 from fracimage.errors import DomainError, PoleError
 from fracimage.gammafns import GammaProduct
+from fracimage.identities import IDENTITY_FAMILY, IdentityId
 from fracimage.operators import (
-    NEGATIVE_POWER_FAMILIES,
+    FAMILIES,
     Family,
     OperatorSpec,
-    domain_ok,
     ek_left,
     ek_right,
     msm_left_deriv,
@@ -147,7 +148,6 @@ def test_ek_exponent_is_power_neutral():
 def test_validate_domain_rl_pass():
     results = validate_domain(rl_left(0.5), 1.0)
     assert all(c.satisfied for c in results)
-    assert domain_ok(rl_left(0.5), 1.0)
 
 
 def test_validate_domain_saigo_right_fail_with_margin():
@@ -156,11 +156,11 @@ def test_validate_domain_saigo_right_fail_with_margin():
     assert failed
     by_label = {c.label: c for c in results}
     assert by_label["tau < 1 + beta"].margin == pytest.approx(-0.8)
-    assert not domain_ok(saigo_right(0.5, 0.2, 0.3), 2.0)
 
 
 def test_validate_domain_msm_generic_pass():
-    assert domain_ok(msm_left_int(0.5, 0.3, 0.2, 0.4, 1.1), 2.0)
+    results = validate_domain(msm_left_int(0.5, 0.3, 0.2, 0.4, 1.1), 2.0)
+    assert all(c.satisfied for c in results)
 
 
 def test_validate_domain_reports_both_lemma_variants():
@@ -234,12 +234,31 @@ def test_operator_spec_arity_and_names():
 
 
 def test_monomial_convention_table():
-    assert Family.MSM_RIGHT_INT in NEGATIVE_POWER_FAMILIES
-    assert Family.MSM_RIGHT_DERIV in NEGATIVE_POWER_FAMILIES
-    assert Family.SAIGO_RIGHT not in NEGATIVE_POWER_FAMILIES
-    assert Family.RL_RIGHT not in NEGATIVE_POWER_FAMILIES
-    assert Family.EK_RIGHT not in NEGATIVE_POWER_FAMILIES
-    assert len(NEGATIVE_POWER_FAMILIES) == 2
+    negative = {f for f, spec in FAMILIES.items() if spec.negative_power}
+    assert negative == {Family.MSM_RIGHT_INT, Family.MSM_RIGHT_DERIV}
+    right = {f for f, spec in FAMILIES.items() if spec.right}
+    assert right == {
+        Family.MSM_RIGHT_INT, Family.MSM_RIGHT_DERIV, Family.SAIGO_RIGHT,
+        Family.RL_RIGHT, Family.EK_RIGHT,
+    }
+    assert FAMILIES[Family.MSM_RIGHT_INT].monomial_power(2.5) == -2.5
+    assert FAMILIES[Family.RL_RIGHT].monomial_power(2.5) == 1.5
+    assert FAMILIES[Family.MSM_LEFT_INT].monomial_power(2.5) == 1.5
+
+
+def test_family_table_is_complete():
+    assert set(FAMILIES) == set(Family)  # a dict: one spec per family
+    for spec in FAMILIES.values():
+        assert len(spec.params) == len(spec.symbols)
+        if spec.quadrature is not None:
+            assert spec.quadrature.order in spec.params
+            assert set(spec.quadrature.single_series or ()) <= set(spec.params)
+    no_quadrature = {f for f, spec in FAMILIES.items() if spec.quadrature is None}
+    assert no_quadrature == {Family.MSM_LEFT_DERIV, Family.MSM_RIGHT_DERIV}
+    assert set(IDENTITY_FAMILY) == set(IdentityId)
+    assert set(IDENTITY_FAMILY.values()) <= set(FAMILIES)
+    assert set(LEMMA_FAMILY) == {f"lem{i}" for i in range(1, 7)}
+    assert set(LEMMA_FAMILY.values()) <= set(FAMILIES)
 
 
 def test_family_cli_names():
