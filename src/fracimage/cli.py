@@ -16,7 +16,8 @@ one-parameter family; epsilon (weight exponent) and delta (order) for
 the two-parameter family. The Python API uses alpha, alpha_prime, beta,
 beta_prime, gamma / alpha, beta, eta / alpha / eta, alpha for the same
 positions (operators.FAMILIES); flag values map positionally. verify
-writes each record to --out as soon as it is computed, in grid order.
+and sweep write each record (sweep: each CSV row) to --out as soon as it
+is computed, in grid order.
 
 Exit codes: 0 all pass, 1 any verification failure, 2 domain or config
 error, 3 convergence error.
@@ -733,7 +734,7 @@ def cmd_sweep(args) -> int:
         if args.identity not in ALL_TAGS:
             raise ConfigError(f"unknown identity {args.identity!r}")
         cfg.identities = [args.identity]
-    records = run_verification(cfg)
+    pending = iter_verification(cfg)
     symbol_sets = [_point_symbols(tag) for tag in cfg.identities]
     symbols = list(dict.fromkeys(s for group in symbol_sets for s in group))
     header = ["identity"] + symbols + [
@@ -742,10 +743,11 @@ def cmd_sweep(args) -> int:
     ]
     out = open(cfg.out, "w", encoding="utf-8", newline="") if args.out \
         else sys.stdout
+    rows = 0
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for rec in records:
+        for rec in pending:
             row = [rec.identity]
             row += [
                 _num(rec.point[s]) if s in rec.point else "" for s in symbols
@@ -756,11 +758,12 @@ def cmd_sweep(args) -> int:
             row.append(_num(rec.rel_diff))
             row.append(rec.verdict)
             writer.writerow(row)
+            rows += 1
     finally:
         if out is not sys.stdout:
             out.close()
     if args.out:
-        print(f"sweep: {len(records)} rows -> {cfg.out}")
+        print(f"sweep: {rows} rows -> {cfg.out}")
     return EXIT_PASS
 
 

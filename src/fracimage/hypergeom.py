@@ -1,24 +1,31 @@
 """Generalized hypergeometric series and the third Appell double series.
 
-Everything here is a plain power series evaluated carefully: terminating
-series are collected term by term and compensated with math.fsum, infinite
-series stream with Neumaier summation and an explicit tail criterion. No
-analytic continuation is attempted; arguments outside the convergence
-domain raise DivergenceError rather than returning a continuation value.
+Everything here is a plain power series evaluated carefully. Short
+terminating series are summed exactly by exact_series_sum: every float is
+an exact rational, so the sum runs in backward Horner form on integer
+numerators and denominators, with no gcd along the way, and rounds once in
+a single correctly rounded integer division. Longer terminating series are
+collected term by term and compensated with math.fsum; infinite series
+stream with Neumaier summation and an explicit tail criterion. No analytic
+continuation is attempted; arguments outside the convergence domain raise
+DivergenceError rather than returning a continuation value.
 
 gauss_2f1_array sums the same 2F1 series over an array of arguments at
-once, rounding exactly as the scalar loop does at every element.
+once, rounding exactly as the scalar loop does at every element. numpy is
+imported on its first call, so work without quadrature never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy
+from typing import TYPE_CHECKING
 
 from .errors import DenominatorPoleError, DivergenceError, NonConvergedError
 from .gammafns import GammaProduct, gamma_product_eval, is_nonpositive_integer
+
+if TYPE_CHECKING:
+    import numpy
 
 DEFAULT_RTOL = 1e-13
 DEFAULT_MAX_TERMS = 1_000_000
@@ -54,6 +61,51 @@ def _denominator_pole_index(denominator_params: tuple[float, ...]) -> int | None
     return worst
 
 
+def as_ratio(value) -> tuple[int, int]:
+    """The exact rational value of an int, float, Fraction (or anything
+    Fraction accepts) as (numerator, denominator)."""
+    if isinstance(value, (int, float, Fraction)):
+        return value.as_integer_ratio()
+    return Fraction(value).as_integer_ratio()
+
+
+def exact_series_sum(coefficients, numerator_params, denominator_params, z) -> float:
+    """sum_k c_k (a_1)_k...(a_p)_k / ((b_1)_k...(b_q)_k) z^k over the given
+    coefficients c_0..c_m, summed exactly and rounded once.
+
+    Every input is an exact rational. The sum runs in backward Horner form,
+    S = c_m, then S <- c_k + r_k S down to k = 0, with r_k the exact term
+    ratio z prod(a_i + k) / prod(b_j + k); S is carried as one integer
+    numerator and denominator, never reduced, so no step takes a gcd. The
+    single true division at the end is correctly rounded, the double
+    float(Fraction) gives for the same rational. Only r_0..r_(m-1) are
+    formed, so a denominator parameter that vanishes at k = m is harmless."""
+    coeffs = [as_ratio(c) for c in coefficients]
+    scale = math.lcm(*(d for _, d in coeffs))
+    ints = [n * (scale // d) for n, d in coeffs]
+    nums = [as_ratio(a) for a in numerator_params]
+    dens = [as_ratio(b) for b in denominator_params]
+    # constant parts of r_k: z and the parameters' own denominators
+    zn, zd = as_ratio(z)
+    top, bottom = zn, zd
+    for _, ad in nums:
+        bottom *= ad
+    for _, bd in dens:
+        top *= bd
+    num, den = ints[-1], 1
+    for k in range(len(ints) - 2, -1, -1):
+        p, q = top, bottom
+        for an, ad in nums:
+            p *= an + k * ad
+        for bn, bd in dens:
+            q *= bn + k * bd
+        den *= q
+        num = ints[k] * den + p * num
+    den *= scale
+    # a positive denominator keeps an exact zero from rounding to -0.0
+    return num / den if den > 0 else -num / -den
+
+
 def _check_denominator(num: tuple[float, ...], den: tuple[float, ...]) -> None:
     pole_at = _denominator_pole_index(den)
     if pole_at is None:
@@ -80,9 +132,12 @@ def pfq(
     """pFq(numerator; denominator; z) as a float.
 
     Terminating series (some numerator parameter a nonpositive integer) are
-    summed exactly in |a|+1 terms at any z; int or Fraction inputs keep that
-    sum free of rounding. Otherwise p <= q converges for every z and
-    p == q+1 only for |z| < 1; anything else raises DivergenceError."""
+    summed in |a|+1 terms at any z. Up to EXACT_TERM_LIMIT terms the sum is
+    exact (exact_series_sum: integer Horner form, one rounding at the end),
+    taking each float, int or Fraction input at its exact rational value;
+    longer ones are summed in floats with math.fsum. Otherwise p <= q
+    converges for every z and p == q+1 only for |z| < 1; anything else
+    raises DivergenceError."""
     num = tuple(float(a) for a in numerator_params)
     den = tuple(float(b) for b in denominator_params)
     _check_denominator(num, den)
@@ -90,27 +145,12 @@ def pfq(
     stop = _termination_index(num)
     if stop is not None:
         if stop <= EXACT_TERM_LIMIT:
-            # rational inputs (ints, Fractions, decimal-exact floats) are
-            # summed without rounding; the original values are used so an
-            # exact Fraction argument is not flattened to a float first
-            total = Fraction(0)
-            term = Fraction(1)
-            zf = Fraction(z)
-            num_exact = tuple(Fraction(a) for a in numerator_params)
-            den_exact = tuple(Fraction(b) for b in denominator_params)
-            for k in range(stop + 1):
-                total += term
-                # a denominator pole landing exactly at termination must
-                # not be touched by the unused last ratio update
-                if k == stop:
-                    break
-                factor = Fraction(1)
-                for a in num_exact:
-                    factor *= a + k
-                for b in den_exact:
-                    factor /= b + k
-                term *= factor * zf / (k + 1)
-            return float(total)
+            # the original values are used so an exact Fraction argument is
+            # not flattened to a float first; the extra lower parameter 1
+            # gives the k! of each term
+            return exact_series_sum(
+                (1,) * (stop + 1), numerator_params, (*denominator_params, 1), z
+            )
         terms = []
         term = 1.0
         zf = float(z)
@@ -209,6 +249,8 @@ def gauss_2f1_array(
     The non-terminating series at 0 < |zi| < 1 is summed on the whole
     array; every other element (terminating or pole parameters, zi = 0,
     |zi| >= 1) goes through the scalar gauss_2f1 and raises its errors."""
+    import numpy
+
     z = numpy.asarray(z, dtype=float)
     a, b, c = float(a), float(b), float(c)
     if _termination_index((a, b)) is not None or is_nonpositive_integer(c):
@@ -237,6 +279,8 @@ def _series_2f1(
     branch computes, and the errors are accumulated the same way. A block
     starts its scans from the values the previous block carried; rows that
     met the stopping rule are dropped."""
+    import numpy
+
     out = numpy.empty(z.shape)
     rows = numpy.arange(z.size)
     tail_scale = 1.0 / (1.0 - numpy.abs(z))

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .errors import DomainError, UnsupportedKernelError
 from .gammafns import GammaProduct, gamma_product_eval
-from .hypergeom import pfq
+from .hypergeom import exact_series_sum, pfq
 from .jacobi import PolySpec, _coefficients_exact, m_poly_coefficients, _poly_eval
 from .operators import (
     FAMILIES,
@@ -255,17 +255,15 @@ def _make_operator(identity: IdentityId, op_params) -> OperatorSpec:
     return OperatorSpec(IDENTITY_FAMILY[identity], tuple(float(v) for v in op_params))
 
 
-def _printed_image(identity: IdentityId, op: OperatorSpec, tau: float) -> PowerImage:
-    """Power image with the as-printed gamma schema (thm1 only; the other
+def _printed_image(op: OperatorSpec, tau: float) -> PowerImage:
+    """thm1's power image with its as-printed gamma schema (the other
     printed variants leave the prefactor untouched)."""
-    if identity is IdentityId.THM1:
-        a, ap, b, bp, g = op.params
-        gp = GammaProduct(
-            (tau, tau + a - ap - b, tau + bp - ap),
-            (tau + bp, tau + g - a - ap, tau + g - ap - b),
-        )
-        return PowerImage(gp, tau - a - ap + g - 1.0)
-    return power_image(op, tau, validate=False)
+    a, ap, b, bp, g = op.params
+    gp = GammaProduct(
+        (tau, tau + a - ap - b, tau + bp - ap),
+        (tau + bp, tau + g - a - ap, tau + g - ap - b),
+    )
+    return PowerImage(gp, tau - a - ap + g - 1.0)
 
 
 def image_rhs(
@@ -286,12 +284,9 @@ def image_rhs(
     if x <= 0.0:
         raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
     op = _make_operator(identity, op_params)
-    power_image(op, tau)  # domain check at the base order
-    img = (
-        _printed_image(identity, op, tau)
-        if as_printed
-        else power_image(op, tau, validate=False)
-    )
+    img = power_image(op, tau)  # also the domain check at the base order
+    if as_printed and identity is IdentityId.THM1:
+        img = _printed_image(op, tau)
 
     series_num = (-float(poly.n), 1.0 + poly.n - poly.p) + tuple(
         img.prefactor.numerator_args
@@ -343,7 +338,8 @@ def lhs_oracle(
     kept exact: the coefficients are rationals, each shifted image is
     the base image times an exact Pochhammer ratio (the gamma
     recurrence), and the only rounding happens in the one base gamma
-    evaluation and the final conversion."""
+    evaluation and the final conversion. The sum itself runs in integer
+    Horner form (hypergeom.exact_series_sum)."""
     if x <= 0.0:
         raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
     op = _make_operator(identity, op_params)
@@ -354,23 +350,17 @@ def lhs_oracle(
     base = power_image(op, tau)
     for k in range(1, poly.n + 1):
         power_image(op, tau + shift * k)  # conditions and poles at each order
-    num = [Fraction(arg) for arg in base.prefactor.numerator_args]
-    den = [Fraction(arg) for arg in base.prefactor.denominator_args]
-    # every gamma argument moves by +k under the order shift, and the
-    # output power moves with the operand's own power of t
-    power_step = 1 / Fraction(x) if spec.right else Fraction(x)
-    total = Fraction(0)
-    ratio = Fraction(1)
-    power = Fraction(1)
-    for k, c in enumerate(_coefficients_exact(poly)):
-        total += c * ratio * power
-        power *= power_step
-        for arg in num:
-            ratio *= arg + k
-        for arg in den:
-            ratio /= arg + k
+    # every gamma argument moves by +k under the order shift, so term k is
+    # c_k (num)_k / (den)_k times the output power step^k, which moves with
+    # the operand's own power of t
+    total = exact_series_sum(
+        _coefficients_exact(poly),
+        base.prefactor.numerator_args,
+        base.prefactor.denominator_args,
+        1 / Fraction(x) if spec.right else x,
+    )
     scale = gamma_product_eval(base.prefactor).times_power(x, base.exponent)
-    return scale.to_float() * float(total)
+    return scale.to_float() * total
 
 
 def deriv_composition_oracle(side: str, msm_params, tau: float, x: float) -> float:

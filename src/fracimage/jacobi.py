@@ -12,6 +12,11 @@ q > -1. Its terminating hypergeometric form is
 
 and it connects to the classical Jacobi polynomial through
 M_n^(p,q)(x) = (-1)^n n! P_n^(q, -p-q)(2x+1).
+
+The exact coefficients are built on integers and memoised per PolySpec in
+a bounded module-level cache (_coefficients_exact, an immutable tuple of
+Fractions), since the oracle, the quadrature integrand and m_poly all ask
+for the same polynomial at many points.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DenominatorPoleError, DomainError
 from .gammafns import binomial_real, is_nonpositive_integer
-from .hypergeom import gauss_2f1
+from .hypergeom import as_ratio, exact_series_sum, gauss_2f1
 
 
 @dataclass(frozen=True)
@@ -38,10 +44,6 @@ class PolySpec:
         if self.n < 0 or self.n != int(self.n):
             raise ValueError(f"degree must be a nonnegative integer, got {self.n!r}")
 
-    @property
-    def is_orthogonal_range(self) -> bool:
-        return self.p > 2 * self.n + 1 and self.q > -1.0
-
 
 @dataclass(frozen=True)
 class JacobiSpec:
@@ -56,28 +58,30 @@ class JacobiSpec:
             raise ValueError(f"degree must be a nonnegative integer, got {self.n!r}")
 
 
-def _binomial_exact(top: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(k):
-        out *= top - j
-    return out / math.factorial(k)
+@lru_cache(maxsize=256)
+def _coefficients_exact(spec: PolySpec) -> tuple[Fraction, ...]:
+    """Exact coefficients of M_n^(p,q), memoised per PolySpec.
 
-
-def _coefficients_exact(spec: PolySpec) -> list[Fraction]:
+    With p = pn/pd and q = qn/qd, n! binom(p-n-1, k) binom(q+n, n-k) is
+    binom(n, k) A_k B_(n-k) / (pd^k qd^(n-k)), where A_k and B_m are the
+    integer falling products of pn - (n+1)pd and qn + n qd; each
+    coefficient is reduced once."""
     n = spec.n
-    p = Fraction(spec.p)
-    q = Fraction(spec.q)
-    fact_n = math.factorial(n)
-    coeffs = []
-    for k in range(n + 1):
-        sign = 1 if (n + k) % 2 == 0 else -1
-        coeffs.append(
-            sign
-            * fact_n
-            * _binomial_exact(p - n - 1, k)
-            * _binomial_exact(q + n, n - k)
+    pn, pd = as_ratio(spec.p)
+    qn, qd = as_ratio(spec.q)
+    falling_p = [1]
+    for j in range(n):
+        falling_p.append(falling_p[-1] * (pn - (n + 1 + j) * pd))
+    falling_q = [1]
+    for j in range(n):
+        falling_q.append(falling_q[-1] * (qn + (n - j) * qd))
+    return tuple(
+        Fraction(
+            (-1) ** (n + k) * math.comb(n, k) * falling_p[k] * falling_q[n - k],
+            pd**k * qd ** (n - k),
         )
-    return coeffs
+        for k in range(n + 1)
+    )
 
 
 def m_poly_coefficients(spec: PolySpec) -> list[float]:
@@ -97,11 +101,7 @@ def m_poly(spec: PolySpec, x: float, method: str = "direct") -> float:
     form and raises DenominatorPoleError when q+1 is a nonpositive integer
     reached before the series terminates."""
     if method == "direct":
-        acc = Fraction(0)
-        xf = Fraction(x)
-        for c in reversed(_coefficients_exact(spec)):
-            acc = acc * xf + c
-        return float(acc)
+        return exact_series_sum(_coefficients_exact(spec), (), (), x)
     if method == "hypergeometric":
         n, p, q = spec.n, spec.p, spec.q
         if is_nonpositive_integer(q + 1.0) and -(q + 1.0) < n:

@@ -18,6 +18,8 @@ the one the per-node series gives. Each kernel piece's per-node factor is
 memoised per (series, piece, power, rule nodes) in a bounded cache, since
 it does not depend on the integrand's other factor: a grid that sweeps x
 and the polynomial around one operator sums each series once per rule.
+numpy and scipy are imported on the first rule build, so work without
+quadrature never loads them.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
-
-import numpy
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import (
     DenominatorPoleError,
@@ -38,6 +38,9 @@ from .errors import (
 from .gammafns import GammaProduct, gamma_product_eval, is_nonpositive_integer
 from .hypergeom import gauss_2f1_array
 from .operators import FAMILIES, OperatorSpec
+
+if TYPE_CHECKING:
+    import numpy
 
 # |diff| <= NOISE_FLOOR * (sum of |weighted terms|) counts as converged: the
 # remaining difference is rounding, not discretization. Node accuracy limits
@@ -92,6 +95,8 @@ def roots_jacobi(n: int, alpha: float, beta: float):
 def _gj_rule(n: int, a0: float, a1: float):
     """Nodes/weights for int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale*sum w g(u),
     and the nodes once more as an array."""
+    import numpy
+
     # scipy computes, then discards, an invalid intermediate when a0+a1 = -1
     with numpy.errstate(invalid="ignore", divide="ignore"):
         t, w = roots_jacobi(n, a1, a0)
@@ -169,6 +174,8 @@ def _kernel_piece(
     x, polynomial and power) sum each series once. A prefactor is formed
     as (u^power * K) before s(u) multiplies it, the order of the unmemoised
     expression, so the values are bit for bit the same."""
+    import numpy
+
     v = numpy.frombuffer(node_bytes)
     if piece == "whole":
         u, z, base = v, 1.0 - v, None

@@ -1,6 +1,10 @@
 """Command line interface: eval targets, verification runs, reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,6 +389,64 @@ def test_sweep_csv(tmp_path, capsys):
     for values in pairs.values():
         ordered = sorted(values)
         assert ordered[0][1] < ordered[-1][1]
+
+
+def test_sweep_streams_rows_before_an_abort(tmp_path, monkeypatch):
+    # rows were written only after the last point, so an uncaught error
+    # left no CSV at all
+    real_evaluate = cli._evaluate_point
+    calls = []
+
+    def evaluate(tag, point, cfg):
+        calls.append(point)
+        if len(calls) == 3:
+            raise RuntimeError("injected failure")
+        return real_evaluate(tag, point, cfg)
+
+    monkeypatch.setattr(cli, "_evaluate_point", evaluate)
+    out_path = tmp_path / "f.csv"
+    with pytest.raises(RuntimeError):
+        main(["sweep", "--identity", "cor2", "--out", str(out_path)])
+    lines = out_path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    assert header[0] == "identity" and header[-1] == "verdict"
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["x"] for row in rows] == [cli._num(p["x"]) for p in calls[:2]]
+    assert all(row["identity"] == "cor2" and row["verdict"] == "PASS" for row in rows)
+
+
+def _loaded_probe(label: str) -> str:
+    return (f"print('loaded {label}:', "
+            "sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+
+
+def test_import_and_eval_rhs_leave_numpy_and_scipy_unloaded():
+    # numpy and scipy are imported on the first quadrature only; the same
+    # probe sees both once an eval integrates
+    rhs = ["eval", "rhs", "--identity", "thm3", "--delta", "0.5", "--delta-prime", "0.3",
+           "--mu", "0.2", "--mu-prime", "0.4", "--epsilon", "1.1", "--n", "16",
+           "--p", "35.5", "--q", "1.5", "--tau", "2", "--x", "1"]
+    apply = ["eval", "apply", "--family", "rl-left", "--delta", "0.5", "--tau", "2", "--x", "1"]
+    script = (
+        "import sys\nimport runpy\nimport fracimage\n" + _loaded_probe("import")
+        + f"sys.argv = ['fracimage'] + {rhs!r}\n"
+        + "try:\n    runpy.run_module('fracimage', run_name='__main__', alter_sys=True)\n"
+        + "except SystemExit as exc:\n    assert exc.code == 0\n"
+        + _loaded_probe("rhs")
+        + f"fracimage.cli.main({apply!r})\n"
+        + _loaded_probe("apply")
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("loaded ")] == [
+        "loaded import: []",
+        "loaded rhs: []",
+        "loaded apply: ['numpy', 'scipy']",
+    ]
+    assert '"target":"rhs"' in proc.stdout
 
 
 def test_sweep_rejects_unknown_identity(capsys):

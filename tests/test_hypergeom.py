@@ -11,13 +11,14 @@ from fractions import Fraction
 
 import numpy
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracimage.errors import DivergenceError, NonConvergedError, PoleError
 from fracimage.gammafns import GammaProduct, gamma_product_eval
 from fracimage.hypergeom import (
     ARRAY_BLOCK_TERMS,
+    EXACT_TERM_LIMIT,
     appell_f3,
     gauss_2f1,
     gauss_2f1_array,
@@ -37,6 +38,8 @@ def exact_terminating_pfq(num, den, z):
     term = Fraction(1)
     for k in range(stop + 1):
         total += term
+        if k == stop:
+            break
         factor = Fraction(1)
         for a in num:
             factor *= a + k
@@ -96,6 +99,56 @@ def test_pfq_divergence_and_poles():
         float(exact_terminating_pfq((Fraction(-2), Fraction(1)), (Fraction(-3),), Fraction(1))),
         rel=1e-13,
     )
+
+
+def _exact_rational(kind: str, value: Fraction):
+    return {"float": float, "int": int, "fraction": Fraction}[kind](value)
+
+
+# parameter values as floats (exact binary rationals), ints or Fractions
+_exact_params = st.one_of(
+    st.floats(min_value=-12.0, max_value=12.0),
+    st.integers(min_value=1, max_value=12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stop=st.integers(min_value=0, max_value=EXACT_TERM_LIMIT),
+    stop_kind=st.sampled_from(["float", "int", "fraction"]),
+    upper=st.lists(_exact_params, max_size=3),
+    lower=st.lists(_exact_params, max_size=3),
+    pole_at_stop=st.sampled_from([None, "float", "int", "fraction"]),
+    z=st.one_of(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.just(0.0),
+        st.just(-0.0),
+        st.integers(min_value=-3, max_value=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=50),
+    ),
+)
+# 1 - 1 sums to +0.0, as float(Fraction(0)) does, also over a negative
+# denominator; an exact Fraction argument is not flattened to a float
+# (1 - 1/3 rounds to ...666, 1 - float(1/3) to ...667)
+@example(stop=1, stop_kind="int", upper=[1], lower=[1], pole_at_stop=None, z=1)
+@example(stop=1, stop_kind="float", upper=[1.0], lower=[], pole_at_stop="float", z=-1.0)
+@example(stop=1, stop_kind="int", upper=[], lower=[], pole_at_stop=None, z=Fraction(1, 3))
+def test_pfq_exact_path_bit_equal_to_fraction_sum(stop, stop_kind, upper, lower, pole_at_stop, z):
+    # the integer Horner sum must round to the very double float(Fraction)
+    # gives for the term-by-term rational sum
+    num = [_exact_rational(stop_kind, Fraction(-stop))] + upper
+    den = [b for b in lower if not (Fraction(b) <= 0 and Fraction(b).denominator == 1)]
+    if pole_at_stop is not None:
+        # (b)_k first vanishes at k = stop + 1, one past the last term
+        den.append(_exact_rational(pole_at_stop, Fraction(-stop)))
+    try:
+        expected = float(exact_terminating_pfq(num, den, z))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            pfq(tuple(num), tuple(den), z)
+        return
+    assert repr(pfq(tuple(num), tuple(den), z)) == repr(expected)
 
 
 def test_pfq_trivial_values():

@@ -1,11 +1,13 @@
 """Closed-form images versus the exact finite-sum oracle."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracimage.cli import ALL_TAGS, DEFAULT_GRIDS, LEMMA_FAMILY, _expand_grid, _op_params
 from fracimage.errors import DenominatorPoleError, DomainError
 from fracimage.gammafns import gamma, gamma_product_eval
 from fracimage.identities import (
@@ -126,6 +128,64 @@ def test_oracle_matches_independent_term_summation():
                 )
                 exact = lhs_oracle(identity, param_sets[0], poly, tau, x)
                 assert naive == pytest.approx(exact, rel=5e-8)
+
+
+def _binomial_fraction(top: Fraction, k: int) -> Fraction:
+    out = Fraction(1)
+    for j in range(k):
+        out *= top - j
+    return out / math.factorial(k)
+
+
+def fraction_loop_oracle(identity, params, poly, tau, x) -> float:
+    """lhs_oracle as a term-by-term Fraction loop: every coefficient from
+    the binomial sum and every step reduced, rounded once at the end."""
+    from fracimage.identities import _make_operator
+
+    op = _make_operator(identity, params)
+    spec = FAMILIES[op.family]
+    base = power_image(op, tau)
+    n, p, q = poly.n, Fraction(poly.p), Fraction(poly.q)
+    coeffs = [
+        (-1) ** (n + k) * math.factorial(n)
+        * _binomial_fraction(p - n - 1, k) * _binomial_fraction(q + n, n - k)
+        for k in range(n + 1)
+    ]
+    num = [Fraction(a) for a in base.prefactor.numerator_args]
+    den = [Fraction(a) for a in base.prefactor.denominator_args]
+    step = 1 / Fraction(x) if spec.right else Fraction(x)
+    total, ratio, power = Fraction(0), Fraction(1), Fraction(1)
+    for k, c in enumerate(coeffs):
+        total += c * ratio * power
+        power *= step
+        for a in num:
+            ratio *= a + k
+        for a in den:
+            ratio /= a + k
+    scale = gamma_product_eval(base.prefactor).times_power(x, base.exponent)
+    return scale.to_float() * float(total)
+
+
+def _oracle_points():
+    """Every identity point of the default verify grid, then thm3/thm4 at
+    n = 0..16 with p = 35.5, where the exact sums are longest."""
+    grids = [(tag, DEFAULT_GRIDS[tag]) for tag in ALL_TAGS if tag not in LEMMA_FAMILY]
+    grids += [(tag, dict(DEFAULT_GRIDS[tag], n=list(range(17)), p=[35.5]))
+              for tag in ("thm3", "thm4")]
+    for tag, grid in grids:
+        for point in _expand_grid(tag, grid):
+            poly = PolySpec(int(point["n"]), float(point["p"]), float(point["q"]))
+            yield (IdentityId(tag), _op_params(tag, point), poly,
+                   float(point["tau"]), float(point["x"]))
+
+
+def test_oracle_bit_equal_to_fraction_loop():
+    count = 0
+    for identity, params, poly, tau, x in _oracle_points():
+        got = lhs_oracle(identity, params, poly, tau, x)
+        assert repr(got) == repr(fraction_loop_oracle(identity, params, poly, tau, x))
+        count += 1
+    assert count == 672 + 2 * 17 * 12
 
 
 def test_value_decomposition():

@@ -1,6 +1,7 @@
 """Tests for the Jacobi-type polynomial family M_n^(p,q)."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from fracimage.errors import DenominatorPoleError, DomainError
 from fracimage.jacobi import (
     JacobiSpec,
     PolySpec,
+    _coefficients_exact,
     _poly_eval,
     jacobi_p,
     m_jacobi_connection,
@@ -34,6 +36,48 @@ def test_coefficients_small_case():
     # n=2, p=7, q=1: 12x^2 - 24x + 6 from the binomial sum by hand
     assert m_poly_coefficients(PolySpec(2, 7.0, 1.0)) == [6.0, -24.0, 12.0]
     assert m_poly(PolySpec(2, 7.0, 1.0), 1.0) == -6.0
+
+
+def _binomial_fraction(top: Fraction, k: int) -> Fraction:
+    out = Fraction(1)
+    for j in range(k):
+        out *= top - j
+    return out / math.factorial(k)
+
+
+def test_exact_coefficients_match_binomial_sum():
+    # the integer construction against the defining binomial sum, and the
+    # direct evaluation against a Fraction Horner loop, bit for bit
+    for n in range(17):
+        for p in (35.5, 9.0, 7.3, -2.25, 13):
+            for q in (1.5, 0.0, -0.4, -1.5, 3):
+                spec = PolySpec(n, p, q)
+                fp, fq = Fraction(p), Fraction(q)
+                expected = tuple(
+                    (-1) ** (n + k) * math.factorial(n)
+                    * _binomial_fraction(fp - n - 1, k)
+                    * _binomial_fraction(fq + n, n - k)
+                    for k in range(n + 1)
+                )
+                assert _coefficients_exact(spec) == expected
+                for x in (0.0, 0.3, 2.5, -0.7, 13.1):
+                    acc = Fraction(0)
+                    for c in reversed(expected):
+                        acc = acc * Fraction(x) + c
+                    assert repr(m_poly(spec, x)) == repr(float(acc))
+
+
+def test_coefficient_memo_is_a_bounded_module_cache():
+    _coefficients_exact.cache_clear()
+    first = _coefficients_exact(PolySpec(5, 13.0, 1.5))
+    assert isinstance(first, tuple)
+    assert all(isinstance(c, Fraction) for c in first)
+    assert _coefficients_exact(PolySpec(5, 13.0, 1.5)) is first
+    info = _coefficients_exact.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert info.maxsize is not None and 0 < info.maxsize <= 1024
+    _coefficients_exact.cache_clear()
+    assert _coefficients_exact.cache_info().currsize == 0
 
 
 def test_methods_agree_on_grid():
@@ -155,7 +199,7 @@ def _pair_integral(m, n, p, q):
 def test_orthogonality_on_half_line(q):
     p = 9.0
     specs = [PolySpec(k, p, q) for k in range(4)]
-    assert all(s.is_orthogonal_range for s in specs)
+    assert all(s.p > 2 * s.n + 1 and s.q > -1.0 for s in specs)
     norms = [_pair_integral(k, k, p, q) for k in range(4)]
     assert all(v > 0.0 for v in norms)
     for m in range(4):
@@ -165,6 +209,16 @@ def test_orthogonality_on_half_line(q):
 
 
 def test_orthogonal_range_flag():
-    assert PolySpec(3, 9.0, 0.0).is_orthogonal_range
-    assert not PolySpec(3, 7.0, 0.0).is_orthogonal_range
-    assert not PolySpec(3, 9.0, -1.0).is_orthogonal_range
+    # inside p > 2n+1, q > -1 the squared norm's weight exponents q and
+    # p-2-2n exceed -1; outside it the norm integral does not exist
+    for spec, inside in (
+        (PolySpec(3, 9.0, 0.0), True),
+        (PolySpec(3, 7.0, 0.0), False),
+        (PolySpec(3, 9.0, -1.0), False),
+    ):
+        assert (spec.p > 2 * spec.n + 1 and spec.q > -1.0) is inside
+        if inside:
+            assert _pair_integral(spec.n, spec.n, spec.p, spec.q) > 0.0
+        else:
+            with pytest.raises(DomainError):
+                _pair_integral(spec.n, spec.n, spec.p, spec.q)
