@@ -314,5 +314,12 @@ def operator_apply(
         quad = quad_endpoint_singular(smooth, w0, w1, cfg)
     else:
         quad = _kernel_quad(recipe.kernel(*op.params), w0, w1, smooth, cfg)
-    factor = x ** recipe.x_power(*op.params, s) / math.gamma(order)
+    x_power = recipe.x_power(*op.params, s)
+    try:
+        factor = x**x_power / math.gamma(order)
+    except OverflowError:
+        # Gamma(order) overflows past order ~171.6; only then take the
+        # factor in log space, which costs a few ulps at smaller orders
+        inverse = gamma_product_eval(GammaProduct((), (order,)))
+        factor = inverse.times_power(x, x_power).to_float()
     return QuadResult(factor * quad.value, abs(factor) * quad.error, quad.nodes)

@@ -233,6 +233,23 @@ cor2.x = 1
     assert rec["oracle_value"] is None
 
 
+def test_verify_order_past_gamma_overflow(tmp_path, capsys):
+    # Gamma(200) exceeds double range; the run used to abort after the six
+    # delta = 0.5 records
+    cfg = write_cfg(tmp_path, """
+identities = cor2
+cor2.delta = 0.5, 200
+cor2.n = 1
+cor2.q = 0
+""")
+    out_path = tmp_path / "big.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg,
+                     "--out", str(out_path))
+    assert rc == 0
+    assert "12 records, 12 PASS" in out
+    assert len(out_path.read_text(encoding="utf-8").splitlines()) == 12
+
+
 def test_verify_unsupported_kernel_skip(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """
 identities = lem2

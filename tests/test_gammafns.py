@@ -1,8 +1,10 @@
 """Gamma backend tests.
 
-Reference values were computed with mpmath at 40 decimal digits and are
-frozen here as literals; the python stdlib (math.gamma / math.lgamma)
-serves as a second, independent cross-check.
+The backend is the python stdlib (math.gamma / math.lgamma), so the
+independent gate is the reference values computed with mpmath at 40
+decimal digits and frozen here as literals.  The stdlib cross-checks only
+show that the pole, sign and overflow handling around it leave its values
+alone.
 """
 
 import math
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 
 from fracimage.errors import DenominatorPoleError, PoleError
 from fracimage.gammafns import (
-    GAMMA_OVERFLOW_X,
     GammaProduct,
     SignedLogValue,
     binomial_real,
@@ -23,7 +24,6 @@ from fracimage.gammafns import (
     is_nonpositive_integer,
     log_gamma_signed,
     pochhammer,
-    sin_pi,
 )
 
 # mpmath oracle, 40 dps, rounded to nearest double
@@ -56,6 +56,47 @@ LOG_GAMMA_ORACLE = [
     (500.0, 2605.1158503617339, 1),
     (1000.5, 5908.6741758486775, 1),
     (-500.25, -2611.3931193524474, -1),
+    (-29.5, -71.80874129832, 1),
+    (-23.9, -52.1459705867886, 1),
+    (-17.3, -33.009665438329286, 1),
+    (-9.99999999, 3.3162681116540105, 1),
+    (-6.5, -6.389634350909333, -1),
+    (-3.00000001, 16.628921268240607, 1),
+    (-1.99999999, 17.727533578697734, 1),
+    (-1.00000001, 18.42068074580199, 1),
+    (-0.25, 1.589575312551186, -1),
+    (-1e-300, 690.7755278982137, -1),
+    (1e-300, 690.7755278982137, 1),
+    (1e-08, 18.42068073818021, 1),
+    (0.5, 0.5723649429247001, 1),
+    (0.9999999, 5.772157468444193e-08, 1),
+    (1.000000001, -5.772157118381039e-10, 1),
+    (1.25, -0.09827183642181316, 1),
+    (1.4616321449683622, -0.12148629053584961, 1),
+    (1.9999999, -4.2278430309861296e-08, 1),
+    (2.00000001, 4.227843357536779e-09, 1),
+    (2.75, 0.47521466691493713, 1),
+    (3.5, 1.2009736023470743, 1),
+    (7.3, 7.147892523022248, 1),
+    (12.5, 18.734347511936445, 1),
+    (19.0, 36.39544520803305, 1),
+    (27.75, 63.73011805151037, 1),
+    (33.3, 82.60372358165495, 1),
+    (41.0, 110.32063971475739, 1),
+    (47.6, 135.26011226201248, 1),
+    (55.55, 166.52189622753073, 1),
+    (60.0, 184.53382886144948, 1),
+]
+
+# (x, Gamma(x), log|Gamma(x)|, sign) just below zero, mpmath 40 dps.  Here
+# x + 1 rounds, so a reflection that reduces the argument through it
+# loses digits (or divides by zero once x + 1 == 1).
+NEAR_ZERO_ORACLE = [
+    (-1e-08, -100000000.57721567, 18.42068074972452, -1),
+    (-1e-12, -1000000000000.5773, 27.631021115929126, -1),
+    (-1.2e-16, -8333333333333334.0, 36.659039931110776, -1),
+    (-1e-17, -1e17, 39.14394658089878, -1),
+    (-1e-300, -9.999999999999999e299, 690.7755278982137, -1),
 ]
 
 # Measured worst-case relative error of gamma() against mpmath over
@@ -95,12 +136,12 @@ def test_gamma_poles_and_bad_input():
     with pytest.raises(ValueError):
         gamma(float("inf"))
     with pytest.raises(OverflowError):
-        gamma(GAMMA_OVERFLOW_X + 1.0)
+        gamma(172.624)  # Gamma(x) exceeds double range past x ~ 171.624
 
 
 def test_gamma_near_pole_conditioning():
-    # Reflection with exact-argument sin_pi keeps full relative accuracy
-    # even 1e-8 away from a pole.
+    # 1e-8 away from a pole the value must keep full relative accuracy;
+    # the frozen mpmath tables gate the points near the other poles.
     x = -96.0 + 1e-8
     expected = math.gamma(x)
     assert gamma(x) == pytest.approx(expected, rel=1e-13)
@@ -118,25 +159,15 @@ def test_gamma_recurrence(m):
 @given(st.floats(min_value=0.01, max_value=0.99))
 def test_gamma_reflection_identity(x):
     lhs = gamma(x) * gamma(1.0 - x)
-    assert lhs == pytest.approx(math.pi / sin_pi(x), rel=2e-14)
+    assert lhs == pytest.approx(math.pi / math.sin(math.pi * x), rel=2e-14)
 
 
-def test_sin_pi_frozen_values():
-    assert sin_pi(0.25) == pytest.approx(0.70710678118654752, rel=1e-15)
-    assert sin_pi(100000000.25) == pytest.approx(0.70710678118654752, rel=1e-15)
-    assert sin_pi(-7.75) == pytest.approx(0.70710678118654752, rel=1e-15)
-    assert sin_pi(12345678.5) == 1.0
-    assert sin_pi(3.0) == 0.0
-    assert sin_pi(-4.0) == 0.0
-    assert sin_pi(0.5) == 1.0
-    assert sin_pi(-0.5) == -1.0
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=-50.0, max_value=50.0), st.integers(-30, 30))
-def test_sin_pi_periodicity(x, k):
-    shifted = sin_pi(x + 2.0 * k)
-    assert shifted == pytest.approx(sin_pi(x), rel=1e-13, abs=1e-13)
+def test_gamma_just_below_zero():
+    for x, g, lg, sign in NEAR_ZERO_ORACLE:
+        assert gamma(x) == pytest.approx(g, rel=GAMMA_RTOL), x
+        slv = log_gamma_signed(x)
+        assert slv.sign == sign, x
+        assert slv.log_magnitude == pytest.approx(lg, rel=GAMMA_RTOL), x
 
 
 def test_log_gamma_signed_frozen():
@@ -144,6 +175,11 @@ def test_log_gamma_signed_frozen():
         slv = log_gamma_signed(x)
         assert slv.sign == sign
         assert slv.log_magnitude == pytest.approx(lg, rel=0, abs=1e-10)
+
+
+def test_log_gamma_signed_past_lgamma_range():
+    # log|Gamma(x)| itself exceeds double range past x ~ 2.5e305
+    assert log_gamma_signed(3e305) == SignedLogValue(math.inf, 1)
 
 
 def test_log_gamma_signed_against_stdlib():

@@ -111,6 +111,22 @@ def test_rl_left_half_order_constant():
     assert math.isclose(res.value, 1.1283791670955126, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "order, x, expected, rtol",
+    [
+        # x^(order+1) / Gamma(order+2), mpmath 40 dps.  Past order ~171.6
+        # Gamma(order) overflows and the factor is taken in log space;
+        # below it the direct factor keeps full accuracy (log space would
+        # be off by 4.6e-14 at order 150).
+        (200.0, 100.0, 6.308343052144091e24, 1e-12),
+        (150.0, 3.0, 1.2865868387952016e-193, 4e-15),
+    ],
+)
+def test_rl_left_large_order(order, x, expected, rtol):
+    res = operator_apply(rl_left(order), lambda t: t, x, power_at_zero=1.0)
+    assert math.isclose(res.value, expected, rel_tol=rtol)
+
+
 def test_saigo_example_without_power_hint():
     op = saigo_left(0.6, 0.2, 0.4)
     want = power_image(op, 1.5).value_at(1.0)
