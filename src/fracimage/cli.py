@@ -64,7 +64,7 @@ from .operators import (
     saigo_left_as_msm,
     saigo_right_as_msm,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, operator_apply
+from .quadrature import DEFAULT_CONFIG, QuadConfig, node_power, operator_apply
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -299,7 +299,17 @@ def _monomial_for(family: Family, tau: float):
     spec = FAMILIES[family]
     power = spec.monomial_power(tau)
     hint = "power_at_inf" if spec.right else "power_at_zero"
-    return (lambda t: t**power), {hint: power}
+    return (lambda t: node_power(t, power)), {hint: power}
+
+
+def _underflow_note(**values: float | None) -> str | None:
+    """Why comparing these values would show nothing: one of them is zero
+    or below the normal range, so it carries few or no significant bits."""
+    for name, value in values.items():
+        if value is not None and abs(value) < sys.float_info.min:
+            return (f"{name} {_num(value)} underflows (below "
+                    f"{_num(sys.float_info.min)} in magnitude); not compared")
+    return None
 
 
 def _identity_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord:
@@ -326,6 +336,14 @@ def _identity_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRec
         notes.append(f"quadrature comparison omitted: {exc}")
     quad_val = None if quad is None else quad.value
     diff = rel_diff(closed, oracle)
+    underflow = _underflow_note(
+        oracle_value=oracle, closed_form_value=closed, quadrature_value=quad_val
+    )
+    if underflow:
+        return VerificationRecord(
+            tag, point, oracle, closed, quad_val, diff, "SKIPPED(underflow)",
+            "; ".join(notes + [underflow]),
+        )
     ok = diff <= cfg.tol_oracle
     if quad_val is not None and rel_diff(quad_val, closed) > cfg.tol_quadrature:
         ok = False
@@ -357,8 +375,10 @@ def _lemma_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord
         side = "right" if FAMILIES[family].right else "left"
         oracle = deriv_composition_oracle(side, op.params, tau, x)
         diff = rel_diff(closed, oracle)
+        note = _underflow_note(oracle_value=oracle, closed_form_value=closed)
         verdict = "PASS" if diff <= cfg.tol_oracle else "FAIL"
-        return VerificationRecord(tag, point, oracle, closed, None, diff, verdict)
+        verdict = "SKIPPED(underflow)" if note else verdict
+        return VerificationRecord(tag, point, oracle, closed, None, diff, verdict, note)
 
     f, hints = _monomial_for(family, tau)
     qcfg = _quad_config(cfg)
@@ -385,8 +405,15 @@ def _lemma_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord
             tag, point, None, closed, None, 0.0, "SKIPPED(nonconverged)", str(exc)
         )
     diff = rel_diff(closed, quad.value)
+    note = _underflow_note(
+        closed_form_value=closed, quadrature_value=quad.value,
+        embedding_quadrature_value=None if embed_quad is None else embed_quad.value,
+    )
+    if note:
+        return VerificationRecord(
+            tag, point, quad.value, closed, quad.value, diff, "SKIPPED(underflow)", note
+        )
     ok = diff <= cfg.tol_quadrature
-    note = None
     if embed_quad is not None:
         embed_diff = rel_diff(embed_quad.value, quad.value)
         if embed_diff > cfg.tol_reduction:

@@ -41,6 +41,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, UnsupportedKernelError
 from .gammafns import GammaProduct, gamma_product_eval
@@ -55,7 +56,16 @@ from .operators import (
     msm_right_int,
     power_image,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadResult, operator_apply
+from .quadrature import (
+    DEFAULT_CONFIG,
+    QuadConfig,
+    QuadResult,
+    node_power,
+    operator_apply,
+)
+
+if TYPE_CHECKING:
+    import numpy
 
 __all__ = [
     "IdentityId",
@@ -420,8 +430,8 @@ def quadrature_value(
     coeffs = m_poly_coefficients(poly)
     power, right = spec.monomial_power(tau), spec.right
 
-    def f(t: float) -> float:
-        return t**power * _poly_eval(coeffs, 1.0 / t if right else t)
+    def f(t: numpy.ndarray) -> numpy.ndarray:
+        return node_power(t, power) * _poly_eval(coeffs, 1.0 / t if right else t)
 
     hint = "power_at_inf" if right else "power_at_zero"
     try:

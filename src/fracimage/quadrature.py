@@ -11,15 +11,19 @@ Left-sided integrals substitute t = x*u; right-sided ones t = x/u, mapping
 (x, inf) onto (0, 1). The 2F1 kernels (argument 1-u) are split at u = 1/2:
 the right half is evaluated by the fast-converging series directly, the
 left half through the standard connection formula at 1-u, which turns the
-u -> 0 behavior into two more Jacobi-weighted smooth integrals. Each kernel
-series is summed once on a rule's whole node array (gauss_2f1_array); the
-rest of the integrand stays per-node float arithmetic, so every value is
-the one the per-node series gives. Each kernel piece's per-node factor is
-memoised per (series, piece, power, rule nodes) in a bounded cache, since
-it does not depend on the integrand's other factor: a grid that sweeps x
-and the polynomial around one operator sums each series once per rule.
-numpy and scipy are imported on the first rule build, so work without
-quadrature never loads them.
+u -> 0 behavior into two more Jacobi-weighted smooth integrals.
+
+Every integrand is evaluated on a rule's whole node array: the kernel
+series by gauss_2f1_array, the substitution and the caller's function by
+numpy's elementwise arithmetic, which rounds as Python floats do. Powers
+are the exception: numpy's vectorised power may differ from libm pow in
+the last bit, so each one goes through node_power, which applies Python's
+float ** per node. Every value is thus the one the per-node expression
+gives. Each kernel piece's node factor is memoised per (series, piece,
+power, rule nodes) in a bounded cache, since it does not depend on the
+integrand's other factor: a grid that sweeps x and the polynomial around
+one operator sums each series once per rule. numpy and scipy are imported
+on the first rule build, so work without quadrature never loads them.
 """
 
 from __future__ import annotations
@@ -91,36 +95,42 @@ def roots_jacobi(n: int, alpha: float, beta: float):
     return build(n, alpha, beta)
 
 
+def node_power(base: numpy.ndarray, exponent: float) -> numpy.ndarray:
+    """base**exponent at every node, as Python's float ** (libm pow) gives
+    it node by node; numpy.power can differ from it in the last bit."""
+    import numpy
+
+    return numpy.fromiter(
+        (b**exponent for b in base.tolist()), float, count=base.size
+    )
+
+
 @lru_cache(maxsize=256)
 def _gj_rule(n: int, a0: float, a1: float):
-    """Nodes/weights for int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale*sum w g(u),
-    and the nodes once more as an array."""
+    """Read-only node and weight arrays, and the scale, of the rule
+    int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale * sum w g(u)."""
     import numpy
 
     # scipy computes, then discards, an invalid intermediate when a0+a1 = -1
     with numpy.errstate(invalid="ignore", divide="ignore"):
-        t, w = roots_jacobi(n, a1, a0)
-    node_array = (1.0 + t) / 2.0
-    node_array.flags.writeable = False
-    nodes = tuple(node_array.tolist())
-    weights = tuple(w.tolist())
-    scale = 2.0 ** (-(a0 + a1 + 1.0))
-    return nodes, weights, scale, node_array
+        t, weights = roots_jacobi(n, a1, a0)
+    nodes = (1.0 + t) / 2.0
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights, 2.0 ** (-(a0 + a1 + 1.0))
 
 
 def quad_endpoint_singular(
-    g: Callable[[float], float],
+    g: Callable[[numpy.ndarray], numpy.ndarray],
     exponent_at_0: float,
     exponent_at_1: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
-    *,
-    on_node_array: bool = False,
 ) -> QuadResult:
     """int_0^1 u^exponent_at_0 (1-u)^exponent_at_1 g(u) du for smooth g.
 
-    Both exponents must exceed -1 (integrability). Nodes are strictly
-    interior, so g is never called at 0 or 1. With on_node_array, g takes
-    a rule's whole (read-only) node array and returns g at every node."""
+    Both exponents must exceed -1 (integrability). g takes a rule's whole
+    read-only node array and returns g at every node. Nodes are strictly
+    interior, so g never sees 0 or 1."""
     if exponent_at_0 <= -1.0 or exponent_at_1 <= -1.0:
         raise DomainError(
             "weight exponents must be > -1, got "
@@ -130,11 +140,10 @@ def quad_endpoint_singular(
     n = cfg.node_count
     prev = None
     for _ in range(cfg.max_refinements + 1):
-        nodes, weights, scale, node_array = _gj_rule(n, exponent_at_0, exponent_at_1)
-        values = g(node_array) if on_node_array else map(g, nodes)
-        terms = [w * gu for w, gu in zip(weights, values, strict=True)]
+        nodes, weights, scale = _gj_rule(n, exponent_at_0, exponent_at_1)
+        terms = (weights * g(nodes)).tolist()
         est = scale * math.fsum(terms)
-        l1 = scale * math.fsum(abs(t) for t in terms)
+        l1 = scale * math.fsum(map(abs, terms))
         if prev is not None:
             diff = abs(est - prev)
             if diff <= cfg.tol * max(abs(est), abs(prev)) or diff <= NOISE_FLOOR * l1:
@@ -161,9 +170,9 @@ def _kernel_piece(
     piece: str,
     power: float | None,
     node_bytes: bytes,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-node prefactors and points u of one 2F1 kernel piece on a rule's
-    nodes v (given as bytes), with K = 2F1(series; .):
+) -> tuple[numpy.ndarray, numpy.ndarray]:
+    """Read-only arrays of the prefactors and points u of one 2F1 kernel
+    piece on a rule's nodes v (given as bytes), with K = 2F1(series; .):
 
         whole       K(1-u)              at u = v
         right_half  u^power K(1-u)      at u = 1 - v/2
@@ -185,17 +194,19 @@ def _kernel_piece(
     else:
         u = v / 2.0
         z, base = u, 1.0 - u
-    pre = gauss_2f1_array(*series, z).tolist()
+    pre = gauss_2f1_array(*series, z)
     if base is not None:
-        pre = [b**power * k for b, k in zip(base.tolist(), pre)]
-    return tuple(pre), tuple(u.tolist())
+        pre = node_power(base, power) * pre
+    pre.flags.writeable = False
+    u.flags.writeable = False
+    return pre, u
 
 
 def _kernel_quad(
     kernel: tuple[float, float, float],
     a0: float,
     b0: float,
-    s: Callable[[float], float],
+    s: Callable[[numpy.ndarray], numpy.ndarray],
     cfg: QuadConfig,
 ) -> QuadResult:
     """int_0^1 u^a0 (1-u)^b0 2F1(ka, kb; kc; 1-u) s(u) du.
@@ -207,27 +218,25 @@ def _kernel_quad(
     ka, kb, kc = kernel
 
     def piece(name: str, series=kernel, power: float | None = None):
-        def g(v: numpy.ndarray) -> list[float]:
+        def g(v: numpy.ndarray) -> numpy.ndarray:
             pre, u = _kernel_piece(series, name, power, v.tobytes())
-            return [p * s(ui) for p, ui in zip(pre, u)]
+            return pre * s(u)
 
         return g
 
     if is_nonpositive_integer(ka) or is_nonpositive_integer(kb):
-        return quad_endpoint_singular(piece("whole"), a0, b0, cfg, on_node_array=True)
+        return quad_endpoint_singular(piece("whole"), a0, b0, cfg)
     e = kc - ka - kb
     if abs(e - round(e)) < 1e-9:
         # logarithmic endpoint case: no pure-power split exists; fall back
         # to the single rule and let refinement do the work
-        return quad_endpoint_singular(piece("whole"), a0, b0, cfg, on_node_array=True)
+        return quad_endpoint_singular(piece("whole"), a0, b0, cfg)
 
     coeff_a = _connection_coefficient((kc, e), (kc - ka, kc - kb))
     coeff_b = _connection_coefficient((kc, -e), (ka, kb))
 
     # right half, u = 1 - v/2 in (1/2, 1): series argument v/2 < 1/2
-    right = quad_endpoint_singular(
-        piece("right_half", power=a0), b0, 0.0, cfg, on_node_array=True
-    )
+    right = quad_endpoint_singular(piece("right_half", power=a0), b0, 0.0, cfg)
     value = 0.5 ** (b0 + 1.0) * right.value
     error = 0.5 ** (b0 + 1.0) * right.error
     nodes = right.nodes
@@ -236,7 +245,7 @@ def _kernel_quad(
     # one connection-formula series at argument u each
     if coeff_a != 0.0:
         part = quad_endpoint_singular(
-            piece("left_half", (ka, kb, 1.0 - e), b0), a0, 0.0, cfg, on_node_array=True
+            piece("left_half", (ka, kb, 1.0 - e), b0), a0, 0.0, cfg
         )
         value += coeff_a * 0.5 ** (a0 + 1.0) * part.value
         error += abs(coeff_a) * 0.5 ** (a0 + 1.0) * part.error
@@ -249,7 +258,7 @@ def _kernel_quad(
             )
         part = quad_endpoint_singular(
             piece("left_half", (kc - ka, kc - kb, 1.0 + e), b0),
-            a0 + e, 0.0, cfg, on_node_array=True,
+            a0 + e, 0.0, cfg,
         )
         value += coeff_b * 0.5 ** (a0 + e + 1.0) * part.value
         error += abs(coeff_b) * 0.5 ** (a0 + e + 1.0) * part.error
@@ -259,7 +268,7 @@ def _kernel_quad(
 
 def operator_apply(
     op: OperatorSpec,
-    f: Callable[[float], float],
+    f: Callable[[numpy.ndarray], numpy.ndarray],
     x: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
     power_at_zero: float = 0.0,
@@ -267,6 +276,7 @@ def operator_apply(
 ) -> QuadResult:
     """Numerically apply an integral-family operator to f at x.
 
+    f takes an array of points t and returns f at each of them.
     power_at_zero (left-sided) or power_at_inf (right-sided) declares the
     leading power behavior of f so it can be folded into the quadrature
     weight exactly: the evaluated factor f(t) t^(-power) should be smooth.
@@ -304,9 +314,9 @@ def operator_apply(
         )
     s = power_at_inf if right else power_at_zero
 
-    def smooth(u: float) -> float:
+    def smooth(u: numpy.ndarray) -> numpy.ndarray:
         t = x / u if right else x * u
-        return f(t) * t**-s
+        return f(t) * node_power(t, -s)
 
     # |x - t|^(order - 1) becomes the weight (1 - u)^(order - 1)
     w0, w1 = recipe.u_power(*op.params, s), order - 1.0

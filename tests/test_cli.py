@@ -246,8 +246,42 @@ cor2.q = 0
     rc, out, _ = run(capsys, "verify", "--config", cfg,
                      "--out", str(out_path))
     assert rc == 0
-    assert "12 records, 12 PASS" in out
+    # the order-200 values underflow; see test_verify_underflow_is_skipped
+    assert "12 records, 6 PASS, 0 FAIL, 6 SKIPPED" in out
     assert len(out_path.read_text(encoding="utf-8").splitlines()) == 12
+
+
+def test_verify_underflow_is_skipped(tmp_path, capsys):
+    # x^(tau+delta-1)/Gamma(tau+delta) underflows at delta = 200, x <= 2:
+    # every value is -0 or subnormal (-1.7e-317, -5.0e-320), so rel_diff 0
+    # compared nothing and must not read as a PASS
+    cfg = write_cfg(tmp_path, """
+identities = cor2
+cor2.delta = 200
+cor2.n = 1
+cor2.q = 0
+""")
+    out_path = tmp_path / "tiny.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(out_path))
+    assert rc == 0
+    assert "6 records, 0 PASS, 0 FAIL, 6 SKIPPED" in out
+    records = [json.loads(line) for line in
+               out_path.read_text(encoding="utf-8").splitlines()]
+    for rec in records:
+        assert rec["verdict"] == "SKIPPED(underflow)"
+        assert abs(rec["closed_form_value"]) < sys.float_info.min
+        assert cli._num(rec["closed_form_value"]) in rec["ledger_note"]
+    subnormal = [r for r in records if r["closed_form_value"] != 0.0]
+    assert [r["point"]["x"] for r in subnormal] == [2, 2]
+
+
+def test_verify_lemma_underflow_is_skipped():
+    # the quadrature lemma's value at order 200 and x = 0.5 is exactly 0
+    grid = dict(DEFAULT_GRIDS["lem3"], delta=[200.0], x=[0.5])
+    records = run_verification(SweepConfig(identities=["lem3"], grids={"lem3": grid}))
+    assert [r.verdict for r in records] == ["SKIPPED(underflow)"] * 2
+    assert all(r.ledger_note.startswith("closed_form_value 0 underflows")
+               for r in records)
 
 
 def test_verify_unsupported_kernel_skip(tmp_path, capsys):

@@ -1,0 +1,48 @@
+"""Regression gate on the default `verify` grid.
+
+tests/data/default_records.jsonl.gz is a frozen copy of the records file
+of the default run. A change that moves a value in its last bits keeps this
+test passing; one that changes a verdict or a note, or moves a value by
+more than 1e-12 relative, does not. Regenerate the file, after checking
+that every change in it is intended, from the root of the checkout with
+
+    PYTHONPATH=src python -m fracimage verify --out default_records.jsonl
+    gzip -9n -c default_records.jsonl > tests/data/default_records.jsonl.gz
+"""
+
+import gzip
+import json
+import math
+from pathlib import Path
+
+from fracimage.cli import main
+
+FROZEN = Path(__file__).parent / "data" / "default_records.jsonl.gz"
+VALUES = ("oracle_value", "closed_form_value", "quadrature_value")
+RTOL = 1e-12
+
+
+def _load(lines):
+    return [json.loads(line) for line in lines if line.strip()]
+
+
+def test_default_verify_matches_frozen_records(tmp_path, capsys):
+    out_path = tmp_path / "records.jsonl"
+    assert main(["verify", "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    got = _load(out_path.read_text(encoding="utf-8").splitlines())
+    with gzip.open(FROZEN, "rt", encoding="utf-8") as handle:
+        want = _load(handle)
+    assert len(got) == len(want) == 696
+    for new, old in zip(got, want):
+        where = (old["identity"], old["point"])
+        assert (new["identity"], new["point"]) == where
+        assert new["verdict"] == old["verdict"], where
+        assert new["ledger_note"] == old["ledger_note"], where
+        for key in VALUES:
+            if old[key] is None:
+                assert new[key] is None, (where, key)
+            else:
+                assert math.isclose(new[key], old[key], rel_tol=RTOL), (where, key)
+        # rel_diff is itself relative, so it gets the same bound absolutely
+        assert abs(new["rel_diff"] - old["rel_diff"]) <= RTOL, where

@@ -7,14 +7,20 @@ and t = x/u substitutions, and the split evaluation of 2F1 kernels.
 
 import math
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracimage.cli import DEFAULT_GRIDS, LEMMA_FAMILY, _monomial_for
 from fracimage.errors import DomainError, NonConvergedError, UnsupportedKernelError
 from fracimage.gammafns import is_nonpositive_integer
 from fracimage.hypergeom import gauss_2f1
+from fracimage.identities import IDENTITY_FAMILY, IdentityId, quadrature_value
+from fracimage.jacobi import PolySpec, _poly_eval, m_poly_coefficients
 from fracimage.operators import (
+    FAMILIES,
+    OperatorSpec,
     ek_left,
     ek_right,
     msm_left_deriv,
@@ -25,15 +31,20 @@ from fracimage.operators import (
     rl_left,
     rl_right,
     saigo_left,
+    saigo_left_as_msm,
     saigo_right,
+    saigo_right_as_msm,
 )
 from fracimage.quadrature import (
+    ERROR_FLOOR,
+    NOISE_FLOOR,
     QuadConfig,
     QuadResult,
     _connection_coefficient,
     _gj_rule,
     _kernel_piece,
     _kernel_quad,
+    node_power,
     operator_apply,
     quad_endpoint_singular,
 )
@@ -55,7 +66,7 @@ def test_arcsine_weight():
 
 
 def test_smooth_integrand():
-    res = quad_endpoint_singular(math.exp, 0.0, 0.0)
+    res = quad_endpoint_singular(numpy.exp, 0.0, 0.0)
     assert math.isclose(res.value, math.e - 1.0, rel_tol=1e-13)
 
 
@@ -90,7 +101,7 @@ def test_nonintegrable_weight_rejected():
 def test_nonconverged_oscillatory():
     cfg = QuadConfig(node_count=8, tol=1e-15, max_refinements=1)
     with pytest.raises(NonConvergedError):
-        quad_endpoint_singular(lambda u: math.cos(57.0 * u), 0.0, 0.0, cfg)
+        quad_endpoint_singular(lambda u: numpy.cos(57.0 * u), 0.0, 0.0, cfg)
 
 
 def test_no_refinement_budget_always_raises():
@@ -287,22 +298,57 @@ def test_error_estimate_is_usable():
     assert abs(res.value - want) <= max(100.0 * res.error, 1e-12 * abs(want))
 
 
-def test_node_array_evaluator_matches_per_node():
-    def g(u):
-        return math.exp(u) * math.cos(3.0 * u)
+def per_node_quad(g, a0, a1, cfg=QuadConfig()):
+    """quad_endpoint_singular with g called once per node on Python floats:
+    the scalar reference the node-array evaluation must reproduce bit for
+    bit."""
+    n, prev = cfg.node_count, None
+    for _ in range(cfg.max_refinements + 1):
+        nodes, weights, scale = _gj_rule(n, a0, a1)
+        terms = [w * g(u) for w, u in zip(weights.tolist(), nodes.tolist())]
+        est = scale * math.fsum(terms)
+        l1 = scale * math.fsum(abs(t) for t in terms)
+        if prev is not None:
+            diff = abs(est - prev)
+            if diff <= cfg.tol * max(abs(est), abs(prev)) or diff <= NOISE_FLOOR * l1:
+                return QuadResult(est, max(diff, ERROR_FLOOR * l1), n)
+        prev = est
+        n *= 2
+    raise NonConvergedError("per-node reference did not stabilize")
 
-    per_node = quad_endpoint_singular(g, -0.4, 0.7)
-    whole = quad_endpoint_singular(
-        lambda u: [g(ui) for ui in u.tolist()], -0.4, 0.7, on_node_array=True
-    )
-    assert whole == per_node
+
+def test_node_array_evaluator_matches_per_node():
+    # elementwise +, * and / round as Python floats do; powers go through
+    # node_power, so the node-array integrand is the per-node one
+    def g(u):
+        return (1.0 + u) ** 0.3 * (1.0 + u * u) / (2.0 + u)
+
+    def g_array(u):
+        return node_power(1.0 + u, 0.3) * (1.0 + u * u) / (2.0 + u)
+
+    assert quad_endpoint_singular(g_array, -0.4, 0.7) == per_node_quad(g, -0.4, 0.7)
+
+
+def test_node_power_is_libm_pow_per_node():
+    # numpy.power differs from libm pow in the last bit on about one node
+    # in twenty at a fractional exponent; node_power must not
+    rng = numpy.random.default_rng(7)
+    base = numpy.concatenate([rng.random(4096), 1.0 + 9.0 * rng.random(4096),
+                              _gj_rule(128, -0.4, 0.7)[0]])
+    for exponent in (-0.3, 0.5, -0.5, 1.0, 2.0, -1.0, 0.0, 3.7, -5.25):
+        got = node_power(base, exponent)
+        assert got.dtype == numpy.float64 and got.shape == base.shape
+        assert got.tolist() == [math.pow(b, exponent) for b in base.tolist()]
 
 
 def test_gj_rule_node_array_is_cached_readonly():
-    nodes, _, _, node_array = _gj_rule(16, -0.25, 0.5)
-    assert node_array.tolist() == list(nodes)
-    assert not node_array.flags.writeable
-    assert _gj_rule(16, -0.25, 0.5)[3] is node_array
+    nodes, weights, scale = _gj_rule(16, -0.25, 0.5)
+    assert nodes.shape == weights.shape == (16,)
+    assert not nodes.flags.writeable
+    assert not weights.flags.writeable
+    assert scale == 2.0 ** -1.25
+    cached = _gj_rule(16, -0.25, 0.5)
+    assert cached[0] is nodes and cached[1] is weights
 
 
 def per_node_kernel_quad(kernel, a0, b0, s, cfg=QuadConfig()):
@@ -312,11 +358,11 @@ def per_node_kernel_quad(kernel, a0, b0, s, cfg=QuadConfig()):
     if is_nonpositive_integer(ka) or is_nonpositive_integer(kb) or abs(
         (kc - ka - kb) - round(kc - ka - kb)
     ) < 1e-9:
-        return quad_endpoint_singular(
+        return per_node_quad(
             lambda u: gauss_2f1(ka, kb, kc, 1.0 - u) * s(u), a0, b0, cfg
         )
     e = kc - ka - kb
-    right = quad_endpoint_singular(
+    right = per_node_quad(
         lambda v: (1.0 - v / 2.0) ** a0
         * gauss_2f1(ka, kb, kc, 1.0 - (1.0 - v / 2.0))
         * s(1.0 - v / 2.0),
@@ -332,7 +378,7 @@ def per_node_kernel_quad(kernel, a0, b0, s, cfg=QuadConfig()):
     for coeff, (pa, pb, pc), power in halves:
         if coeff == 0.0:
             continue
-        part = quad_endpoint_singular(
+        part = per_node_quad(
             lambda v: (1.0 - v / 2.0) ** b0 * gauss_2f1(pa, pb, pc, v / 2.0) * s(v / 2.0),
             power, 0.0, cfg,
         )
@@ -353,14 +399,18 @@ def test_kernel_quad_bit_equal_to_per_node_series(alpha, beta, eta):
         t = 2.0 * u
         return (1.0 + t * t) ** 0.5
 
+    def s_array(u):
+        t = 2.0 * u
+        return node_power(1.0 + t * t, 0.5)
+
     kernel = (alpha + beta, -eta, alpha)
     want = per_node_kernel_quad(kernel, 0.5, alpha - 1.0, s)
     _kernel_piece.cache_clear()
     # the first call fills the memo, the second is served from it
-    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s, QuadConfig()) == want
+    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s_array, QuadConfig()) == want
     misses = _kernel_piece.cache_info().misses
     assert misses > 0
-    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s, QuadConfig()) == want
+    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s_array, QuadConfig()) == want
     assert _kernel_piece.cache_info().misses == misses
 
 
@@ -375,18 +425,84 @@ def test_kernel_piece_memo_keys_on_the_power():
         return 1.0 + u
 
     kernel = (0.8, -0.4, 0.6)
-    nodes = _gj_rule(64, -0.4, 0.0)[3].tobytes()
+    nodes = _gj_rule(64, -0.4, 0.0)[0].tobytes()
     _kernel_piece.cache_clear()
     # two kernels differing only in a0 share the right half's rule
     first = _kernel_piece(kernel, "right_half", 0.5, nodes)
     second = _kernel_piece(kernel, "right_half", 0.25, nodes)
     assert _kernel_piece.cache_info().misses == 2
-    assert first[1] == second[1]
-    assert first[0] != second[0]
+    assert not any(a.flags.writeable for a in first + second)
+    assert first[1].tolist() == second[1].tolist()
+    assert first[0].tolist() != second[0].tolist()
     for a0 in (0.5, 0.25):
         assert _kernel_quad(kernel, a0, -0.4, s, QuadConfig()) == per_node_kernel_quad(
             kernel, a0, -0.4, s
         )
+
+
+def per_node_operator_apply(op, f, x, power, cfg):
+    """operator_apply with f, the substitution and the kernel evaluated once
+    per node on Python floats; power is the declared leading power."""
+    spec = FAMILIES[op.family]
+    recipe = spec.quadrature
+    order = op.named_params()[recipe.order]
+
+    def smooth(u):
+        t = x / u if spec.right else x * u
+        return f(t) * t**-power
+
+    w0, w1 = recipe.u_power(*op.params, power), order - 1.0
+    if recipe.kernel is None:
+        quad = per_node_quad(smooth, w0, w1, cfg)
+    else:
+        quad = per_node_kernel_quad(recipe.kernel(*op.params), w0, w1, smooth, cfg)
+    factor = x ** recipe.x_power(*op.params, power) / math.gamma(order)
+    return QuadResult(factor * quad.value, abs(factor) * quad.error, quad.nodes)
+
+
+# verify's quadrature configuration at its default tolerance
+VERIFY_QUAD = QuadConfig(tol=1e-8)
+
+
+@pytest.mark.parametrize("tag", [
+    "thm1", "thm2", "cor1", "cor2", "cor3", "cor4", "cor5", "cor6",
+])
+def test_quadrature_value_bit_equal_to_per_node(tag):
+    # every integral family on the polynomial operand, thm1 and thm2 on
+    # their single-series slices (delta' = 0 and delta = 0)
+    identity = IdentityId(tag)
+    grid = DEFAULT_GRIDS[tag]
+    spec = FAMILIES[IDENTITY_FAMILY[identity]]
+    params = tuple(grid[s][0] for s in spec.symbols)
+    poly = PolySpec(3, 9.0, 1.5)
+    coeffs = m_poly_coefficients(poly)
+    tau, x = grid["tau"][-1], grid["x"][-1]
+    power = spec.monomial_power(tau)
+
+    def f(t):
+        return t**power * _poly_eval(coeffs, 1.0 / t if spec.right else t)
+
+    op = OperatorSpec(IDENTITY_FAMILY[identity], params)
+    want = per_node_operator_apply(op, f, x, power, VERIFY_QUAD)
+    assert quadrature_value(identity, params, poly, tau, x, VERIFY_QUAD) == want
+
+
+@pytest.mark.parametrize("tag", ["lem1", "lem2", "lem3", "lem4"])
+def test_operator_apply_bit_equal_to_per_node_on_monomials(tag):
+    grid = DEFAULT_GRIDS[tag]
+    family = LEMMA_FAMILY[tag]
+    spec = FAMILIES[family]
+    op = OperatorSpec(family, tuple(grid[s][0] for s in spec.symbols))
+    tau, x = grid["tau"][-1], grid["x"][-1]
+    power = spec.monomial_power(tau)
+    ops = [op]
+    if tag in ("lem3", "lem4"):
+        # the five-parameter embedding of the reduction check
+        ops.append((saigo_left_as_msm if tag == "lem3" else saigo_right_as_msm)(*op.params))
+    f, hints = _monomial_for(family, tau)
+    for operator in ops:
+        want = per_node_operator_apply(operator, lambda t: t**power, x, power, VERIFY_QUAD)
+        assert operator_apply(operator, f, x, VERIFY_QUAD, **hints) == want
 
 
 # Weight exponents of the cor5 point whose quadrature never stabilizes
@@ -399,8 +515,8 @@ COR5_FIRST_MOMENT = 1.964365041535668847772142153111062851493
 
 def test_gj_rule_mass_at_strong_singularity():
     for n in (64, 128, 512):
-        nodes, weights, scale, _ = _gj_rule(n, *COR5_WEIGHT)
-        assert math.isclose(scale * math.fsum(weights), COR5_MASS, rel_tol=1e-15)
+        _, weights, scale = _gj_rule(n, *COR5_WEIGHT)
+        assert math.isclose(scale * math.fsum(weights.tolist()), COR5_MASS, rel_tol=1e-15)
 
 
 @pytest.mark.xfail(
@@ -410,6 +526,6 @@ def test_gj_rule_mass_at_strong_singularity():
 )
 def test_gj_rule_first_moment_at_strong_singularity():
     for n in (64, 128, 512):
-        nodes, weights, scale, _ = _gj_rule(n, *COR5_WEIGHT)
-        moment = scale * math.fsum(w * u for w, u in zip(weights, nodes))
+        nodes, weights, scale = _gj_rule(n, *COR5_WEIGHT)
+        moment = scale * math.fsum((weights * nodes).tolist())
         assert math.isclose(moment, COR5_FIRST_MOMENT, rel_tol=1e-13)
