@@ -19,6 +19,13 @@ positions (operators.FAMILIES); flag values map positionally. verify
 and sweep write each record (sweep: each CSV row) to --out as soon as it
 is computed, in grid order.
 
+TAGS describes each verification tag once: thm1-thm4 and cor1-cor6 are
+the paper's identities, lem1-lem6 the bare power image of one family.
+_evaluate_point judges each closed form against one reference: the exact
+finite-sum oracle (thm/cor), the derivative composition (lem5/lem6) or
+quadrature (lem1-lem4, which also compare the operator with its
+five-parameter embedding where TAGS names one: lem3/lem4).
+
 Exit codes: 0 all pass, 1 any verification failure, 2 domain or config
 error, 3 convergence error.
 """
@@ -30,8 +37,9 @@ import csv
 import itertools
 import json
 import sys
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Callable, Iterator
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -45,7 +53,6 @@ from .errors import (
 from .gammafns import gamma_product_eval
 from .hypergeom import appell_f3, pfq
 from .identities import (
-    AS_PRINTED_IDS,
     CORRECTIONS,
     IDENTITY_FAMILY,
     IdentityId,
@@ -71,73 +78,77 @@ EXIT_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 
-# single power-image checks, tagged like the identities
-LEMMA_FAMILY = {
-    "lem1": Family.MSM_LEFT_INT,
-    "lem2": Family.MSM_RIGHT_INT,
-    "lem3": Family.SAIGO_LEFT,
-    "lem4": Family.SAIGO_RIGHT,
-    "lem5": Family.MSM_LEFT_DERIV,
-    "lem6": Family.MSM_RIGHT_DERIV,
+
+@dataclass(frozen=True)
+class TagSpec:
+    """One verification tag: the identity it checks (None for a bare
+    power-image lemma), its operator family, and the five-parameter
+    embedding whose quadrature must match the operator's, if any."""
+
+    identity: IdentityId | None
+    family: Family
+    embedding: Callable[..., OperatorSpec] | None = None
+
+
+TAGS: dict[str, TagSpec] = {
+    **{i.value: TagSpec(i, family) for i, family in IDENTITY_FAMILY.items()},
+    # single power-image checks, tagged like the identities
+    "lem1": TagSpec(None, Family.MSM_LEFT_INT),
+    "lem2": TagSpec(None, Family.MSM_RIGHT_INT),
+    "lem3": TagSpec(None, Family.SAIGO_LEFT, saigo_left_as_msm),
+    "lem4": TagSpec(None, Family.SAIGO_RIGHT, saigo_right_as_msm),
+    "lem5": TagSpec(None, Family.MSM_LEFT_DERIV),
+    "lem6": TagSpec(None, Family.MSM_RIGHT_DERIV),
 }
 
-IDENTITY_TAGS = [i.value for i in IdentityId]
-ALL_TAGS = IDENTITY_TAGS + sorted(LEMMA_FAMILY)
+ALL_TAGS = list(TAGS)
 
-# default verification grids; user config replaces lists per symbol
+# default verification grids; user config replaces lists per symbol.
+# Every identity runs its polynomial factor M_n^(p,q) over POLY_GRID.
+POLY_GRID = {"n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5]}
 DEFAULT_GRIDS: dict[str, dict[str, list]] = {
     "thm1": {
         "delta": [0.5], "delta_prime": [0.0, 0.3], "mu": [0.2],
-        "mu_prime": [0.4], "epsilon": [1.1],
-        "n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5],
+        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
     },
     "thm2": {
         "delta": [0.0, 0.5], "delta_prime": [0.3], "mu": [0.2],
-        "mu_prime": [0.4], "epsilon": [1.1],
-        "n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5],
+        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [1.0, 2.0, 4.0],
     },
     "thm3": {
         "delta": [0.5], "delta_prime": [0.3], "mu": [0.2],
-        "mu_prime": [0.4], "epsilon": [1.1],
-        "n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5],
+        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
     },
     "thm4": {
         "delta": [0.5], "delta_prime": [0.3], "mu": [0.2],
-        "mu_prime": [0.4], "epsilon": [1.1],
-        "n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5],
+        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [1.0, 2.0, 4.0],
     },
     "cor1": {
-        "delta": [0.6], "mu": [0.2], "epsilon": [0.4],
-        "n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5],
+        "delta": [0.6], "mu": [0.2], "epsilon": [0.4], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
     },
     "cor2": {
-        "delta": [0.5, 1.25],
-        "n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5],
+        "delta": [0.5, 1.25], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
     },
     "cor3": {
-        "epsilon": [0.5], "delta": [0.75],
-        "n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5],
+        "epsilon": [0.5], "delta": [0.75], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
     },
     "cor4": {
-        "delta": [0.6], "mu": [0.2], "epsilon": [0.4],
-        "n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5],
+        "delta": [0.6], "mu": [0.2], "epsilon": [0.4], **POLY_GRID,
         "tau": [0.5, 1.125], "x": [1.0, 2.0, 4.0],
     },
     "cor5": {
-        "delta": [0.3, 0.5],
-        "n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5],
+        "delta": [0.3, 0.5], **POLY_GRID,
         "tau": [0.25, 0.4375], "x": [1.0, 2.0, 4.0],
     },
     "cor6": {
-        "epsilon": [0.8], "delta": [0.5],
-        "n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5],
+        "epsilon": [0.8], "delta": [0.5], **POLY_GRID,
         "tau": [0.25, 0.5], "x": [1.0, 2.0, 4.0],
     },
     # bare power images against quadrature; lem1/lem2 stay on the
@@ -233,19 +244,6 @@ def _json_line(obj: dict) -> str:
     return _json_value(obj) + "\n"
 
 
-def _record_obj(rec: VerificationRecord) -> dict:
-    return {
-        "identity": rec.identity,
-        "point": rec.point,
-        "oracle_value": rec.oracle_value,
-        "closed_form_value": rec.closed_form_value,
-        "quadrature_value": rec.quadrature_value,
-        "rel_diff": rec.rel_diff,
-        "verdict": rec.verdict,
-        "ledger_note": rec.ledger_note,
-    }
-
-
 def rel_diff(a: float, b: float) -> float:
     if a == b:
         return 0.0
@@ -265,13 +263,9 @@ def _quad_config(cfg: SweepConfig) -> QuadConfig:
 # ---------------------------------------------------------------------------
 # grid expansion and point evaluation
 
-def _tag_family(tag: str) -> Family:
-    return LEMMA_FAMILY.get(tag) or IDENTITY_FAMILY[IdentityId(tag)]
-
-
 def _point_symbols(tag: str) -> list[str]:
-    symbols = list(FAMILIES[_tag_family(tag)].symbols)
-    if tag not in LEMMA_FAMILY:
+    symbols = list(FAMILIES[TAGS[tag].family].symbols)
+    if TAGS[tag].identity is not None:
         symbols += ["n", "p", "q"]
     return symbols + ["tau", "x"]
 
@@ -284,14 +278,12 @@ def _expand_grid(tag: str, grid: dict[str, list]) -> list[dict]:
     extra = sorted(set(grid) - set(symbols))
     if extra:
         raise ConfigError(f"{tag}: unknown grid symbols {', '.join(extra)}")
-    points = []
-    for combo in itertools.product(*(grid[s] for s in symbols)):
-        points.append(dict(zip(symbols, combo)))
-    return points
+    return [dict(zip(symbols, combo))
+            for combo in itertools.product(*(grid[s] for s in symbols))]
 
 
 def _op_params(tag: str, point: dict) -> tuple[float, ...]:
-    return tuple(float(point[s]) for s in FAMILIES[_tag_family(tag)].symbols)
+    return tuple(float(point[s]) for s in FAMILIES[TAGS[tag].family].symbols)
 
 
 def _monomial_for(family: Family, tau: float):
@@ -312,126 +304,96 @@ def _underflow_note(**values: float | None) -> str | None:
     return None
 
 
-def _identity_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord:
-    identity = IdentityId(tag)
-    params = _op_params(tag, point)
-    poly = PolySpec(int(point["n"]), float(point["p"]), float(point["q"]))
+def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord:
+    """One record. The closed form is judged against the tag's exact oracle
+    (thm/cor: the finite sum; lem5/lem6: the derivative composition) or,
+    for lem1-lem4, against quadrature, whose value is then also the
+    record's oracle_value. A quadrature failure skips a tag without an
+    oracle and is only noted for the others."""
+    spec = TAGS[tag]
+    identity, op = spec.identity, OperatorSpec(spec.family, _op_params(tag, point))
     tau, x = float(point["tau"]), float(point["x"])
+    poly = None if identity is None else PolySpec(
+        int(point["n"]), float(point["p"]), float(point["q"])
+    )
+    oracle = None
     try:
-        closed = image_rhs(
-            identity, params, poly, tau, x, as_printed=cfg.as_printed
-        ).value
-        oracle = lhs_oracle(identity, params, poly, tau, x)
+        if identity is not None:
+            closed = image_rhs(
+                identity, op.params, poly, tau, x, as_printed=cfg.as_printed
+            ).value
+            oracle = lhs_oracle(identity, op.params, poly, tau, x)
+        else:
+            closed = power_image(op, tau).value_at(x)
+            family = FAMILIES[spec.family]
+            if family.quadrature is None:  # lem5, lem6
+                side = "right" if family.right else "left"
+                oracle = deriv_composition_oracle(side, op.params, tau, x)
     except (DomainError, PoleError) as exc:
         return VerificationRecord(
             tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)
         )
+
     notes = []
+    quad = embed = None
+    qcfg = _quad_config(cfg)
     try:
-        quad = quadrature_value(identity, params, poly, tau, x, _quad_config(cfg))
-    except NonConvergedError as exc:
-        # supplementary check only: the oracle-vs-closed-form verdict
-        # stands, but the omission is recorded
-        quad = None
+        if identity is not None:
+            quad = quadrature_value(identity, op.params, poly, tau, x, qcfg)
+        elif oracle is None:  # lem1-lem4: quadrature is the reference
+            f, hints = _monomial_for(spec.family, tau)
+            quad = operator_apply(op, f, x, qcfg, **hints)
+            if spec.embedding is not None:
+                try:
+                    embed = operator_apply(spec.embedding(*op.params), f, x, qcfg, **hints)
+                except UnsupportedKernelError:
+                    pass
+    except (UnsupportedKernelError, NonConvergedError) as exc:
+        if oracle is None:
+            reason = ("unsupported-kernel" if isinstance(exc, UnsupportedKernelError)
+                      else "nonconverged")
+            return VerificationRecord(
+                tag, point, None, closed, None, 0.0, f"SKIPPED({reason})", str(exc)
+            )
+        # supplementary check only: the oracle verdict stands, but the
+        # omission is recorded
         notes.append(f"quadrature comparison omitted: {exc}")
     quad_val = None if quad is None else quad.value
-    diff = rel_diff(closed, oracle)
+    reference = quad_val if oracle is None else oracle
+    diff = rel_diff(closed, reference)
     underflow = _underflow_note(
-        oracle_value=oracle, closed_form_value=closed, quadrature_value=quad_val
+        oracle_value=oracle, closed_form_value=closed, quadrature_value=quad_val,
+        embedding_quadrature_value=None if embed is None else embed.value,
     )
     if underflow:
         return VerificationRecord(
-            tag, point, oracle, closed, quad_val, diff, "SKIPPED(underflow)",
+            tag, point, reference, closed, quad_val, diff, "SKIPPED(underflow)",
             "; ".join(notes + [underflow]),
         )
-    ok = diff <= cfg.tol_oracle
-    if quad_val is not None and rel_diff(quad_val, closed) > cfg.tol_quadrature:
+    ok = diff <= (cfg.tol_quadrature if oracle is None else cfg.tol_oracle)
+    if oracle is not None and quad_val is not None \
+            and rel_diff(quad_val, closed) > cfg.tol_quadrature:
         ok = False
         notes.append("quadrature disagrees with the closed form")
-    if not ok and cfg.as_printed and identity in AS_PRINTED_IDS:
-        correction = next(c for c in corrections_for(identity) if c.evaluable)
-        notes.append(
-            f"as-printed schema; adjudicated correction "
-            f"{correction.key}: {correction.implemented}"
-        )
-    return VerificationRecord(
-        tag, point, oracle, closed, quad_val, diff, "PASS" if ok else "FAIL",
-        "; ".join(notes) or None,
-    )
-
-
-def _lemma_record(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord:
-    family = LEMMA_FAMILY[tag]
-    op = OperatorSpec(family, _op_params(tag, point))
-    tau, x = float(point["tau"]), float(point["x"])
-    try:
-        closed = power_image(op, tau).value_at(x)
-    except (DomainError, PoleError) as exc:
-        return VerificationRecord(
-            tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)
-        )
-
-    if FAMILIES[family].quadrature is None:
-        side = "right" if FAMILIES[family].right else "left"
-        oracle = deriv_composition_oracle(side, op.params, tau, x)
-        diff = rel_diff(closed, oracle)
-        note = _underflow_note(oracle_value=oracle, closed_form_value=closed)
-        verdict = "PASS" if diff <= cfg.tol_oracle else "FAIL"
-        verdict = "SKIPPED(underflow)" if note else verdict
-        return VerificationRecord(tag, point, oracle, closed, None, diff, verdict, note)
-
-    f, hints = _monomial_for(family, tau)
-    qcfg = _quad_config(cfg)
-    embed_quad = None
-    try:
-        quad = operator_apply(op, f, x, qcfg, **hints)
-        if tag in ("lem3", "lem4"):
-            # quadrature-vs-quadrature reduction: the three-parameter
-            # operator must match its five-parameter embedding
-            embed = (saigo_left_as_msm if tag == "lem3" else saigo_right_as_msm)(
-                *op.params
-            )
-            try:
-                embed_quad = operator_apply(embed, f, x, qcfg, **hints)
-            except UnsupportedKernelError:
-                pass
-    except UnsupportedKernelError as exc:
-        return VerificationRecord(
-            tag, point, None, closed, None, 0.0,
-            "SKIPPED(unsupported-kernel)", str(exc),
-        )
-    except NonConvergedError as exc:
-        return VerificationRecord(
-            tag, point, None, closed, None, 0.0, "SKIPPED(nonconverged)", str(exc)
-        )
-    diff = rel_diff(closed, quad.value)
-    note = _underflow_note(
-        closed_form_value=closed, quadrature_value=quad.value,
-        embedding_quadrature_value=None if embed_quad is None else embed_quad.value,
-    )
-    if note:
-        return VerificationRecord(
-            tag, point, quad.value, closed, quad.value, diff, "SKIPPED(underflow)", note
-        )
-    ok = diff <= cfg.tol_quadrature
-    if embed_quad is not None:
-        embed_diff = rel_diff(embed_quad.value, quad.value)
+    if embed is not None:
+        # quadrature-vs-quadrature reduction: the operator must match its
+        # five-parameter embedding
+        embed_diff = rel_diff(embed.value, quad_val)
         if embed_diff > cfg.tol_reduction:
             ok = False
-            note = (
-                "five-parameter embedding quadrature disagrees: "
-                f"rel diff {embed_diff:.3e}"
+            notes.append(
+                f"five-parameter embedding quadrature disagrees: rel diff {embed_diff:.3e}"
             )
+    if not ok and cfg.as_printed and identity is not None:
+        for c in corrections_for(identity):
+            if c.evaluable:
+                notes.append(
+                    f"as-printed schema; adjudicated correction {c.key}: {c.implemented}"
+                )
     return VerificationRecord(
-        tag, point, quad.value, closed, quad.value, diff,
-        "PASS" if ok else "FAIL", note,
+        tag, point, reference, closed, quad_val, diff, "PASS" if ok else "FAIL",
+        "; ".join(notes) or None,
     )
-
-
-def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord:
-    if tag in LEMMA_FAMILY:
-        return _lemma_record(tag, point, cfg)
-    return _identity_record(tag, point, cfg)
 
 
 def iter_verification(cfg: SweepConfig) -> Iterator[VerificationRecord]:
@@ -488,21 +450,24 @@ def load_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
+TOLERANCES = ("tol_oracle", "tol_quadrature", "tol_reduction")
+
+
+def _parse_tags(text: str) -> list[str]:
+    tags = [t.strip() for t in text.split(",") if t.strip()]
+    bad = [t for t in tags if t not in TAGS]
+    if bad:
+        raise ConfigError(f"unknown identities: {', '.join(bad)}")
+    return tags
+
+
 def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
     cfg = SweepConfig(identities=list(ALL_TAGS), grids={})
     for key, value in pairs.items():
         if key == "identities":
-            tags = [t.strip() for t in value.split(",") if t.strip()]
-            bad = [t for t in tags if t not in ALL_TAGS]
-            if bad:
-                raise ConfigError(f"unknown identities: {', '.join(bad)}")
-            cfg.identities = tags
-        elif key == "tol_oracle":
-            cfg.tol_oracle = float(_parse_scalar(value))
-        elif key == "tol_quadrature":
-            cfg.tol_quadrature = float(_parse_scalar(value))
-        elif key == "tol_reduction":
-            cfg.tol_reduction = float(_parse_scalar(value))
+            cfg.identities = _parse_tags(value)
+        elif key in TOLERANCES:
+            setattr(cfg, key, float(_parse_scalar(value)))
         elif key == "as_printed":
             if value not in ("true", "false"):
                 raise ConfigError(f"as_printed must be true or false, got {value!r}")
@@ -511,7 +476,7 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
             cfg.out = value
         elif "." in key:
             tag, symbol = key.split(".", 1)
-            if tag not in ALL_TAGS:
+            if tag not in TAGS:
                 raise ConfigError(f"unknown identity in key {key!r}")
             if symbol not in _point_symbols(tag):
                 raise ConfigError(f"unknown symbol in key {key!r}")
@@ -520,31 +485,28 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
             raise ConfigError(f"unknown config key {key!r}")
     # a partial per-identity grid falls back to defaults symbol by symbol
     for tag, grid in cfg.grids.items():
-        base = dict(DEFAULT_GRIDS[tag])
-        base.update(grid)
-        cfg.grids[tag] = base
+        cfg.grids[tag] = {**DEFAULT_GRIDS[tag], **grid}
     if getattr(args, "identities", None):
-        tags = [t.strip() for t in args.identities.split(",") if t.strip()]
-        bad = [t for t in tags if t not in ALL_TAGS]
-        if bad:
-            raise ConfigError(f"unknown identities: {', '.join(bad)}")
-        cfg.identities = tags
+        cfg.identities = _parse_tags(args.identities)
     if getattr(args, "as_printed", False):
         cfg.as_printed = True
     if getattr(args, "out", None):
         cfg.out = args.out
     # a tolerance of 0 is a valid request, so test for presence, not truth
-    if getattr(args, "tol_oracle", None) is not None:
-        cfg.tol_oracle = args.tol_oracle
-    if getattr(args, "tol_quadrature", None) is not None:
-        cfg.tol_quadrature = args.tol_quadrature
-    if getattr(args, "tol_reduction", None) is not None:
-        cfg.tol_reduction = args.tol_reduction
+    for key in TOLERANCES:
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # eval
+
+def _need(args, target: str, *names: str) -> None:
+    if any(getattr(args, name) is None for name in names):
+        flags = ", ".join("--" + name.replace("_", "-") for name in names)
+        raise ConfigError(f"eval {target} needs {flags}")
+
 
 def _family_from_args(args) -> Family:
     if not args.family:
@@ -564,11 +526,14 @@ def _params_from_args(args, family: Family) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _poly_from_args(args, default_degree: int | None = None) -> PolySpec:
-    n = args.n if args.n is not None else default_degree
-    if n is None or args.p is None or args.q is None:
+def _named(family: Family, params: tuple[float, ...]) -> dict[str, float]:
+    return dict(zip(FAMILIES[family].symbols, params))
+
+
+def _poly_from_args(args) -> PolySpec:
+    if args.n is None or args.p is None or args.q is None:
         raise ConfigError("this target needs --n, --p, and --q")
-    return PolySpec(int(n), float(args.p), float(args.q))
+    return PolySpec(int(args.n), float(args.p), float(args.q))
 
 
 def _identity_from_args(args) -> IdentityId:
@@ -579,7 +544,7 @@ def _identity_from_args(args) -> IdentityId:
     except ValueError as exc:
         raise ConfigError(
             f"unknown identity {args.identity!r}; "
-            f"choose from {', '.join(IDENTITY_TAGS)}"
+            f"choose from {', '.join(i.value for i in IdentityId)}"
         ) from exc
 
 
@@ -599,136 +564,126 @@ def _parse_exact_list(text: str | None) -> tuple[Fraction, ...]:
                  if piece.strip())
 
 
-def cmd_eval(args) -> int:
-    target = args.target
-    if target == "pfq":
-        if args.arg is None:
-            raise ConfigError("eval pfq needs --num, --den, --arg")
-        num = _parse_exact_list(args.num)
-        den = _parse_exact_list(args.den)
-        arg = _parse_exact(args.arg)
-        value = pfq(num, den, arg)
-        print(f"value = {_show(value)}")
-        out = {"target": "pfq", "num": [float(a) for a in num],
-               "den": [float(b) for b in den],
-               "arg": float(arg), "value": value}
-    elif target == "f3":
-        needed = (args.a, args.a_prime, args.b, args.b_prime, args.c,
-                  args.w, args.z)
-        if any(v is None for v in needed):
-            raise ConfigError(
-                "eval f3 needs --a, --a-prime, --b, --b-prime, --c, --w, --z"
-            )
-        value = appell_f3(*needed)
-        print(f"value = {_show(value)}")
-        out = {"target": "f3", "a": args.a, "a_prime": args.a_prime,
-               "b": args.b, "b_prime": args.b_prime, "c": args.c,
-               "w": args.w, "z": args.z, "value": value}
-    elif target == "mpoly":
-        poly = _poly_from_args(args)
-        if args.x is None:
-            raise ConfigError("eval mpoly needs --x")
-        value = m_poly(poly, args.x, method=args.method)
-        print(f"value = {_show(value)}")
-        out = {"target": "mpoly", "n": poly.n, "p": poly.p, "q": poly.q,
-               "x": args.x, "method": args.method, "value": value}
-    elif target == "jacobi":
-        if args.n is None or args.alpha is None or args.beta is None \
-                or args.x is None:
-            raise ConfigError("eval jacobi needs --n, --alpha, --beta, --x")
-        spec = JacobiSpec(int(args.n), args.alpha, args.beta)
-        value = jacobi_p(spec, args.x)
-        print(f"value = {_show(value)}")
-        out = {"target": "jacobi", "n": spec.n, "alpha": spec.alpha,
-               "beta": spec.beta, "x": args.x, "value": value}
-    elif target == "image":
-        family = _family_from_args(args)
-        params = _params_from_args(args, family)
-        if args.tau is None:
-            raise ConfigError("eval image needs --tau")
+# Each eval target returns its JSON fields in output order (after
+# "target") and the fields it also prints as `name = value` lines.
+EvalResult = tuple[dict, tuple[str, ...]]
+F3_ARGS = ("a", "a_prime", "b", "b_prime", "c", "w", "z")
+
+
+def _eval_pfq(args) -> EvalResult:
+    _need(args, "pfq", "arg")
+    num, den = _parse_exact_list(args.num), _parse_exact_list(args.den)
+    arg = _parse_exact(args.arg)
+    return {"num": [float(a) for a in num], "den": [float(b) for b in den],
+            "arg": float(arg), "value": pfq(num, den, arg)}, ("value",)
+
+
+def _eval_f3(args) -> EvalResult:
+    _need(args, "f3", *F3_ARGS)
+    values = {name: getattr(args, name) for name in F3_ARGS}
+    return {**values, "value": appell_f3(*values.values())}, ("value",)
+
+
+def _eval_mpoly(args) -> EvalResult:
+    poly = _poly_from_args(args)
+    _need(args, "mpoly", "x")
+    value = m_poly(poly, args.x, method=args.method)
+    return {"n": poly.n, "p": poly.p, "q": poly.q, "x": args.x,
+            "method": args.method, "value": value}, ("value",)
+
+
+def _eval_jacobi(args) -> EvalResult:
+    _need(args, "jacobi", "n", "alpha", "beta", "x")
+    spec = JacobiSpec(int(args.n), args.alpha, args.beta)
+    return {"n": spec.n, "alpha": spec.alpha, "beta": spec.beta, "x": args.x,
+            "value": jacobi_p(spec, args.x)}, ("value",)
+
+
+def _eval_image(args) -> EvalResult:
+    family = _family_from_args(args)
+    params = _params_from_args(args, family)
+    _need(args, "image", "tau")
+    img = power_image(OperatorSpec(family, params), args.tau)
+    out = {"family": family.value, "params": _named(family, params),
+           "tau": args.tau,
+           "numerator_args": list(img.prefactor.numerator_args),
+           "denominator_args": list(img.prefactor.denominator_args),
+           "prefactor": img.prefactor_value(), "exponent": img.exponent}
+    if args.x is None:
+        return out, ("prefactor", "exponent")
+    out.update(x=args.x, value=img.value_at(args.x))
+    return out, ("prefactor", "exponent", "value")
+
+
+def _eval_apply(args) -> EvalResult:
+    family = _family_from_args(args)
+    params = _params_from_args(args, family)
+    _need(args, "apply", "tau", "x")
+    if args.n is None:
+        f, hints = _monomial_for(family, args.tau)
         op = OperatorSpec(family, params)
-        img = power_image(op, args.tau)
-        pv = img.prefactor_value()
-        print(f"prefactor = {_show(pv)}")
-        print(f"exponent = {_show(img.exponent)}")
-        out = {"target": "image", "family": family.value,
-               "params": dict(zip(FAMILIES[family].symbols, params)),
-               "tau": args.tau,
-               "numerator_args": list(img.prefactor.numerator_args),
-               "denominator_args": list(img.prefactor.denominator_args),
-               "prefactor": pv, "exponent": img.exponent}
-        if args.x is not None:
-            value = img.value_at(args.x)
-            print(f"value = {_show(value)}")
-            out["x"] = args.x
-            out["value"] = value
-    elif target == "apply":
-        family = _family_from_args(args)
-        params = _params_from_args(args, family)
-        if args.tau is None or args.x is None:
-            raise ConfigError("eval apply needs --tau and --x")
-        poly = None if args.n is None else _poly_from_args(args)
-        if poly is None:
-            f, hints = _monomial_for(family, args.tau)
-            op = OperatorSpec(family, params)
-            quad = operator_apply(op, f, args.x, DEFAULT_CONFIG, **hints)
-        else:
-            identity = next(i for i, fam in IDENTITY_FAMILY.items() if fam is family)
-            quad = quadrature_value(identity, params, poly, args.tau, args.x)
-            if quad is None:
-                raise UnsupportedKernelError(
-                    f"{family.value} has no supported quadrature here"
-                )
-        print(f"value = {_show(quad.value)}")
-        print(f"error = {_show(quad.error)}")
-        print(f"nodes = {quad.nodes}")
-        out = {"target": "apply", "family": family.value,
-               "params": dict(zip(FAMILIES[family].symbols, params)),
-               "tau": args.tau, "x": args.x, "value": quad.value,
-               "error": quad.error, "nodes": quad.nodes}
-        if poly is not None:
-            out["n"], out["p"], out["q"] = poly.n, poly.p, poly.q
-    elif target == "rhs":
-        identity = _identity_from_args(args)
-        family = IDENTITY_FAMILY[identity]
-        params = _params_from_args(args, family)
-        poly = _poly_from_args(args)
-        if args.tau is None or args.x is None:
-            raise ConfigError("eval rhs needs --tau and --x")
-        ev = image_rhs(identity, params, poly, args.tau, args.x,
-                       as_printed=args.as_printed)
-        pv = gamma_product_eval(ev.prefactor).to_float()
-        print(f"value = {_show(ev.value)}")
-        print(f"prefactor = {_show(pv)}")
-        print(f"series = {_show(ev.series_value)}")
-        print(f"exponent = {_show(ev.exponent)}")
-        out = {"target": "rhs", "identity": identity.value,
-               "params": dict(zip(FAMILIES[family].symbols, params)),
-               "n": poly.n, "p": poly.p, "q": poly.q,
-               "tau": args.tau, "x": args.x,
-               "as_printed": args.as_printed,
-               "numerator_args": list(ev.prefactor.numerator_args),
-               "denominator_args": list(ev.prefactor.denominator_args),
-               "sign": ev.prefactor.sign,
-               "prefactor": pv, "series": ev.series_value,
-               "argument": ev.argument, "exponent": ev.exponent,
-               "value": ev.value}
-    elif target == "oracle":
-        identity = _identity_from_args(args)
-        family = IDENTITY_FAMILY[identity]
-        params = _params_from_args(args, family)
-        poly = _poly_from_args(args)
-        if args.tau is None or args.x is None:
-            raise ConfigError("eval oracle needs --tau and --x")
-        value = lhs_oracle(identity, params, poly, args.tau, args.x)
-        print(f"value = {_show(value)}")
-        out = {"target": "oracle", "identity": identity.value,
-               "params": dict(zip(FAMILIES[family].symbols, params)),
-               "n": poly.n, "p": poly.p, "q": poly.q,
-               "tau": args.tau, "x": args.x, "value": value}
+        quad = operator_apply(op, f, args.x, DEFAULT_CONFIG, **hints)
     else:
-        raise ConfigError(f"unknown eval target {target!r}")
-    sys.stdout.write(_json_line(out))
+        poly = _poly_from_args(args)
+        identity = next(i for i, fam in IDENTITY_FAMILY.items() if fam is family)
+        quad = quadrature_value(identity, params, poly, args.tau, args.x)
+        if quad is None:
+            raise UnsupportedKernelError(
+                f"{family.value} has no supported quadrature here"
+            )
+    out = {"family": family.value, "params": _named(family, params),
+           "tau": args.tau, "x": args.x, "value": quad.value,
+           "error": quad.error, "nodes": quad.nodes}
+    if args.n is not None:
+        out.update(n=poly.n, p=poly.p, q=poly.q)
+    return out, ("value", "error", "nodes")
+
+
+def _identity_point(args, target: str) -> tuple[tuple, dict]:
+    """rhs and oracle: the identity's arguments and their JSON fields."""
+    identity = _identity_from_args(args)
+    family = IDENTITY_FAMILY[identity]
+    params = _params_from_args(args, family)
+    poly = _poly_from_args(args)
+    _need(args, target, "tau", "x")
+    out = {"identity": identity.value, "params": _named(family, params),
+           "n": poly.n, "p": poly.p, "q": poly.q, "tau": args.tau, "x": args.x}
+    return (identity, params, poly, args.tau, args.x), out
+
+
+def _eval_rhs(args) -> EvalResult:
+    point, out = _identity_point(args, "rhs")
+    ev = image_rhs(*point, as_printed=args.as_printed)
+    out.update(
+        as_printed=args.as_printed,
+        numerator_args=list(ev.prefactor.numerator_args),
+        denominator_args=list(ev.prefactor.denominator_args),
+        sign=ev.prefactor.sign,
+        prefactor=gamma_product_eval(ev.prefactor).to_float(),
+        series=ev.series_value, argument=ev.argument, exponent=ev.exponent,
+        value=ev.value,
+    )
+    return out, ("value", "prefactor", "series", "exponent")
+
+
+def _eval_oracle(args) -> EvalResult:
+    point, out = _identity_point(args, "oracle")
+    out["value"] = lhs_oracle(*point)
+    return out, ("value",)
+
+
+EVAL_TARGETS = {
+    "pfq": _eval_pfq, "f3": _eval_f3, "mpoly": _eval_mpoly,
+    "jacobi": _eval_jacobi, "image": _eval_image, "apply": _eval_apply,
+    "rhs": _eval_rhs, "oracle": _eval_oracle,
+}
+
+
+def cmd_eval(args) -> int:
+    out, shown = EVAL_TARGETS[args.target](args)
+    for key in shown:
+        print(f"{key} = {_show(out[key])}")
+    sys.stdout.write(_json_line({"target": args.target, **out}))
     return EXIT_PASS
 
 
@@ -739,17 +694,15 @@ def cmd_verify(args) -> int:
     pairs = load_config_file(args.config) if args.config else {}
     cfg = build_sweep_config(pairs, args)
     pending = iter_verification(cfg)
-    records = []
+    verdicts = Counter()
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
         for rec in pending:
-            handle.write(_json_line(_record_obj(rec)))
-            records.append(rec)
-    n_pass = sum(1 for r in records if r.verdict == "PASS")
-    n_fail = sum(1 for r in records if r.verdict == "FAIL")
-    n_skip = len(records) - n_pass - n_fail
+            handle.write(_json_line(asdict(rec)))
+            verdicts[rec.verdict] += 1
+    n_pass, n_fail = verdicts["PASS"], verdicts["FAIL"]
     print(
-        f"verify: {len(records)} records, {n_pass} PASS, {n_fail} FAIL, "
-        f"{n_skip} SKIPPED -> {cfg.out}"
+        f"verify: {verdicts.total()} records, {n_pass} PASS, {n_fail} FAIL, "
+        f"{verdicts.total() - n_pass - n_fail} SKIPPED -> {cfg.out}"
     )
     return EXIT_FAIL if n_fail else EXIT_PASS
 
@@ -758,7 +711,7 @@ def cmd_sweep(args) -> int:
     pairs = load_config_file(args.config) if args.config else {}
     cfg = build_sweep_config(pairs, args)
     if args.identity:
-        if args.identity not in ALL_TAGS:
+        if args.identity not in TAGS:
             raise ConfigError(f"unknown identity {args.identity!r}")
         cfg.identities = [args.identity]
     pending = iter_verification(cfg)
@@ -775,16 +728,13 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for rec in pending:
-            row = [rec.identity]
-            row += [
-                _num(rec.point[s]) if s in rec.point else "" for s in symbols
-            ]
-            for value in (rec.oracle_value, rec.closed_form_value,
-                          rec.quadrature_value):
-                row.append("" if value is None else _num(value))
-            row.append(_num(rec.rel_diff))
-            row.append(rec.verdict)
-            writer.writerow(row)
+            values = (rec.oracle_value, rec.closed_form_value, rec.quadrature_value)
+            writer.writerow(
+                [rec.identity]
+                + [_num(rec.point[s]) if s in rec.point else "" for s in symbols]
+                + ["" if v is None else _num(v) for v in values]
+                + [_num(rec.rel_diff), rec.verdict]
+            )
             rows += 1
     finally:
         if out is not sys.stdout:
@@ -845,36 +795,25 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _float_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        sub.add_argument("--" + name.replace("_", "-"), type=float)
+
+
 def _add_eval_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("target", choices=[
-        "pfq", "f3", "mpoly", "jacobi", "image", "apply", "rhs", "oracle",
-    ])
+    sub.add_argument("target", choices=list(EVAL_TARGETS))
     sub.add_argument("--num", help="comma-separated numerator parameters")
     sub.add_argument("--den", help="comma-separated denominator parameters")
     sub.add_argument("--arg", help="series argument")
-    sub.add_argument("--a", type=float)
-    sub.add_argument("--a-prime", type=float)
-    sub.add_argument("--b", type=float)
-    sub.add_argument("--b-prime", type=float)
-    sub.add_argument("--c", type=float)
-    sub.add_argument("--w", type=float)
-    sub.add_argument("--z", type=float)
+    _float_flags(sub, *F3_ARGS)
     sub.add_argument("--n", type=int, help="polynomial degree")
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--x", type=float)
+    _float_flags(sub, "p", "q", "alpha", "beta", "x")
     sub.add_argument("--method", default="direct",
                      choices=["direct", "hypergeometric"])
     sub.add_argument("--family", choices=[f.value for f in Family])
     sub.add_argument("--identity", help="thm1..thm4, cor1..cor6")
     sub.add_argument("--tau", type=float, help="monomial order")
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--delta-prime", type=float)
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--mu-prime", type=float)
-    sub.add_argument("--epsilon", type=float)
+    _float_flags(sub, "delta", "delta_prime", "mu", "mu_prime", "epsilon")
     sub.add_argument("--as-printed", action="store_true",
                      help="evaluate the as-printed identity variant")
 
@@ -885,9 +824,7 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--identities", help="comma-separated identity tags")
     sub.add_argument("--as-printed", action="store_true",
                      help="verify the as-printed variants instead")
-    sub.add_argument("--tol-oracle", type=float)
-    sub.add_argument("--tol-quadrature", type=float)
-    sub.add_argument("--tol-reduction", type=float)
+    _float_flags(sub, *TOLERANCES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -929,14 +866,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = _merge_list_flags(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"eval": cmd_eval, "verify": cmd_verify, "sweep": cmd_sweep,
+                "report": cmd_report}
     try:
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        return cmd_report(args)
+        return commands[args.command](args)
     except (DomainError, PoleError, ConfigError, UnsupportedKernelError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,7 +70,6 @@ if TYPE_CHECKING:
 __all__ = [
     "IdentityId",
     "IDENTITY_FAMILY",
-    "AS_PRINTED_IDS",
     "ImageEvaluation",
     "Correction",
     "CORRECTIONS",
@@ -109,10 +108,6 @@ IDENTITY_FAMILY = {
     IdentityId.COR5: Family.RL_RIGHT,
     IdentityId.COR6: Family.EK_RIGHT,
 }
-
-# Identities that have an evaluable as-printed variant.
-AS_PRINTED_IDS = frozenset({IdentityId.THM1, IdentityId.THM3, IdentityId.COR4})
-
 
 @dataclass(frozen=True)
 class ImageEvaluation:

@@ -325,6 +325,46 @@ def test_verify_zero_oracle_tolerance_fails_inexact_records(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("tags, flag, n_fail, note", [
+    ("lem3,lem4", "--tol-reduction", 4, "five-parameter embedding quadrature disagrees: "),
+    ("lem1,lem3", "--tol-quadrature", 8, None),
+    ("lem5,lem6", "--tol-oracle", 6, None),
+])
+def test_verify_lemma_zero_tolerance_failures(tmp_path, capsys, tags, flag, n_fail, note):
+    # one zero tolerance per lemma comparison: the embedding check, the
+    # quadrature reference and the derivative composition oracle
+    out_path = tmp_path / "strict.jsonl"
+    rc, out, _ = run(capsys, "verify", "--identities", tags, flag, "0",
+                     "--out", str(out_path))
+    assert rc == 1
+    assert f"8 records, {8 - n_fail} PASS, {n_fail} FAIL, 0 SKIPPED" in out
+    for line in out_path.read_text(encoding="utf-8").splitlines():
+        rec = json.loads(line)
+        if rec["verdict"] == "FAIL" and note is not None:
+            assert rec["ledger_note"].startswith(note)
+        else:
+            assert rec["ledger_note"] is None
+
+
+def test_verify_derivative_lemma_oracle_domain_is_skipped(tmp_path, capsys):
+    # the composition oracle's inner integral operator violates its own
+    # condition at delta = 200; that DomainError used to escape verify
+    # (exit 2 after 4 of 12 records)
+    cfg = write_cfg(tmp_path, "identities = lem5, lem6\nlem5.delta = 0.3, 200\n")
+    out_path = tmp_path / "deriv.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(out_path))
+    assert rc == 0
+    assert "12 records, 8 PASS, 0 FAIL, 4 SKIPPED" in out
+    records = [json.loads(line) for line in
+               out_path.read_text(encoding="utf-8").splitlines()]
+    skipped = [r for r in records if r["verdict"] != "PASS"]
+    assert [(r["identity"], r["point"]["delta"]) for r in skipped] == [("lem5", 200)] * 4
+    for rec in skipped:
+        assert rec["verdict"] == "SKIPPED(domain)"
+        assert "violates" in rec["ledger_note"]
+        assert rec["oracle_value"] is None
+
+
 def test_verify_streams_records_before_an_abort(tmp_path, monkeypatch):
     # records were written only after the last point, so an uncaught
     # error left no file at all

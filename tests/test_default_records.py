@@ -1,13 +1,17 @@
 """Regression gate on the default `verify` grid.
 
 tests/data/default_records.jsonl.gz is a frozen copy of the records file
-of the default run. A change that moves a value in its last bits keeps this
-test passing; one that changes a verdict or a note, or moves a value by
-more than 1e-12 relative, does not. Regenerate the file, after checking
-that every change in it is intended, from the root of the checkout with
+of the default run, and tests/data/as_printed_records.jsonl.gz that of
+the same run with --as-printed. A change that moves a value in its last
+bits keeps these tests passing; one that changes a verdict or a note, or
+moves a value by more than 1e-12 relative, does not. Regenerate the files,
+after checking that every change in them is intended, from the root of
+the checkout with
 
     PYTHONPATH=src python -m fracimage verify --out default_records.jsonl
     gzip -9n -c default_records.jsonl > tests/data/default_records.jsonl.gz
+    PYTHONPATH=src python -m fracimage verify --as-printed --out as_printed_records.jsonl
+    gzip -9n -c as_printed_records.jsonl > tests/data/as_printed_records.jsonl.gz
 """
 
 import gzip
@@ -17,7 +21,7 @@ from pathlib import Path
 
 from fracimage.cli import main
 
-FROZEN = Path(__file__).parent / "data" / "default_records.jsonl.gz"
+DATA = Path(__file__).parent / "data"
 VALUES = ("oracle_value", "closed_form_value", "quadrature_value")
 RTOL = 1e-12
 
@@ -26,12 +30,12 @@ def _load(lines):
     return [json.loads(line) for line in lines if line.strip()]
 
 
-def test_default_verify_matches_frozen_records(tmp_path, capsys):
+def _assert_matches_frozen(tmp_path, capsys, flags, frozen, exit_code):
     out_path = tmp_path / "records.jsonl"
-    assert main(["verify", "--out", str(out_path)]) == 0
+    assert main(["verify", *flags, "--out", str(out_path)]) == exit_code
     capsys.readouterr()
     got = _load(out_path.read_text(encoding="utf-8").splitlines())
-    with gzip.open(FROZEN, "rt", encoding="utf-8") as handle:
+    with gzip.open(DATA / frozen, "rt", encoding="utf-8") as handle:
         want = _load(handle)
     assert len(got) == len(want) == 696
     for new, old in zip(got, want):
@@ -46,3 +50,16 @@ def test_default_verify_matches_frozen_records(tmp_path, capsys):
                 assert math.isclose(new[key], old[key], rel_tol=RTOL), (where, key)
         # rel_diff is itself relative, so it gets the same bound absolutely
         assert abs(new["rel_diff"] - old["rel_diff"]) <= RTOL, where
+    return got
+
+
+def test_default_verify_matches_frozen_records(tmp_path, capsys):
+    _assert_matches_frozen(tmp_path, capsys, [], "default_records.jsonl.gz", 0)
+
+
+def test_as_printed_verify_matches_frozen_records(tmp_path, capsys):
+    got = _assert_matches_frozen(
+        tmp_path, capsys, ["--as-printed"], "as_printed_records.jsonl.gz", 1
+    )
+    verdicts = [r["verdict"] for r in got]
+    assert (verdicts.count("PASS"), verdicts.count("FAIL")) == (540, 156)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracimage.cli import ALL_TAGS, DEFAULT_GRIDS, LEMMA_FAMILY, _expand_grid, _op_params
+from fracimage.cli import ALL_TAGS, DEFAULT_GRIDS, TAGS, _expand_grid, _op_params
 from fracimage.errors import DenominatorPoleError, DomainError
 from fracimage.gammafns import gamma, gamma_product_eval
 from fracimage.identities import (
-    AS_PRINTED_IDS,
     CORRECTIONS,
     IDENTITY_FAMILY,
     IdentityId,
@@ -169,7 +168,7 @@ def fraction_loop_oracle(identity, params, poly, tau, x) -> float:
 def _oracle_points():
     """Every identity point of the default verify grid, then thm3/thm4 at
     n = 0..16 with p = 35.5, where the exact sums are longest."""
-    grids = [(tag, DEFAULT_GRIDS[tag]) for tag in ALL_TAGS if tag not in LEMMA_FAMILY]
+    grids = [(tag, DEFAULT_GRIDS[tag]) for tag in ALL_TAGS if TAGS[tag].identity]
     grids += [(tag, dict(DEFAULT_GRIDS[tag], n=list(range(17)), p=[35.5]))
               for tag in ("thm3", "thm4")]
     for tag, grid in grids:
@@ -396,8 +395,9 @@ def test_corrections_registry():
     keys = [c.key for c in CORRECTIONS]
     assert len(keys) == len(set(keys))
     assert len(CORRECTIONS) >= 4
+    # exactly the identities image_rhs(as_printed=True) changes
     evaluable = {c.identity for c in CORRECTIONS if c.evaluable}
-    assert evaluable == {i.value for i in AS_PRINTED_IDS}
+    assert evaluable == {"thm1", "thm3", "cor4"}
     assert corrections_for(IdentityId.THM1)
     assert all(c.printed and c.implemented for c in CORRECTIONS)
 

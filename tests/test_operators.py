@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracimage.cli import LEMMA_FAMILY
+from fracimage.cli import TAGS
 from fracimage.errors import DomainError, PoleError
 from fracimage.gammafns import GammaProduct
 from fracimage.identities import IDENTITY_FAMILY, IdentityId
@@ -257,8 +257,12 @@ def test_family_table_is_complete():
     assert no_quadrature == {Family.MSM_LEFT_DERIV, Family.MSM_RIGHT_DERIV}
     assert set(IDENTITY_FAMILY) == set(IdentityId)
     assert set(IDENTITY_FAMILY.values()) <= set(FAMILIES)
-    assert set(LEMMA_FAMILY) == {f"lem{i}" for i in range(1, 7)}
-    assert set(LEMMA_FAMILY.values()) <= set(FAMILIES)
+    lemmas = {tag: spec for tag, spec in TAGS.items() if spec.identity is None}
+    assert set(lemmas) == {f"lem{i}" for i in range(1, 7)}
+    assert {spec.family for spec in lemmas.values()} <= set(FAMILIES)
+    assert {tag for tag, spec in TAGS.items() if spec.embedding} == {"lem3", "lem4"}
+    for i in IdentityId:
+        assert (TAGS[i.value].identity, TAGS[i.value].family) == (i, IDENTITY_FAMILY[i])
 
 
 def test_family_cli_names():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracimage.cli import DEFAULT_GRIDS, LEMMA_FAMILY, _monomial_for
+from fracimage.cli import DEFAULT_GRIDS, TAGS, _monomial_for
 from fracimage.errors import DomainError, NonConvergedError, UnsupportedKernelError
 from fracimage.gammafns import is_nonpositive_integer
 from fracimage.hypergeom import gauss_2f1
@@ -31,9 +31,7 @@ from fracimage.operators import (
     rl_left,
     rl_right,
     saigo_left,
-    saigo_left_as_msm,
     saigo_right,
-    saigo_right_as_msm,
 )
 from fracimage.quadrature import (
     ERROR_FLOOR,
@@ -490,15 +488,15 @@ def test_quadrature_value_bit_equal_to_per_node(tag):
 @pytest.mark.parametrize("tag", ["lem1", "lem2", "lem3", "lem4"])
 def test_operator_apply_bit_equal_to_per_node_on_monomials(tag):
     grid = DEFAULT_GRIDS[tag]
-    family = LEMMA_FAMILY[tag]
+    family, embedding = TAGS[tag].family, TAGS[tag].embedding
     spec = FAMILIES[family]
     op = OperatorSpec(family, tuple(grid[s][0] for s in spec.symbols))
     tau, x = grid["tau"][-1], grid["x"][-1]
     power = spec.monomial_power(tau)
     ops = [op]
-    if tag in ("lem3", "lem4"):
-        # the five-parameter embedding of the reduction check
-        ops.append((saigo_left_as_msm if tag == "lem3" else saigo_right_as_msm)(*op.params))
+    if embedding is not None:
+        # the five-parameter embedding of the reduction check (lem3, lem4)
+        ops.append(embedding(*op.params))
     f, hints = _monomial_for(family, tau)
     for operator in ops:
         want = per_node_operator_apply(operator, lambda t: t**power, x, power, VERIFY_QUAD)
