@@ -56,13 +56,7 @@ from .operators import (
     msm_right_int,
     power_image,
 )
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadConfig,
-    QuadResult,
-    node_power,
-    operator_apply,
-)
+from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadResult, operator_apply
 
 if TYPE_CHECKING:
     import numpy
@@ -414,22 +408,22 @@ def quadrature_value(
 ) -> QuadResult | None:
     """Direct numerical evaluation of one identity's left-hand side.
 
-    Returns None when the family (or the parameter slice) has no
-    supported quadrature kernel: the derivative families always, the
-    five-parameter integral families outside their single-series slices.
+    The monomial's power goes into the rule's weight, so the integrand
+    evaluates only the polynomial factor. Returns None when the family
+    (or the parameter slice) has no supported quadrature kernel: the
+    derivative families always, the five-parameter integral families
+    outside their single-series slices.
     """
     spec = FAMILIES[IDENTITY_FAMILY[identity]]
     if spec.quadrature is None:
         return None
     op = _make_operator(identity, op_params)
     coeffs = m_poly_coefficients(poly)
-    power, right = spec.monomial_power(tau), spec.right
 
-    def f(t: numpy.ndarray) -> numpy.ndarray:
-        return node_power(t, power) * _poly_eval(coeffs, 1.0 / t if right else t)
+    def g(t: numpy.ndarray) -> numpy.ndarray:
+        return _poly_eval(coeffs, 1.0 / t if spec.right else t)
 
-    hint = "power_at_inf" if right else "power_at_zero"
     try:
-        return operator_apply(op, f, x, cfg, **{hint: power})
+        return operator_apply(op, g, x, cfg, power=spec.monomial_power(tau))
     except UnsupportedKernelError:
         return None

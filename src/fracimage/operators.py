@@ -47,9 +47,9 @@ class Family(str, Enum):
 @dataclass(frozen=True)
 class QuadRecipe:
     """A family's defining integral, read from the integral alone: with
-    t = x*u (left-sided) or t = x/u (right-sided) and s the operand's power
-    at 0 or at infinity, it is x^x_power / Gamma(order) times
-    int_0^1 u^u_power (1-u)^(order-1) 2F1(kernel; 1-u) f(t) t^(-s) du, the
+    t = x*u (left-sided) or t = x/u (right-sided) and the operand
+    t^s g(t), s its power at 0 or at infinity, it is x^x_power / Gamma(order)
+    times int_0^1 u^u_power (1-u)^(order-1) 2F1(kernel; 1-u) g(t) du, the
     2F1 factor omitted without a kernel. kernel takes the parameters,
     u_power and x_power the parameters and s. single_series = (a, b): the
     kernel is evaluable only where a = 0 or b = 0."""
@@ -341,6 +341,8 @@ class PowerImage:
         return gamma_product_eval(self.prefactor).to_float()
 
     def signed_log_at(self, x: float) -> SignedLogValue:
+        if x <= 0.0:
+            raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
         return gamma_product_eval(self.prefactor).times_power(x, self.exponent)
 
     def value_at(self, x: float) -> float:

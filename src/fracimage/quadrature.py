@@ -13,17 +13,21 @@ the right half is evaluated by the fast-converging series directly, the
 left half through the standard connection formula at 1-u, which turns the
 u -> 0 behavior into two more Jacobi-weighted smooth integrals.
 
-Every integrand is evaluated on a rule's whole node array: the kernel
-series by gauss_2f1_array, the substitution and the caller's function by
-numpy's elementwise arithmetic, which rounds as Python floats do. Powers
-are the exception: numpy's vectorised power may differ from libm pow in
-the last bit, so each one goes through node_power, which applies Python's
-float ** per node. Every value is thus the one the per-node expression
-gives. Each kernel piece's node factor is memoised per (series, piece,
-power, rule nodes) in a bounded cache, since it does not depend on the
-integrand's other factor: a grid that sweeps x and the polynomial around
-one operator sums each series once per rule. numpy and scipy are imported
-on the first rule build, so work without quadrature never loads them.
+An operand is t^power g(t): its leading power goes into the weight and
+is never evaluated at a node, so the caller's g is only the smooth
+factor (1 for a monomial, the polynomial for an identity). Every
+integrand is evaluated on a rule's whole node array: the kernel series
+by gauss_2f1_array, the substitution and g by numpy's elementwise
+arithmetic, which rounds as Python floats do. The only node powers left
+are a kernel piece's u^a0 or (1-u)^b0; numpy's vectorised power may
+differ from libm pow in the last bit, so they go through node_power,
+which applies Python's float ** per node. Every value is thus the one
+the per-node expression gives. Each kernel piece's node factor is
+memoised per (series, piece, power, rule nodes) in a bounded cache,
+since it does not depend on the integrand's other factor: a grid that
+sweeps x and the polynomial around one operator sums each series once
+per rule. numpy and scipy are imported on the first rule build, so work
+without quadrature never loads them.
 """
 
 from __future__ import annotations
@@ -268,20 +272,19 @@ def _kernel_quad(
 
 def operator_apply(
     op: OperatorSpec,
-    f: Callable[[numpy.ndarray], numpy.ndarray],
+    g: Callable[[numpy.ndarray], numpy.ndarray],
     x: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
-    power_at_zero: float = 0.0,
-    power_at_inf: float = 0.0,
+    power: float = 0.0,
 ) -> QuadResult:
-    """Numerically apply an integral-family operator to f at x.
+    """Numerically apply an integral-family operator to t^power g(t) at x.
 
-    f takes an array of points t and returns f at each of them.
-    power_at_zero (left-sided) or power_at_inf (right-sided) declares the
-    leading power behavior of f so it can be folded into the quadrature
-    weight exactly: the evaluated factor f(t) t^(-power) should be smooth.
-    For f(t) = t^(tau-1) pass tau-1 and the rule integrates it to machine
-    accuracy.
+    power is the operand's leading power at t -> 0 (left-sided families)
+    or at t -> infinity (right-sided); it goes into the quadrature weight
+    exactly and is never evaluated at a node. g, the smooth factor, takes
+    an array of points t and returns g at each of them. For the monomial
+    t^(tau-1) pass g = 1 and power = tau-1, and the rule integrates it to
+    machine accuracy.
 
     Derivative families and the full two-series kernel regime have no
     supported quadrature and raise UnsupportedKernelError; the exact
@@ -312,19 +315,17 @@ def operator_apply(
             f"{first} = 0 or {second} = 0 (two-series kernel regime is out "
             "of scope)"
         )
-    s = power_at_inf if right else power_at_zero
 
     def smooth(u: numpy.ndarray) -> numpy.ndarray:
-        t = x / u if right else x * u
-        return f(t) * node_power(t, -s)
+        return g(x / u if right else x * u)
 
     # |x - t|^(order - 1) becomes the weight (1 - u)^(order - 1)
-    w0, w1 = recipe.u_power(*op.params, s), order - 1.0
+    w0, w1 = recipe.u_power(*op.params, power), order - 1.0
     if recipe.kernel is None:
         quad = quad_endpoint_singular(smooth, w0, w1, cfg)
     else:
         quad = _kernel_quad(recipe.kernel(*op.params), w0, w1, smooth, cfg)
-    x_power = recipe.x_power(*op.params, s)
+    x_power = recipe.x_power(*op.params, power)
     try:
         factor = x**x_power / math.gamma(order)
     except OverflowError:

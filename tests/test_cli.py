@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,44 @@ def test_verify_derivative_lemma_oracle_domain_is_skipped(tmp_path, capsys):
         assert rec["verdict"] == "SKIPPED(domain)"
         assert "violates" in rec["ledger_note"]
         assert rec["oracle_value"] is None
+
+
+def test_verify_lemma_nonpositive_x_is_skipped(tmp_path, capsys):
+    # the power image's x^e raised ValueError at x <= 0, which aborted
+    # verify (exit 2, no record) instead of skipping the point
+    cfg = write_cfg(tmp_path, "identities = lem1, lem5\n"
+                    "lem1.x = -1, 0.5\nlem5.x = 0, 0.7\n")
+    out_path = tmp_path / "lemma.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(out_path))
+    assert rc == 0
+    assert "8 records, 4 PASS, 0 FAIL, 4 SKIPPED" in out
+    records = [json.loads(line) for line in
+               out_path.read_text(encoding="utf-8").splitlines()]
+    skipped = [r for r in records if r["point"]["x"] <= 0]
+    assert len(skipped) == 4
+    for rec in skipped:
+        assert rec["verdict"] == "SKIPPED(domain)"
+        assert "x > 0" in rec["ledger_note"]
+    # the points with x > 0 keep the records they have on their own
+    kept = [r for r in records if r["point"]["x"] > 0]
+    alone = run_verification(SweepConfig(identities=["lem1", "lem5"], grids={
+        "lem1": dict(DEFAULT_GRIDS["lem1"], x=[0.5]),
+        "lem5": dict(DEFAULT_GRIDS["lem5"], x=[0.7]),
+    }))
+    assert kept == [json.loads(cli._json_line(asdict(r))) for r in alone]
+
+
+def test_verify_omitted_embedding_check_is_noted():
+    # at epsilon != 0 lem4's five-parameter embedding leaves the single-
+    # series slice; the reduction check was dropped without a note
+    grid = dict(DEFAULT_GRIDS["lem4"], epsilon=[0.4])
+    records = run_verification(SweepConfig(identities=["lem4"], grids={"lem4": grid}))
+    assert len(records) == 4
+    for rec in records:
+        assert rec.verdict == "PASS"
+        assert rec.quadrature_value is not None
+        assert rec.ledger_note.startswith("five-parameter embedding check omitted: ")
+        assert "two-series kernel regime" in rec.ledger_note
 
 
 def test_verify_streams_records_before_an_abort(tmp_path, monkeypatch):

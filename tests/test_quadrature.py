@@ -6,13 +6,15 @@ and t = x/u substitutions, and the split evaluation of 2F1 kernels.
 """
 
 import math
+import sys
 
 import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracimage.cli import DEFAULT_GRIDS, TAGS, _monomial_for
+from fracimage import cli, identities, quadrature
+from fracimage.cli import DEFAULT_GRIDS, TAGS
 from fracimage.errors import DomainError, NonConvergedError, UnsupportedKernelError
 from fracimage.gammafns import is_nonpositive_integer
 from fracimage.hypergeom import gauss_2f1
@@ -46,6 +48,11 @@ from fracimage.quadrature import (
     operator_apply,
     quad_endpoint_singular,
 )
+
+
+def one(t):
+    """Smooth factor of a bare monomial: its power goes into the weight."""
+    return 1.0
 
 
 def test_unit_weight():
@@ -132,7 +139,7 @@ def test_rl_left_half_order_constant():
     ],
 )
 def test_rl_left_large_order(order, x, expected, rtol):
-    res = operator_apply(rl_left(order), lambda t: t, x, power_at_zero=1.0)
+    res = operator_apply(rl_left(order), one, x, power=1.0)
     assert math.isclose(res.value, expected, rel_tol=rtol)
 
 
@@ -146,9 +153,10 @@ def test_saigo_example_without_power_hint():
 def test_power_hint_gives_exact_weight():
     op = saigo_left(0.6, 0.2, 0.4)
     want = power_image(op, 1.5).value_at(1.0)
-    res = operator_apply(op, lambda t: t**0.5, 1.0, power_at_zero=0.5)
+    res = operator_apply(op, one, 1.0, power=0.5)
     assert math.isclose(res.value, want, rel_tol=1e-12)
-    # the hinted integrand is smooth, so the first comparison already agrees
+    # with the power in the weight the integrand is smooth, so the first
+    # comparison already agrees
     assert res.nodes == 128
 
 
@@ -172,7 +180,7 @@ LEFT_CASES = [
 @pytest.mark.parametrize("op,tau,x", LEFT_CASES)
 def test_left_quadrature_matches_image(op, tau, x):
     want = power_image(op, tau).value_at(x)
-    res = operator_apply(op, lambda t: t ** (tau - 1.0), x, power_at_zero=tau - 1.0)
+    res = operator_apply(op, one, x, power=tau - 1.0)
     assert math.isclose(res.value, want, rel_tol=1e-10)
 
 
@@ -191,7 +199,7 @@ RIGHT_CASES = [
 def test_right_quadrature_matches_image(op, tau, x):
     # right-sided families act on t^(tau-1) decaying at infinity
     want = power_image(op, tau).value_at(x)
-    res = operator_apply(op, lambda t: t ** (tau - 1.0), x, power_at_inf=tau - 1.0)
+    res = operator_apply(op, one, x, power=tau - 1.0)
     assert math.isclose(res.value, want, rel_tol=1e-10)
 
 
@@ -207,7 +215,7 @@ MSM_RIGHT_CASES = [
 def test_msm_right_quadrature_matches_image(op, tau, x):
     # this family acts on t^(-tau)
     want = power_image(op, tau).value_at(x)
-    res = operator_apply(op, lambda t: t**-tau, x, power_at_inf=-tau)
+    res = operator_apply(op, one, x, power=-tau)
     assert math.isclose(res.value, want, rel_tol=1e-10)
 
 
@@ -215,7 +223,7 @@ def test_polynomial_kernel_path():
     # eta = 1 makes the kernel a degree-1 polynomial, no split needed
     op = saigo_left(0.6, 0.2, 1.0)
     want = power_image(op, 1.5).value_at(2.0)
-    res = operator_apply(op, lambda t: t**0.5, 2.0, power_at_zero=0.5)
+    res = operator_apply(op, one, 2.0, power=0.5)
     assert math.isclose(res.value, want, rel_tol=1e-11)
 
 
@@ -223,7 +231,7 @@ def test_integer_exponent_difference_fallback():
     # eta - beta = 1 defeats the pure-power split; single rule still converges
     op = saigo_left(0.6, 0.2, 1.2)
     want = power_image(op, 1.5).value_at(2.0)
-    res = operator_apply(op, lambda t: t**0.5, 2.0, power_at_zero=0.5)
+    res = operator_apply(op, one, 2.0, power=0.5)
     assert math.isclose(res.value, want, rel_tol=1e-9)
 
 
@@ -231,18 +239,16 @@ def test_linearity():
     op = saigo_left(0.6, 0.2, 0.4)
     x = 1.5
 
-    def f(t):
-        return t**0.3
-
+    # t^0.3 and t^1.2 share the leading power t^0.3
     def h(t):
-        return t**1.2
+        return t**0.9
 
     def combo(t):
-        return 2.5 * f(t) - 1.75 * h(t)
+        return 2.5 * one(t) - 1.75 * h(t)
 
-    lhs = operator_apply(op, combo, x, power_at_zero=0.3).value
-    rhs = 2.5 * operator_apply(op, f, x, power_at_zero=0.3).value
-    rhs -= 1.75 * operator_apply(op, h, x, power_at_zero=0.3).value
+    lhs = operator_apply(op, combo, x, power=0.3).value
+    rhs = 2.5 * operator_apply(op, one, x, power=0.3).value
+    rhs -= 1.75 * operator_apply(op, h, x, power=0.3).value
     assert math.isclose(lhs, rhs, rel_tol=1e-9)
 
 
@@ -250,16 +256,16 @@ def test_left_scaling_invariance():
     # the substitution t = x*u leaves only the analytic power of x
     op = msm_left_int(0.5, 0.0, 0.2, 0.4, 1.1)
     img = power_image(op, 2.0)
-    v1 = operator_apply(op, lambda t: t, 0.5, power_at_zero=1.0).value
-    v2 = operator_apply(op, lambda t: t, 2.0, power_at_zero=1.0).value
+    v1 = operator_apply(op, one, 0.5, power=1.0).value
+    v2 = operator_apply(op, one, 2.0, power=1.0).value
     assert math.isclose(v2 / v1, 4.0**img.exponent, rel_tol=1e-11)
 
 
 def test_right_scaling_invariance():
     op = saigo_right(0.7, 0.2, 1.4)
     img = power_image(op, 0.5)
-    v1 = operator_apply(op, lambda t: t**-0.5, 2.0, power_at_inf=-0.5).value
-    v2 = operator_apply(op, lambda t: t**-0.5, 4.0, power_at_inf=-0.5).value
+    v1 = operator_apply(op, one, 2.0, power=-0.5).value
+    v2 = operator_apply(op, one, 4.0, power=-0.5).value
     assert math.isclose(v2 / v1, 2.0**img.exponent, rel_tol=1e-11)
 
 
@@ -290,7 +296,7 @@ def test_domain_errors():
 def test_error_estimate_is_usable():
     op = saigo_left(0.6, 0.2, 0.4)
     want = power_image(op, 1.5).value_at(2.0)
-    res = operator_apply(op, lambda t: t**0.5, 2.0, power_at_zero=0.5)
+    res = operator_apply(op, one, 2.0, power=0.5)
     assert isinstance(res, QuadResult)
     assert res.error >= 0.0
     assert abs(res.value - want) <= max(100.0 * res.error, 1e-12 * abs(want))
@@ -337,6 +343,26 @@ def test_node_power_is_libm_pow_per_node():
         got = node_power(base, exponent)
         assert got.dtype == numpy.float64 and got.shape == base.shape
         assert got.tolist() == [math.pow(b, exponent) for b in base.tolist()]
+
+
+def test_node_power_only_in_kernel_pieces(monkeypatch):
+    # the operand's power goes into the Gauss-Jacobi weight, so no node
+    # power is taken outside a kernel piece's u^a0 or (1-u)^b0 factor
+    callers = []
+
+    def counting(base, exponent):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return node_power(base, exponent)
+
+    for module in (quadrature, identities, cli):
+        monkeypatch.setattr(module, "node_power", counting, raising=False)
+    _kernel_piece.cache_clear()
+    grids = {tag: {s: v[-1:] for s, v in DEFAULT_GRIDS[tag].items()}
+             for tag in ("cor2", "lem1")}
+    records = cli.run_verification(cli.SweepConfig(["cor2", "lem1"], grids))
+    assert [r.verdict for r in records] == ["PASS", "PASS"]
+    assert all(r.quadrature_value is not None for r in records)
+    assert callers and set(callers) == {"_kernel_piece"}
 
 
 def test_gj_rule_node_array_is_cached_readonly():
@@ -438,16 +464,15 @@ def test_kernel_piece_memo_keys_on_the_power():
         )
 
 
-def per_node_operator_apply(op, f, x, power, cfg):
-    """operator_apply with f, the substitution and the kernel evaluated once
-    per node on Python floats; power is the declared leading power."""
+def per_node_operator_apply(op, g, x, power, cfg):
+    """operator_apply with g, the substitution and the kernel evaluated once
+    per node on Python floats; power is the operand's leading power."""
     spec = FAMILIES[op.family]
     recipe = spec.quadrature
     order = op.named_params()[recipe.order]
 
     def smooth(u):
-        t = x / u if spec.right else x * u
-        return f(t) * t**-power
+        return g(x / u if spec.right else x * u)
 
     w0, w1 = recipe.u_power(*op.params, power), order - 1.0
     if recipe.kernel is None:
@@ -477,11 +502,11 @@ def test_quadrature_value_bit_equal_to_per_node(tag):
     tau, x = grid["tau"][-1], grid["x"][-1]
     power = spec.monomial_power(tau)
 
-    def f(t):
-        return t**power * _poly_eval(coeffs, 1.0 / t if spec.right else t)
+    def g(t):
+        return _poly_eval(coeffs, 1.0 / t if spec.right else t)
 
     op = OperatorSpec(IDENTITY_FAMILY[identity], params)
-    want = per_node_operator_apply(op, f, x, power, VERIFY_QUAD)
+    want = per_node_operator_apply(op, g, x, power, VERIFY_QUAD)
     assert quadrature_value(identity, params, poly, tau, x, VERIFY_QUAD) == want
 
 
@@ -497,10 +522,9 @@ def test_operator_apply_bit_equal_to_per_node_on_monomials(tag):
     if embedding is not None:
         # the five-parameter embedding of the reduction check (lem3, lem4)
         ops.append(embedding(*op.params))
-    f, hints = _monomial_for(family, tau)
     for operator in ops:
-        want = per_node_operator_apply(operator, lambda t: t**power, x, power, VERIFY_QUAD)
-        assert operator_apply(operator, f, x, VERIFY_QUAD, **hints) == want
+        want = per_node_operator_apply(operator, one, x, power, VERIFY_QUAD)
+        assert operator_apply(operator, one, x, VERIFY_QUAD, power=power) == want
 
 
 # Weight exponents of the cor5 point whose quadrature never stabilizes
