@@ -7,6 +7,12 @@ singularities u^a (1-u)^b are absorbed into Gauss-Jacobi weights, so the
 evaluated factor of the integrand is smooth and the rules converge
 spectrally.
 
+The rules come from gaussjacobi, built with numpy alone: nodes keep full
+relative precision at both ends and weights are good to about 1e-14 even
+at exponents near -1. A quadrature's first two rules (n and 2n nodes)
+share one recurrence sweep, as do those of a split kernel's pieces, and
+every rule is memoised per weight.
+
 Left-sided integrals substitute t = x*u; right-sided ones t = x/u, mapping
 (x, inf) onto (0, 1). The 2F1 kernels (argument 1-u) are split at u = 1/2:
 the right half is evaluated by the fast-converging series directly, the
@@ -26,8 +32,8 @@ the per-node expression gives. Each kernel piece's node factor is
 memoised per (series, piece, power, rule nodes) in a bounded cache,
 since it does not depend on the integrand's other factor: a grid that
 sweeps x and the polynomial around one operator sums each series once
-per rule. numpy and scipy are imported on the first rule build, so work
-without quadrature never loads them.
+per rule. numpy is imported on the first rule build, so work without
+quadrature never loads it.
 """
 
 from __future__ import annotations
@@ -91,12 +97,15 @@ class QuadResult(NamedTuple):
     nodes: int
 
 
-def roots_jacobi(n: int, alpha: float, beta: float):
-    """scipy.special.roots_jacobi, imported on the first rule build so that
-    work without quadrature never loads scipy."""
-    from scipy.special import roots_jacobi as build
+def roots_jacobi(n: tuple[int, ...], alpha: tuple[float, ...], beta: tuple[float, ...]):
+    """[(x, w)] of the Gauss-Jacobi rule of n[i] nodes for the weight
+    (1-x)^alpha[i] (1+x)^beta[i] on [-1, 1], for each i, all built in one
+    recurrence sweep (gaussjacobi.gauss_jacobi); each rule comes out as it
+    would alone. numpy is imported on the first rule build, so work
+    without quadrature never loads it."""
+    from .gaussjacobi import gauss_jacobi
 
-    return build(n, alpha, beta)
+    return gauss_jacobi(list(zip(n, alpha, beta)))
 
 
 def node_power(base: numpy.ndarray, exponent: float) -> numpy.ndarray:
@@ -109,19 +118,36 @@ def node_power(base: numpy.ndarray, exponent: float) -> numpy.ndarray:
     )
 
 
-@lru_cache(maxsize=256)
-def _gj_rule(n: int, a0: float, a1: float):
-    """Read-only node and weight arrays, and the scale, of the rule
-    int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale * sum w g(u)."""
-    import numpy
+@lru_cache(maxsize=128)
+def _gj_rules(a0: float, a1: float) -> dict:
+    """The rules built so far for the weight u^a0 (1-u)^a1, by node count."""
+    return {}
 
-    # scipy computes, then discards, an invalid intermediate when a0+a1 = -1
-    with numpy.errstate(invalid="ignore", divide="ignore"):
-        t, weights = roots_jacobi(n, a1, a0)
-    nodes = (1.0 + t) / 2.0
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights, 2.0 ** (-(a0 + a1 + 1.0))
+
+def _gj_build(weights, sizes) -> None:
+    """Builds, in one sweep, the rules of the given sizes for every weight
+    (a0, a1) that lacks the first of them."""
+    wanted = [(n, a0, a1) for a0, a1 in dict.fromkeys(weights)
+              if sizes[0] not in _gj_rules(a0, a1) for n in sizes]
+    if not wanted:
+        return
+    n, a0, a1 = zip(*wanted)
+    for (size, e0, e1), (t, w) in zip(wanted, roots_jacobi(n, a1, a0)):
+        nodes = (1.0 + t) / 2.0
+        nodes.flags.writeable = False
+        w.flags.writeable = False
+        _gj_rules(e0, e1).setdefault(size, (nodes, w, 2.0 ** (-(e0 + e1 + 1.0))))
+
+
+def _gj_rule(n: int, a0: float, a1: float, pair: bool = False):
+    """Read-only node and weight arrays, and the scale, of the rule
+    int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale * sum w g(u). With pair, the rule
+    of 2n nodes, which a quadrature's first refinement asks for next, is
+    built in the same sweep."""
+    rules = _gj_rules(a0, a1)
+    if n not in rules:
+        _gj_build([(a0, a1)], (n, 2 * n) if pair else (n,))
+    return rules[n]
 
 
 def quad_endpoint_singular(
@@ -144,7 +170,9 @@ def quad_endpoint_singular(
     n = cfg.node_count
     prev = None
     for _ in range(cfg.max_refinements + 1):
-        nodes, weights, scale = _gj_rule(n, exponent_at_0, exponent_at_1)
+        nodes, weights, scale = _gj_rule(
+            n, exponent_at_0, exponent_at_1, prev is None and cfg.max_refinements > 0
+        )
         terms = (weights * g(nodes)).tolist()
         est = scale * math.fsum(terms)
         l1 = scale * math.fsum(map(abs, terms))
@@ -238,6 +266,12 @@ def _kernel_quad(
 
     coeff_a = _connection_coefficient((kc, e), (kc - ka, kc - kb))
     coeff_b = _connection_coefficient((kc, -e), (ka, kb))
+    if cfg.max_refinements > 0:
+        # every piece's first two rules come out of one sweep
+        weights = [(b0, 0.0), (a0, 0.0) if coeff_a != 0.0 else None,
+                   (a0 + e, 0.0) if coeff_b != 0.0 else None]
+        _gj_build([w for w in weights if w is not None and w[0] > -1.0],
+                  (cfg.node_count, 2 * cfg.node_count))
 
     # right half, u = 1 - v/2 in (1/2, 1): series argument v/2 < 1/2
     right = quad_endpoint_singular(piece("right_half", power=a0), b0, 0.0, cfg)

@@ -19,7 +19,9 @@ import json
 import math
 from pathlib import Path
 
-from fracimage.cli import main
+from fracimage.cli import (
+    ALL_TAGS, DEFAULT_GRIDS, SweepConfig, main, rel_diff, run_verification,
+)
 
 DATA = Path(__file__).parent / "data"
 VALUES = ("oracle_value", "closed_form_value", "quadrature_value")
@@ -63,3 +65,15 @@ def test_as_printed_verify_matches_frozen_records(tmp_path, capsys):
     )
     verdicts = [r["verdict"] for r in got]
     assert (verdicts.count("PASS"), verdicts.count("FAIL")) == (540, 156)
+
+
+def test_default_quadrature_agrees_with_closed_form():
+    # far inside the 1e-6 quadrature tolerance: the worst default record,
+    # cor5 at weight exponent -0.9375, was 2.7e-9 off with a rule whose
+    # weights were good to about 1e-10 there
+    records = run_verification(SweepConfig(list(ALL_TAGS), DEFAULT_GRIDS))
+    checked = [r for r in records if r.quadrature_value is not None]
+    assert len(checked) == 496
+    for r in checked:
+        where = (r.identity, r.point)
+        assert rel_diff(r.quadrature_value, r.closed_form_value) <= 1e-10, where

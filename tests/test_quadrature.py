@@ -5,8 +5,10 @@ Gauss-Jacobi machinery is checked end to end: weight handling, the t = x*u
 and t = x/u substitutions, and the split evaluation of 2F1 kernels.
 """
 
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy
 import pytest
@@ -136,6 +138,8 @@ def test_rl_left_half_order_constant():
         # be off by 4.6e-14 at order 150).
         (200.0, 100.0, 6.308343052144091e24, 1e-12),
         (150.0, 3.0, 1.2865868387952016e-193, 4e-15),
+        # the rule's mass at weight exponent 170.5 was off by 6.9e-14
+        (171.5, 2.0, 3.01757758104689e-261, 1e-15),
     ],
 )
 def test_rl_left_large_order(order, x, expected, rtol):
@@ -527,9 +531,9 @@ def test_operator_apply_bit_equal_to_per_node_on_monomials(tag):
         assert operator_apply(operator, one, x, VERIFY_QUAD, power=power) == want
 
 
-# Weight exponents of the cor5 point whose quadrature never stabilizes
-# (see test_cli.test_cor5_nonconverged_point_keeps_pass); moments of the
-# weight frozen from mpmath at 40 digits.
+# Weight exponents of the jittered cor5 point that needs an accurate rule
+# (see test_cli.test_cor5_jittered_point_passes_with_quadrature); moments
+# of the weight frozen from mpmath at 40 digits.
 COR5_WEIGHT = (-0.9205419540570966, -0.5136512782996775)
 COR5_MASS = 13.98789790805212364814708590872913351788
 COR5_FIRST_MOMENT = 1.964365041535668847772142153111062851493
@@ -541,13 +545,48 @@ def test_gj_rule_mass_at_strong_singularity():
         assert math.isclose(scale * math.fsum(weights.tolist()), COR5_MASS, rel_tol=1e-15)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="scipy roots_jacobi weights at exponent -0.92 are good to about "
-    "1e-8: the first moment is off by 8.8e-12 (n = 64) to 8e-9 (n = 512)",
-)
 def test_gj_rule_first_moment_at_strong_singularity():
     for n in (64, 128, 512):
         nodes, weights, scale = _gj_rule(n, *COR5_WEIGHT)
         moment = scale * math.fsum((weights * nodes).tolist())
         assert math.isclose(moment, COR5_FIRST_MOMENT, rel_tol=1e-13)
+
+
+# Edge cases of the rule's parameters (alpha, beta) = (exponent_at_1,
+# exponent_at_0): alpha = beta (Gegenbauer), alpha = beta = 0 (Legendre),
+# alpha + beta = -1 and alpha + beta = 0, where the recurrence's k = 0 and
+# k = 1 coefficients have removable zero denominators; the file says how
+# its mpmath values were made.
+GJ_64 = json.loads((Path(__file__).parent / "data" / "gauss_jacobi_64.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GJ_64["cases"], ids=lambda c: f"{c['exponent_at_0']},{c['exponent_at_1']}"
+)
+def test_gj_rule_matches_mpmath_at_64_nodes(case):
+    nodes, weights, _ = _gj_rule(64, case["exponent_at_0"], case["exponent_at_1"])
+    assert numpy.max(numpy.abs(nodes - case["nodes"])) <= 5e-16
+    assert numpy.max(numpy.abs(weights / case["weights"] - 1.0)) <= 2e-14
+
+
+def test_rules_built_together_equal_rules_built_alone():
+    # one sweep serves several sizes and weights; each rule takes the sweep
+    # its own nodes settle in, so it does not depend on the others
+    n, alpha, beta = (64, 128, 64, 8), (0.3, 0.3, 2.9, -0.93), (-0.4, -0.4, 0.0, 12.0)
+    together = quadrature.roots_jacobi(n, alpha, beta)
+    for i, (x, w) in enumerate(together):
+        ((x1, w1),) = quadrature.roots_jacobi((n[i],), (alpha[i],), (beta[i],))
+        assert numpy.array_equal(x, x1) and numpy.array_equal(w, w1)
+
+
+# int_0^1 u^a (1-u)^b du = B(a+1, b+1) at large exponents; the bounds are
+# the errors of the scipy rule this builder replaced, rounded up.
+@pytest.mark.parametrize("a, b, exact, rtol", [
+    (0.0, 30.0, 1.0 / 31.0, 1.2e-14),
+    (0.0, 100.0, 1.0 / 101.0, 1.4e-14),
+    (1.0, 149.0, 1.0 / (150.0 * 151.0), 1.7e-14),
+    (1.0, 170.5, 1.0 / (171.5 * 172.5), 7e-14),
+])
+def test_weight_mass_at_large_exponents(a, b, exact, rtol):
+    res = quad_endpoint_singular(lambda u: 1.0, a, b)
+    assert math.isclose(res.value, exact, rel_tol=rtol)
