@@ -40,7 +40,7 @@ import json
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -696,7 +696,7 @@ def cmd_verify(args) -> int:
     verdicts = Counter()
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
         for rec in pending:
-            handle.write(_json_line(asdict(rec)))
+            handle.write(_json_line(vars(rec)))
             verdicts[rec.verdict] += 1
     n_pass, n_fail = verdicts["PASS"], verdicts["FAIL"]
     print(

@@ -29,13 +29,16 @@ exponents), a sign scan of P_n on a grid of angles brackets every zero.
 
 The recurrence steps are the same for every node, so rules of several
 sizes and weights share one sweep over their joined nodes, each node with
-its own half's coefficients.
+its own half's coefficients, largest rule first so that a smaller rule's
+nodes stop updating at its degree. Each set-up stage (guesses, tables,
+settle test, weights) runs once per sweep on all the nodes, each node's
+arithmetic that of its rule built alone, so a rule comes out bit for bit
+the same whatever it is built with.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy
 
@@ -62,9 +65,9 @@ def gauss_jacobi(rules) -> list:
     exponents in the hundreds together with thousands of nodes."""
     easy = [r for r in rules if max(r[1], r[2]) <= ASYMPTOTIC_LIMIT]
     found = _refine(easy, _asymptotic_guesses) if easy else {}
-    for rule in rules:
-        if rule not in found:
-            found.update(_refine([rule], _scanned_guesses))
+    hard = [rule for rule in rules if rule not in found]
+    found.update(_refine(hard, _scanned_guesses) if hard else {})
+    for rule in hard:
         if rule not in found:
             raise NonConvergedError(
                 f"Gauss-Jacobi nodes for exponents ({rule[1]!r}, {rule[2]!r}) did "
@@ -73,154 +76,164 @@ def gauss_jacobi(rules) -> list:
     return [found[rule] for rule in rules]
 
 
-@lru_cache(maxsize=64)
-def _bessel_zeros(a: float, count: int) -> numpy.ndarray:
-    """The first count positive zeros of the Bessel function J_a, a > -1,
-    read-only (memoised: the weights of one kernel quadrature share an
-    exponent 0).
+def _halves(rules):
+    """(n, a, b) arrays over the halves of the rules: rows 2i and 2i+1 for
+    rules[i] = (n, alpha, beta), the zeros from the beta end (parameters
+    (beta, alpha)) and those from the alpha end ((alpha, beta))."""
+    return numpy.array([(n, beta, alpha, n, alpha, beta) for n, alpha, beta in rules],
+                       float).reshape(-1, 3).T
+
+
+def _bessel_zeros(k: numpy.ndarray, a: numpy.ndarray) -> numpy.ndarray:
+    """The k-th positive zero of the Bessel function J_a, a > -1,
+    elementwise.
 
     McMahon's expansion; for a <= 5 the first three, where it is poor, are
     refined by Newton on the entire function sum_m (-w/4)^m / (m! (a+1)_m),
     w = z^2, the first from the Rayleigh bound 2 (a+1)(a+3) when a < 0."""
-    k = numpy.arange(1.0, count + 1.0)
     mu = 4.0 * a * a
+    mu1 = mu - 1.0
     b = (k + a / 2.0 - 0.25) * math.pi
     e = 8.0 * b
-    z = (b - (mu - 1.0) / e - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e**3)
-         - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * e**5))
-    if a <= 5.0:
-        w = z[:3] ** 2
-        if a < 0.0:
-            w[0] = 2.0 * (a + 1.0) * (a + 3.0)
-        m = numpy.arange(1.0, 33.0)
-        for _ in range(3):
-            terms = numpy.cumprod(-w[:, None] / (4.0 * m * (a + m)), axis=1)
-            w = w - w * (1.0 + terms.sum(axis=1)) / (terms * m).sum(axis=1)
-        z[:3] = numpy.sqrt(w)
-    z.flags.writeable = False
+    z = (b - mu1 / e - 4.0 * mu1 * (7.0 * mu - 31.0) / (3.0 * e**3)
+         - 32.0 * mu1 * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * e**5))
+    low = numpy.flatnonzero((k <= 3.0) & (a <= 5.0))
+    a = a[low]
+    w = numpy.where((k[low] == 1.0) & (a < 0.0), 2.0 * (a + 1.0) * (a + 3.0), z[low] ** 2)
+    m = numpy.arange(1.0, 33.0)
+    ratio = 4.0 * m * (a[:, None] + m)
+    for _ in range(3):
+        terms = numpy.multiply.accumulate(-w[:, None] / ratio, axis=1)
+        w = w - w * (1.0 + terms.sum(axis=1)) / (terms * m).sum(axis=1)
+    z[low] = numpy.sqrt(w)
     return z
 
 
-def _zero_angles(n: int, a: float, b: float, j: numpy.ndarray) -> numpy.ndarray:
-    """Asymptotic phi of the zeros of P_n^(a,b)(cos phi), ascending, given
-    the Bessel zeros j of J_a for the quarter nearest phi = 0."""
+def _asymptotic_guesses(rules):
+    """(rules, phi, half): the asymptotic angles of the n zeros of each rule
+    in ascending x, each with its row in _halves(rules). Each half's n
+    angles are formed; the alpha half keeps the split nearest its end, split
+    the number of them at phi <= pi/2, and the beta half its n - split."""
+    n, a, b = _halves(rules)
     rho = n + (a + b + 1.0) / 2.0
-    t = (numpy.arange(1.0, n + 1.0) + a / 2.0 - 0.25) * math.pi / rho
+    nu = numpy.sqrt(rho * rho + (1.0 - a * a - 3.0 * b * b) / 12.0)
+    nu4 = numpy.array([v**4 for v in nu.tolist()])  # Python's pow, not numpy's
+    # Gatteschi's formula for the quarter of each half nearest its end
+    quarter = numpy.minimum(n, numpy.maximum(3.0, n // 4.0))
+    sizes = [size for size, _, _ in rules]
+    up = numpy.arange(1.0, max(sizes) + 1.0)
+    k = numpy.concatenate([p for size in sizes for p in (up[:size], up[size - 1::-1])])
+    half = numpy.repeat(numpy.arange(n.size), numpy.repeat(sizes, 2))
+    a, b, rho = a[half], b[half], rho[half]
+    t = (k + a / 2.0 - 0.25) * math.pi / rho
     tan = numpy.tan(t / 2.0)
     phi = t + ((0.25 - a * a) / tan - (0.25 - b * b) * tan) / (4.0 * rho * rho)
-    j = j[: min(n, max(3, n // 4))]
-    nu = math.sqrt(rho * rho + (1.0 - a * a - 3.0 * b * b) / 12.0)
-    phi[: j.size] = j / nu * (
-        1.0 - (4.0 - a * a - 15.0 * b * b) / (720.0 * nu**4) * (j * j / 2.0 + a * a - 1.0)
+    end = numpy.flatnonzero(k <= quarter[half])
+    j, a, b, at = _bessel_zeros(k[end], a[end]), a[end], b[end], half[end]
+    phi[end] = j / nu[at] * (
+        1.0 - (4.0 - a * a - 15.0 * b * b) / (720.0 * nu4[at]) * (j * j / 2.0 + a * a - 1.0)
     )
-    return phi
+    near = half % 2 == 1
+    split = numpy.bincount(half[near & (phi <= math.pi / 2.0)], minlength=n.size)[1::2]
+    limit = numpy.column_stack((n[::2] - split, split)).ravel()
+    keep = numpy.flatnonzero(k <= limit[half])
+    return rules, phi[keep], half[keep]
 
 
-def _asymptotic_guesses(n: int, alpha: float, beta: float):
-    """The angles of the zeros with x >= 0 (from the alpha end) and with
-    x < 0 (from the beta end)."""
-    count = max(32, n // 4)  # one memo entry serves rules of up to 128 nodes
-    near = _zero_angles(n, alpha, beta, _bessel_zeros(alpha, count))
-    split = int(numpy.count_nonzero(near <= math.pi / 2.0))
-    return near[:split], _zero_angles(n, beta, alpha, _bessel_zeros(beta, count))[: n - split]
+def _scanned_guesses(rules):
+    """(rules, phi, half) as _asymptotic_guesses gives them, for the rules
+    whose zeros the signs of P_n bracket on a grid fine enough to separate
+    them. Each half of a grid is evaluated from its own end, as the nodes
+    are, so that neither end's normalisation underflows the other's
+    values."""
+    grids = [numpy.linspace(0.0, math.pi, 4 * (n + int(alpha + beta) + 4) + 2)
+             for n, alpha, beta in rules]
+    # each grid's inner points in ascending x, so each half's in one run
+    theta = numpy.concatenate([grid[-2:0:-1] for grid in grids])
+    near = theta <= math.pi / 2.0
+    half = 2 * numpy.repeat(numpy.arange(len(rules)), [g.size - 2 for g in grids]) + near
+    n, a, b = _halves(rules)
+    r, _ = _recurrence(2.0 * numpy.sin(numpy.where(near, theta, math.pi - theta) / 2.0) ** 2,
+                       _coefficients(n, a, b), numpy.bincount(half, minlength=n.size), n)
+    kept, angles, end = [], [], 0
+    for rule, grid in zip(rules, grids):
+        # the rule's points back in ascending theta
+        part, end = numpy.arange(end + grid.size - 3, end - 1, -1), end + grid.size - 2
+        # P_n(x) = (-1)^n P_n^(beta,alpha)(-x), P_n(1) > 0, sign P_n(-1) = (-1)^n
+        odd = rule[0] % 2 == 1
+        sign = numpy.signbit(r[part]) ^ (~near[part] & odd)
+        cross = numpy.flatnonzero(numpy.diff(numpy.concatenate(([False], sign, [odd]))))
+        if cross.size == rule[0]:
+            kept.append(rule)
+            angles.append(((grid[cross] + grid[cross + 1]) / 2.0)[::-1])
+    theta = numpy.concatenate(angles) if kept else numpy.empty(0)
+    near = theta <= math.pi / 2.0
+    half = 2 * numpy.repeat(numpy.arange(len(kept)), [rule[0] for rule in kept]) + near
+    return kept, numpy.where(near, theta, math.pi - theta), half
 
 
-def _scanned_guesses(n: int, alpha: float, beta: float):
-    """The angles of the zeros bracketed by the signs of P_n on a grid fine
-    enough to separate them, split as _asymptotic_guesses does. Each half
-    of the grid is evaluated from its own end, as the nodes are, so that
-    neither end's normalisation underflows the other's values."""
-    points = 4 * (n + int(alpha + beta) + 4)
-    theta = numpy.linspace(0.0, math.pi, points + 2)
-    far = theta[1:-1] > math.pi / 2.0
-    phi = numpy.where(far, math.pi - theta[1:-1], theta[1:-1])
-    r, _ = _recurrence(
-        2.0 * numpy.sin(phi / 2.0) ** 2, far.astype(int),
-        _coefficients([(alpha, beta)], n), {n: [slice(None)]},
-    )
-    # P_n(x) = (-1)^n P_n^(beta,alpha)(-x), P_n(1) > 0, sign P_n(-1) = (-1)^n
-    odd = n % 2 == 1
-    sign = numpy.concatenate(([False], numpy.signbit(r) ^ (far & odd), [odd]))
-    cross = numpy.flatnonzero(sign[1:] != sign[:-1])
-    zeros = (theta[cross] + theta[cross + 1]) / 2.0
-    near = zeros <= math.pi / 2.0
-    return zeros[near], math.pi - zeros[~near][::-1]
-
-
-def _coefficients(weights, n: int):
-    """(g, c) tables of shape (n, 2 len(weights)): the difference
-    recurrence's coefficients for steps k = 0..n-1; columns 2i and 2i+1 for
-    the halves of weights[i] = (alpha, beta) with parameters (alpha, beta)
-    and (beta, alpha)."""
-    k = numpy.arange(1.0, n)
-    g, c = numpy.zeros((n, 2 * len(weights))), numpy.empty((n, 2 * len(weights)))
-    halves = [params for alpha, beta in weights for params in ((alpha, beta), (beta, alpha))]
-    for col, (a, b) in enumerate(halves):
-        s = a + b
-        g[1:, col] = k * (k + b) * (2 * k + s + 2) / ((k + s + 1) * (2 * k + s) * (k + a + 1))
-        c[1:, col] = (2 * k + s + 1) * (2 * k + s + 2) / (2 * (k + s + 1) * (k + a + 1))
-        c[0, col] = (s + 2) / (2 * (a + 1))
+def _coefficients(n, a, b):
+    """(g, c) tables of shape (max(n), len(a)): the difference recurrence's
+    coefficients for steps k = 0..max(n)-1, a column for each half with
+    parameters (a[i], b[i])."""
+    s = a + b
+    k = numpy.arange(1.0, n.max())[:, None]
+    u, v, w = 2 * k + s, k + s + 1, k + a + 1
+    g, c = numpy.zeros((k.size + 1, a.size)), numpy.empty((k.size + 1, a.size))
+    g[1:] = k * (k + b) * (u + 2) / (v * u * w)
+    c[1:] = (u + 1) * (u + 2) / (2 * v * w)
+    c[0] = (s + 2) / (2 * (a + 1))
     return g, c
 
 
-def _recurrence(s, column, coefficients, stops):
-    """R_n and D_n at every node: stops maps each degree n to the slices of
-    nodes that stop there; nodes of a smaller rule run on harmlessly."""
+def _recurrence(s, coefficients, counts, degrees):
+    """R_n and D_n at every node. The nodes come in runs: counts[i] nodes
+    with column i of the coefficient tables and degree degrees[i], the
+    degrees not increasing, so the runs still below their degree at step k
+    are a prefix, and only they are updated."""
     g_table, c_table = coefficients
-    r, d = numpy.ones(s.size), numpy.zeros(s.size)
-    r_n, d_n, t = numpy.empty(s.size), numpy.empty(s.size), numpy.empty(s.size)
+    r, d, t = numpy.ones(s.size), numpy.zeros(s.size), numpy.empty(s.size)
     k = 0
-    for stop in sorted(stops):
+    for stop in sorted(set(degrees.astype(int).tolist())):
+        runs = int(numpy.count_nonzero(degrees >= stop))
+        m = int(counts[:runs].sum())
+        r_m, d_m, t_m, s_m = r[:m], d[:m], t[:m], s[:m]
         while k < stop:
             end = min(stop, k + BLOCK)
-            for g, cs in zip(g_table[k:end, column], c_table[k:end, column] * s):
-                numpy.multiply(cs, r, out=t)
-                d *= g
-                d -= t
-                r += d
+            cs = numpy.repeat(c_table[k:end, :runs], counts[:runs], axis=1)
+            cs *= s_m
+            for g, c in zip(numpy.repeat(g_table[k:end, :runs], counts[:runs], axis=1), cs):
+                numpy.multiply(c, r_m, out=t_m)
+                d_m *= g
+                d_m -= t_m
+                r_m += d_m
             k = end
-        for part in stops[stop]:
-            r_n[part], d_n[part] = r[part], d[part]
-    return r_n, d_n
+    return r, d
 
 
 def _refine(rules, guesses) -> dict:
     """Steps from the guesses to the zeros of every rule in one sweep, then
     the rules whose steps settle on n distinct zeros, by (n, alpha, beta)."""
-    kept = []
-    for rule in rules:
-        near, far = guesses(*rule)
-        if near.size + far.size == rule[0]:
-            kept.append((rule, (near, far)))
-    if not kept:
+    rules, phi, half = guesses(sorted(rules, key=lambda rule: -rule[0]))
+    if not rules:
         return {}
-    rules, groups = zip(*kept)
-    weights = list(dict.fromkeys((alpha, beta) for _, alpha, beta in rules))
-    counts = [part.size for pair in groups for part in pair]
-    phi = numpy.concatenate([part for pair in groups for part in pair])
-    # each node's column in the coefficient tables: its weight and half
-    column = numpy.repeat([2 * weights.index((alpha, beta)) + half
-                           for _, alpha, beta in rules for half in (0, 1)], counts)
-    half = column % 2
     sizes = [n for n, _, _ in rules]
-    deg = numpy.repeat(numpy.asarray(sizes, float), sizes)
-    alpha = numpy.repeat([alpha for _, alpha, _ in rules], sizes)
-    beta = numpy.repeat([beta for _, _, beta in rules], sizes)
-    a, b = numpy.where(half == 0, alpha, beta), numpy.where(half == 0, beta, alpha)
-    parts = [slice(end - n, end) for n, end in zip(sizes, numpy.cumsum(sizes))]
-    stops: dict = {}
-    for n, part in zip(sizes, parts):
-        stops.setdefault(n, []).append(part)
-    coefficients = _coefficients(weights, max(sizes))
-    total = alpha + beta
+    starts = numpy.cumsum(sizes) - sizes
+    halves = _halves(rules)
+    # a node's half is its column in the coefficient tables
+    coefficients = _coefficients(*halves)
+    counts = numpy.bincount(half, minlength=2 * len(rules))
+    deg, a, b = (v[half] for v in halves)
+    total = a + b
     lam = deg * (deg + total + 1.0)
     # each rule is taken at the sweep its own nodes settle in, so that it
     # does not depend on the rules built with it
     done: dict = {}
+    finished = numpy.zeros(len(rules), bool)
     with numpy.errstate(all="ignore"):
         for _ in range(MAX_SWEEPS):
             s = 2.0 * numpy.sin(phi / 2.0) ** 2
-            r, d = _recurrence(s, column, coefficients, stops)
+            r, d = _recurrence(s, coefficients, counts, halves[0])
             sin = numpy.sin(phi)
             # dP_n/dphi = n P_n(1) q / sin(phi); the differential equation
             # P'' = ode P' - lam P gives the higher derivatives as ratios r_i
@@ -239,58 +252,75 @@ def _refine(rules, guesses) -> dict:
             step = u * (1.0 + u * (-c2 + u * (2.0 * c2 * c2 - c3
                                             + u * (5.0 * c2 * c3 - 5.0 * c2**3 - c4))))
             phi = phi + step
-            moved = numpy.abs(step) * deg
-            settled = [(rule, part) for rule, part in zip(rules, parts)
-                       if rule not in done and numpy.max(moved[part]) <= STEP_TOL]
-            if settled:
+            moved = numpy.maximum.reduceat(numpy.abs(step) * deg, starts)
+            settled = (moved <= STEP_TOL) & ~finished
+            if settled.any():
+                finished |= settled
                 # dP_n/dphi at the stepped node over its value at the old one
                 grow = 1.0 + step * (r2 + step * (r3 / 2.0 + step * r4 / 6.0))
                 inverse = sin / (deg * q * grow)
-                for rule, part in settled:
-                    done[rule] = _rule(phi[part], half[part], inverse[part], *rule)
-            if len(done) == len(rules):
+                nodes = numpy.repeat(settled, sizes)
+                built = [rule for rule, new in zip(rules, settled.tolist()) if new]
+                done.update(zip(built, _rules(built, phi[nodes], half[nodes] % 2 == 1,
+                                              inverse[nodes])))
+            if finished.all():
                 break
     return {rule: found for rule, found in done.items() if found is not None}
 
 
-def _rule(phi, half, inverse, n, alpha, beta):
-    """(x, w) of one rule, nodes ascending: the zeros with x < 0 in the
-    order found (phi ascending from x = -1), then those with x >= 0
-    reversed, with positive weights scaled to the weight's exact mass.
-    None unless the nodes are n distinct points of (-1, 1) and the weights
-    finite and positive: zeros of P_n lie at least about 7/n^2 apart in x,
-    two steps that settled on one zero do not."""
-    near = half == 0
-    x = numpy.concatenate((-numpy.cos(phi[~near]), numpy.cos(phi[near])[::-1]))
-    if not (-1.0 < x[0] and x[-1] < 1.0 and numpy.all(numpy.diff(x) > 1e-3 / (n * n))):
-        return None
-    w = numpy.concatenate((
-        _half_weights(inverse[~near], n, beta, alpha),
-        _half_weights(inverse[near], n, alpha, beta)[::-1],
-    ))
-    total = math.fsum(w.tolist())
-    if not (0.0 < total < math.inf and numpy.all(w > 0.0)):
-        return None
-    mass = 2.0 ** (alpha + beta + 1.0) * _beta(alpha + 1.0, beta + 1.0)
-    return x, w * (mass / total)
+def _rules(rules, phi, near, inverse) -> list:
+    """(x, w) of each of the rules, nodes ascending, with positive weights
+    scaled to the weight's exact mass, from the phi, near (from the alpha
+    end) and inverse of its nodes as _refine holds them. None unless the
+    nodes are n distinct points of (-1, 1) and the weights finite and
+    positive: zeros of P_n lie at least about 7/n^2 apart in x, two steps
+    that settled on one zero do not.
 
-
-def _half_weights(inverse, n: int, a: float, b: float) -> numpy.ndarray:
-    """C_n / (dP_n/dphi)^2 on the half with parameters (a, b), given inverse
-    proportional to 1 / (dP_n/dphi), up to a factor the whole rule shares.
-
-    C_n / P_n(1)^2 is then (1+b)/(1+a) prod_{k=2..n} k(k+b) / ((k+a)(k+a+b)),
-    summed as logs of factors near 1; inverse is scaled to its largest
-    entry so that neither its square nor the constant leaves the float
-    range."""
-    if inverse.size == 0:
-        return inverse
-    k = numpy.arange(2.0, n + 1.0)
-    log_c = math.log((1.0 + b) / (1.0 + a)) + float(
-        numpy.log1p(-a * (2.0 * k + a + b) / ((k + a + b) * (k + a))).sum()
-    )
-    top = float(numpy.max(numpy.abs(inverse)))
-    return (inverse / top) ** 2 * math.exp(log_c + 2.0 * math.log(top))
+    w = C_n / (dP_n/dphi)^2 on each half with parameters (a, b), inverse
+    proportional to 1 / (dP_n/dphi) up to a factor the rule shares: C_n /
+    P_n(1)^2 is (1+b)/(1+a) prod_{k=2..n} k(k+b) / ((k+a)(k+a+b)), summed as
+    logs of factors near 1, the rules of one size together; inverse is
+    scaled to the half's largest entry, so that neither its square nor the
+    constant leaves the float range."""
+    sizes = [size for size, _, _ in rules]
+    starts = numpy.cumsum(sizes) - sizes
+    ends = starts + sizes
+    half = 2 * numpy.repeat(numpy.arange(len(rules)), sizes) + near
+    n, a, b = _halves(rules)
+    cos = numpy.cos(phi)
+    x = numpy.where(near, cos, -cos)
+    deg = n[half]
+    apart = numpy.append(x[1:] - x[:-1] > 1e-3 / (deg[1:] * deg[1:]), True)
+    apart[ends - 1] = True
+    ok = numpy.logical_and.reduceat(apart, starts) & (-1.0 < x[starts]) & (x[ends - 1] < 1.0)
+    k = numpy.arange(2.0, max(sizes) + 1.0)
+    p, q = a[:, None], b[:, None]
+    kp = k + p
+    terms = numpy.log1p(-p * (2.0 * k + p + q) / ((kp + q) * kp))
+    logs = numpy.empty(n.size)
+    for size in set(sizes):
+        rows = n == size
+        logs[rows] = numpy.add.reduce(terms[rows, :size - 1], axis=1)
+    top = numpy.zeros(n.size)
+    numpy.maximum.at(top, half, numpy.abs(inverse))
+    filled = numpy.repeat(ok, 2) & (numpy.bincount(half, minlength=n.size) > 0)
+    tops, logs, a, b = top.tolist(), logs.tolist(), a.tolist(), b.tolist()
+    scale = [0.0] * n.size
+    for h in numpy.flatnonzero(filled).tolist():
+        log_c = math.log((1.0 + b[h]) / (1.0 + a[h])) + logs[h]
+        scale[h] = math.exp(log_c + 2.0 * math.log(tops[h]))
+    w = (inverse / top[half]) ** 2 * numpy.array(scale)[half]
+    positive = ok & numpy.logical_and.reduceat(w > 0.0, starts)
+    found = []
+    for (_, alpha, beta), start, end, good in zip(rules, starts.tolist(), ends.tolist(),
+                                                  positive.tolist()):
+        total = math.fsum(w[start:end].tolist()) if good else 0.0
+        if not 0.0 < total < math.inf:
+            found.append(None)
+            continue
+        mass = 2.0 ** (alpha + beta + 1.0) * _beta(alpha + 1.0, beta + 1.0)
+        found.append((x[start:end], w[start:end] * (mass / total)))
+    return found
 
 
 def _beta(p: float, q: float) -> float:

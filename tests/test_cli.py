@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fracimage import cli, quadrature
+from fracimage import cli, gaussjacobi, hypergeom, quadrature
 from fracimage.cli import (
     DEFAULT_GRIDS,
     SweepConfig,
@@ -458,6 +458,27 @@ def test_lemma_nonconverged_point_keeps_other_records(monkeypatch):
     assert skipped.ledger_note == "quadrature did not stabilize (injected)"
     assert skipped.quadrature_value is None
     assert skipped.closed_form_value is not None
+
+
+def test_repeated_verify_pass_builds_no_rule_and_sums_no_series(monkeypatch):
+    # default-grid throughput rests on the rule and kernel-piece caches: a
+    # pass over points already verified builds no Gauss-Jacobi rule and sums
+    # no 2F1 series
+    calls = {}
+    for module, name in ((gaussjacobi, "gauss_jacobi"), (hypergeom, "_series_2f1")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    quadrature._gj_rules.cache_clear()
+    quadrature._kernel_piece.cache_clear()
+    cfg = SweepConfig(identities=["cor1", "lem1"], grids={})
+    first = run_verification(cfg)
+    assert calls["gauss_jacobi"] > 0 and calls["_series_2f1"] > 0
+    calls.clear()
+    assert run_verification(cfg) == first
+    assert calls == {}
 
 
 # a jittered cor5 point (random-grid seed 1 of the benchmark) whose weight
