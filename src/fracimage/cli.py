@@ -308,7 +308,8 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     (thm/cor: the finite sum; lem5/lem6: the derivative composition) or,
     for lem1-lem4, against quadrature, whose value is then also the
     record's oracle_value. A quadrature failure skips a tag without an
-    oracle and is only noted for the others."""
+    oracle and is only noted for the others; a closed form or oracle past
+    the double range skips the point."""
     spec = TAGS[tag]
     family = FAMILIES[spec.family]
     identity, op = spec.identity, OperatorSpec(spec.family, _op_params(tag, point))
@@ -316,7 +317,7 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     poly = None if identity is None else PolySpec(
         int(point["n"]), float(point["p"]), float(point["q"])
     )
-    oracle = None
+    closed = oracle = None
     try:
         if identity is not None:
             closed = image_rhs(
@@ -331,6 +332,12 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     except (DomainError, PoleError) as exc:
         return VerificationRecord(
             tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)
+        )
+    except OverflowError as exc:
+        name = "closed_form_value" if closed is None else "oracle_value"
+        return VerificationRecord(
+            tag, point, None, closed, None, 0.0, "SKIPPED(overflow)",
+            f"{name} overflows the double range ({exc}); not compared",
         )
 
     notes = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DenominatorPoleError, PoleError
 
@@ -108,7 +107,7 @@ def binomial_real(a: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class GammaProduct:
-    """sign * rational_scale * prod Gamma(num) / prod Gamma(den).
+    """sign * prod Gamma(num) / prod Gamma(den).
 
     Arguments are kept symbolically so identical factors can be cancelled
     exactly before any gamma evaluation and so two products can be compared
@@ -118,14 +117,12 @@ class GammaProduct:
     numerator_args: tuple[float, ...]
     denominator_args: tuple[float, ...]
     sign: int = 1
-    rational_scale: Fraction = Fraction(1)
 
     def __mul__(self, other: "GammaProduct") -> "GammaProduct":
         return GammaProduct(
             self.numerator_args + other.numerator_args,
             self.denominator_args + other.denominator_args,
             self.sign * other.sign,
-            self.rational_scale * other.rational_scale,
         )
 
     def cancelled(self) -> "GammaProduct":
@@ -137,15 +134,15 @@ class GammaProduct:
                 num.remove(d)
             except ValueError:
                 den.append(d)
-        return GammaProduct(tuple(num), tuple(den), self.sign, self.rational_scale)
+        return GammaProduct(tuple(num), tuple(den), self.sign)
 
     def same_factors(self, other: "GammaProduct", rel_tol: float = 0.0) -> bool:
         """True when both products have identical gamma-argument multisets
-        after cancellation (and the same sign and rational scale).  With
+        after cancellation (and the same sign).  With
         rel_tol > 0, arguments are matched approximately instead."""
         a = self.cancelled()
         b = other.cancelled()
-        if a.sign != b.sign or a.rational_scale != b.rational_scale:
+        if a.sign != b.sign:
             return False
         for mine, theirs in (
             (a.numerator_args, b.numerator_args),
@@ -181,15 +178,8 @@ def gamma_product_eval(gp: GammaProduct) -> SignedLogValue:
                     argument=a,
                     side=side,
                 )
-    if reduced.rational_scale == 0:
-        return SignedLogValue(float("-inf"), 0)
     sign = reduced.sign
-    if reduced.rational_scale < 0:
-        sign = -sign
-    logs = [
-        math.log(abs(reduced.rational_scale.numerator)),
-        -math.log(reduced.rational_scale.denominator),
-    ]
+    logs = []
     for a in reduced.numerator_args:
         slv = log_gamma_signed(a)
         logs.append(slv.log_magnitude)

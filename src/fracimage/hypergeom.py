@@ -1,14 +1,16 @@
 """Generalized hypergeometric series and the third Appell double series.
 
-Everything here is a plain power series evaluated carefully. Short
-terminating series are summed exactly by exact_series_sum: every float is
-an exact rational, so the sum runs in backward Horner form on integer
-numerators and denominators, with no gcd along the way, and rounds once in
-a single correctly rounded integer division. Longer terminating series are
-collected term by term and compensated with math.fsum; infinite series
-stream with Neumaier summation and an explicit tail criterion. No analytic
-continuation is attempted; arguments outside the convergence domain raise
-DivergenceError rather than returning a continuation value.
+Everything here is a plain power series evaluated carefully, and each kind
+of series is summed one way. A terminating series, however long, is summed
+exactly by exact_series_sum: every float is an exact rational, so the sum
+runs in backward Horner form on integer numerators and denominators, with
+no gcd along the way, and rounds once in a single correctly rounded integer
+division. An infinite series streams with Neumaier summation and an
+explicit tail criterion, within the tolerance RTOL and the budget of
+MAX_TERMS terms (both read at call time). Appell's F3 is one such stream:
+a single sum of 2F1 series, each summed by pfq. No analytic continuation is
+attempted; arguments outside the convergence domain raise DivergenceError
+rather than returning a continuation value.
 
 gauss_2f1_array sums the same 2F1 series over an array of arguments at
 once, rounding exactly as the scalar loop does at every element. numpy is
@@ -27,13 +29,9 @@ from .gammafns import GammaProduct, gamma_product_eval, is_nonpositive_integer
 if TYPE_CHECKING:
     import numpy
 
-DEFAULT_RTOL = 1e-13
-DEFAULT_MAX_TERMS = 1_000_000
-# diagonal s holds s+1 scalar terms, so ~2000 diagonals ~ 2e6 terms
-DEFAULT_MAX_DIAGONALS = 2000
-# short terminating series are summed in exact rational arithmetic (floats
-# are exact rationals), so heavy cancellation costs no accuracy
-EXACT_TERM_LIMIT = 64
+# relative stopping tolerance and term budget of every infinite series
+RTOL = 1e-13
+MAX_TERMS = 1_000_000
 # terms per block of gauss_2f1_array: memory is O(arguments x block) however
 # many terms a slow argument near 1 needs
 ARRAY_BLOCK_TERMS = 64
@@ -125,46 +123,27 @@ def pfq(
     numerator_params: tuple[float, ...],
     denominator_params: tuple[float, ...],
     z: float,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
     """pFq(numerator; denominator; z) as a float.
 
-    Terminating series (some numerator parameter a nonpositive integer) are
-    summed in |a|+1 terms at any z. Up to EXACT_TERM_LIMIT terms the sum is
-    exact (exact_series_sum: integer Horner form, one rounding at the end),
-    taking each float, int or Fraction input at its exact rational value;
-    longer ones are summed in floats with math.fsum. Otherwise p <= q
-    converges for every z and p == q+1 only for |z| < 1; anything else
-    raises DivergenceError."""
+    A terminating series (some numerator parameter a nonpositive integer)
+    is summed exactly in |a|+1 terms at any z (exact_series_sum: integer
+    Horner form, one rounding at the end), taking each float, int or
+    Fraction input at its exact rational value, so heavy cancellation
+    costs no accuracy. Otherwise p <= q converges for every z and p == q+1
+    only for |z| < 1; anything else raises DivergenceError."""
     num = tuple(float(a) for a in numerator_params)
     den = tuple(float(b) for b in denominator_params)
     _check_denominator(num, den)
 
     stop = _termination_index(num)
     if stop is not None:
-        if stop <= EXACT_TERM_LIMIT:
-            # the original values are used so an exact Fraction argument is
-            # not flattened to a float first; the extra lower parameter 1
-            # gives the k! of each term
-            return exact_series_sum(
-                (1,) * (stop + 1), numerator_params, (*denominator_params, 1), z
-            )
-        terms = []
-        term = 1.0
-        zf = float(z)
-        for k in range(stop + 1):
-            terms.append(term)
-            if k == stop:
-                break
-            factor = 1.0
-            for a in num:
-                factor *= a + k
-            for b in den:
-                factor /= b + k
-            term *= factor * zf / (k + 1)
-        return math.fsum(terms)
+        # the original values are used so an exact Fraction argument is not
+        # flattened to a float first; the extra lower parameter 1 gives the
+        # k! of each term
+        return exact_series_sum(
+            (1,) * (stop + 1), numerator_params, (*denominator_params, 1), z
+        )
 
     z = float(z)
     if z == 0.0:
@@ -185,7 +164,7 @@ def pfq(
     comp = 0.0
     term = 1.0
     small_runs = 0
-    for k in range(max_terms):
+    for k in range(MAX_TERMS):
         # Neumaier step
         t = acc + term
         if abs(acc) >= abs(term):
@@ -200,26 +179,18 @@ def pfq(
             factor /= b + k
         term *= factor * z / (k + 1)
         bound = abs(term) * tail_scale
-        if bound <= rtol * max(abs(acc + comp), 1e-300):
+        if bound <= RTOL * max(abs(acc + comp), 1e-300):
             small_runs += 1
             if small_runs >= 2:
                 return acc + comp
         else:
             small_runs = 0
     raise NonConvergedError(
-        f"pfq did not converge within {max_terms} terms (z = {z!r})"
+        f"pfq did not converge within {MAX_TERMS} terms (z = {z!r})"
     )
 
 
-def gauss_2f1(
-    a: float,
-    b: float,
-    c: float,
-    z: float,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """2F1(a, b; c; z) inside the unit disc (or terminating, any z).
 
     The single continuation handled here is the classical z = 1 value,
@@ -232,18 +203,10 @@ def gauss_2f1(
         _check_denominator((a, b), (c,))
         gp = GammaProduct((c, c - a - b), (c - a, c - b))
         return gamma_product_eval(gp).to_float()
-    return pfq((a, b), (c,), z, rtol=rtol, max_terms=max_terms)
+    return pfq((a, b), (c,), z)
 
 
-def gauss_2f1_array(
-    a: float,
-    b: float,
-    c: float,
-    z: numpy.ndarray,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> numpy.ndarray:
+def gauss_2f1_array(a: float, b: float, c: float, z: numpy.ndarray) -> numpy.ndarray:
     """gauss_2f1(a, b, c, zi) at every element zi of a 1-D array, bit for bit.
 
     The non-terminating series at 0 < |zi| < 1 is summed on the whole
@@ -254,22 +217,17 @@ def gauss_2f1_array(
     z = numpy.asarray(z, dtype=float)
     a, b, c = float(a), float(b), float(c)
     if _termination_index((a, b)) is not None or is_nonpositive_integer(c):
-        return numpy.array(
-            [gauss_2f1(a, b, c, zi, rtol=rtol, max_terms=max_terms) for zi in z.tolist()],
-            dtype=float,
-        )
+        return numpy.array([gauss_2f1(a, b, c, zi) for zi in z.tolist()], dtype=float)
     out = numpy.empty(z.shape)
     series = (numpy.abs(z) < 1.0) & (z != 0.0)
     for i in numpy.flatnonzero(~series).tolist():
-        out[i] = gauss_2f1(a, b, c, float(z[i]), rtol=rtol, max_terms=max_terms)
+        out[i] = gauss_2f1(a, b, c, float(z[i]))
     if series.any():
-        out[series] = _series_2f1(a, b, c, z[series], rtol, max_terms)
+        out[series] = _series_2f1(a, b, c, z[series])
     return out
 
 
-def _series_2f1(
-    a: float, b: float, c: float, z: numpy.ndarray, rtol: float, max_terms: int
-) -> numpy.ndarray:
+def _series_2f1(a: float, b: float, c: float, z: numpy.ndarray) -> numpy.ndarray:
     """pfq's non-terminating 2F1 loop run for every element of z at once.
 
     Each row is one argument, each column one term index. Terms and
@@ -288,8 +246,8 @@ def _series_2f1(
     acc = numpy.zeros(z.size)
     comp = numpy.zeros(z.size)
     small_before = numpy.zeros(z.size, dtype=bool)
-    for start in range(0, max_terms, ARRAY_BLOCK_TERMS):
-        k = numpy.arange(start, min(start + ARRAY_BLOCK_TERMS, max_terms), dtype=float)
+    for start in range(0, MAX_TERMS, ARRAY_BLOCK_TERMS):
+        k = numpy.arange(start, min(start + ARRAY_BLOCK_TERMS, MAX_TERMS), dtype=float)
         factor = (a + k) * (b + k) / (c + k)
         ratio = factor * z[:, None] / (k + 1.0)
         # terms[:, j] is the term added at step start+j; the last column is
@@ -307,7 +265,7 @@ def _series_2f1(
             numpy.concatenate((comp[:, None], errors), axis=1), axis=1
         )[:, 1:]
         values = after + comps
-        small = numpy.abs(terms[:, 1:]) * tail_scale[:, None] <= rtol * numpy.maximum(
+        small = numpy.abs(terms[:, 1:]) * tail_scale[:, None] <= RTOL * numpy.maximum(
             numpy.abs(values), 1e-300
         )
         # two consecutive small bounds stop a row, also across blocks
@@ -323,8 +281,10 @@ def _series_2f1(
                 return out
         term, acc, comp, small_before = terms[:, -1], after[:, -1], comps[:, -1], small[:, -1]
     raise NonConvergedError(
-        f"pfq did not converge within {max_terms} terms (z = {float(z[0])!r})"
+        f"pfq did not converge within {MAX_TERMS} terms (z = {float(z[0])!r})"
     )
+
+
 
 
 def appell_f3(
@@ -335,76 +295,53 @@ def appell_f3(
     c: float,
     w: float,
     z: float,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    max_diagonals: int = DEFAULT_MAX_DIAGONALS,
 ) -> float:
-    """Third Appell function F3(a, a'; b, b'; c; w, z).
+    """Third Appell function F3(a, a'; b, b'; c; w, z), as the single sum
 
-    Summed diagonal by diagonal: on the diagonal m + n = s the denominator
-    Pochhammer (c)_{m+n} is the constant (c)_s, so each diagonal is a
-    finite convolution of the two one-dimensional term sequences. Requires
-    |w| < 1 unless the w-side terminates ((a)_m (b)_m hits zero), and
-    |z| < 1 likewise for the z-side."""
+        F3 = sum_m (a)_m (b)_m w^m / (m! (c)_m) 2F1(a', b'; c+m; z)
+
+    that (c)_{m+n} = (c)_m (c+m)_n gives (Srivastava & Karlsson, Multiple
+    Gaussian Hypergeometric Series, 1985). Each 2F1 comes from pfq, which
+    raises for |z| >= 1 unless (a')_n (b')_n terminates it. The outer sum
+    needs |w| < 1 unless (a)_m (b)_m terminates it; it stops as pfq does,
+    once two successive tail bounds (the next coefficient over 1 - |w|,
+    times the last |2F1| or 1 if larger) fall below RTOL."""
     if is_nonpositive_integer(c):
         raise DenominatorPoleError(
             f"F3 lower parameter {c!r} is a nonpositive integer",
             argument=c,
             side="denominator",
         )
-    w_stop = _termination_index((a, b))
-    z_stop = _termination_index((a_prime, b_prime))
-    if w == 0.0:
-        w_stop = 0
-    if z == 0.0:
-        z_stop = 0
+    w_stop = 0 if w == 0.0 else _termination_index((a, b))
     if w_stop is None and not abs(w) < 1.0:
         raise DivergenceError(f"F3 requires |w| < 1, got w = {w!r}")
-    if z_stop is None and not abs(z) < 1.0:
-        raise DivergenceError(f"F3 requires |z| < 1, got z = {z!r}")
 
-    # Raw term sequences (a)_m (b)_m w^m / m! grow factorially, as does
-    # (c)_{m+n}; store them pre-divided by (c)_m so everything kept in
-    # memory is a bounded 2F1-type term:
-    #   SP_m = (a)_m (b)_m w^m / (m! (c)_m),  SQ_n likewise, and
-    #   P_m Q_n / (c)_{m+n} = SP_m SQ_n r_m  with
-    #   r_m = (c)_m (c)_{s-m} / (c)_s, r_0 = 1,
-    #   r_{m+1} = r_m (c+m) / (c+s-1-m).
-    sp = [1.0]
-    sq = [1.0]
-    diagonals = []
+    tail_scale = 1.0 / (1.0 - abs(w)) if w_stop is None else 1.0
+    acc = 0.0
+    comp = 0.0
+    coeff = 1.0
     small_runs = 0
-    for s in range(max_diagonals):
-        if w_stop is None or len(sp) <= w_stop:
-            m = len(sp) - 1
-            sp.append(sp[-1] * (a + m) * (b + m) * w / ((m + 1) * (c + m)))
-        if z_stop is None or len(sq) <= z_stop:
-            n = len(sq) - 1
-            sq.append(
-                sq[-1]
-                * (a_prime + n)
-                * (b_prime + n)
-                * z
-                / ((n + 1) * (c + n))
-            )
-        lo = 0 if z_stop is None else max(0, s - z_stop)
-        hi = s if w_stop is None else min(s, w_stop)
-        parts = []
-        ratio = 1.0
-        for m in range(hi + 1):
-            if m > 0:
-                ratio *= (c + m - 1) / (c + s - m)
-            if m >= lo:
-                parts.append(sp[m] * sq[s - m] * ratio)
-        diagonals.append(math.fsum(parts))
-        running = math.fsum(diagonals)
-        if abs(diagonals[-1]) <= rtol * max(abs(running), 1e-300):
+    for m in range(MAX_TERMS):
+        inner = pfq((a_prime, b_prime), (c + m,), z)
+        term = coeff * inner
+        # Neumaier step
+        t = acc + term
+        if abs(acc) >= abs(term):
+            comp += (acc - t) + term
+        else:
+            comp += (term - t) + acc
+        acc = t
+        if m == w_stop:
+            return acc + comp
+        coeff *= (a + m) * (b + m) * w / ((m + 1) * (c + m))
+        # a terminating outer sum runs to its last term
+        bound = abs(coeff) * max(abs(inner), 1.0) * tail_scale
+        if w_stop is None and bound <= RTOL * max(abs(acc + comp), 1e-300):
             small_runs += 1
-            if small_runs >= 3:
-                return running
+            if small_runs >= 2:
+                return acc + comp
         else:
             small_runs = 0
     raise NonConvergedError(
-        f"F3 did not converge within {max_diagonals} diagonals "
-        f"(w = {w!r}, z = {z!r})"
+        f"F3 did not converge within {MAX_TERMS} terms (w = {w!r}, z = {z!r})"
     )

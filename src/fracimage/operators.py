@@ -349,22 +349,21 @@ class PowerImage:
         return self.signed_log_at(x).to_float()
 
 
-def power_image(op: OperatorSpec, tau: float, validate: bool = True) -> PowerImage:
+def power_image(op: OperatorSpec, tau: float) -> PowerImage:
     """Image of the family's monomial convention under op, as an exact
     gamma-product prefactor and the output exponent.
 
-    With validate=True (default) every validity inequality must hold
-    strictly, otherwise DomainError names the violated ones. The prefactor
-    is kept uncancelled so its argument schema stays visible; any pole that
-    survives exact cancellation raises PoleError eagerly here."""
-    if validate:
-        failed = [c for c in validate_domain(op, tau) if not c.satisfied]
-        if failed:
-            raise DomainError(
-                f"{op.describe()} at tau={tau!r} violates: "
-                + "; ".join(c.label for c in failed),
-                conditions=tuple(c.label for c in failed),
-            )
+    Every validity inequality must hold strictly, otherwise DomainError
+    names the violated ones. The prefactor is kept uncancelled so its
+    argument schema stays visible; any pole that survives exact
+    cancellation raises PoleError eagerly here."""
+    failed = [c for c in validate_domain(op, tau) if not c.satisfied]
+    if failed:
+        raise DomainError(
+            f"{op.describe()} at tau={tau!r} violates: "
+            + "; ".join(c.label for c in failed),
+            conditions=tuple(c.label for c in failed),
+        )
     num, den, exponent = FAMILIES[op.family].image(*op.params, tau)
     gp = GammaProduct(tuple(num), tuple(den))
     reduced = gp.cancelled()

@@ -64,28 +64,25 @@ NOISE_FLOOR = 1e-12
 ERROR_FLOOR = 1e-16
 
 
+# a quadrature starts from NODE_COUNT nodes and doubles the rule up to
+# MAX_REFINEMENTS times (both read at call time)
+NODE_COUNT = 64
+MAX_REFINEMENTS = 6
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Gauss-Jacobi rule configuration.
 
-    node_count is the starting rule size; refinement doubles it up to
-    max_refinements times until two consecutive estimates agree within
-    tol (relative). Right-sided integrals never truncate the tail: the
-    t = x/u substitution maps all of it onto (0, 1)."""
+    Refinement doubles the rule until two consecutive estimates agree
+    within tol (relative). Right-sided integrals never truncate the tail:
+    the t = x/u substitution maps all of it onto (0, 1)."""
 
-    node_count: int = 64
     tol: float = 1e-10
-    max_refinements: int = 6
 
     def __post_init__(self) -> None:
-        if self.node_count < 8:
-            raise ValueError(f"node_count must be >= 8, got {self.node_count!r}")
         if self.tol <= 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol!r}")
-        if self.max_refinements < 0:
-            raise ValueError(
-                f"max_refinements must be >= 0, got {self.max_refinements!r}"
-            )
 
 
 DEFAULT_CONFIG = QuadConfig()
@@ -167,12 +164,10 @@ def quad_endpoint_singular(
             f"({exponent_at_0!r}, {exponent_at_1!r})",
             conditions=("exponent_at_0 > -1", "exponent_at_1 > -1"),
         )
-    n = cfg.node_count
+    n = NODE_COUNT
     prev = None
-    for _ in range(cfg.max_refinements + 1):
-        nodes, weights, scale = _gj_rule(
-            n, exponent_at_0, exponent_at_1, prev is None and cfg.max_refinements > 0
-        )
+    for _ in range(MAX_REFINEMENTS + 1):
+        nodes, weights, scale = _gj_rule(n, exponent_at_0, exponent_at_1, prev is None)
         terms = (weights * g(nodes)).tolist()
         est = scale * math.fsum(terms)
         l1 = scale * math.fsum(map(abs, terms))
@@ -183,8 +178,8 @@ def quad_endpoint_singular(
         prev = est
         n *= 2
     raise NonConvergedError(
-        f"quadrature did not stabilize within {cfg.max_refinements} "
-        f"doublings from {cfg.node_count} nodes"
+        f"quadrature did not stabilize within {MAX_REFINEMENTS} "
+        f"doublings from {NODE_COUNT} nodes"
     )
 
 
@@ -266,12 +261,11 @@ def _kernel_quad(
 
     coeff_a = _connection_coefficient((kc, e), (kc - ka, kc - kb))
     coeff_b = _connection_coefficient((kc, -e), (ka, kb))
-    if cfg.max_refinements > 0:
-        # every piece's first two rules come out of one sweep
-        weights = [(b0, 0.0), (a0, 0.0) if coeff_a != 0.0 else None,
-                   (a0 + e, 0.0) if coeff_b != 0.0 else None]
-        _gj_build([w for w in weights if w is not None and w[0] > -1.0],
-                  (cfg.node_count, 2 * cfg.node_count))
+    # every piece's first two rules come out of one sweep
+    weights = [(b0, 0.0), (a0, 0.0) if coeff_a != 0.0 else None,
+               (a0 + e, 0.0) if coeff_b != 0.0 else None]
+    _gj_build([w for w in weights if w is not None and w[0] > -1.0],
+              (NODE_COUNT, 2 * NODE_COUNT))
 
     # right half, u = 1 - v/2 in (1/2, 1): series argument v/2 < 1/2
     right = quad_endpoint_singular(piece("right_half", power=a0), b0, 0.0, cfg)

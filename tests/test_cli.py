@@ -267,6 +267,48 @@ cor2.q = 0
     assert len(out_path.read_text(encoding="utf-8").splitlines()) == 12
 
 
+def test_verify_long_terminating_series_pass(tmp_path, capsys):
+    # the closed form's series has 66 and 81 terms here; summed in floats
+    # past 64 terms, it failed all 48 records (5.5e112 against the oracle's
+    # 2.7e109 at n = 65, the wrong sign at n = 80)
+    cfg = write_cfg(tmp_path, """
+identities = cor2
+cor2.n = 65, 80
+cor2.p = 200.5
+""")
+    out_path = tmp_path / "long.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(out_path))
+    assert rc == 0
+    assert "48 records, 48 PASS, 0 FAIL, 0 SKIPPED" in out
+    records = [json.loads(line) for line in
+               out_path.read_text(encoding="utf-8").splitlines()]
+    assert {r["point"]["n"] for r in records} == {65, 80}
+
+
+def test_verify_overflow_is_skipped(tmp_path, capsys):
+    # the n = 200 closed form's gamma prefactor exceeds the double range;
+    # the run used to abort there with OverflowError and never reach cor3
+    cfg = write_cfg(tmp_path, """
+identities = cor2, cor3
+cor2.n = 3, 200
+cor2.p = 405.5
+""")
+    out_path = tmp_path / "huge.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(out_path))
+    assert rc == 0
+    assert "96 records, 72 PASS, 0 FAIL, 24 SKIPPED" in out
+    records = [json.loads(line) for line in
+               out_path.read_text(encoding="utf-8").splitlines()]
+    skipped = [r for r in records if r["verdict"] == "SKIPPED(overflow)"]
+    assert len(skipped) == 24
+    assert all(r["identity"] == "cor2" and r["point"]["n"] == 200 for r in skipped)
+    assert all(r["ledger_note"].startswith("closed_form_value overflows")
+               for r in skipped)
+    passed = [(r["identity"], r["point"]["n"]) for r in records if r["verdict"] == "PASS"]
+    assert passed.count(("cor2", 3)) == 24
+    assert sum(1 for tag, _ in passed if tag == "cor3") == 48
+
+
 def test_verify_underflow_is_skipped(tmp_path, capsys):
     # x^(tau+delta-1)/Gamma(tau+delta) underflows at delta = 200, x <= 2:
     # every value is -0 or subnormal (-1.7e-317, -5.0e-320), so rel_diff 0
@@ -606,6 +648,10 @@ def test_import_and_eval_rhs_leave_numpy_and_scipy_unloaded():
     rhs = ["eval", "rhs", "--identity", "thm3", "--delta", "0.5", "--delta-prime", "0.3",
            "--mu", "0.2", "--mu-prime", "0.4", "--epsilon", "1.1", "--n", "16",
            "--p", "35.5", "--q", "1.5", "--tau", "2", "--x", "1"]
+    # F3 sums its 2F1s with the scalar pfq, never on node arrays
+    f3 = ["eval", "f3", "--a", "0.5", "--a-prime", "0.5", "--b", "0.5", "--b-prime", "0.5",
+          "--c", "1.5", "--w", "-0.99", "--z", "0.99"]
+    series = ["eval", "pfq", "--num", "0.5,1.25", "--den", "2.5", "--arg", "0.3"]
     apply = ["eval", "apply", "--family", "rl-left", "--delta", "0.5", "--tau", "2", "--x", "1"]
     script = (
         "import sys\nimport runpy\nimport fracimage\n" + _loaded_probe("import")
@@ -613,6 +659,10 @@ def test_import_and_eval_rhs_leave_numpy_and_scipy_unloaded():
         + "try:\n    runpy.run_module('fracimage', run_name='__main__', alter_sys=True)\n"
         + "except SystemExit as exc:\n    assert exc.code == 0\n"
         + _loaded_probe("rhs")
+        + f"assert fracimage.cli.main({f3!r}) == 0\n"
+        + _loaded_probe("f3")
+        + f"assert fracimage.cli.main({series!r}) == 0\n"
+        + _loaded_probe("pfq")
         + f"fracimage.cli.main({apply!r})\n"
         + _loaded_probe("apply")
     )
@@ -624,9 +674,12 @@ def test_import_and_eval_rhs_leave_numpy_and_scipy_unloaded():
     assert [line for line in proc.stdout.splitlines() if line.startswith("loaded ")] == [
         "loaded import: []",
         "loaded rhs: []",
+        "loaded f3: []",
+        "loaded pfq: []",
         "loaded apply: ['numpy']",
     ]
     assert '"target":"rhs"' in proc.stdout
+    assert '"target":"f3"' in proc.stdout and '"target":"pfq"' in proc.stdout
 
 
 def test_no_module_imports_scipy():

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from fracimage.errors import DivergenceError, NonConvergedError, PoleError
 from fracimage.gammafns import GammaProduct, gamma_product_eval
+from fracimage import hypergeom
 from fracimage.hypergeom import (
     ARRAY_BLOCK_TERMS,
-    EXACT_TERM_LIMIT,
     appell_f3,
     gauss_2f1,
     gauss_2f1_array,
@@ -29,24 +29,26 @@ from fracimage.hypergeom import (
 def exact_terminating_pfq(num, den, z):
     """Independent oracle: exact rational sum of a terminating series.
 
-    Parameters and argument must be Fractions (or exactly representable)."""
+    Parameters and argument must be Fractions (or exactly representable).
+    Terms are added forward, each over the running product of the term
+    ratios' denominators, so only the final Fraction takes a gcd of the
+    long integers a series of a hundred terms and more builds up."""
     num = [Fraction(a) for a in num]
     den = [Fraction(b) for b in den]
     z = Fraction(z)
     stop = min(int(-a) for a in num if a <= 0 and a.denominator == 1)
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(stop + 1):
-        total += term
-        if k == stop:
-            break
-        factor = Fraction(1)
+    # total = total_num / common and term = term_num / common throughout
+    total_num = term_num = common = 1
+    for k in range(stop):
+        ratio = z / (k + 1)
         for a in num:
-            factor *= a + k
+            ratio *= a + k
         for b in den:
-            factor /= b + k
-        term *= factor * z / (k + 1)
-    return total
+            ratio /= b + k
+        term_num *= ratio.numerator
+        total_num = total_num * ratio.denominator + term_num
+        common *= ratio.denominator
+    return Fraction(total_num, common)
 
 
 def test_pfq_terminating_against_exact_rational():
@@ -115,7 +117,7 @@ _exact_params = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    stop=st.integers(min_value=0, max_value=EXACT_TERM_LIMIT),
+    stop=st.integers(min_value=0, max_value=160),
     stop_kind=st.sampled_from(["float", "int", "fraction"]),
     upper=st.lists(_exact_params, max_size=3),
     lower=st.lists(_exact_params, max_size=3),
@@ -134,6 +136,10 @@ _exact_params = st.one_of(
 @example(stop=1, stop_kind="int", upper=[1], lower=[1], pole_at_stop=None, z=1)
 @example(stop=1, stop_kind="float", upper=[1.0], lower=[], pole_at_stop="float", z=-1.0)
 @example(stop=1, stop_kind="int", upper=[], lower=[], pole_at_stop=None, z=Fraction(1, 3))
+# long series that cancel: summed in floats, 2F1(-65, -132.5; 2.5; -1)
+# came out 1.1e34 for -8.4e25, and 2F1(-80, ...) 7.6e39 for -8.2e27
+@example(stop=65, stop_kind="float", upper=[-132.5], lower=[2.5], pole_at_stop=None, z=-1.0)
+@example(stop=80, stop_kind="float", upper=[-132.5], lower=[2.5], pole_at_stop=None, z=-1.0)
 def test_pfq_exact_path_bit_equal_to_fraction_sum(stop, stop_kind, upper, lower, pole_at_stop, z):
     # the integer Horner sum must round to the very double float(Fraction)
     # gives for the term-by-term rational sum
@@ -261,6 +267,24 @@ def test_appell_f3_swap_symmetry(w, z):
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
 
+# mpmath.appellf3(..., maxterms=10**7) at 40 digits, exact double inputs;
+# the first three points are where the diagonal-convolution summation
+# returned 6.9e8, 3.0e13 and 2.6e8
+F3_REFERENCES = [
+    ((0.5, 0.5, 0.5, 0.5, 1.5, 0.99, 0.99), "2.00075978585848591851997741141"),
+    ((0.5, 0.5, 0.5, 0.5, 1.5, 0.999, 0.5), "1.66797752082399036846661946486"),
+    ((0.5, 0.5, 0.5, 0.5, 1.5, -0.99, 0.99), "1.33716482805154434392650537229"),
+    ((0.5, 0.5, 0.5, 0.5, 1.5, 0.99, 0.0), "1.47803766237477476430867915631"),
+    ((0.5, 0.5, 0.5, 0.5, 1.5, 0.9, 0.9), "1.66436093066695267659371454176"),
+    ((2.5, 1.5, 3.0, 2.0, 0.7, -0.9, 0.8), "110.760922254534036784810216648"),
+]
+
+
+@pytest.mark.parametrize("args, reference", F3_REFERENCES)
+def test_appell_f3_edge_references(args, reference):
+    assert appell_f3(*args) == pytest.approx(float(reference), rel=1e-12)
+
+
 def test_appell_f3_domain_errors():
     with pytest.raises(DivergenceError):
         appell_f3(0.5, 0.3, 0.2, 0.4, 1.1, 1.5, 0.25)
@@ -270,9 +294,16 @@ def test_appell_f3_domain_errors():
         appell_f3(0.5, 0.3, 0.2, 0.4, -2.0, 0.25, 0.25)
 
 
-def scalar_2f1(a, b, c, z, **kwargs):
+def test_appell_f3_outer_budget_raises(monkeypatch):
+    # the outer sum at w = 0.99 needs thousands of terms
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 100)
+    with pytest.raises(NonConvergedError):
+        appell_f3(0.5, 0.5, 0.5, 0.5, 1.5, 0.99, 0.0)
+
+
+def scalar_2f1(a, b, c, z):
     """The per-element reference for gauss_2f1_array."""
-    return [gauss_2f1(a, b, c, zi, **kwargs) for zi in z.tolist()]
+    return [gauss_2f1(a, b, c, zi) for zi in z.tolist()]
 
 
 def test_2f1_array_bit_equal_to_scalar_sweep():
@@ -288,14 +319,15 @@ def test_2f1_array_bit_equal_to_scalar_sweep():
     assert compared == 4800
 
 
-def test_2f1_array_near_one_crosses_blocks():
+def test_2f1_array_near_one_crosses_blocks(monkeypatch):
     # at z = 0.999 the series needs tens of thousands of terms, so rows
     # finish in many different blocks
     z = numpy.array([0.2, -0.7, 0.95, 0.999, 0.9995, -0.999])
     got = gauss_2f1_array(0.3, 0.45, 1.2, z)
     assert got.tolist() == scalar_2f1(0.3, 0.45, 1.2, z)
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 100 * ARRAY_BLOCK_TERMS)
     with pytest.raises(NonConvergedError):
-        gauss_2f1(0.3, 0.45, 1.2, 0.999, max_terms=100 * ARRAY_BLOCK_TERMS)
+        gauss_2f1(0.3, 0.45, 1.2, 0.999)
 
 
 def test_2f1_array_scalar_fallbacks():
@@ -310,7 +342,7 @@ def test_2f1_array_scalar_fallbacks():
     assert gauss_2f1_array(0.5, 0.25, 2.0, numpy.array([])).size == 0
 
 
-def test_2f1_array_errors_match_scalar():
+def test_2f1_array_errors_match_scalar(monkeypatch):
     for bad in (1.5, -1.0, 1.0):
         z = numpy.array([0.1, bad])
         # z = 1 diverges here because c - a - b <= 0
@@ -320,9 +352,11 @@ def test_2f1_array_errors_match_scalar():
             gauss_2f1_array(0.5, 0.75, 1.0, z)
     with pytest.raises(PoleError):
         gauss_2f1_array(0.5, 0.75, -2.0, numpy.array([0.1, 0.2]))
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 10)
     with pytest.raises(NonConvergedError):
-        gauss_2f1(0.5, 0.75, 1.5, 0.9, max_terms=10)
+        gauss_2f1(0.5, 0.75, 1.5, 0.9)
     with pytest.raises(NonConvergedError):
-        gauss_2f1_array(0.5, 0.75, 1.5, numpy.array([0.01, 0.9]), max_terms=10)
+        gauss_2f1_array(0.5, 0.75, 1.5, numpy.array([0.01, 0.9]))
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 0)
     with pytest.raises(NonConvergedError):
-        gauss_2f1_array(0.5, 0.75, 1.5, numpy.array([0.01]), max_terms=0)
+        gauss_2f1_array(0.5, 0.75, 1.5, numpy.array([0.01]))

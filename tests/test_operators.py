@@ -206,8 +206,6 @@ def test_power_image_pole_detection():
 def test_power_image_validate_flag():
     with pytest.raises(DomainError):
         power_image(saigo_right(0.5, 0.2, 0.3), 2.5)
-    im = power_image(saigo_right(0.5, 0.2, 0.3), 2.5, validate=False)
-    assert im.exponent == pytest.approx(1.3)
 
 
 @settings(max_examples=100, deadline=None)
