@@ -877,7 +877,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return commands[args.command](args)
     except (DomainError, PoleError, ConfigError, UnsupportedKernelError,
-            ValueError) as exc:
+            ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (NonConvergedError, DivergenceError) as exc:

@@ -136,6 +136,24 @@ class GammaProduct:
                 den.append(d)
         return GammaProduct(tuple(num), tuple(den), self.sign)
 
+    def checked(self) -> "GammaProduct":
+        """cancelled(), after which any nonpositive-integer argument left
+        raises PoleError in the numerator and DenominatorPoleError in the
+        denominator, naming the argument and its side."""
+        reduced = self.cancelled()
+        for side, args, kind in (
+            ("numerator", reduced.numerator_args, PoleError),
+            ("denominator", reduced.denominator_args, DenominatorPoleError),
+        ):
+            for a in args:
+                if is_nonpositive_integer(a):
+                    raise kind(
+                        f"uncancelled gamma pole at {a!r} in the {side}",
+                        argument=a,
+                        side=side,
+                    )
+        return reduced
+
     def same_factors(self, other: "GammaProduct", rel_tol: float = 0.0) -> bool:
         """True when both products have identical gamma-argument multisets
         after cancellation (and the same sign).  With
@@ -165,19 +183,7 @@ def gamma_product_eval(gp: GammaProduct) -> SignedLogValue:
 
     Exactly paired arguments cancel before evaluation; any remaining
     nonpositive-integer argument raises PoleError naming the argument."""
-    reduced = gp.cancelled()
-    for side, args in (
-        ("numerator", reduced.numerator_args),
-        ("denominator", reduced.denominator_args),
-    ):
-        for a in args:
-            if is_nonpositive_integer(a):
-                kind = DenominatorPoleError if side == "denominator" else PoleError
-                raise kind(
-                    f"uncancelled gamma pole at {a!r} in {side}",
-                    argument=a,
-                    side=side,
-                )
+    reduced = gp.checked()
     sign = reduced.sign
     logs = []
     for a in reduced.numerator_args:

@@ -8,9 +8,14 @@ no gcd along the way, and rounds once in a single correctly rounded integer
 division. An infinite series streams with Neumaier summation and an
 explicit tail criterion, within the tolerance RTOL and the budget of
 MAX_TERMS terms (both read at call time). Appell's F3 is one such stream:
-a single sum of 2F1 series, each summed by pfq. No analytic continuation is
-attempted; arguments outside the convergence domain raise DivergenceError
-rather than returning a continuation value.
+a single sum of 2F1 series, each summed by pfq. A 2F1 at negative z would
+alternate and cancel digits, so it is summed at z/(z-1) in (0, 1/2) through
+Pfaff's transformation. No analytic continuation is attempted; arguments
+outside the convergence domain raise DivergenceError rather than returning
+a continuation value.
+
+One index, the smallest m with a parameter equal to -m, gives both where a
+series terminates (upper) and where (b)_k first vanishes, at k = m + 1.
 
 gauss_2f1_array sums the same 2F1 series over an array of arguments at
 once, rounding exactly as the scalar loop does at every element. numpy is
@@ -37,26 +42,15 @@ MAX_TERMS = 1_000_000
 ARRAY_BLOCK_TERMS = 64
 
 
-def _termination_index(numerator_params: tuple[float, ...]) -> int | None:
-    """Smallest n with some parameter equal to -n, or None."""
+def _termination_index(params: tuple[float, ...]) -> int | None:
+    """Smallest m with some parameter equal to -m, or None."""
     best = None
-    for a in numerator_params:
+    for a in params:
         if is_nonpositive_integer(a):
             n = int(round(-a))
             if best is None or n < best:
                 best = n
     return best
-
-
-def _denominator_pole_index(denominator_params: tuple[float, ...]) -> int | None:
-    """First series index k at which some (b)_k factor vanishes, or None."""
-    worst = None
-    for b in denominator_params:
-        if is_nonpositive_integer(b):
-            k = 1 - int(round(b))
-            if worst is None or k < worst:
-                worst = k
-    return worst
 
 
 def as_ratio(value) -> tuple[int, int]:
@@ -105,12 +99,12 @@ def exact_series_sum(coefficients, numerator_params, denominator_params, z) -> f
 
 
 def _check_denominator(num: tuple[float, ...], den: tuple[float, ...]) -> None:
-    pole_at = _denominator_pole_index(den)
-    if pole_at is None:
+    pole = _termination_index(den)
+    if pole is None:
         return
     stop = _termination_index(num)
-    if stop is None or stop >= pole_at:
-        bad = min(b for b in den if is_nonpositive_integer(b))
+    if stop is None or stop > pole:
+        bad = float(-pole)
         raise DenominatorPoleError(
             f"series denominator parameter {bad!r} hits a pole "
             f"before the series terminates",
@@ -157,6 +151,11 @@ def pfq(
         raise DivergenceError(
             f"{p}F{q} requires |z| < 1, got z = {z!r}"
         )
+    if (p, q) == (2, 1) and z < 0.0:
+        # the alternating series cancels digits away; Pfaff's transformation
+        # (DLMF 15.8.1) sums a series at z/(z-1) in (0, 1/2) instead
+        (a, b), (c,) = num, den
+        return (1.0 - z) ** -a * pfq((a, c - b), (c,), z / (z - 1.0))
 
     # tail of a p = q+1 series behaves like a geometric series in |z|
     tail_scale = 1.0 / (1.0 - abs(z)) if p == q + 1 else 1.0
@@ -209,17 +208,16 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 def gauss_2f1_array(a: float, b: float, c: float, z: numpy.ndarray) -> numpy.ndarray:
     """gauss_2f1(a, b, c, zi) at every element zi of a 1-D array, bit for bit.
 
-    The non-terminating series at 0 < |zi| < 1 is summed on the whole
-    array; every other element (terminating or pole parameters, zi = 0,
-    |zi| >= 1) goes through the scalar gauss_2f1 and raises its errors."""
+    The non-terminating series at 0 < zi < 1 is summed on the whole
+    array; every other element (terminating or pole parameters, zi <= 0,
+    zi >= 1) goes through the scalar gauss_2f1 and raises its errors."""
     import numpy
 
     z = numpy.asarray(z, dtype=float)
     a, b, c = float(a), float(b), float(c)
-    if _termination_index((a, b)) is not None or is_nonpositive_integer(c):
-        return numpy.array([gauss_2f1(a, b, c, zi) for zi in z.tolist()], dtype=float)
     out = numpy.empty(z.shape)
-    series = (numpy.abs(z) < 1.0) & (z != 0.0)
+    plain = _termination_index((a, b)) is None and not is_nonpositive_integer(c)
+    series = (z > 0.0) & (z < 1.0) & plain
     for i in numpy.flatnonzero(~series).tolist():
         out[i] = gauss_2f1(a, b, c, float(z[i]))
     if series.any():
@@ -306,12 +304,7 @@ def appell_f3(
     needs |w| < 1 unless (a)_m (b)_m terminates it; it stops as pfq does,
     once two successive tail bounds (the next coefficient over 1 - |w|,
     times the last |2F1| or 1 if larger) fall below RTOL."""
-    if is_nonpositive_integer(c):
-        raise DenominatorPoleError(
-            f"F3 lower parameter {c!r} is a nonpositive integer",
-            argument=c,
-            side="denominator",
-        )
+    _check_denominator((), (c,))
     w_stop = 0 if w == 0.0 else _termination_index((a, b))
     if w_stop is None and not abs(w) < 1.0:
         raise DivergenceError(f"F3 requires |w| < 1, got w = {w!r}")

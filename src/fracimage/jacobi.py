@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DenominatorPoleError, DomainError
-from .gammafns import binomial_real, is_nonpositive_integer
+from .errors import DomainError
+from .gammafns import binomial_real
 from .hypergeom import as_ratio, exact_series_sum, gauss_2f1
 
 
@@ -104,13 +104,6 @@ def m_poly(spec: PolySpec, x: float, method: str = "direct") -> float:
         return exact_series_sum(_coefficients_exact(spec), (), (), x)
     if method == "hypergeometric":
         n, p, q = spec.n, spec.p, spec.q
-        if is_nonpositive_integer(q + 1.0) and -(q + 1.0) < n:
-            raise DenominatorPoleError(
-                f"2F1 lower parameter q+1 = {q + 1.0!r} is a pole reached "
-                f"before termination at n = {n}",
-                argument=q + 1.0,
-                side="denominator",
-            )
         sign_n = -1.0 if n % 2 else 1.0
         front = sign_n * math.factorial(n) * binomial_real(q + n, n)
         return front * gauss_2f1(float(-n), n + 1.0 - p, q + 1.0, -x)

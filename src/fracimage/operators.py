@@ -23,12 +23,7 @@ from enum import Enum
 from typing import Callable
 
 from .errors import DomainError, PoleError
-from .gammafns import (
-    GammaProduct,
-    SignedLogValue,
-    gamma_product_eval,
-    is_nonpositive_integer,
-)
+from .gammafns import GammaProduct, SignedLogValue, gamma_product_eval
 
 
 class Family(str, Enum):
@@ -356,7 +351,7 @@ def power_image(op: OperatorSpec, tau: float) -> PowerImage:
     Every validity inequality must hold strictly, otherwise DomainError
     names the violated ones. The prefactor is kept uncancelled so its
     argument schema stays visible; any pole that survives exact
-    cancellation raises PoleError eagerly here."""
+    cancellation raises here, as GammaProduct.checked names it."""
     failed = [c for c in validate_domain(op, tau) if not c.satisfied]
     if failed:
         raise DomainError(
@@ -366,19 +361,14 @@ def power_image(op: OperatorSpec, tau: float) -> PowerImage:
         )
     num, den, exponent = FAMILIES[op.family].image(*op.params, tau)
     gp = GammaProduct(tuple(num), tuple(den))
-    reduced = gp.cancelled()
-    for side, args in (
-        ("numerator", reduced.numerator_args),
-        ("denominator", reduced.denominator_args),
-    ):
-        for arg in args:
-            if is_nonpositive_integer(arg):
-                raise PoleError(
-                    f"{op.describe()} image at tau={tau!r} has a gamma pole "
-                    f"at {arg!r} in the {side}",
-                    argument=arg,
-                    side=side,
-                )
+    try:
+        gp.checked()
+    except PoleError as exc:
+        raise type(exc)(
+            f"{op.describe()} image at tau={tau!r}: {exc}",
+            argument=exc.argument,
+            side=exc.side,
+        ) from None
     return PowerImage(gp, exponent)
 
 

@@ -9,9 +9,9 @@ spectrally.
 
 The rules come from gaussjacobi, built with numpy alone: nodes keep full
 relative precision at both ends and weights are good to about 1e-14 even
-at exponents near -1. A quadrature's first two rules (n and 2n nodes)
-share one recurrence sweep, as do those of a split kernel's pieces, and
-every rule is memoised per weight.
+at exponents near -1. A rule is built in one recurrence sweep with the
+one of twice its nodes, which refinement asks for next, as are all of a
+split kernel's pieces' first two; every rule is memoised per weight.
 
 Left-sided integrals substitute t = x*u; right-sided ones t = x/u, mapping
 (x, inf) onto (0, 1). The 2F1 kernels (argument 1-u) are split at u = 1/2:
@@ -136,14 +136,14 @@ def _gj_build(weights, sizes) -> None:
         _gj_rules(e0, e1).setdefault(size, (nodes, w, 2.0 ** (-(e0 + e1 + 1.0))))
 
 
-def _gj_rule(n: int, a0: float, a1: float, pair: bool = False):
+def _gj_rule(n: int, a0: float, a1: float):
     """Read-only node and weight arrays, and the scale, of the rule
-    int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale * sum w g(u). With pair, the rule
-    of 2n nodes, which a quadrature's first refinement asks for next, is
-    built in the same sweep."""
+    int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale * sum w g(u). A missing rule is
+    built in one sweep with the rule of 2n nodes, which a quadrature's
+    refinement asks for next."""
     rules = _gj_rules(a0, a1)
     if n not in rules:
-        _gj_build([(a0, a1)], (n, 2 * n) if pair else (n,))
+        _gj_build([(a0, a1)], (n, 2 * n))
     return rules[n]
 
 
@@ -167,7 +167,7 @@ def quad_endpoint_singular(
     n = NODE_COUNT
     prev = None
     for _ in range(MAX_REFINEMENTS + 1):
-        nodes, weights, scale = _gj_rule(n, exponent_at_0, exponent_at_1, prev is None)
+        nodes, weights, scale = _gj_rule(n, exponent_at_0, exponent_at_1)
         terms = (weights * g(nodes)).tolist()
         est = scale * math.fsum(terms)
         l1 = scale * math.fsum(map(abs, terms))
@@ -259,41 +259,28 @@ def _kernel_quad(
         # to the single rule and let refinement do the work
         return quad_endpoint_singular(piece("whole"), a0, b0, cfg)
 
-    coeff_a = _connection_coefficient((kc, e), (kc - ka, kc - kb))
-    coeff_b = _connection_coefficient((kc, -e), (ka, kb))
-    # every piece's first two rules come out of one sweep
-    weights = [(b0, 0.0), (a0, 0.0) if coeff_a != 0.0 else None,
-               (a0 + e, 0.0) if coeff_b != 0.0 else None]
-    _gj_build([w for w in weights if w is not None and w[0] > -1.0],
-              (NODE_COUNT, 2 * NODE_COUNT))
-
-    # right half, u = 1 - v/2 in (1/2, 1): series argument v/2 < 1/2
-    right = quad_endpoint_singular(piece("right_half", power=a0), b0, 0.0, cfg)
-    value = 0.5 ** (b0 + 1.0) * right.value
-    error = 0.5 ** (b0 + 1.0) * right.error
-    nodes = right.nodes
-
-    # left half, u = v/2 in (0, 1/2): K(u) = coeff_a*phi1(u) + coeff_b*u^e*phi2(u),
+    # (coefficient, piece, weight exponent at v = 0), summed in this order.
+    # Right half, u = 1 - v/2 in (1/2, 1): series argument v/2 < 1/2. Left
+    # half, u = v/2 in (0, 1/2): K(u) = coeff_a*phi1(u) + coeff_b*u^e*phi2(u),
     # one connection-formula series at argument u each
-    if coeff_a != 0.0:
-        part = quad_endpoint_singular(
-            piece("left_half", (ka, kb, 1.0 - e), b0), a0, 0.0, cfg
-        )
-        value += coeff_a * 0.5 ** (a0 + 1.0) * part.value
-        error += abs(coeff_a) * 0.5 ** (a0 + 1.0) * part.error
-        nodes = max(nodes, part.nodes)
-    if coeff_b != 0.0:
-        if a0 + e <= -1.0:
-            raise DomainError(
-                f"kernel split exponent {a0 + e!r} is not integrable",
-                conditions=("a0 + (kc-ka-kb) > -1",),
-            )
-        part = quad_endpoint_singular(
-            piece("left_half", (kc - ka, kc - kb, 1.0 + e), b0),
-            a0 + e, 0.0, cfg,
-        )
-        value += coeff_b * 0.5 ** (a0 + e + 1.0) * part.value
-        error += abs(coeff_b) * 0.5 ** (a0 + e + 1.0) * part.error
+    pieces = [
+        (1.0, piece("right_half", power=a0), b0),
+        (_connection_coefficient((kc, e), (kc - ka, kc - kb)),
+         piece("left_half", (ka, kb, 1.0 - e), b0), a0),
+        (_connection_coefficient((kc, -e), (ka, kb)),
+         piece("left_half", (kc - ka, kc - kb, 1.0 + e), b0), a0 + e),
+    ]
+    pieces = [p for p in pieces if p[0] != 0.0]
+    # every piece's first two rules come out of one sweep
+    _gj_build([(w, 0.0) for _, _, w in pieces if w > -1.0],
+              (NODE_COUNT, 2 * NODE_COUNT))
+    # -0.0 + v is v for every v, so the first piece's value passes unchanged
+    value, error, nodes = -0.0, 0.0, 0
+    for coeff, g, w in pieces:
+        part = quad_endpoint_singular(g, w, 0.0, cfg)
+        scale = coeff * 0.5 ** (w + 1.0)
+        value += scale * part.value
+        error += abs(scale) * part.error
         nodes = max(nodes, part.nodes)
     return QuadResult(value, error, nodes)
 

@@ -123,6 +123,22 @@ def test_eval_domain_violation(capsys):
     assert "alpha > 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("rhs", "--identity", "cor2", "--delta", "0.5", "--n", "1000", "--p", "2001.5",
+     "--q", "1.5", "--tau", "2", "--x", "1"),
+    ("oracle", "--identity", "cor2", "--delta", "0.5", "--n", "1000", "--p", "2001.5",
+     "--q", "1.5", "--tau", "2", "--x", "1"),
+    ("image", "--family", "rl-left", "--delta", "0.5", "--tau", "400", "--x", "1e300"),
+])
+def test_eval_overflow_is_a_domain_exit(capsys, argv):
+    # exit code 1 means a verification failure, so a value past the double
+    # range is reported like any other point outside the computable domain
+    rc, _, err = run(capsys, "eval", *argv)
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_eval_apply_unsupported_kernel(capsys):
     rc, _, err = run(capsys, "eval", "apply", "--family", "msm-right-int",
                      "--delta", "0.5", "--delta-prime", "0.3", "--mu", "0.2",

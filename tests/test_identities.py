@@ -315,6 +315,31 @@ def test_domain_error_from_both_routes():
         image_rhs(IdentityId.COR1, (0.6, 0.2, 0.4), poly, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("family", list(FAMILIES))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=5, max_size=5),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=1, max_value=16),
+)
+def test_oracle_order_shift_widens_conditions_and_moves_arguments(family, params, tau, k):
+    # lhs_oracle shifts the order by +k, or by -k for a right-sided family on
+    # t^(tau-1). Every condition's margin only grows under that shift and
+    # every gamma argument moves by +k, so the shifted images hold wherever
+    # the base image does
+    spec = FAMILIES[family]
+    params = params[: len(spec.params)]
+    shifted = tau + (-k if spec.right and not spec.negative_power else k)
+    base_margins = spec.conditions(*params, tau)
+    for (label, margin), (_, moved) in zip(base_margins, spec.conditions(*params, shifted)):
+        assert moved >= margin, label
+    base, moved = spec.image(*params, tau), spec.image(*params, shifted)
+    for side in (0, 1):
+        assert len(moved[side]) == len(base[side])
+        for arg, arg_moved in zip(base[side], moved[side]):
+            assert arg_moved == pytest.approx(arg + k, rel=1e-13, abs=1e-13)
+
+
 def test_poly_parameter_pole():
     # q = -1 makes the series weight Gamma(q+1) singular once n >= 1
     with pytest.raises(DenominatorPoleError):

@@ -118,6 +118,20 @@ def test_hypergeometric_pole_detected():
         m_poly(PolySpec(1, 5.0, 0.0), 1.0),
         rel_tol=1e-13,
     )
+    # the pole q+1 = -m is reached exactly when the series runs past k = m,
+    # i.e. when m < n; otherwise both forms agree
+    for n in range(5):
+        for q in (0.0, -1.0, -2.0, -3.0, -4.0):
+            spec = PolySpec(n, 5.5, q)
+            if q + 1.0 <= 0.0 and -(q + 1.0) < n:
+                with pytest.raises(DenominatorPoleError):
+                    m_poly(spec, 0.75, method="hypergeometric")
+            else:
+                assert m_poly(spec, 0.75, method="hypergeometric") == pytest.approx(
+                    m_poly(spec, 0.75), rel=1e-12
+                ), (n, q)
+    # an integer p can stop the series first, at the zero polynomial
+    assert m_poly(PolySpec(2, 3.0, -2.0), 0.75, method="hypergeometric") == 0.0
 
 
 def test_jacobi_value_at_one():

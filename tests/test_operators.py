@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracimage.cli import TAGS
-from fracimage.errors import DomainError, PoleError
+from fracimage.errors import DenominatorPoleError, DomainError, PoleError
 from fracimage.gammafns import GammaProduct
 from fracimage.identities import IDENTITY_FAMILY, IdentityId
 from fracimage.operators import (
@@ -196,6 +196,7 @@ def test_power_image_pole_detection():
     with pytest.raises(PoleError) as exc:
         power_image(msm_left_int(0.5, -1.0, 0.3, -2.0, 0.4), 2.0)
     assert exc.value.side == "denominator"
+    assert isinstance(exc.value, DenominatorPoleError)
     # the same pole argument cancelled away is fine
     im = power_image(msm_left_int(0.0, 0.0, 0.0, 0.0, 0.7), 2.0)
     assert im.prefactor_value() == pytest.approx(
