@@ -1,4 +1,4 @@
-"""Verification command line.
+"""Command line for the verification engine in identities.
 
 Verbs:
   eval    evaluate one function, image, operator application, closed
@@ -19,14 +19,6 @@ positions (operators.FAMILIES); flag values map positionally. verify
 and sweep write each record (sweep: each CSV row) to --out as soon as it
 is computed, in grid order.
 
-TAGS describes each verification tag once: thm1-thm4 and cor1-cor6 are
-the paper's identities, lem1-lem6 the bare power image of one family.
-_evaluate_point judges each closed form against one reference: the exact
-finite-sum oracle (thm/cor), the derivative composition (lem5/lem6) or
-quadrature (lem1-lem4, which also compare the operator with its
-five-parameter embedding where TAGS names one: lem3/lem4; a point whose
-embedding has no supported quadrature notes that this check did not run).
-
 Exit codes: 0 all pass, 1 any verification failure, 2 domain or config
 error, 3 convergence error.
 """
@@ -35,12 +27,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -53,161 +42,31 @@ from .errors import (
 )
 from .gammafns import gamma_product_eval
 from .hypergeom import appell_f3, pfq
-from .identities import (
+# also re-exports the six engine names perfbench imports from fracimage.cli
+from .identities import (  # noqa: F401
+    ALL_TAGS,
     CORRECTIONS,
+    DEFAULT_GRIDS,
     IDENTITY_FAMILY,
+    TAGS,
     IdentityId,
-    corrections_for,
-    deriv_composition_oracle,
+    SweepConfig,
+    VerificationRecord,
+    _point_symbols,
     image_rhs,
+    iter_verification,
     lhs_oracle,
-    quadrature_value,
+    monomial_quadrature,
+    rel_diff,
+    run_verification,
 )
 from .jacobi import JacobiSpec, PolySpec, jacobi_p, m_poly
-from .operators import (
-    FAMILIES,
-    Family,
-    OperatorSpec,
-    power_image,
-    saigo_left_as_msm,
-    saigo_right_as_msm,
-)
-from .quadrature import QuadConfig, operator_apply
+from .operators import FAMILIES, Family, OperatorSpec, power_image
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
-
-
-@dataclass(frozen=True)
-class TagSpec:
-    """One verification tag: the identity it checks (None for a bare
-    power-image lemma), its operator family, and the five-parameter
-    embedding whose quadrature must match the operator's, if any."""
-
-    identity: IdentityId | None
-    family: Family
-    embedding: Callable[..., OperatorSpec] | None = None
-
-
-TAGS: dict[str, TagSpec] = {
-    **{i.value: TagSpec(i, family) for i, family in IDENTITY_FAMILY.items()},
-    # single power-image checks, tagged like the identities
-    "lem1": TagSpec(None, Family.MSM_LEFT_INT),
-    "lem2": TagSpec(None, Family.MSM_RIGHT_INT),
-    "lem3": TagSpec(None, Family.SAIGO_LEFT, saigo_left_as_msm),
-    "lem4": TagSpec(None, Family.SAIGO_RIGHT, saigo_right_as_msm),
-    "lem5": TagSpec(None, Family.MSM_LEFT_DERIV),
-    "lem6": TagSpec(None, Family.MSM_RIGHT_DERIV),
-}
-
-ALL_TAGS = list(TAGS)
-
-# default verification grids; user config replaces lists per symbol.
-# Every identity runs its polynomial factor M_n^(p,q) over POLY_GRID.
-POLY_GRID = {"n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5]}
-DEFAULT_GRIDS: dict[str, dict[str, list]] = {
-    "thm1": {
-        "delta": [0.5], "delta_prime": [0.0, 0.3], "mu": [0.2],
-        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
-        "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
-    },
-    "thm2": {
-        "delta": [0.0, 0.5], "delta_prime": [0.3], "mu": [0.2],
-        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
-        "tau": [2.0, 3.5], "x": [1.0, 2.0, 4.0],
-    },
-    "thm3": {
-        "delta": [0.5], "delta_prime": [0.3], "mu": [0.2],
-        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
-        "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
-    },
-    "thm4": {
-        "delta": [0.5], "delta_prime": [0.3], "mu": [0.2],
-        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
-        "tau": [2.0, 3.5], "x": [1.0, 2.0, 4.0],
-    },
-    "cor1": {
-        "delta": [0.6], "mu": [0.2], "epsilon": [0.4], **POLY_GRID,
-        "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
-    },
-    "cor2": {
-        "delta": [0.5, 1.25], **POLY_GRID,
-        "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
-    },
-    "cor3": {
-        "epsilon": [0.5], "delta": [0.75], **POLY_GRID,
-        "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
-    },
-    "cor4": {
-        "delta": [0.6], "mu": [0.2], "epsilon": [0.4], **POLY_GRID,
-        "tau": [0.5, 1.125], "x": [1.0, 2.0, 4.0],
-    },
-    "cor5": {
-        "delta": [0.3, 0.5], **POLY_GRID,
-        "tau": [0.25, 0.4375], "x": [1.0, 2.0, 4.0],
-    },
-    "cor6": {
-        "epsilon": [0.8], "delta": [0.5], **POLY_GRID,
-        "tau": [0.25, 0.5], "x": [1.0, 2.0, 4.0],
-    },
-    # bare power images against quadrature; lem1/lem2 stay on the
-    # single-series kernel slices the quadrature supports
-    "lem1": {
-        "delta": [0.5], "delta_prime": [0.0], "mu": [0.2],
-        "mu_prime": [0.4], "epsilon": [1.1],
-        "tau": [1.5, 2.5], "x": [0.5, 2.0],
-    },
-    "lem2": {
-        "delta": [0.0], "delta_prime": [0.3], "mu": [0.2],
-        "mu_prime": [0.4], "epsilon": [1.1],
-        "tau": [1.5, 2.5], "x": [1.0, 2.0],
-    },
-    "lem3": {
-        "delta": [0.6], "mu": [0.2], "epsilon": [0.4],
-        "tau": [1.5, 2.5], "x": [0.5, 2.0],
-    },
-    # epsilon = 0 keeps the five-parameter embedding on the slice the
-    # right-sided quadrature supports, so the reduction check runs too
-    "lem4": {
-        "delta": [0.6], "mu": [0.2], "epsilon": [0.0],
-        "tau": [0.5, 0.75], "x": [1.0, 2.0],
-    },
-    "lem5": {
-        "delta": [0.3], "delta_prime": [0.4], "mu": [0.1],
-        "mu_prime": [0.2], "epsilon": [0.6],
-        "tau": [3.0, 4.5], "x": [0.7, 2.0],
-    },
-    "lem6": {
-        "delta": [0.3], "delta_prime": [0.4], "mu": [0.1],
-        "mu_prime": [0.2], "epsilon": [0.6],
-        "tau": [3.0, 4.5], "x": [0.7, 2.0],
-    },
-}
-
-
-@dataclass
-class SweepConfig:
-    identities: list[str]
-    grids: dict[str, dict[str, list]]
-    tol_oracle: float = 1e-10
-    tol_quadrature: float = 1e-6
-    tol_reduction: float = 1e-8
-    as_printed: bool = False
-    out: str = "verification.jsonl"
-
-
-@dataclass
-class VerificationRecord:
-    identity: str
-    point: dict
-    oracle_value: float | None
-    closed_form_value: float | None
-    quadrature_value: float | None
-    rel_diff: float
-    verdict: str
-    ledger_note: str | None = None
 
 
 def _num(v) -> str:
@@ -243,177 +102,6 @@ def _json_value(v) -> str:
 def _json_line(obj: dict) -> str:
     """One JSON object, fixed key order, floats at 17 significant digits."""
     return _json_value(obj) + "\n"
-
-
-def rel_diff(a: float, b: float) -> float:
-    if a == b:
-        return 0.0
-    return abs(a - b) / max(abs(a), abs(b))
-
-
-def _quad_config(cfg: SweepConfig) -> QuadConfig:
-    """Quadrature convergence target matched to the check tolerance.
-
-    Two digits of headroom below the comparison tolerance is enough for
-    the verdict; demanding full machine accuracy instead makes strongly
-    singular weights (exponents near -1) fail to stabilize, because the
-    node accuracy of very-high-order rules becomes the limit."""
-    return QuadConfig(tol=max(cfg.tol_quadrature * 1e-2, 1e-12))
-
-
-# ---------------------------------------------------------------------------
-# grid expansion and point evaluation
-
-def _point_symbols(tag: str) -> list[str]:
-    symbols = list(FAMILIES[TAGS[tag].family].symbols)
-    if TAGS[tag].identity is not None:
-        symbols += ["n", "p", "q"]
-    return symbols + ["tau", "x"]
-
-
-def _expand_grid(tag: str, grid: dict[str, list]) -> list[dict]:
-    symbols = _point_symbols(tag)
-    missing = [s for s in symbols if s not in grid or not grid[s]]
-    if missing:
-        raise ConfigError(f"{tag}: no grid values for {', '.join(missing)}")
-    extra = sorted(set(grid) - set(symbols))
-    if extra:
-        raise ConfigError(f"{tag}: unknown grid symbols {', '.join(extra)}")
-    return [dict(zip(symbols, combo))
-            for combo in itertools.product(*(grid[s] for s in symbols))]
-
-
-def _op_params(tag: str, point: dict) -> tuple[float, ...]:
-    return tuple(float(point[s]) for s in FAMILIES[TAGS[tag].family].symbols)
-
-
-def _unit(t):
-    """Smooth factor of the bare monomial operand: its whole power goes
-    into the quadrature weight (operator_apply's power)."""
-    return 1.0
-
-
-def _underflow_note(**values: float | None) -> str | None:
-    """Why comparing these values would show nothing: one of them is zero
-    or below the normal range, so it carries few or no significant bits."""
-    for name, value in values.items():
-        if value is not None and abs(value) < sys.float_info.min:
-            return (f"{name} {_num(value)} underflows (below "
-                    f"{_num(sys.float_info.min)} in magnitude); not compared")
-    return None
-
-
-def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord:
-    """One record. The closed form is judged against the tag's exact oracle
-    (thm/cor: the finite sum; lem5/lem6: the derivative composition) or,
-    for lem1-lem4, against quadrature, whose value is then also the
-    record's oracle_value. A quadrature failure skips a tag without an
-    oracle and is only noted for the others; a closed form or oracle past
-    the double range skips the point."""
-    spec = TAGS[tag]
-    family = FAMILIES[spec.family]
-    identity, op = spec.identity, OperatorSpec(spec.family, _op_params(tag, point))
-    tau, x = float(point["tau"]), float(point["x"])
-    poly = None if identity is None else PolySpec(
-        int(point["n"]), float(point["p"]), float(point["q"])
-    )
-    closed = oracle = None
-    try:
-        if identity is not None:
-            closed = image_rhs(
-                identity, op.params, poly, tau, x, as_printed=cfg.as_printed
-            ).value
-            oracle = lhs_oracle(identity, op.params, poly, tau, x)
-        else:
-            closed = power_image(op, tau).value_at(x)
-            if family.quadrature is None:  # lem5, lem6
-                side = "right" if family.right else "left"
-                oracle = deriv_composition_oracle(side, op.params, tau, x)
-    except (DomainError, PoleError) as exc:
-        return VerificationRecord(
-            tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)
-        )
-    except OverflowError as exc:
-        name = "closed_form_value" if closed is None else "oracle_value"
-        return VerificationRecord(
-            tag, point, None, closed, None, 0.0, "SKIPPED(overflow)",
-            f"{name} overflows the double range ({exc}); not compared",
-        )
-
-    notes = []
-    quad = embed = None
-    qcfg = _quad_config(cfg)
-    try:
-        if identity is not None:
-            quad = quadrature_value(identity, op.params, poly, tau, x, qcfg)
-        elif oracle is None:  # lem1-lem4: quadrature is the reference
-            power = family.monomial_power(tau)
-            quad = operator_apply(op, _unit, x, qcfg, power=power)
-            if spec.embedding is not None:
-                embedded = spec.embedding(*op.params)
-                try:
-                    embed = operator_apply(embedded, _unit, x, qcfg, power=power)
-                except UnsupportedKernelError as exc:
-                    notes.append(f"five-parameter embedding check omitted: {exc}")
-    except (UnsupportedKernelError, NonConvergedError) as exc:
-        if oracle is None:
-            reason = ("unsupported-kernel" if isinstance(exc, UnsupportedKernelError)
-                      else "nonconverged")
-            return VerificationRecord(
-                tag, point, None, closed, None, 0.0, f"SKIPPED({reason})", str(exc)
-            )
-        # supplementary check only: the oracle verdict stands, but the
-        # omission is recorded
-        notes.append(f"quadrature comparison omitted: {exc}")
-    quad_val = None if quad is None else quad.value
-    reference = quad_val if oracle is None else oracle
-    diff = rel_diff(closed, reference)
-    underflow = _underflow_note(
-        oracle_value=oracle, closed_form_value=closed, quadrature_value=quad_val,
-        embedding_quadrature_value=None if embed is None else embed.value,
-    )
-    if underflow:
-        return VerificationRecord(
-            tag, point, reference, closed, quad_val, diff, "SKIPPED(underflow)",
-            "; ".join(notes + [underflow]),
-        )
-    ok = diff <= (cfg.tol_quadrature if oracle is None else cfg.tol_oracle)
-    if oracle is not None and quad_val is not None \
-            and rel_diff(quad_val, closed) > cfg.tol_quadrature:
-        ok = False
-        notes.append("quadrature disagrees with the closed form")
-    if embed is not None:
-        # quadrature-vs-quadrature reduction: the operator must match its
-        # five-parameter embedding
-        embed_diff = rel_diff(embed.value, quad_val)
-        if embed_diff > cfg.tol_reduction:
-            ok = False
-            notes.append(
-                f"five-parameter embedding quadrature disagrees: rel diff {embed_diff:.3e}"
-            )
-    if not ok and cfg.as_printed and identity is not None:
-        for c in corrections_for(identity):
-            if c.evaluable:
-                notes.append(
-                    f"as-printed schema; adjudicated correction {c.key}: {c.implemented}"
-                )
-    return VerificationRecord(
-        tag, point, reference, closed, quad_val, diff, "PASS" if ok else "FAIL",
-        "; ".join(notes) or None,
-    )
-
-
-def iter_verification(cfg: SweepConfig) -> Iterator[VerificationRecord]:
-    """The records for the configured grids, in deterministic order, each
-    evaluated when drawn; every grid is expanded (and checked) first."""
-    grids = [(tag, _expand_grid(tag, cfg.grids.get(tag, DEFAULT_GRIDS[tag])))
-             for tag in cfg.identities]
-    return (_evaluate_point(tag, p, cfg) for tag, points in grids for p in points)
-
-
-def run_verification(cfg: SweepConfig) -> list[VerificationRecord]:
-    """All records for the configured grids, in deterministic order."""
-    return list(iter_verification(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +153,8 @@ def _parse_tags(text: str) -> list[str]:
     bad = [t for t in tags if t not in TAGS]
     if bad:
         raise ConfigError(f"unknown identities: {', '.join(bad)}")
+    if not tags:
+        raise ConfigError(f"no identities selected: {text!r}")
     return tags
 
 
@@ -490,9 +180,6 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
             cfg.grids.setdefault(tag, {})[symbol] = _parse_list(value)
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    # a partial per-identity grid falls back to defaults symbol by symbol
-    for tag, grid in cfg.grids.items():
-        cfg.grids[tag] = {**DEFAULT_GRIDS[tag], **grid}
     if getattr(args, "identities", None):
         cfg.identities = _parse_tags(args.identities)
     if getattr(args, "as_printed", False):
@@ -503,6 +190,9 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
     for key in TOLERANCES:
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
+        # no comparison with NaN is true, and none below 0 can pass
+        if not getattr(cfg, key) >= 0.0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)!r}")
     return cfg
 
 
@@ -626,21 +316,12 @@ def _eval_apply(args) -> EvalResult:
     family = _family_from_args(args)
     params = _params_from_args(args, family)
     _need(args, "apply", "tau", "x")
-    if args.n is None:
-        power = FAMILIES[family].monomial_power(args.tau)
-        quad = operator_apply(OperatorSpec(family, params), _unit, args.x, power=power)
-    else:
-        poly = _poly_from_args(args)
-        identity = next(i for i, fam in IDENTITY_FAMILY.items() if fam is family)
-        quad = quadrature_value(identity, params, poly, args.tau, args.x)
-        if quad is None:
-            raise UnsupportedKernelError(
-                f"{family.value} has no supported quadrature here"
-            )
+    poly = None if args.n is None else _poly_from_args(args)
+    quad = monomial_quadrature(OperatorSpec(family, params), poly, args.tau, args.x)
     out = {"family": family.value, "params": _named(family, params),
            "tau": args.tau, "x": args.x, "value": quad.value,
            "error": quad.error, "nodes": quad.nodes}
-    if args.n is not None:
+    if poly is not None:
         out.update(n=poly.n, p=poly.p, q=poly.q)
     return out, ("value", "error", "nodes")
 

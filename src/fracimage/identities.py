@@ -33,17 +33,34 @@ A small number of published statements of these identities circulate
 with typos.  The CORRECTIONS table lists every discrepancy this module
 adjudicated; the three that change computed values can be reproduced by
 passing as_printed=True to image_rhs.
+
+This module is also the verification engine the command line drives.
+TAGS describes each verification tag once: thm1-thm4 and cor1-cor6 are
+the paper's identities, lem1-lem6 the bare power image of one family.
+_evaluate_point judges each closed form against one reference: the exact
+finite-sum oracle (thm/cor), the derivative composition (lem5/lem6) or
+quadrature (lem1-lem4, which also compare the operator with its
+five-parameter embedding where TAGS names one: lem3/lem4; a point whose
+embedding has no supported quadrature notes that this check did not run).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .errors import DomainError, UnsupportedKernelError
+from .errors import (
+    ConfigError,
+    DomainError,
+    NonConvergedError,
+    PoleError,
+    UnsupportedKernelError,
+)
 from .gammafns import GammaProduct, gamma_product_eval
 from .hypergeom import exact_series_sum, pfq
 from .jacobi import PolySpec, _coefficients_exact, m_poly_coefficients, _poly_eval
@@ -55,6 +72,8 @@ from .operators import (
     msm_left_int,
     msm_right_int,
     power_image,
+    saigo_left_as_msm,
+    saigo_right_as_msm,
 )
 from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadResult, operator_apply
 
@@ -71,6 +90,7 @@ __all__ = [
     "image_rhs",
     "lhs_oracle",
     "deriv_composition_oracle",
+    "monomial_quadrature",
     "quadrature_value",
 ]
 
@@ -398,6 +418,27 @@ def deriv_composition_oracle(side: str, msm_params, tau: float, x: float) -> flo
     return mirror * falling * base.to_float()
 
 
+def monomial_quadrature(
+    op: OperatorSpec,
+    poly: PolySpec | None,
+    tau: float,
+    x: float,
+    cfg: QuadConfig = DEFAULT_CONFIG,
+    operand: Family | None = None,
+) -> QuadResult:
+    """Quadrature of op on a family's monomial convention at order tau times
+    M_n (of t, or of 1/t right-sided), or times 1 if poly is None: op's own
+    family, or operand when op embeds an operator of that family. The power
+    goes into the rule's weight. Raises what operator_apply raises."""
+    spec = FAMILIES[op.family if operand is None else operand]
+    coeffs = [1.0] if poly is None else m_poly_coefficients(poly)
+
+    def g(t: numpy.ndarray) -> numpy.ndarray:
+        return _poly_eval(coeffs, 1.0 / t if spec.right else t)
+
+    return operator_apply(op, g, x, cfg, power=spec.monomial_power(tau))
+
+
 def quadrature_value(
     identity: IdentityId,
     op_params,
@@ -406,24 +447,305 @@ def quadrature_value(
     x: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> QuadResult | None:
-    """Direct numerical evaluation of one identity's left-hand side.
-
-    The monomial's power goes into the rule's weight, so the integrand
-    evaluates only the polynomial factor. Returns None when the family
-    (or the parameter slice) has no supported quadrature kernel: the
-    derivative families always, the five-parameter integral families
-    outside their single-series slices.
-    """
-    spec = FAMILIES[IDENTITY_FAMILY[identity]]
-    if spec.quadrature is None:
-        return None
-    op = _make_operator(identity, op_params)
-    coeffs = m_poly_coefficients(poly)
-
-    def g(t: numpy.ndarray) -> numpy.ndarray:
-        return _poly_eval(coeffs, 1.0 / t if spec.right else t)
-
+    """One identity's left-hand side by monomial_quadrature; None where unsupported."""
+    if FAMILIES[IDENTITY_FAMILY[identity]].quadrature is None:
+        return None  # a derivative family: skip building M_n's coefficients
     try:
-        return operator_apply(op, g, x, cfg, power=spec.monomial_power(tau))
+        return monomial_quadrature(_make_operator(identity, op_params), poly, tau, x, cfg)
     except UnsupportedKernelError:
         return None
+
+
+# ---------------------------------------------------------------------------
+# verification tags, grids and records
+
+@dataclass(frozen=True)
+class TagSpec:
+    """One verification tag: the identity it checks (None for a bare
+    power-image lemma), its operator family, and the five-parameter
+    embedding whose quadrature must match the operator's, if any."""
+
+    identity: IdentityId | None
+    family: Family
+    embedding: Callable[..., OperatorSpec] | None = None
+
+
+TAGS: dict[str, TagSpec] = {
+    **{i.value: TagSpec(i, family) for i, family in IDENTITY_FAMILY.items()},
+    # single power-image checks, tagged like the identities
+    "lem1": TagSpec(None, Family.MSM_LEFT_INT),
+    "lem2": TagSpec(None, Family.MSM_RIGHT_INT),
+    "lem3": TagSpec(None, Family.SAIGO_LEFT, saigo_left_as_msm),
+    "lem4": TagSpec(None, Family.SAIGO_RIGHT, saigo_right_as_msm),
+    "lem5": TagSpec(None, Family.MSM_LEFT_DERIV),
+    "lem6": TagSpec(None, Family.MSM_RIGHT_DERIV),
+}
+
+ALL_TAGS = list(TAGS)
+
+# default verification grids; user config replaces lists per symbol.
+# Every identity runs its polynomial factor M_n^(p,q) over POLY_GRID.
+POLY_GRID = {"n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5]}
+DEFAULT_GRIDS: dict[str, dict[str, list]] = {
+    "thm1": {
+        "delta": [0.5], "delta_prime": [0.0, 0.3], "mu": [0.2],
+        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
+        "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
+    },
+    "thm2": {
+        "delta": [0.0, 0.5], "delta_prime": [0.3], "mu": [0.2],
+        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
+        "tau": [2.0, 3.5], "x": [1.0, 2.0, 4.0],
+    },
+    "thm3": {
+        "delta": [0.5], "delta_prime": [0.3], "mu": [0.2],
+        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
+        "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
+    },
+    "thm4": {
+        "delta": [0.5], "delta_prime": [0.3], "mu": [0.2],
+        "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
+        "tau": [2.0, 3.5], "x": [1.0, 2.0, 4.0],
+    },
+    "cor1": {
+        "delta": [0.6], "mu": [0.2], "epsilon": [0.4], **POLY_GRID,
+        "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
+    },
+    "cor2": {
+        "delta": [0.5, 1.25], **POLY_GRID,
+        "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
+    },
+    "cor3": {
+        "epsilon": [0.5], "delta": [0.75], **POLY_GRID,
+        "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
+    },
+    "cor4": {
+        "delta": [0.6], "mu": [0.2], "epsilon": [0.4], **POLY_GRID,
+        "tau": [0.5, 1.125], "x": [1.0, 2.0, 4.0],
+    },
+    "cor5": {
+        "delta": [0.3, 0.5], **POLY_GRID,
+        "tau": [0.25, 0.4375], "x": [1.0, 2.0, 4.0],
+    },
+    "cor6": {
+        "epsilon": [0.8], "delta": [0.5], **POLY_GRID,
+        "tau": [0.25, 0.5], "x": [1.0, 2.0, 4.0],
+    },
+    # bare power images against quadrature; lem1/lem2 stay on the
+    # single-series kernel slices the quadrature supports
+    "lem1": {
+        "delta": [0.5], "delta_prime": [0.0], "mu": [0.2],
+        "mu_prime": [0.4], "epsilon": [1.1],
+        "tau": [1.5, 2.5], "x": [0.5, 2.0],
+    },
+    "lem2": {
+        "delta": [0.0], "delta_prime": [0.3], "mu": [0.2],
+        "mu_prime": [0.4], "epsilon": [1.1],
+        "tau": [1.5, 2.5], "x": [1.0, 2.0],
+    },
+    "lem3": {
+        "delta": [0.6], "mu": [0.2], "epsilon": [0.4],
+        "tau": [1.5, 2.5], "x": [0.5, 2.0],
+    },
+    # epsilon = 0 keeps the five-parameter embedding on the slice the
+    # right-sided quadrature supports, so the reduction check runs too
+    "lem4": {
+        "delta": [0.6], "mu": [0.2], "epsilon": [0.0],
+        "tau": [0.5, 0.75], "x": [1.0, 2.0],
+    },
+    "lem5": {
+        "delta": [0.3], "delta_prime": [0.4], "mu": [0.1],
+        "mu_prime": [0.2], "epsilon": [0.6],
+        "tau": [3.0, 4.5], "x": [0.7, 2.0],
+    },
+    "lem6": {
+        "delta": [0.3], "delta_prime": [0.4], "mu": [0.1],
+        "mu_prime": [0.2], "epsilon": [0.6],
+        "tau": [3.0, 4.5], "x": [0.7, 2.0],
+    },
+}
+
+
+@dataclass
+class SweepConfig:
+    identities: list[str]
+    grids: dict[str, dict[str, list]]  # per tag: lists replacing DEFAULT_GRIDS
+    tol_oracle: float = 1e-10
+    tol_quadrature: float = 1e-6
+    tol_reduction: float = 1e-8
+    as_printed: bool = False
+    out: str = "verification.jsonl"
+
+
+@dataclass
+class VerificationRecord:
+    identity: str
+    point: dict
+    oracle_value: float | None
+    closed_form_value: float | None
+    quadrature_value: float | None
+    rel_diff: float
+    verdict: str
+    ledger_note: str | None = None
+
+
+def rel_diff(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _quad_config(cfg: SweepConfig) -> QuadConfig:
+    """Quadrature convergence target matched to the check tolerance.
+
+    Two digits of headroom below the comparison tolerance is enough for
+    the verdict; demanding full machine accuracy instead makes strongly
+    singular weights (exponents near -1) fail to stabilize, because the
+    node accuracy of very-high-order rules becomes the limit."""
+    return QuadConfig(tol=max(cfg.tol_quadrature * 1e-2, 1e-12))
+
+
+def _point_symbols(tag: str) -> list[str]:
+    symbols = list(FAMILIES[TAGS[tag].family].symbols)
+    if TAGS[tag].identity is not None:
+        symbols += ["n", "p", "q"]
+    return symbols + ["tau", "x"]
+
+
+def _expand_grid(tag: str, grid: dict[str, list]) -> list[dict]:
+    symbols = _point_symbols(tag)
+    missing = [s for s in symbols if s not in grid or not grid[s]]
+    if missing:
+        raise ConfigError(f"{tag}: no grid values for {', '.join(missing)}")
+    extra = sorted(set(grid) - set(symbols))
+    if extra:
+        raise ConfigError(f"{tag}: unknown grid symbols {', '.join(extra)}")
+    return [dict(zip(symbols, combo))
+            for combo in itertools.product(*(grid[s] for s in symbols))]
+
+
+def _op_params(tag: str, point: dict) -> tuple[float, ...]:
+    return tuple(float(point[s]) for s in FAMILIES[TAGS[tag].family].symbols)
+
+
+def _underflow_note(**values: float | None) -> str | None:
+    """Why comparing these values would show nothing: one of them is zero
+    or below the normal range, so it carries few or no significant bits."""
+    for name, value in values.items():
+        if value is not None and abs(value) < sys.float_info.min:
+            return (f"{name} {value:.17g} underflows (below "
+                    f"{sys.float_info.min:.17g} in magnitude); not compared")
+    return None
+
+
+def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationRecord:
+    """One record. The closed form is judged against the tag's exact oracle
+    (thm/cor: the finite sum; lem5/lem6: the derivative composition) or,
+    for lem1-lem4, against quadrature, whose value is then also the
+    record's oracle_value. A quadrature failure skips a tag without an
+    oracle and is only noted for the others; a closed form or oracle past
+    the double range skips the point."""
+    spec = TAGS[tag]
+    family = FAMILIES[spec.family]
+    identity, op = spec.identity, OperatorSpec(spec.family, _op_params(tag, point))
+    tau, x = float(point["tau"]), float(point["x"])
+    poly = None if identity is None else PolySpec(
+        int(point["n"]), float(point["p"]), float(point["q"])
+    )
+    closed = oracle = None
+    try:
+        if identity is not None:
+            closed = image_rhs(
+                identity, op.params, poly, tau, x, as_printed=cfg.as_printed
+            ).value
+            oracle = lhs_oracle(identity, op.params, poly, tau, x)
+        else:
+            closed = power_image(op, tau).value_at(x)
+            if family.quadrature is None:  # lem5, lem6
+                side = "right" if family.right else "left"
+                oracle = deriv_composition_oracle(side, op.params, tau, x)
+    except (DomainError, PoleError) as exc:
+        return VerificationRecord(
+            tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)
+        )
+    except OverflowError as exc:
+        name = "closed_form_value" if closed is None else "oracle_value"
+        return VerificationRecord(
+            tag, point, None, closed, None, 0.0, "SKIPPED(overflow)",
+            f"{name} overflows the double range ({exc}); not compared",
+        )
+
+    notes = []
+    quad = embed = None
+    qcfg = _quad_config(cfg)
+    try:
+        if identity is not None:
+            quad = quadrature_value(identity, op.params, poly, tau, x, qcfg)
+        elif oracle is None:  # lem1-lem4: quadrature is the reference
+            quad = monomial_quadrature(op, None, tau, x, qcfg)
+            if spec.embedding is not None:
+                try:
+                    embed = monomial_quadrature(
+                        spec.embedding(*op.params), None, tau, x, qcfg, operand=spec.family
+                    )
+                except UnsupportedKernelError as exc:
+                    notes.append(f"five-parameter embedding check omitted: {exc}")
+    except (UnsupportedKernelError, NonConvergedError) as exc:
+        if oracle is None:
+            reason = ("unsupported-kernel" if isinstance(exc, UnsupportedKernelError)
+                      else "nonconverged")
+            return VerificationRecord(
+                tag, point, None, closed, None, 0.0, f"SKIPPED({reason})", str(exc)
+            )
+        # supplementary check only: the oracle verdict stands, but the
+        # omission is recorded
+        notes.append(f"quadrature comparison omitted: {exc}")
+    quad_val = None if quad is None else quad.value
+    reference = quad_val if oracle is None else oracle
+    diff = rel_diff(closed, reference)
+    underflow = _underflow_note(
+        oracle_value=oracle, closed_form_value=closed, quadrature_value=quad_val,
+        embedding_quadrature_value=None if embed is None else embed.value,
+    )
+    if underflow:
+        return VerificationRecord(
+            tag, point, reference, closed, quad_val, diff, "SKIPPED(underflow)",
+            "; ".join(notes + [underflow]),
+        )
+    ok = diff <= (cfg.tol_quadrature if oracle is None else cfg.tol_oracle)
+    if oracle is not None and quad_val is not None \
+            and rel_diff(quad_val, closed) > cfg.tol_quadrature:
+        ok = False
+        notes.append("quadrature disagrees with the closed form")
+    if embed is not None:
+        # quadrature-vs-quadrature reduction: the operator must match its
+        # five-parameter embedding
+        embed_diff = rel_diff(embed.value, quad_val)
+        if embed_diff > cfg.tol_reduction:
+            ok = False
+            notes.append(
+                f"five-parameter embedding quadrature disagrees: rel diff {embed_diff:.3e}"
+            )
+    if not ok and cfg.as_printed and identity is not None:
+        for c in corrections_for(identity):
+            if c.evaluable:
+                notes.append(
+                    f"as-printed schema; adjudicated correction {c.key}: {c.implemented}"
+                )
+    return VerificationRecord(
+        tag, point, reference, closed, quad_val, diff, "PASS" if ok else "FAIL",
+        "; ".join(notes) or None,
+    )
+
+
+def iter_verification(cfg: SweepConfig) -> Iterator[VerificationRecord]:
+    """The records for the configured grids, in deterministic order, each
+    evaluated when drawn; every grid is expanded (and checked) first."""
+    grids = [(tag, _expand_grid(tag, {**DEFAULT_GRIDS[tag], **cfg.grids.get(tag, {})}))
+             for tag in cfg.identities]
+    return (_evaluate_point(tag, p, cfg) for tag, points in grids for p in points)
+
+
+def run_verification(cfg: SweepConfig) -> list[VerificationRecord]:
+    """All records for the configured grids, in deterministic order."""
+    return list(iter_verification(cfg))

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Callable
 
 from .errors import DomainError, PoleError
-from .gammafns import GammaProduct, SignedLogValue, gamma_product_eval
+from .gammafns import GammaProduct, gamma_product_eval
 
 
 class Family(str, Enum):
@@ -335,13 +335,10 @@ class PowerImage:
     def prefactor_value(self) -> float:
         return gamma_product_eval(self.prefactor).to_float()
 
-    def signed_log_at(self, x: float) -> SignedLogValue:
+    def value_at(self, x: float) -> float:
         if x <= 0.0:
             raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
-        return gamma_product_eval(self.prefactor).times_power(x, self.exponent)
-
-    def value_at(self, x: float) -> float:
-        return self.signed_log_at(x).to_float()
+        return gamma_product_eval(self.prefactor).times_power(x, self.exponent).to_float()
 
 
 def power_image(op: OperatorSpec, tau: float) -> PowerImage:

@@ -81,7 +81,7 @@ class QuadConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol!r}")
 
 

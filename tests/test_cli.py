@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,19 +11,17 @@ from pathlib import Path
 
 import pytest
 
-from fracimage import cli, gaussjacobi, hypergeom, quadrature
-from fracimage.cli import (
+from fracimage import cli, gaussjacobi, hypergeom, identities, quadrature
+from fracimage.cli import build_parser, build_sweep_config, load_config_file, main
+from fracimage.errors import NonConvergedError
+from fracimage.identities import (
     DEFAULT_GRIDS,
+    IdentityId,
     SweepConfig,
-    build_parser,
-    build_sweep_config,
-    load_config_file,
-    main,
+    lhs_oracle,
     rel_diff,
     run_verification,
 )
-from fracimage.errors import NonConvergedError
-from fracimage.identities import IdentityId, lhs_oracle
 from fracimage.jacobi import PolySpec
 
 
@@ -146,6 +145,17 @@ def test_eval_apply_unsupported_kernel(capsys):
                      "--tau", "2", "--x", "1")
     assert rc == 2
     assert "alpha = 0 or beta = 0" in err
+
+
+def test_eval_apply_polynomial_names_the_kernel_regime(capsys):
+    # with --n the error said only "msm-left-int has no supported quadrature
+    # here"; without it, the kernel regime that has none
+    rc, _, err = run(capsys, "eval", "apply", "--family", "msm-left-int",
+                     "--delta", "0.5", "--delta-prime", "0.3", "--mu", "0.2",
+                     "--mu-prime", "0.4", "--epsilon", "1.1", "--tau", "2",
+                     "--x", "1", "--n", "1", "--p", "9", "--q", "0")
+    assert rc == 2
+    assert "two-series kernel regime" in err
 
 
 def test_eval_apply_nonconverged_exit(capsys, monkeypatch):
@@ -399,6 +409,51 @@ def test_verify_zero_oracle_tolerance_fails_inexact_records(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("key, value, source", [
+    ("tol_quadrature", "nan", "flag"),
+    ("tol_oracle", "-1", "flag"),
+    ("tol_reduction", "-0.5", "flag"),
+    ("tol_oracle", "-1e-3", "config"),
+    ("tol_quadrature", "nan", "config"),
+])
+def test_verify_rejects_nan_and_negative_tolerances(tmp_path, capsys, key, value, source):
+    # a NaN quadrature tolerance passed every record (no comparison with NaN
+    # is true) and a negative one failed every record
+    out_path = tmp_path / "records.jsonl"
+    argv = ["verify", "--identities", "cor2", "--out", str(out_path)]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        argv += ["--config", write_cfg(tmp_path, f"{key} = {value}\n")]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert key in err
+    assert not out_path.exists()
+
+
+def test_verify_infinite_tolerance_is_honoured():
+    args = build_parser().parse_args(["verify", "--tol-oracle", "inf"])
+    cfg = build_sweep_config({"tol_reduction": "inf"}, args)
+    assert cfg.tol_oracle == cfg.tol_reduction == math.inf
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["verify", "--identities", ",,"], None),
+    (["verify"], "identities =\n"),
+    (["sweep", "--identities", ",,"], None),
+])
+def test_empty_tag_selection_is_rejected(tmp_path, capsys, argv, config):
+    # each ran 0 records and exited 0
+    out_path = tmp_path / "out"
+    argv = [*argv, "--out", str(out_path)]
+    if config is not None:
+        argv += ["--config", write_cfg(tmp_path, config)]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert "no identities" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("tags, flag, n_fail, note", [
     ("lem3,lem4", "--tol-reduction", 6, "five-parameter embedding quadrature disagrees: "),
     ("lem1,lem3", "--tol-quadrature", 8, None),
@@ -480,7 +535,7 @@ def test_verify_omitted_embedding_check_is_noted():
 def test_verify_streams_records_before_an_abort(tmp_path, monkeypatch):
     # records were written only after the last point, so an uncaught
     # error left no file at all
-    real_evaluate = cli._evaluate_point
+    real_evaluate = identities._evaluate_point
     calls = []
 
     def evaluate(tag, point, cfg):
@@ -489,7 +544,7 @@ def test_verify_streams_records_before_an_abort(tmp_path, monkeypatch):
             raise RuntimeError("injected failure")
         return real_evaluate(tag, point, cfg)
 
-    monkeypatch.setattr(cli, "_evaluate_point", evaluate)
+    monkeypatch.setattr(identities, "_evaluate_point", evaluate)
     out_path = tmp_path / "partial.jsonl"
     with pytest.raises(RuntimeError):
         main(["verify", "--identities", "cor2", "--out", str(out_path)])
@@ -498,14 +553,14 @@ def test_verify_streams_records_before_an_abort(tmp_path, monkeypatch):
 
 
 def test_lemma_nonconverged_point_keeps_other_records(monkeypatch):
-    real_apply = cli.operator_apply
+    real_apply = identities.operator_apply
 
     def apply(op, f, x, *args, **kwargs):
         if x == 2.0:
             raise NonConvergedError("quadrature did not stabilize (injected)")
         return real_apply(op, f, x, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "operator_apply", apply)
+    monkeypatch.setattr(identities, "operator_apply", apply)
     grid = {k: v[:1] for k, v in DEFAULT_GRIDS["lem1"].items()}
     grid["x"] = [0.5, 2.0]
     records = run_verification(SweepConfig(identities=["lem1"], grids={"lem1": grid}))
@@ -568,7 +623,7 @@ def test_cor5_nonconverged_point_keeps_pass(monkeypatch):
     def nonconverged(*args):
         raise NonConvergedError("quadrature did not stabilize (injected)")
 
-    monkeypatch.setattr(cli, "quadrature_value", nonconverged)
+    monkeypatch.setattr(identities, "quadrature_value", nonconverged)
     record = _cor5_jittered_record()
     assert record.verdict == "PASS"
     assert record.quadrature_value is None
@@ -632,7 +687,7 @@ def test_sweep_csv(tmp_path, capsys):
 def test_sweep_streams_rows_before_an_abort(tmp_path, monkeypatch):
     # rows were written only after the last point, so an uncaught error
     # left no CSV at all
-    real_evaluate = cli._evaluate_point
+    real_evaluate = identities._evaluate_point
     calls = []
 
     def evaluate(tag, point, cfg):
@@ -641,7 +696,7 @@ def test_sweep_streams_rows_before_an_abort(tmp_path, monkeypatch):
             raise RuntimeError("injected failure")
         return real_evaluate(tag, point, cfg)
 
-    monkeypatch.setattr(cli, "_evaluate_point", evaluate)
+    monkeypatch.setattr(identities, "_evaluate_point", evaluate)
     out_path = tmp_path / "f.csv"
     with pytest.raises(RuntimeError):
         main(["sweep", "--identity", "cor2", "--out", str(out_path)])
@@ -710,6 +765,31 @@ def test_no_module_imports_scipy():
             else:
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+
+
+def test_only_the_cli_imports_the_command_line_layer():
+    # the verification engine lives in identities: no library module
+    # imports argparse, csv or the cli (__main__ is the entry point)
+    package = Path(cli.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("cli", "__main__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = ".".join(filter(None, [
+                    "fracimage" if node.level else "", node.module or ""]))
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("argparse", "csv"), path.name
+                assert not (name + ".").startswith("fracimage.cli."), path.name
+    # perfbench takes these from fracimage.cli
+    for name in ("ALL_TAGS", "DEFAULT_GRIDS", "SweepConfig", "VerificationRecord",
+                 "rel_diff", "run_verification"):
+        assert getattr(cli, name) is getattr(identities, name), name
 
 
 def test_sweep_rejects_unknown_identity(capsys):

@@ -19,8 +19,9 @@ import json
 import math
 from pathlib import Path
 
-from fracimage.cli import (
-    ALL_TAGS, DEFAULT_GRIDS, SweepConfig, main, rel_diff, run_verification,
+from fracimage.cli import main
+from fracimage.identities import (
+    ALL_TAGS, DEFAULT_GRIDS, SweepConfig, rel_diff, run_verification,
 )
 
 DATA = Path(__file__).parent / "data"

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracimage.cli import ALL_TAGS, DEFAULT_GRIDS, TAGS, _expand_grid, _op_params
 from fracimage.errors import DenominatorPoleError, DomainError
 from fracimage.gammafns import gamma, gamma_product_eval
 from fracimage.identities import (
+    ALL_TAGS,
     CORRECTIONS,
+    DEFAULT_GRIDS,
     IDENTITY_FAMILY,
+    TAGS,
     IdentityId,
+    _expand_grid,
+    _op_params,
     corrections_for,
     deriv_composition_oracle,
     image_rhs,

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracimage.cli import TAGS
 from fracimage.errors import DenominatorPoleError, DomainError, PoleError
 from fracimage.gammafns import GammaProduct
-from fracimage.identities import IDENTITY_FAMILY, IdentityId
+from fracimage.identities import IDENTITY_FAMILY, TAGS, IdentityId
 from fracimage.operators import (
     FAMILIES,
     Family,

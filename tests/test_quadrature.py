@@ -16,11 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracimage import cli, identities, quadrature
-from fracimage.cli import DEFAULT_GRIDS, TAGS
 from fracimage.errors import DomainError, NonConvergedError, UnsupportedKernelError
 from fracimage.gammafns import is_nonpositive_integer
 from fracimage.hypergeom import gauss_2f1
-from fracimage.identities import IDENTITY_FAMILY, IdentityId, quadrature_value
+from fracimage.identities import (
+    DEFAULT_GRIDS,
+    IDENTITY_FAMILY,
+    TAGS,
+    IdentityId,
+    quadrature_value,
+)
 from fracimage.jacobi import PolySpec, _poly_eval, m_poly_coefficients
 from fracimage.operators import (
     FAMILIES,
@@ -92,6 +97,12 @@ def test_weight_mass_is_beta_function(a, b):
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(tol=0.0)
+
+
+def test_config_rejects_nan_tolerance():
+    # no comparison with NaN is true, so a NaN target passed every check
+    with pytest.raises(ValueError):
+        QuadConfig(tol=math.nan)
 
 
 def test_nonintegrable_weight_rejected():
@@ -363,7 +374,7 @@ def test_node_power_only_in_kernel_pieces(monkeypatch):
     _kernel_piece.cache_clear()
     grids = {tag: {s: v[-1:] for s, v in DEFAULT_GRIDS[tag].items()}
              for tag in ("cor2", "lem1")}
-    records = cli.run_verification(cli.SweepConfig(["cor2", "lem1"], grids))
+    records = identities.run_verification(identities.SweepConfig(["cor2", "lem1"], grids))
     assert [r.verdict for r in records] == ["PASS", "PASS"]
     assert all(r.quadrature_value is not None for r in records)
     assert callers and set(callers) == {"_kernel_piece"}
