@@ -28,6 +28,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -367,6 +369,10 @@ EVAL_TARGETS = {
 
 
 def cmd_eval(args) -> int:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
     out, shown = EVAL_TARGETS[args.target](args)
     for key in shown:
         print(f"{key} = {_show(out[key])}")
@@ -532,25 +538,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_list_flags(argv: list[str]) -> list[str]:
-    """Join `--num -1,3` into `--num=-1,3` so argparse keeps the value."""
-    merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in ("--num", "--den") and i + 1 < len(argv) \
-                and argv[i + 1].startswith("-"):
-            merged.append(f"{token}={argv[i + 1]}")
-            skip = True
+def _merge_negative_values(argv: list[str]) -> list[str]:
+    """Join `--x -1e-3` into `--x=-1e-3`: a token that starts with - and then
+    a digit or . is the value of the option before it. argparse sees that
+    only for plain negative numbers, not -1e-3 or a list such as -1,3."""
+    merged: list[str] = []
+    for token in argv:
+        if merged and re.fullmatch(r"--[\w-]+", merged[-1]) and re.match(r"-[\d.]", token):
+            merged[-1] += "=" + token
         else:
             merged.append(token)
     return merged
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _merge_list_flags(sys.argv[1:] if argv is None else list(argv))
+    argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {"eval": cmd_eval, "verify": cmd_verify, "sweep": cmd_sweep,

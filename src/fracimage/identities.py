@@ -68,7 +68,6 @@ from .operators import (
     FAMILIES,
     Family,
     OperatorSpec,
-    PowerImage,
     msm_left_int,
     msm_right_int,
     power_image,
@@ -274,17 +273,6 @@ def _make_operator(identity: IdentityId, op_params) -> OperatorSpec:
     return OperatorSpec(IDENTITY_FAMILY[identity], tuple(float(v) for v in op_params))
 
 
-def _printed_image(op: OperatorSpec, tau: float) -> PowerImage:
-    """thm1's power image with its as-printed gamma schema (the other
-    printed variants leave the prefactor untouched)."""
-    a, ap, b, bp, g = op.params
-    gp = GammaProduct(
-        (tau, tau + a - ap - b, tau + bp - ap),
-        (tau + bp, tau + g - a - ap, tau + g - ap - b),
-    )
-    return PowerImage(gp, tau - a - ap + g - 1.0)
-
-
 def image_rhs(
     identity: IdentityId,
     op_params,
@@ -304,32 +292,25 @@ def image_rhs(
         raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
     op = _make_operator(identity, op_params)
     img = power_image(op, tau)  # also the domain check at the base order
+    num, den = img.prefactor.numerator_args, img.prefactor.denominator_args
+    series_den = den
     if as_printed and identity is IdentityId.THM1:
-        img = _printed_image(op, tau)
-
-    series_num = (-float(poly.n), 1.0 + poly.n - poly.p) + tuple(
-        img.prefactor.numerator_args
-    )
-    series_den = (poly.q + 1.0,) + tuple(img.prefactor.denominator_args)
-    if as_printed and identity is IdentityId.THM3:
-        a, ap, b, bp, g = op.params
-        # printed series denominator uses tau - beta_prime in place of
-        # the prefactor's tau - beta
-        series_den = (
-            poly.q + 1.0,
-            tau - bp,
-            tau + a + ap - g,
-            tau + a + bp - g,
-        )
+        # printed: tau + alpha - alpha' - beta as the second numerator
+        # argument, in the prefactor and the series
+        a, ap, b = op.params[:3]
+        num = (num[0], tau + a - ap - b, *num[2:])
+    elif as_printed and identity is IdentityId.THM3:
+        # printed: tau - beta' in the series for the prefactor's tau - beta
+        series_den = (tau - op.params[3], *den[1:])
 
     argument = -1.0 / x if FAMILIES[op.family].right else -x
-    series_value = pfq(series_num, series_den, argument)
+    series_value = pfq((-float(poly.n), 1.0 + poly.n - poly.p, *num),
+                       (poly.q + 1.0, *series_den), argument)
 
     sign = -1 if poly.n % 2 else 1
     if as_printed and identity is IdentityId.COR4:
         sign = 1
-    poly_factor = GammaProduct((poly.q + poly.n + 1.0,), (poly.q + 1.0,), sign)
-    prefactor = poly_factor * img.prefactor
+    prefactor = GammaProduct((poly.q + poly.n + 1.0, *num), (poly.q + 1.0, *den), sign)
     base = gamma_product_eval(prefactor).times_power(x, img.exponent)
     return ImageEvaluation(
         value=base.to_float() * series_value,
@@ -394,6 +375,8 @@ def deriv_composition_oracle(side: str, msm_params, tau: float, x: float) -> flo
                   parameters (-a', -a, -b', -b+m, m-g), acting on t^(-tau)
 
     Must agree with power_image of the matching derivative family."""
+    if x <= 0.0:
+        raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
     a, ap, b, bp, g = (float(v) for v in msm_params)
     if g <= 0.0:
         raise DomainError(
@@ -429,11 +412,16 @@ def monomial_quadrature(
     """Quadrature of op on a family's monomial convention at order tau times
     M_n (of t, or of 1/t right-sided), or times 1 if poly is None: op's own
     family, or operand when op embeds an operator of that family. The power
-    goes into the rule's weight. Raises what operator_apply raises."""
+    goes into the rule's weight. Raises what operator_apply raises; M_n's
+    coefficients are built on the integrand's first call, so only once
+    operator_apply has accepted op."""
     spec = FAMILIES[op.family if operand is None else operand]
-    coeffs = [1.0] if poly is None else m_poly_coefficients(poly)
+    coeffs = None
 
     def g(t: numpy.ndarray) -> numpy.ndarray:
+        nonlocal coeffs
+        if coeffs is None:
+            coeffs = [1.0] if poly is None else m_poly_coefficients(poly)
         return _poly_eval(coeffs, 1.0 / t if spec.right else t)
 
     return operator_apply(op, g, x, cfg, power=spec.monomial_power(tau))
@@ -448,8 +436,6 @@ def quadrature_value(
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> QuadResult | None:
     """One identity's left-hand side by monomial_quadrature; None where unsupported."""
-    if FAMILIES[IDENTITY_FAMILY[identity]].quadrature is None:
-        return None  # a derivative family: skip building M_n's coefficients
     try:
         return monomial_quadrature(_make_operator(identity, op_params), poly, tau, x, cfg)
     except UnsupportedKernelError:
@@ -620,6 +606,9 @@ def _expand_grid(tag: str, grid: dict[str, list]) -> list[dict]:
     extra = sorted(set(grid) - set(symbols))
     if extra:
         raise ConfigError(f"{tag}: unknown grid symbols {', '.join(extra)}")
+    for s in symbols:
+        if not all(map(math.isfinite, grid[s])):
+            raise ConfigError(f"{tag}.{s}: grid values must be finite, got {grid[s]!r}")
     return [dict(zip(symbols, combo))
             for combo in itertools.product(*(grid[s] for s in symbols))]
 
@@ -642,9 +631,11 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     """One record. The closed form is judged against the tag's exact oracle
     (thm/cor: the finite sum; lem5/lem6: the derivative composition) or,
     for lem1-lem4, against quadrature, whose value is then also the
-    record's oracle_value. A quadrature failure skips a tag without an
-    oracle and is only noted for the others; a closed form or oracle past
-    the double range skips the point."""
+    record's oracle_value. Every tag runs monomial_quadrature, and
+    operator_apply alone decides whether it is supported: a quadrature
+    refused or not converged skips a tag without an oracle and is noted,
+    with its reason, for the others; a closed form or oracle past the
+    double range skips the point."""
     spec = TAGS[tag]
     family = FAMILIES[spec.family]
     identity, op = spec.identity, OperatorSpec(spec.family, _op_params(tag, point))
@@ -679,17 +670,14 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     quad = embed = None
     qcfg = _quad_config(cfg)
     try:
-        if identity is not None:
-            quad = quadrature_value(identity, op.params, poly, tau, x, qcfg)
-        elif oracle is None:  # lem1-lem4: quadrature is the reference
-            quad = monomial_quadrature(op, None, tau, x, qcfg)
-            if spec.embedding is not None:
-                try:
-                    embed = monomial_quadrature(
-                        spec.embedding(*op.params), None, tau, x, qcfg, operand=spec.family
-                    )
-                except UnsupportedKernelError as exc:
-                    notes.append(f"five-parameter embedding check omitted: {exc}")
+        quad = monomial_quadrature(op, poly, tau, x, qcfg)
+        if spec.embedding is not None:
+            try:
+                embed = monomial_quadrature(
+                    spec.embedding(*op.params), None, tau, x, qcfg, operand=spec.family
+                )
+            except UnsupportedKernelError as exc:
+                notes.append(f"five-parameter embedding check omitted: {exc}")
     except (UnsupportedKernelError, NonConvergedError) as exc:
         if oracle is None:
             reason = ("unsupported-kernel" if isinstance(exc, UnsupportedKernelError)

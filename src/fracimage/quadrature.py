@@ -312,8 +312,7 @@ def operator_apply(
     recipe = spec.quadrature
     if recipe is None:
         raise UnsupportedKernelError(
-            f"{op.family.value} has no direct quadrature; use the derivative "
-            "composition oracle"
+            f"{op.family.value} has no direct quadrature (a derivative family)"
         )
     right = spec.right
     named = op.named_params()

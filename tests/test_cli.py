@@ -437,6 +437,50 @@ def test_verify_infinite_tolerance_is_honoured():
     assert cfg.tol_oracle == cfg.tol_reduction == math.inf
 
 
+@pytest.mark.parametrize("config, key", [
+    ("identities = cor2\ncor2.x = 1, nan\n", "cor2.x"),
+    ("identities = lem1\nlem1.x = inf\n", "lem1.x"),
+    ("identities = lem1\nlem1.x = nan\n", "lem1.x"),
+    ("identities = cor2\ncor2.delta = -1e400\n", "cor2.delta"),
+])
+def test_verify_rejects_non_finite_grid_values(tmp_path, capsys, config, key):
+    # a NaN x aborted the run after one record ("cannot convert NaN to
+    # integer ratio"); an infinite or NaN lemma x wrote bare inf/nan tokens
+    # that report could not parse
+    out_path = tmp_path / "records.jsonl"
+    rc, _, err = run(capsys, "verify", "--config", write_cfg(tmp_path, config),
+                     "--out", str(out_path))
+    assert rc == 2
+    assert err.startswith("error: ") and key in err and "finite" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--x", "nan"), ("--tau", "inf"),
+                                         ("--delta", "-1e999")])
+def test_eval_rejects_non_finite_point_flags(capsys, flag, value):
+    # --x nan printed "value":nan, which is not JSON
+    argv = {"--family": "rl-left", "--delta": "1", "--tau": "2", "--x": "0.5"}
+    argv[flag] = value
+    rc, out, err = run(capsys, "eval", "image", *(t for kv in argv.items() for t in kv))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err and "finite" in err
+
+
+def test_negative_values_in_exponent_notation_reach_the_program(capsys):
+    # argparse took -1e-3 for an option and exited 2 with its usage dump
+    rc, out, err = run(capsys, "eval", "image", "--family", "rl-left",
+                       "--delta", "1", "--tau", "2", "--x", "-1e-3")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: need x > 0")
+    rc, out, _ = run(capsys, "eval", "image", "--family", "msm-left-int",
+                     "--delta", "0.5", "--delta-prime", "-3e-1", "--mu", "0.2",
+                     "--mu-prime", "0.4", "--epsilon", "1.1", "--tau", "2")
+    assert rc == 0
+    assert json_tail(out)["params"]["delta_prime"] == -0.3
+
+
 @pytest.mark.parametrize("argv, config", [
     (["verify", "--identities", ",,"], None),
     (["verify"], "identities =\n"),
@@ -469,7 +513,10 @@ def test_verify_lemma_zero_tolerance_failures(tmp_path, capsys, tags, flag, n_fa
     assert f"8 records, {8 - n_fail} PASS, {n_fail} FAIL, 0 SKIPPED" in out
     for line in out_path.read_text(encoding="utf-8").splitlines():
         rec = json.loads(line)
-        if rec["verdict"] == "FAIL" and note is not None:
+        if rec["identity"] in ("lem5", "lem6"):
+            # a derivative family has no direct quadrature; every record says so
+            assert rec["ledger_note"].startswith("quadrature comparison omitted: ")
+        elif rec["verdict"] == "FAIL" and note is not None:
             assert rec["ledger_note"].startswith(note)
         else:
             assert rec["ledger_note"] is None
@@ -620,10 +667,10 @@ def test_cor5_jittered_point_passes_with_quadrature():
 
 def test_cor5_nonconverged_point_keeps_pass(monkeypatch):
     # the exact oracle still judges a point whose quadrature fails
-    def nonconverged(*args):
+    def nonconverged(*args, **kwargs):
         raise NonConvergedError("quadrature did not stabilize (injected)")
 
-    monkeypatch.setattr(identities, "quadrature_value", nonconverged)
+    monkeypatch.setattr(identities, "monomial_quadrature", nonconverged)
     record = _cor5_jittered_record()
     assert record.verdict == "PASS"
     assert record.quadrature_value is None

@@ -17,7 +17,10 @@ the checkout with
 import gzip
 import json
 import math
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from fracimage.cli import main
 from fracimage.identities import (
@@ -68,13 +71,32 @@ def test_as_printed_verify_matches_frozen_records(tmp_path, capsys):
     assert (verdicts.count("PASS"), verdicts.count("FAIL")) == (540, 156)
 
 
-def test_default_quadrature_agrees_with_closed_form():
+@pytest.fixture(scope="module")
+def records():
+    return run_verification(SweepConfig(list(ALL_TAGS), DEFAULT_GRIDS))
+
+
+def test_default_quadrature_agrees_with_closed_form(records):
     # far inside the 1e-6 quadrature tolerance: the worst default record,
     # cor5 at weight exponent -0.9375, was 2.7e-9 off with a rule whose
     # weights were good to about 1e-10 there
-    records = run_verification(SweepConfig(list(ALL_TAGS), DEFAULT_GRIDS))
     checked = [r for r in records if r.quadrature_value is not None]
     assert len(checked) == 496
     for r in checked:
         where = (r.identity, r.point)
         assert rel_diff(r.quadrature_value, r.closed_form_value) <= 1e-10, where
+
+
+def test_every_omitted_quadrature_says_why(records):
+    # these 200 records had quadrature_value null and no note: the
+    # derivative families have no direct quadrature, and thm1/thm2 points
+    # off the single-series slices need the two-series kernel
+    omitted = [r for r in records if r.quadrature_value is None]
+    assert Counter(r.identity for r in omitted) == {
+        "thm1": 48, "thm2": 48, "thm3": 48, "thm4": 48, "lem5": 4, "lem6": 4,
+    }
+    for r in omitted:
+        assert r.ledger_note.startswith("quadrature comparison omitted: "), r.point
+        reason = r.ledger_note.removeprefix("quadrature comparison omitted: ")
+        assert ("has no direct quadrature" in reason
+                or "two-series kernel regime" in reason), reason

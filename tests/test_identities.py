@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracimage.errors import DenominatorPoleError, DomainError
+from fracimage import identities
+from fracimage.errors import DenominatorPoleError, DomainError, UnsupportedKernelError
 from fracimage.gammafns import gamma, gamma_product_eval
 from fracimage.identities import (
     ALL_TAGS,
@@ -22,11 +23,13 @@ from fracimage.identities import (
     deriv_composition_oracle,
     image_rhs,
     lhs_oracle,
+    monomial_quadrature,
     quadrature_value,
 )
-from fracimage.jacobi import PolySpec
+from fracimage.jacobi import PolySpec, m_poly_coefficients
 from fracimage.operators import (
     FAMILIES,
+    OperatorSpec,
     msm_left_deriv,
     msm_left_int,
     msm_right_deriv,
@@ -392,6 +395,15 @@ def test_deriv_composition_validation():
         deriv_composition_oracle("left", (0, 0, 0, 0, -0.2), 3.0, 1.5)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("x", [0.0, -1.5])
+def test_deriv_composition_needs_positive_x(side, x):
+    # raised ValueError ("times_power: base must be positive"), unlike the
+    # closed form and the finite-sum oracle
+    with pytest.raises(DomainError, match="need x > 0"):
+        deriv_composition_oracle(side, (0.3, 0.4, 0.1, 0.2, 0.6), 3.0, x)
+
+
 def test_quadrature_matches_closed_form():
     poly = PolySpec(2, 7, 0.5)
     cases = [
@@ -418,6 +430,33 @@ def test_quadrature_unsupported_slices_return_none():
     assert quadrature_value(IdentityId.THM1, MSM_SETS[0], poly, 2.0, 0.7) is None
     # both unprimed nonzero on the right
     assert quadrature_value(IdentityId.THM2, MSM_SETS[0], poly, 2.0, 2.0) is None
+
+
+@pytest.mark.parametrize("identity, params, x, builds", [
+    (IdentityId.THM3, MSM_SETS[0], 0.7, 0),
+    (IdentityId.THM4, MSM_SETS[0], 2.0, 0),
+    (IdentityId.THM1, MSM_SETS[0], 0.7, 0),  # two-series left kernel
+    (IdentityId.THM2, MSM_SETS[0], 2.0, 0),  # two-series right kernel
+    (IdentityId.THM1, (0.5, 0.0, 0.2, 0.4, 1.1), 0.7, 1),
+])
+def test_monomial_quadrature_builds_coefficients_only_once_accepted(
+        monkeypatch, identity, params, x, builds):
+    # M_n's coefficients were built before operator_apply refused the operator
+    calls = []
+
+    def counted(poly):
+        calls.append(poly)
+        return m_poly_coefficients(poly)
+
+    monkeypatch.setattr(identities, "m_poly_coefficients", counted)
+    op = OperatorSpec(IDENTITY_FAMILY[identity], params)
+    poly = PolySpec(2, 9.0, 1.5)
+    if builds:
+        monomial_quadrature(op, poly, 2.0, x)
+    else:
+        with pytest.raises(UnsupportedKernelError):
+            monomial_quadrature(op, poly, 2.0, x)
+    assert len(calls) == builds
 
 
 def test_corrections_registry():
