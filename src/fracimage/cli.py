@@ -29,6 +29,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -414,8 +415,8 @@ def cmd_sweep(args) -> int:
         "oracle_value", "closed_form_value", "quadrature_value", "rel_diff",
         "verdict",
     ]
-    out = open(cfg.out, "w", encoding="utf-8", newline="") if args.out \
-        else sys.stdout
+    to_file = args.out or "out" in pairs
+    out = open(cfg.out, "w", encoding="utf-8", newline="") if to_file else sys.stdout
     rows = 0
     try:
         writer = csv.writer(out, lineterminator="\n")
@@ -432,7 +433,7 @@ def cmd_sweep(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    if args.out:
+    if to_file:
         print(f"sweep: {rows} rows -> {cfg.out}")
     return EXIT_PASS
 
@@ -540,11 +541,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join `--x -1e-3` into `--x=-1e-3`: a token that starts with - and then
-    a digit or . is the value of the option before it. argparse sees that
-    only for plain negative numbers, not -1e-3 or a list such as -1,3."""
+    a digit, . or inf/nan in any case (-inf, -Infinity, -nan) is the value of
+    the option before it. argparse sees that only for plain negative
+    numbers, not -1e-3, -inf or a list such as -1,3."""
     merged: list[str] = []
     for token in argv:
-        if merged and re.fullmatch(r"--[\w-]+", merged[-1]) and re.match(r"-[\d.]", token):
+        if merged and re.fullmatch(r"--[\w-]+", merged[-1]) \
+                and re.match(r"-([\d.]|inf|nan)", token, re.IGNORECASE):
             merged[-1] += "=" + token
         else:
             merged.append(token)
@@ -559,6 +562,11 @@ def main(argv: list[str] | None = None) -> int:
                 "report": cmd_report}
     try:
         return commands[args.command](args)
+    except BrokenPipeError:
+        # the reader left (`fracimage sweep | head`): point stdout at devnull
+        # so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (DomainError, PoleError, ConfigError, UnsupportedKernelError,
             ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -118,13 +118,6 @@ class GammaProduct:
     denominator_args: tuple[float, ...]
     sign: int = 1
 
-    def __mul__(self, other: "GammaProduct") -> "GammaProduct":
-        return GammaProduct(
-            self.numerator_args + other.numerator_args,
-            self.denominator_args + other.denominator_args,
-            self.sign * other.sign,
-        )
-
     def cancelled(self) -> "GammaProduct":
         """Remove arguments appearing (exactly equal) in both lists."""
         num = list(self.numerator_args)

@@ -31,12 +31,15 @@ hypergeometric rearrangement and must agree to rounding error.
 
 A small number of published statements of these identities circulate
 with typos.  The CORRECTIONS table lists every discrepancy this module
-adjudicated; the three that change computed values can be reproduced by
-passing as_printed=True to image_rhs.
+adjudicated; the three that change computed values carry the edit that
+reproduces the printed form, which image_rhs applies when passed
+as_printed=True.
 
 This module is also the verification engine the command line drives.
-TAGS describes each verification tag once: thm1-thm4 and cor1-cor6 are
-the paper's identities, lem1-lem6 the bare power image of one family.
+TAGS describes each verification tag once: its identity (thm1-thm4 and
+cor1-cor6 are the paper's identities, lem1-lem6 the bare power image of
+one family), its operator family, its default grid and its embedding.
+IDENTITY_FAMILY, DEFAULT_GRIDS and ALL_TAGS are views of TAGS.
 _evaluate_point judges each closed form against one reference: the exact
 finite-sum oracle (thm/cor), the derivative composition (lem5/lem6) or
 quadrature (lem1-lem4, which also compare the operator with its
@@ -68,8 +71,6 @@ from .operators import (
     FAMILIES,
     Family,
     OperatorSpec,
-    msm_left_int,
-    msm_right_int,
     power_image,
     saigo_left_as_msm,
     saigo_right_as_msm,
@@ -109,19 +110,6 @@ class IdentityId(enum.Enum):
     COR6 = "cor6"
 
 
-IDENTITY_FAMILY = {
-    IdentityId.THM1: Family.MSM_LEFT_INT,
-    IdentityId.THM2: Family.MSM_RIGHT_INT,
-    IdentityId.THM3: Family.MSM_LEFT_DERIV,
-    IdentityId.THM4: Family.MSM_RIGHT_DERIV,
-    IdentityId.COR1: Family.SAIGO_LEFT,
-    IdentityId.COR2: Family.RL_LEFT,
-    IdentityId.COR3: Family.EK_LEFT,
-    IdentityId.COR4: Family.SAIGO_RIGHT,
-    IdentityId.COR5: Family.RL_RIGHT,
-    IdentityId.COR6: Family.EK_RIGHT,
-}
-
 @dataclass(frozen=True)
 class ImageEvaluation:
     """One evaluated closed form, decomposed for inspection.
@@ -141,13 +129,20 @@ class ImageEvaluation:
 @dataclass(frozen=True)
 class Correction:
     """One adjudicated discrepancy between circulating printed statements
-    of an identity and the form every oracle in this package confirms."""
+    of an identity and the form every oracle in this package confirms.
+    Where the printed form changes computed values, edit reproduces it in
+    image_rhs: (params, tau, num, series_den, sign) -> (num, series_den,
+    sign), the closed form's gamma arguments and sign."""
 
     key: str
     identity: str
     printed: str
     implemented: str
-    evaluable: bool
+    edit: Callable[..., tuple] | None = None
+
+    @property
+    def evaluable(self) -> bool:
+        return self.edit is not None
 
 
 CORRECTIONS: tuple[Correction, ...] = (
@@ -163,7 +158,8 @@ CORRECTIONS: tuple[Correction, ...] = (
             "finite-sum oracle and by the n = 0 reduction to the bare "
             "power image"
         ),
-        evaluable=True,
+        edit=lambda p, tau, num, den, sign: (
+            (num[0], tau + p[0] - p[1] - p[2], *num[2:]), den, sign),
     ),
     Correction(
         key="thm3-series-denominator",
@@ -177,7 +173,7 @@ CORRECTIONS: tuple[Correction, ...] = (
             "tau - beta in both places; the series parameters must be the "
             "shifted prefactor arguments for the finite sum to collapse"
         ),
-        evaluable=True,
+        edit=lambda p, tau, num, den, sign: (num, (tau - p[3], *den[1:]), sign),
     ),
     Correction(
         key="cor4-alternating-sign",
@@ -187,7 +183,7 @@ CORRECTIONS: tuple[Correction, ...] = (
             "(-1)^n Gamma(q+n+1)/Gamma(q+1) as in every other identity; "
             "the k = 0 oracle term fixes the sign for odd n"
         ),
-        evaluable=True,
+        edit=lambda p, tau, num, den, sign: (num, den, 1),
     ),
     Correction(
         key="cor4-condition-direction",
@@ -198,7 +194,6 @@ CORRECTIONS: tuple[Correction, ...] = (
             "for small tau, not large, and the underlying power-image "
             "condition has the same direction"
         ),
-        evaluable=False,
     ),
     Correction(
         key="thm2-series-class",
@@ -208,7 +203,6 @@ CORRECTIONS: tuple[Correction, ...] = (
             "a terminating 5F4; all argument shifts are by the summation "
             "index itself, so every Fox-Wright weight is 1"
         ),
-        evaluable=False,
     ),
     Correction(
         key="thm2-condition-symbol",
@@ -222,7 +216,6 @@ CORRECTIONS: tuple[Correction, ...] = (
             "tau > gamma - alpha - alpha_prime, "
             "tau > gamma - alpha - beta_prime"
         ),
-        evaluable=False,
     ),
     Correction(
         key="cor3-condition",
@@ -233,7 +226,6 @@ CORRECTIONS: tuple[Correction, ...] = (
             "five-parameter conditions; tau > eta is neither necessary "
             "nor sufficient"
         ),
-        evaluable=False,
     ),
     Correction(
         key="pochhammer-shift",
@@ -243,7 +235,6 @@ CORRECTIONS: tuple[Correction, ...] = (
             "(1 + n - p)_k, the factor binom(p-n-1, k) actually expands "
             "to; the printed form breaks the k = 1 term of every identity"
         ),
-        evaluable=False,
     ),
     Correction(
         key="ode-eigenvalue",
@@ -256,7 +247,6 @@ CORRECTIONS: tuple[Correction, ...] = (
             "eigenvalue n(n + 1 - p); the printed value leaves a nonzero "
             "residual already at n = 1"
         ),
-        evaluable=False,
     ),
 )
 
@@ -284,32 +274,25 @@ def image_rhs(
     """Closed-form right-hand side of one identity at (tau, x).
 
     The operator's power-image validity conditions are checked at the
-    base order tau.  With as_printed=True the three identities that
-    circulate with value-changing typos (thm1, thm3, cor4) are evaluated
-    exactly as printed; for every other identity the flag is a no-op.
+    base order tau.  With as_printed=True the edits of the identity's
+    CORRECTIONS are applied, so the three identities that circulate with
+    value-changing typos (thm1, thm3, cor4) are evaluated exactly as
+    printed; for every other identity the flag is a no-op.
     """
     if x <= 0.0:
         raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
     op = _make_operator(identity, op_params)
     img = power_image(op, tau)  # also the domain check at the base order
     num, den = img.prefactor.numerator_args, img.prefactor.denominator_args
-    series_den = den
-    if as_printed and identity is IdentityId.THM1:
-        # printed: tau + alpha - alpha' - beta as the second numerator
-        # argument, in the prefactor and the series
-        a, ap, b = op.params[:3]
-        num = (num[0], tau + a - ap - b, *num[2:])
-    elif as_printed and identity is IdentityId.THM3:
-        # printed: tau - beta' in the series for the prefactor's tau - beta
-        series_den = (tau - op.params[3], *den[1:])
+    series_den, sign = den, -1 if poly.n % 2 else 1
+    if as_printed:
+        for c in corrections_for(identity):
+            if c.edit is not None:
+                num, series_den, sign = c.edit(op.params, tau, num, series_den, sign)
 
     argument = -1.0 / x if FAMILIES[op.family].right else -x
     series_value = pfq((-float(poly.n), 1.0 + poly.n - poly.p, *num),
                        (poly.q + 1.0, *series_den), argument)
-
-    sign = -1 if poly.n % 2 else 1
-    if as_printed and identity is IdentityId.COR4:
-        sign = 1
     prefactor = GammaProduct((poly.q + poly.n + 1.0, *num), (poly.q + 1.0, *den), sign)
     base = gamma_product_eval(prefactor).times_power(x, img.exponent)
     return ImageEvaluation(
@@ -363,36 +346,29 @@ def lhs_oracle(
     return scale.to_float() * total
 
 
-def deriv_composition_oracle(side: str, msm_params, tau: float, x: float) -> float:
-    """Five-parameter derivative operator on its monomial convention,
-    computed the long way: inner integral image, then m-fold monomial
-    differentiation.
+def deriv_composition_oracle(op: OperatorSpec, tau: float, x: float) -> float:
+    """A derivative family's operator on its monomial convention, computed
+    the long way from FamilySpec.composition: the inner integral image,
+    then m-fold monomial differentiation, (d/dx)^m left-sided and
+    (-d/dx)^m right-sided, m = floor(gamma) + 1.
 
-    side="left":  (d/dx)^m  applied to the left integral image with
-                  parameters (-a', -a, -b'+m, -b, m-g), m = floor(g)+1,
-                  acting on t^(tau-1)
-    side="right": (-d/dx)^m applied to the right integral image with
-                  parameters (-a', -a, -b', -b+m, m-g), acting on t^(-tau)
-
-    Must agree with power_image of the matching derivative family."""
+    Must agree with power_image(op, tau). ValueError if op's family has
+    no composition."""
+    spec = FAMILIES[op.family]
+    if spec.composition is None:
+        raise ValueError(f"{op.family.value} is not a derivative family")
     if x <= 0.0:
         raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
-    a, ap, b, bp, g = (float(v) for v in msm_params)
+    g = op.named_params()["gamma"]
     if g <= 0.0:
         raise DomainError(
             f"derivative composition needs gamma > 0, got {g!r}",
             conditions=("gamma > 0",),
         )
     m = math.floor(g) + 1
-    if side == "left":
-        inner = msm_left_int(-ap, -a, -bp + m, -b, m - g)
-        mirror = 1.0
-    elif side == "right":
-        inner = msm_right_int(-ap, -a, -bp, -b + m, m - g)
-        mirror = (-1.0) ** m
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    img = power_image(inner, tau)
+    inner, inner_params = spec.composition
+    mirror = (-1.0) ** m if spec.right else 1.0
+    img = power_image(OperatorSpec(inner, inner_params(*op.params, m)), tau)
     s = img.exponent
     falling = 1.0
     for j in range(m):
@@ -448,108 +424,100 @@ def quadrature_value(
 @dataclass(frozen=True)
 class TagSpec:
     """One verification tag: the identity it checks (None for a bare
-    power-image lemma), its operator family, and the five-parameter
-    embedding whose quadrature must match the operator's, if any."""
+    power-image lemma), its operator family, its default grid (user config
+    replaces lists per symbol), and the five-parameter embedding whose
+    quadrature must match the operator's, if any."""
 
     identity: IdentityId | None
     family: Family
+    grid: dict[str, list]
     embedding: Callable[..., OperatorSpec] | None = None
 
 
-TAGS: dict[str, TagSpec] = {
-    **{i.value: TagSpec(i, family) for i, family in IDENTITY_FAMILY.items()},
-    # single power-image checks, tagged like the identities
-    "lem1": TagSpec(None, Family.MSM_LEFT_INT),
-    "lem2": TagSpec(None, Family.MSM_RIGHT_INT),
-    "lem3": TagSpec(None, Family.SAIGO_LEFT, saigo_left_as_msm),
-    "lem4": TagSpec(None, Family.SAIGO_RIGHT, saigo_right_as_msm),
-    "lem5": TagSpec(None, Family.MSM_LEFT_DERIV),
-    "lem6": TagSpec(None, Family.MSM_RIGHT_DERIV),
-}
-
-ALL_TAGS = list(TAGS)
-
-# default verification grids; user config replaces lists per symbol.
 # Every identity runs its polynomial factor M_n^(p,q) over POLY_GRID.
 POLY_GRID = {"n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5]}
-DEFAULT_GRIDS: dict[str, dict[str, list]] = {
-    "thm1": {
+TAGS: dict[str, TagSpec] = {
+    "thm1": TagSpec(IdentityId.THM1, Family.MSM_LEFT_INT, {
         "delta": [0.5], "delta_prime": [0.0, 0.3], "mu": [0.2],
         "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
-    },
-    "thm2": {
+    }),
+    "thm2": TagSpec(IdentityId.THM2, Family.MSM_RIGHT_INT, {
         "delta": [0.0, 0.5], "delta_prime": [0.3], "mu": [0.2],
         "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [1.0, 2.0, 4.0],
-    },
-    "thm3": {
+    }),
+    "thm3": TagSpec(IdentityId.THM3, Family.MSM_LEFT_DERIV, {
         "delta": [0.5], "delta_prime": [0.3], "mu": [0.2],
         "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
-    },
-    "thm4": {
+    }),
+    "thm4": TagSpec(IdentityId.THM4, Family.MSM_RIGHT_DERIV, {
         "delta": [0.5], "delta_prime": [0.3], "mu": [0.2],
         "mu_prime": [0.4], "epsilon": [1.1], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [1.0, 2.0, 4.0],
-    },
-    "cor1": {
+    }),
+    "cor1": TagSpec(IdentityId.COR1, Family.SAIGO_LEFT, {
         "delta": [0.6], "mu": [0.2], "epsilon": [0.4], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
-    },
-    "cor2": {
+    }),
+    "cor2": TagSpec(IdentityId.COR2, Family.RL_LEFT, {
         "delta": [0.5, 1.25], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
-    },
-    "cor3": {
+    }),
+    "cor3": TagSpec(IdentityId.COR3, Family.EK_LEFT, {
         "epsilon": [0.5], "delta": [0.75], **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
-    },
-    "cor4": {
+    }),
+    "cor4": TagSpec(IdentityId.COR4, Family.SAIGO_RIGHT, {
         "delta": [0.6], "mu": [0.2], "epsilon": [0.4], **POLY_GRID,
         "tau": [0.5, 1.125], "x": [1.0, 2.0, 4.0],
-    },
-    "cor5": {
+    }),
+    "cor5": TagSpec(IdentityId.COR5, Family.RL_RIGHT, {
         "delta": [0.3, 0.5], **POLY_GRID,
         "tau": [0.25, 0.4375], "x": [1.0, 2.0, 4.0],
-    },
-    "cor6": {
+    }),
+    "cor6": TagSpec(IdentityId.COR6, Family.EK_RIGHT, {
         "epsilon": [0.8], "delta": [0.5], **POLY_GRID,
         "tau": [0.25, 0.5], "x": [1.0, 2.0, 4.0],
-    },
+    }),
     # bare power images against quadrature; lem1/lem2 stay on the
     # single-series kernel slices the quadrature supports
-    "lem1": {
+    "lem1": TagSpec(None, Family.MSM_LEFT_INT, {
         "delta": [0.5], "delta_prime": [0.0], "mu": [0.2],
         "mu_prime": [0.4], "epsilon": [1.1],
         "tau": [1.5, 2.5], "x": [0.5, 2.0],
-    },
-    "lem2": {
+    }),
+    "lem2": TagSpec(None, Family.MSM_RIGHT_INT, {
         "delta": [0.0], "delta_prime": [0.3], "mu": [0.2],
         "mu_prime": [0.4], "epsilon": [1.1],
         "tau": [1.5, 2.5], "x": [1.0, 2.0],
-    },
-    "lem3": {
+    }),
+    "lem3": TagSpec(None, Family.SAIGO_LEFT, {
         "delta": [0.6], "mu": [0.2], "epsilon": [0.4],
         "tau": [1.5, 2.5], "x": [0.5, 2.0],
-    },
+    }, saigo_left_as_msm),
     # epsilon = 0 keeps the five-parameter embedding on the slice the
     # right-sided quadrature supports, so the reduction check runs too
-    "lem4": {
+    "lem4": TagSpec(None, Family.SAIGO_RIGHT, {
         "delta": [0.6], "mu": [0.2], "epsilon": [0.0],
         "tau": [0.5, 0.75], "x": [1.0, 2.0],
-    },
-    "lem5": {
+    }, saigo_right_as_msm),
+    "lem5": TagSpec(None, Family.MSM_LEFT_DERIV, {
         "delta": [0.3], "delta_prime": [0.4], "mu": [0.1],
         "mu_prime": [0.2], "epsilon": [0.6],
         "tau": [3.0, 4.5], "x": [0.7, 2.0],
-    },
-    "lem6": {
+    }),
+    "lem6": TagSpec(None, Family.MSM_RIGHT_DERIV, {
         "delta": [0.3], "delta_prime": [0.4], "mu": [0.1],
         "mu_prime": [0.2], "epsilon": [0.6],
         "tau": [3.0, 4.5], "x": [0.7, 2.0],
-    },
+    }),
 }
+
+IDENTITY_FAMILY = {spec.identity: spec.family for spec in TAGS.values() if spec.identity}
+DEFAULT_GRIDS = {tag: spec.grid for tag, spec in TAGS.items()}
+ALL_TAGS = list(TAGS)
 
 
 @dataclass
@@ -637,7 +605,6 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     with its reason, for the others; a closed form or oracle past the
     double range skips the point."""
     spec = TAGS[tag]
-    family = FAMILIES[spec.family]
     identity, op = spec.identity, OperatorSpec(spec.family, _op_params(tag, point))
     tau, x = float(point["tau"]), float(point["x"])
     poly = None if identity is None else PolySpec(
@@ -652,9 +619,8 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
             oracle = lhs_oracle(identity, op.params, poly, tau, x)
         else:
             closed = power_image(op, tau).value_at(x)
-            if family.quadrature is None:  # lem5, lem6
-                side = "right" if family.right else "left"
-                oracle = deriv_composition_oracle(side, op.params, tau, x)
+            if FAMILIES[spec.family].composition is not None:  # lem5, lem6
+                oracle = deriv_composition_oracle(op, tau, x)
     except (DomainError, PoleError) as exc:
         return VerificationRecord(
             tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)

@@ -8,7 +8,10 @@ Erdelyi-Kober specializations. Each family maps a pure power of t to a
 gamma-factor prefactor times a power of x; the prefactor is returned as a
 symbolic GammaProduct so downstream checks can compare argument multisets
 exactly instead of comparing rounded floats. FAMILIES states everything
-that distinguishes one family from another, once per family.
+that distinguishes one family from another, once per family: names,
+conditions, image, the defining integral (QuadRecipe) of an integral
+family, and the composition that defines a derivative family through an
+integral one.
 
 Monomial conventions (negative_power in FAMILIES): left-sided families act
 on t^(tau-1); the generalized right-sided families act on t^(-tau); the
@@ -61,8 +64,11 @@ class FamilySpec:
     """One operator family: API names and CLI flag/grid letters in tuple
     order; conditions and image of (*params, tau), as (label, margin) pairs
     and as (numerator args, denominator args, exponent of x); quadrature,
-    None for the derivative families; right-sidedness; and negative_power,
-    the monomial t^(-tau) in place of t^(tau-1)."""
+    None for the derivative families; right-sidedness; negative_power, the
+    monomial t^(-tau) in place of t^(tau-1); and composition, set on the
+    derivative families only: (inner integral family, map from (*params, m)
+    to its parameters), the operator being (d/dx)^m (left) or (-d/dx)^m
+    (right) of that integral, m = floor(gamma) + 1."""
 
     params: tuple[str, ...]
     symbols: tuple[str, ...]
@@ -71,6 +77,7 @@ class FamilySpec:
     quadrature: QuadRecipe | None
     right: bool = False
     negative_power: bool = False
+    composition: tuple[Family, Callable[..., tuple[float, ...]]] | None = None
 
     def monomial_power(self, tau: float) -> float:
         """Exponent of the monomial the family's images are stated for."""
@@ -143,6 +150,8 @@ FAMILIES: dict[Family, FamilySpec] = {
             a + ap - g + tau - 1.0,
         ),
         quadrature=None,
+        composition=(Family.MSM_LEFT_INT,
+                     lambda a, ap, b, bp, g, m: (-ap, -a, -bp + m, -b, m - g)),
     ),
     Family.MSM_RIGHT_DERIV: FamilySpec(
         _FIVE_NAMES, _FIVE_LETTERS, right=True, negative_power=True,
@@ -158,6 +167,8 @@ FAMILIES: dict[Family, FamilySpec] = {
             a + ap - g - tau,
         ),
         quadrature=None,
+        composition=(Family.MSM_RIGHT_INT,
+                     lambda a, ap, b, bp, g, m: (-ap, -a, -bp, -b + m, m - g)),
     ),
     Family.SAIGO_LEFT: FamilySpec(
         _SAIGO_NAMES, _SAIGO_LETTERS,

@@ -300,7 +300,7 @@ def test_acceptance_c6(capsys):
             for tau in (3.0, 4.5):
                 for x in (0.7, 1.5, 2.0):
                     want = power_image(factory(*params), tau).value_at(x)
-                    got = deriv_composition_oracle(side, params, tau, x)
+                    got = deriv_composition_oracle(factory(*params), tau, x)
                     d = rel(got, want)
                     if d > 1e-10:
                         failures.append((side, params, tau, x, d))

@@ -481,6 +481,16 @@ def test_negative_values_in_exponent_notation_reach_the_program(capsys):
     assert json_tail(out)["params"]["delta_prime"] == -0.3
 
 
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+def test_negative_non_finite_values_reach_the_program(capsys, value):
+    # argparse took -inf for an option and exited 2 with its usage dump
+    rc, out, err = run(capsys, "eval", "image", "--family", "rl-left",
+                       "--delta", "1", "--tau", "2", "--x", value)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --x must be finite, got ")
+
+
 @pytest.mark.parametrize("argv, config", [
     (["verify", "--identities", ",,"], None),
     (["verify"], "identities =\n"),
@@ -729,6 +739,39 @@ def test_sweep_csv(tmp_path, capsys):
     for values in pairs.values():
         ordered = sorted(values)
         assert ordered[0][1] < ordered[-1][1]
+
+
+def test_sweep_writes_to_the_config_files_out(tmp_path, capsys):
+    # the config's out key was ignored: the CSV went to stdout, no file
+    out_path = tmp_path / "rows.csv"
+    cfg = write_cfg(tmp_path, SMALL_CFG + f"out = {out_path}\n")
+    rc, out, _ = run(capsys, "sweep", "--config", cfg)
+    assert rc == 0
+    assert out == f"sweep: 8 rows -> {out_path}\n"
+    lines = out_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("identity,delta,") and len(lines) == 9
+    # the flag still wins over the file
+    flag_path = tmp_path / "flag.csv"
+    rc, out, _ = run(capsys, "sweep", "--config", cfg, "--out", str(flag_path))
+    assert rc == 0
+    assert out == f"sweep: 8 rows -> {flag_path}\n"
+    assert flag_path.read_text(encoding="utf-8") == out_path.read_text(encoding="utf-8")
+
+
+def test_sweep_into_a_closed_pipe_exits_without_a_traceback():
+    # `fracimage sweep | head -3` ended in a BrokenPipeError traceback; the
+    # full sweep (about 98 kB) outgrows the pipe and stdout buffers, so it
+    # is still writing when the reader goes
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "fracimage", "sweep"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head[0].startswith(b"identity,") and head[2].startswith(b"thm1,")
+    assert err == ""
 
 
 def test_sweep_streams_rows_before_an_abort(tmp_path, monkeypatch):

@@ -282,16 +282,6 @@ def test_gamma_product_same_factors_permutation():
     assert not a.same_factors(d)
 
 
-def test_gamma_product_mul_merges():
-    a = GammaProduct((1.5,), (2.5,), sign=-1)
-    b = GammaProduct((2.5,), (4.0,), sign=-1)
-    prod = a * b
-    assert prod.sign == 1
-    red = prod.cancelled()
-    assert red.numerator_args == (1.5,)
-    assert red.denominator_args == (4.0,)
-
-
 def test_gamma_product_eval_frozen():
     # Gamma(2) Gamma(2.1)^2 / (Gamma(2.4) Gamma(2.3) Gamma(2.6))
     gp = GammaProduct((2.0, 2.1, 2.1), (2.4, 2.3, 2.6))

@@ -375,7 +375,7 @@ def test_deriv_composition_matches_image(side, params):
     op = fam(*params)
     for tau in (3.0, 4.5):
         for x in (0.7, 1.5, 2.0):
-            composed = deriv_composition_oracle(side, params, tau, x)
+            composed = deriv_composition_oracle(op, tau, x)
             direct = power_image(op, tau).value_at(x)
             assert composed == pytest.approx(direct, rel=1e-10)
 
@@ -383,16 +383,17 @@ def test_deriv_composition_matches_image(side, params):
 def test_deriv_all_zero_parameters_collapse():
     # with every parameter zero except gamma the left derivative is the
     # classical fractional derivative of order gamma
-    v = deriv_composition_oracle("left", (0, 0, 0, 0, 0.6), 3.0, 1.5)
+    v = deriv_composition_oracle(msm_left_deriv(0, 0, 0, 0, 0.6), 3.0, 1.5)
     want = gamma(3.0) / gamma(2.4) * 1.5**1.4
     assert v == pytest.approx(want, rel=1e-13)
 
 
 def test_deriv_composition_validation():
-    with pytest.raises(ValueError):
-        deriv_composition_oracle("up", (0, 0, 0, 0, 0.6), 3.0, 1.5)
+    # an integral family has no composition to compute
+    with pytest.raises(ValueError, match="not a derivative family"):
+        deriv_composition_oracle(msm_left_int(0, 0, 0, 0, 0.6), 3.0, 1.5)
     with pytest.raises(DomainError):
-        deriv_composition_oracle("left", (0, 0, 0, 0, -0.2), 3.0, 1.5)
+        deriv_composition_oracle(msm_left_deriv(0, 0, 0, 0, -0.2), 3.0, 1.5)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -400,8 +401,9 @@ def test_deriv_composition_validation():
 def test_deriv_composition_needs_positive_x(side, x):
     # raised ValueError ("times_power: base must be positive"), unlike the
     # closed form and the finite-sum oracle
+    fam = msm_left_deriv if side == "left" else msm_right_deriv
     with pytest.raises(DomainError, match="need x > 0"):
-        deriv_composition_oracle(side, (0.3, 0.4, 0.1, 0.2, 0.6), 3.0, x)
+        deriv_composition_oracle(fam(0.3, 0.4, 0.1, 0.2, 0.6), 3.0, x)
 
 
 def test_quadrature_matches_closed_form():

@@ -253,6 +253,13 @@ def test_family_table_is_complete():
             assert set(spec.quadrature.single_series or ()) <= set(spec.params)
     no_quadrature = {f for f, spec in FAMILIES.items() if spec.quadrature is None}
     assert no_quadrature == {Family.MSM_LEFT_DERIV, Family.MSM_RIGHT_DERIV}
+    # a derivative family is defined through an integral family instead
+    composed = {f for f, spec in FAMILIES.items() if spec.composition is not None}
+    assert composed == no_quadrature
+    for f in composed:
+        inner, _ = FAMILIES[f].composition
+        assert FAMILIES[inner].quadrature is not None
+        assert FAMILIES[inner].right == FAMILIES[f].right
     assert set(IDENTITY_FAMILY) == set(IdentityId)
     assert set(IDENTITY_FAMILY.values()) <= set(FAMILIES)
     lemmas = {tag: spec for tag, spec in TAGS.items() if spec.identity is None}
