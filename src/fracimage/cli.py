@@ -2,7 +2,8 @@
 
 Verbs:
   eval    evaluate one function, image, operator application, closed
-          form, or oracle at a point
+          form, or oracle at a point; each target is a sub-command that
+          takes only its own flags (EVAL_TARGETS, `eval <target> --help`)
   verify  run identity checks over parameter grids and write one JSON
           line per (identity, point)
   sweep   tabulate values over a grid as CSV for external plotting
@@ -17,10 +18,12 @@ the two-parameter family. The Python API uses alpha, alpha_prime, beta,
 beta_prime, gamma / alpha, beta, eta / alpha / eta, alpha for the same
 positions (operators.FAMILIES); flag values map positionally. verify
 and sweep write each record (sweep: each CSV row) to --out as soon as it
-is computed, in grid order.
+is computed, in grid order. Records and eval lines are standard JSON
+(json.dumps, floats as their shortest round-trip repr); CSV cells are
+csv.writer's, with an empty cell for None.
 
 Exit codes: 0 all pass, 1 any verification failure, 2 domain or config
-error, 3 convergence error.
+error (argparse prints its usage line first), 3 convergence error.
 """
 
 from __future__ import annotations
@@ -72,14 +75,6 @@ EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 
 
-def _num(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    return format(float(v), ".17g")
-
-
 def _show(v) -> str:
     """Human-facing number: shortest exact form, integers without .0"""
     f = float(v)
@@ -88,23 +83,16 @@ def _show(v) -> str:
     return repr(f)
 
 
-def _json_value(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join(_json_value(u) for u in v) + "]"
-    if isinstance(v, dict):
-        return "{" + ",".join(
-            f"{json.dumps(k)}:{_json_value(u)}" for k, u in v.items()
-        ) + "}"
-    return _num(v)
-
-
 def _json_line(obj: dict) -> str:
-    """One JSON object, fixed key order, floats at 17 significant digits."""
-    return _json_value(obj) + "\n"
+    """One compact JSON object in key order; a NaN or infinity raises ValueError."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +190,6 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
 # ---------------------------------------------------------------------------
 # eval
 
-def _need(args, target: str, *names: str) -> None:
-    if any(getattr(args, name) is None for name in names):
-        flags = ", ".join("--" + name.replace("_", "-") for name in names)
-        raise ConfigError(f"eval {target} needs {flags}")
-
-
-def _family_from_args(args) -> Family:
-    if not args.family:
-        raise ConfigError("--family is required for this target")
-    return Family(args.family)
-
-
 def _params_from_args(args, family: Family) -> tuple[float, ...]:
     values = []
     for symbol in FAMILIES[family].symbols:
@@ -230,24 +206,6 @@ def _named(family: Family, params: tuple[float, ...]) -> dict[str, float]:
     return dict(zip(FAMILIES[family].symbols, params))
 
 
-def _poly_from_args(args) -> PolySpec:
-    if args.n is None or args.p is None or args.q is None:
-        raise ConfigError("this target needs --n, --p, and --q")
-    return PolySpec(int(args.n), float(args.p), float(args.q))
-
-
-def _identity_from_args(args) -> IdentityId:
-    if not args.identity:
-        raise ConfigError("--identity is required for this target")
-    try:
-        return IdentityId(args.identity)
-    except ValueError as exc:
-        raise ConfigError(
-            f"unknown identity {args.identity!r}; "
-            f"choose from {', '.join(i.value for i in IdentityId)}"
-        ) from exc
-
-
 def _parse_exact(text: str) -> Fraction:
     # decimal literals become exact rationals so terminating series print
     # without float-parse residue (0.4 stays 2/5, not the nearest double)
@@ -257,11 +215,8 @@ def _parse_exact(text: str) -> Fraction:
         raise ConfigError(f"not a number: {text.strip()!r}") from exc
 
 
-def _parse_exact_list(text: str | None) -> tuple[Fraction, ...]:
-    if text is None or not text.strip():
-        return ()
-    return tuple(_parse_exact(piece) for piece in text.split(",")
-                 if piece.strip())
+def _parse_exact_list(text: str) -> tuple[Fraction, ...]:
+    return tuple(_parse_exact(piece) for piece in text.split(",") if piece.strip())
 
 
 # Each eval target returns its JSON fields in output order (after
@@ -271,7 +226,7 @@ F3_ARGS = ("a", "a_prime", "b", "b_prime", "c", "w", "z")
 
 
 def _eval_pfq(args) -> EvalResult:
-    _need(args, "pfq", "arg")
+    """terminating or convergent pFq(num; den; arg)"""
     num, den = _parse_exact_list(args.num), _parse_exact_list(args.den)
     arg = _parse_exact(args.arg)
     return {"num": [float(a) for a in num], "den": [float(b) for b in den],
@@ -279,30 +234,29 @@ def _eval_pfq(args) -> EvalResult:
 
 
 def _eval_f3(args) -> EvalResult:
-    _need(args, "f3", *F3_ARGS)
+    """Appell F3(a, a', b, b'; c; w, z)"""
     values = {name: getattr(args, name) for name in F3_ARGS}
     return {**values, "value": appell_f3(*values.values())}, ("value",)
 
 
 def _eval_mpoly(args) -> EvalResult:
-    poly = _poly_from_args(args)
-    _need(args, "mpoly", "x")
-    value = m_poly(poly, args.x, method=args.method)
-    return {"n": poly.n, "p": poly.p, "q": poly.q, "x": args.x,
+    """the polynomial M_n^(p,q)(x)"""
+    value = m_poly(PolySpec(args.n, args.p, args.q), args.x, method=args.method)
+    return {"n": args.n, "p": args.p, "q": args.q, "x": args.x,
             "method": args.method, "value": value}, ("value",)
 
 
 def _eval_jacobi(args) -> EvalResult:
-    _need(args, "jacobi", "n", "alpha", "beta", "x")
-    spec = JacobiSpec(int(args.n), args.alpha, args.beta)
+    """the Jacobi polynomial P_n^(alpha,beta)(x)"""
+    spec = JacobiSpec(args.n, args.alpha, args.beta)
     return {"n": spec.n, "alpha": spec.alpha, "beta": spec.beta, "x": args.x,
             "value": jacobi_p(spec, args.x)}, ("value",)
 
 
 def _eval_image(args) -> EvalResult:
-    family = _family_from_args(args)
+    """a family's power image: gamma prefactor and exponent, and its value at --x"""
+    family = Family(args.family)
     params = _params_from_args(args, family)
-    _need(args, "image", "tau")
     img = power_image(OperatorSpec(family, params), args.tau)
     out = {"family": family.value, "params": _named(family, params),
            "tau": args.tau,
@@ -316,10 +270,13 @@ def _eval_image(args) -> EvalResult:
 
 
 def _eval_apply(args) -> EvalResult:
-    family = _family_from_args(args)
+    """quadrature of an operator on its monomial, times M_n with --n --p --q"""
+    family = Family(args.family)
     params = _params_from_args(args, family)
-    _need(args, "apply", "tau", "x")
-    poly = None if args.n is None else _poly_from_args(args)
+    given = [v is not None for v in (args.n, args.p, args.q)]
+    if any(given) and not all(given):
+        raise ConfigError("eval apply takes --n, --p and --q together")
+    poly = PolySpec(args.n, args.p, args.q) if all(given) else None
     quad = monomial_quadrature(OperatorSpec(family, params), poly, args.tau, args.x)
     out = {"family": family.value, "params": _named(family, params),
            "tau": args.tau, "x": args.x, "value": quad.value,
@@ -329,20 +286,20 @@ def _eval_apply(args) -> EvalResult:
     return out, ("value", "error", "nodes")
 
 
-def _identity_point(args, target: str) -> tuple[tuple, dict]:
+def _identity_point(args) -> tuple[tuple, dict]:
     """rhs and oracle: the identity's arguments and their JSON fields."""
-    identity = _identity_from_args(args)
+    identity = IdentityId(args.identity)
     family = IDENTITY_FAMILY[identity]
     params = _params_from_args(args, family)
-    poly = _poly_from_args(args)
-    _need(args, target, "tau", "x")
+    poly = PolySpec(args.n, args.p, args.q)
     out = {"identity": identity.value, "params": _named(family, params),
            "n": poly.n, "p": poly.p, "q": poly.q, "tau": args.tau, "x": args.x}
     return (identity, params, poly, args.tau, args.x), out
 
 
 def _eval_rhs(args) -> EvalResult:
-    point, out = _identity_point(args, "rhs")
+    """an identity's closed form"""
+    point, out = _identity_point(args)
     ev = image_rhs(*point, as_printed=args.as_printed)
     out.update(
         as_printed=args.as_printed,
@@ -357,15 +314,42 @@ def _eval_rhs(args) -> EvalResult:
 
 
 def _eval_oracle(args) -> EvalResult:
-    point, out = _identity_point(args, "oracle")
+    """an identity's exact finite-sum oracle"""
+    point, out = _identity_point(args)
     out["value"] = lhs_oracle(*point)
     return out, ("value",)
 
 
+# Flags as argparse keyword arguments, keyed by their dest names.
+REQUIRED = {"type": float, "required": True}
+OPTIONAL = {"type": float}
+POLY = {"n": {"type": int, "required": True, "help": "polynomial degree"},
+        "p": REQUIRED, "q": REQUIRED}
+POINT = {"tau": {**REQUIRED, "help": "monomial order"}, "x": REQUIRED}
+# every family's parameter flags; _params_from_args checks the ones it reads
+OPERATOR = {s: OPTIONAL for spec in FAMILIES.values() for s in spec.symbols}
+FAMILY = {"family": {"required": True, "choices": [f.value for f in Family]},
+          **OPERATOR}
+IDENTITY = {"identity": {"required": True, "choices": [i.value for i in IdentityId]},
+            **OPERATOR, **POLY, **POINT}
+
+# Each eval target: its function and its flags.
 EVAL_TARGETS = {
-    "pfq": _eval_pfq, "f3": _eval_f3, "mpoly": _eval_mpoly,
-    "jacobi": _eval_jacobi, "image": _eval_image, "apply": _eval_apply,
-    "rhs": _eval_rhs, "oracle": _eval_oracle,
+    "pfq": (_eval_pfq, {
+        "num": {"default": "", "help": "comma-separated numerator parameters"},
+        "den": {"default": "", "help": "comma-separated denominator parameters"},
+        "arg": {"required": True, "help": "series argument"}}),
+    "f3": (_eval_f3, dict.fromkeys(F3_ARGS, REQUIRED)),
+    "mpoly": (_eval_mpoly, {**POLY, "x": REQUIRED, "method": {
+        "default": "direct", "choices": ["direct", "hypergeometric"]}}),
+    "jacobi": (_eval_jacobi, {"n": POLY["n"], "alpha": REQUIRED, "beta": REQUIRED,
+                              "x": REQUIRED}),
+    "image": (_eval_image, {**FAMILY, "tau": POINT["tau"], "x": OPTIONAL}),
+    "apply": (_eval_apply, {**FAMILY, **POINT, "n": {"type": int}, "p": OPTIONAL,
+                            "q": OPTIONAL}),
+    "rhs": (_eval_rhs, {**IDENTITY, "as_printed": {
+        "action": "store_true", "help": "evaluate the as-printed identity variant"}}),
+    "oracle": (_eval_oracle, IDENTITY),
 }
 
 
@@ -374,10 +358,11 @@ def cmd_eval(args) -> int:
         if isinstance(value, float) and not math.isfinite(value):
             flag = "--" + name.replace("_", "-")
             raise ConfigError(f"{flag} must be finite, got {value!r}")
-    out, shown = EVAL_TARGETS[args.target](args)
+    out, shown = EVAL_TARGETS[args.target][0](args)
+    line = _json_line({"target": args.target, **out})
     for key in shown:
         print(f"{key} = {_show(out[key])}")
-    sys.stdout.write(_json_line({"target": args.target, **out}))
+    sys.stdout.write(line)
     return EXIT_PASS
 
 
@@ -389,7 +374,7 @@ def cmd_verify(args) -> int:
     cfg = build_sweep_config(pairs, args)
     pending = iter_verification(cfg)
     verdicts = Counter()
-    with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
+    with _open_out(cfg.out) as handle:
         for rec in pending:
             handle.write(_json_line(vars(rec)))
             verdicts[rec.verdict] += 1
@@ -409,26 +394,19 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"unknown identity {args.identity!r}")
         cfg.identities = [args.identity]
     pending = iter_verification(cfg)
-    symbol_sets = [_point_symbols(tag) for tag in cfg.identities]
-    symbols = list(dict.fromkeys(s for group in symbol_sets for s in group))
-    header = ["identity"] + symbols + [
-        "oracle_value", "closed_form_value", "quadrature_value", "rel_diff",
-        "verdict",
-    ]
+    symbols = list(dict.fromkeys(s for t in cfg.identities for s in _point_symbols(t)))
+    values = ["oracle_value", "closed_form_value", "quadrature_value", "rel_diff",
+              "verdict"]
     to_file = args.out or "out" in pairs
-    out = open(cfg.out, "w", encoding="utf-8", newline="") if to_file else sys.stdout
+    out = _open_out(cfg.out) if to_file else sys.stdout
     rows = 0
     try:
+        # csv writes a float as its repr and None as an empty cell
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(["identity", *symbols, *values])
         for rec in pending:
-            values = (rec.oracle_value, rec.closed_form_value, rec.quadrature_value)
-            writer.writerow(
-                [rec.identity]
-                + [_num(rec.point[s]) if s in rec.point else "" for s in symbols]
-                + ["" if v is None else _num(v) for v in values]
-                + [_num(rec.rel_diff), rec.verdict]
-            )
+            writer.writerow([rec.identity, *map(rec.point.get, symbols),
+                             *(getattr(rec, v) for v in values)])
             rows += 1
     finally:
         if out is not sys.stdout:
@@ -441,20 +419,25 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     try:
         with open(args.records, encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
+            lines = list(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read records {args.records}: {exc}") from exc
-    records = [json.loads(line) for line in lines]
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                records.append(VerificationRecord(**json.loads(line)))
+            except (ValueError, TypeError) as exc:  # not JSON, or not a record
+                raise ConfigError(f"{args.records}:{lineno}: {exc}") from exc
     by_identity: dict[str, dict] = {}
     for rec in records:
         stats = by_identity.setdefault(
-            rec["identity"],
+            rec.identity,
             {"PASS": 0, "FAIL": 0, "SKIPPED": 0, "max_rel_diff": 0.0},
         )
-        verdict = rec["verdict"]
-        key = "SKIPPED" if verdict.startswith("SKIPPED") else verdict
+        key = "SKIPPED" if rec.verdict.startswith("SKIPPED") else rec.verdict
         stats[key] += 1
-        stats["max_rel_diff"] = max(stats["max_rel_diff"], rec["rel_diff"])
+        stats["max_rel_diff"] = max(stats["max_rel_diff"], rec.rel_diff)
     print(f"{'identity':<10} {'pass':>6} {'fail':>6} {'skipped':>8} "
           f"{'max rel diff':>14}")
     for tag in sorted(by_identity):
@@ -469,15 +452,14 @@ def cmd_report(args) -> int:
     if n_fail:
         print("\nfailures:")
         for rec in records:
-            if rec["verdict"] != "FAIL":
+            if rec.verdict != "FAIL":
                 continue
-            point = ", ".join(f"{k}={_num(v)}" for k, v in rec["point"].items())
-            print(f"  {rec['identity']} [{point}]")
-            print(f"    oracle {_num(rec['oracle_value'])}  "
-                  f"closed {_num(rec['closed_form_value'])}  "
-                  f"rel diff {_num(rec['rel_diff'])}")
-            if rec.get("ledger_note"):
-                print(f"    note: {rec['ledger_note']}")
+            point = ", ".join(f"{k}={v}" for k, v in rec.point.items())
+            print(f"  {rec.identity} [{point}]")
+            print(f"    oracle {rec.oracle_value}  closed {rec.closed_form_value}  "
+                  f"rel diff {rec.rel_diff}")
+            if rec.ledger_note:
+                print(f"    note: {rec.ledger_note}")
     print("\ncorrections ledger (printed statement vs implemented form):")
     for c in CORRECTIONS:
         print(f"  [{c.key}] {c.identity}")
@@ -489,27 +471,9 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _float_flags(sub: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        sub.add_argument("--" + name.replace("_", "-"), type=float)
-
-
-def _add_eval_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("target", choices=list(EVAL_TARGETS))
-    sub.add_argument("--num", help="comma-separated numerator parameters")
-    sub.add_argument("--den", help="comma-separated denominator parameters")
-    sub.add_argument("--arg", help="series argument")
-    _float_flags(sub, *F3_ARGS)
-    sub.add_argument("--n", type=int, help="polynomial degree")
-    _float_flags(sub, "p", "q", "alpha", "beta", "x")
-    sub.add_argument("--method", default="direct",
-                     choices=["direct", "hypergeometric"])
-    sub.add_argument("--family", choices=[f.value for f in Family])
-    sub.add_argument("--identity", help="thm1..thm4, cor1..cor6")
-    sub.add_argument("--tau", type=float, help="monomial order")
-    _float_flags(sub, "delta", "delta_prime", "mu", "mu_prime", "epsilon")
-    sub.add_argument("--as-printed", action="store_true",
-                     help="evaluate the as-printed identity variant")
+def _add_flags(sub: argparse.ArgumentParser, flags: dict[str, dict]) -> None:
+    for dest, kwargs in flags.items():
+        sub.add_argument("--" + dest.replace("_", "-"), **kwargs)
 
 
 def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
@@ -518,7 +482,7 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--identities", help="comma-separated identity tags")
     sub.add_argument("--as-printed", action="store_true",
                      help="verify the as-printed variants instead")
-    _float_flags(sub, *TOLERANCES)
+    _add_flags(sub, dict.fromkeys(TOLERANCES, {"type": float}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,8 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate and verify fractional-operator power images",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_eval_flags(subs.add_parser(
-        "eval", help="evaluate one target at a point"))
+    targets = subs.add_parser(
+        "eval", help="evaluate one target at a point"
+    ).add_subparsers(dest="target", required=True)
+    for name, (evaluate, flags) in EVAL_TARGETS.items():
+        # no prefix matching: --a is f3's flag, not an abbreviation of --arg
+        target = targets.add_parser(name, help=evaluate.__doc__, allow_abbrev=False)
+        _add_flags(target, flags)
     _add_sweep_flags(subs.add_parser(
         "verify", help="run identity checks over grids"))
     sweep = subs.add_parser("sweep", help="tabulate values over grids as CSV")
@@ -568,8 +537,11 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
     except (DomainError, PoleError, ConfigError, UnsupportedKernelError,
-            ValueError, OverflowError) as exc:
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OverflowError as exc:
+        print(f"error: a value overflows the double range ({exc})", file=sys.stderr)
         return EXIT_DOMAIN
     except (NonConvergedError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

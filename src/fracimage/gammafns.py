@@ -36,6 +36,13 @@ def _check_argument(name: str, x: float) -> None:
         raise PoleError(f"gamma pole at {x!r}", argument=x)
 
 
+def check_finite(name: str, value: float) -> float:
+    """value, or OverflowError if it is past the double range (inf or NaN)."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} is {value!r}")
+    return value
+
+
 def gamma(x: float) -> float:
     """Gamma(x) for finite real x; PoleError at nonpositive integers,
     OverflowError when the value exceeds double-precision range."""

@@ -64,7 +64,7 @@ from .errors import (
     PoleError,
     UnsupportedKernelError,
 )
-from .gammafns import GammaProduct, gamma_product_eval
+from .gammafns import GammaProduct, check_finite, gamma_product_eval
 from .hypergeom import exact_series_sum, pfq
 from .jacobi import PolySpec, _coefficients_exact, m_poly_coefficients, _poly_eval
 from .operators import (
@@ -296,7 +296,7 @@ def image_rhs(
     prefactor = GammaProduct((poly.q + poly.n + 1.0, *num), (poly.q + 1.0, *den), sign)
     base = gamma_product_eval(prefactor).times_power(x, img.exponent)
     return ImageEvaluation(
-        value=base.to_float() * series_value,
+        value=check_finite("closed form", base.to_float() * series_value),
         prefactor=prefactor,
         series_value=series_value,
         argument=argument,
@@ -343,7 +343,7 @@ def lhs_oracle(
         1 / Fraction(x) if spec.right else x,
     )
     scale = gamma_product_eval(base.prefactor).times_power(x, base.exponent)
-    return scale.to_float() * total
+    return check_finite("oracle", scale.to_float() * total)
 
 
 def deriv_composition_oracle(op: OperatorSpec, tau: float, x: float) -> float:
@@ -374,7 +374,7 @@ def deriv_composition_oracle(op: OperatorSpec, tau: float, x: float) -> float:
     for j in range(m):
         falling *= s - j
     base = gamma_product_eval(img.prefactor).times_power(x, s - m)
-    return mirror * falling * base.to_float()
+    return check_finite("composition oracle", mirror * falling * base.to_float())
 
 
 def monomial_quadrature(
@@ -601,9 +601,9 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     for lem1-lem4, against quadrature, whose value is then also the
     record's oracle_value. Every tag runs monomial_quadrature, and
     operator_apply alone decides whether it is supported: a quadrature
-    refused or not converged skips a tag without an oracle and is noted,
-    with its reason, for the others; a closed form or oracle past the
-    double range skips the point."""
+    refused, not converged or overflowing skips a tag without an oracle and
+    is noted, with its reason, for the others; a closed form or oracle past
+    the double range skips the point."""
     spec = TAGS[tag]
     identity, op = spec.identity, OperatorSpec(spec.family, _op_params(tag, point))
     tau, x = float(point["tau"]), float(point["x"])
@@ -644,9 +644,10 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
                 )
             except UnsupportedKernelError as exc:
                 notes.append(f"five-parameter embedding check omitted: {exc}")
-    except (UnsupportedKernelError, NonConvergedError) as exc:
+    except (UnsupportedKernelError, NonConvergedError, OverflowError) as exc:
         if oracle is None:
             reason = ("unsupported-kernel" if isinstance(exc, UnsupportedKernelError)
+                      else "overflow" if isinstance(exc, OverflowError)
                       else "nonconverged")
             return VerificationRecord(
                 tag, point, None, closed, None, 0.0, f"SKIPPED({reason})", str(exc)

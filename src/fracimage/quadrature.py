@@ -49,7 +49,7 @@ from .errors import (
     NonConvergedError,
     UnsupportedKernelError,
 )
-from .gammafns import GammaProduct, gamma_product_eval, is_nonpositive_integer
+from .gammafns import GammaProduct, check_finite, gamma_product_eval, is_nonpositive_integer
 from .hypergeom import gauss_2f1_array
 from .operators import FAMILIES, OperatorSpec
 
@@ -347,4 +347,5 @@ def operator_apply(
         # factor in log space, which costs a few ulps at smaller orders
         inverse = gamma_product_eval(GammaProduct((), (order,)))
         factor = inverse.times_power(x, x_power).to_float()
-    return QuadResult(factor * quad.value, abs(factor) * quad.error, quad.nodes)
+    value = check_finite("quadrature", factor * quad.value)
+    return QuadResult(value, abs(factor) * quad.error, quad.nodes)

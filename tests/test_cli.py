@@ -31,8 +31,15 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity tokens standard JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"not standard JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def json_tail(out: str) -> dict:
-    return json.loads(out.strip().splitlines()[-1])
+    return strict_json(out.strip().splitlines()[-1])
 
 
 def test_eval_mpoly(capsys):
@@ -128,14 +135,65 @@ def test_eval_domain_violation(capsys):
     ("oracle", "--identity", "cor2", "--delta", "0.5", "--n", "1000", "--p", "2001.5",
      "--q", "1.5", "--tau", "2", "--x", "1"),
     ("image", "--family", "rl-left", "--delta", "0.5", "--tau", "400", "--x", "1e300"),
+    # each factor is finite, the product is not: these printed value = inf
+    # and exit 0
+    ("rhs", "--identity", "cor2", "--delta", "0.5", "--n", "1", "--p", "9",
+     "--q", "1.5", "--tau", "2", "--x", "1e150"),
+    ("oracle", "--identity", "cor2", "--delta", "0.5", "--n", "1", "--p", "9",
+     "--q", "1.5", "--tau", "2", "--x", "1e150"),
+    ("apply", "--family", "rl-left", "--delta", "2", "--tau", "0.5", "--x", "2.8e205"),
 ])
 def test_eval_overflow_is_a_domain_exit(capsys, argv):
     # exit code 1 means a verification failure, so a value past the double
     # range is reported like any other point outside the computable domain
-    rc, _, err = run(capsys, "eval", *argv)
+    rc, out, err = run(capsys, "eval", *argv)
     assert rc == 2
-    assert err.startswith("error: ")
+    assert out == ""
+    assert err.startswith("error: ") and "overflows the double range" in err
     assert "Traceback" not in err
+
+
+# one valid invocation of each eval target
+EVAL_ARGV = {
+    "pfq": ["--num", "-1,3", "--den", "2", "--arg", "0.4"],
+    "f3": ["--a", "0.5", "--a-prime", "0.5", "--b", "0.5", "--b-prime", "0.5",
+           "--c", "1.5", "--w", "0.3", "--z", "0.2"],
+    "mpoly": ["--n", "2", "--p", "9", "--q", "0", "--x", "0.6"],
+    "jacobi": ["--n", "2", "--alpha", "0.5", "--beta", "1.5", "--x", "0.3"],
+    "image": ["--family", "rl-left", "--delta", "0.6", "--tau", "2", "--x", "0.7"],
+    "apply": ["--family", "rl-left", "--delta", "0.6", "--tau", "2", "--x", "0.7"],
+    "rhs": ["--identity", "cor2", "--delta", "0.6", "--n", "2", "--p", "9", "--q", "0",
+            "--tau", "2", "--x", "0.7"],
+    "oracle": ["--identity", "cor2", "--delta", "0.6", "--n", "2", "--p", "9",
+               "--q", "0", "--tau", "2", "--x", "0.7"],
+}
+
+
+@pytest.mark.parametrize("target", list(cli.EVAL_TARGETS))
+def test_eval_target_takes_only_its_own_flags(capsys, target):
+    # one flat parser took every flag for every target, and ignored what the
+    # target did not read (`eval f3 ... --x 3`, `eval oracle ... --as-printed`)
+    rc, out, _ = run(capsys, "eval", target, *EVAL_ARGV[target])
+    assert rc == 0
+    assert json_tail(out)["target"] == target
+    flags = cli.EVAL_TARGETS[target][1]
+    foreign = {dest for _, other in cli.EVAL_TARGETS.values() for dest in other} - set(flags)
+    assert foreign
+    for dest in sorted(foreign):
+        flag = "--" + dest.replace("_", "-")
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", target, *EVAL_ARGV[target], flag, "1"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    # argparse names every required flag that is missing
+    required = [dest for dest, kwargs in flags.items() if kwargs.get("required")]
+    assert required
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", target])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: fracimage eval {target} ")
+    assert all("--" + dest.replace("_", "-") in err.splitlines()[-1] for dest in required)
 
 
 def test_eval_apply_unsupported_kernel(capsys):
@@ -335,6 +393,25 @@ cor2.p = 405.5
     assert sum(1 for tag, _ in passed if tag == "cor3") == 48
 
 
+def test_verify_non_finite_product_is_skipped(tmp_path, capsys):
+    # each factor of the closed form is finite and their product is not: the
+    # record said PASS with inf on every side and rel_diff 0, in a line that
+    # report could not parse
+    cfg = write_cfg(tmp_path, "identities = cor2\ncor2.delta = 0.5\ncor2.n = 1\n"
+                    "cor2.p = 9\ncor2.q = 1.5\ncor2.tau = 2\ncor2.x = 1e150\n")
+    out_path = tmp_path / "inf.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(out_path))
+    assert rc == 0
+    assert "1 records, 0 PASS, 0 FAIL, 1 SKIPPED" in out
+    rec = strict_json(out_path.read_text(encoding="utf-8"))
+    assert rec["verdict"] == "SKIPPED(overflow)"
+    assert rec["oracle_value"] is rec["closed_form_value"] is rec["quadrature_value"] is None
+    assert rec["ledger_note"].startswith("closed_form_value overflows the double range")
+    rc, out, _ = run(capsys, "report", str(out_path))
+    assert rc == 0
+    assert "total: 1 records, 0 pass, 0 fail, 1 skipped" in out
+
+
 def test_verify_underflow_is_skipped(tmp_path, capsys):
     # x^(tau+delta-1)/Gamma(tau+delta) underflows at delta = 200, x <= 2:
     # every value is -0 or subnormal (-1.7e-317, -5.0e-320), so rel_diff 0
@@ -354,7 +431,7 @@ cor2.q = 0
     for rec in records:
         assert rec["verdict"] == "SKIPPED(underflow)"
         assert abs(rec["closed_form_value"]) < sys.float_info.min
-        assert cli._num(rec["closed_form_value"]) in rec["ledger_note"]
+        assert format(rec["closed_form_value"], ".17g") in rec["ledger_note"]
     subnormal = [r for r in records if r["closed_form_value"] != 0.0]
     assert [r["point"]["x"] for r in subnormal] == [2, 2]
 
@@ -576,6 +653,17 @@ def test_verify_lemma_nonpositive_x_is_skipped(tmp_path, capsys):
     assert kept == [json.loads(cli._json_line(asdict(r))) for r in alone]
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
+    # a FileNotFoundError traceback, exit 1
+    path = tmp_path / "missing" / "out"
+    rc, out, err = run(capsys, command, "--identities", "cor2", "--out", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_verify_omitted_embedding_check_is_noted():
     # at epsilon != 0 lem4's five-parameter embedding leaves the single-
     # series slice; the reduction check was dropped without a note
@@ -609,12 +697,16 @@ def test_verify_streams_records_before_an_abort(tmp_path, monkeypatch):
     assert [json.loads(line)["point"] for line in lines] == calls[:2]
 
 
-def test_lemma_nonconverged_point_keeps_other_records(monkeypatch):
+@pytest.mark.parametrize("error, reason", [
+    (NonConvergedError("quadrature did not stabilize (injected)"), "nonconverged"),
+    (OverflowError("quadrature is inf (injected)"), "overflow"),
+], ids=["nonconverged", "overflow"])
+def test_lemma_failed_quadrature_keeps_other_records(monkeypatch, error, reason):
     real_apply = identities.operator_apply
 
     def apply(op, f, x, *args, **kwargs):
         if x == 2.0:
-            raise NonConvergedError("quadrature did not stabilize (injected)")
+            raise error
         return real_apply(op, f, x, *args, **kwargs)
 
     monkeypatch.setattr(identities, "operator_apply", apply)
@@ -624,8 +716,8 @@ def test_lemma_nonconverged_point_keeps_other_records(monkeypatch):
     assert [r.point["x"] for r in records] == [0.5, 2.0]
     ok, skipped = records
     assert ok.verdict == "PASS"
-    assert skipped.verdict == "SKIPPED(nonconverged)"
-    assert skipped.ledger_note == "quadrature did not stabilize (injected)"
+    assert skipped.verdict == f"SKIPPED({reason})"
+    assert skipped.ledger_note == str(error)
     assert skipped.quadrature_value is None
     assert skipped.closed_form_value is not None
 
@@ -675,17 +767,21 @@ def test_cor5_jittered_point_passes_with_quadrature():
     assert rel_diff(record.quadrature_value, record.closed_form_value) <= 1e-12
 
 
-def test_cor5_nonconverged_point_keeps_pass(monkeypatch):
+@pytest.mark.parametrize("error", [
+    NonConvergedError("quadrature did not stabilize (injected)"),
+    OverflowError("quadrature is inf (injected)"),
+], ids=["nonconverged", "overflow"])
+def test_cor5_failed_quadrature_keeps_pass(monkeypatch, error):
     # the exact oracle still judges a point whose quadrature fails
-    def nonconverged(*args, **kwargs):
-        raise NonConvergedError("quadrature did not stabilize (injected)")
+    def failed(*args, **kwargs):
+        raise error
 
-    monkeypatch.setattr(identities, "monomial_quadrature", nonconverged)
+    monkeypatch.setattr(identities, "monomial_quadrature", failed)
     record = _cor5_jittered_record()
     assert record.verdict == "PASS"
     assert record.quadrature_value is None
     assert record.rel_diff <= 1e-10
-    assert record.ledger_note.startswith("quadrature comparison omitted:")
+    assert record.ledger_note == f"quadrature comparison omitted: {error}"
 
 
 def test_verify_rejects_unknown_key(tmp_path, capsys):
@@ -794,7 +890,7 @@ def test_sweep_streams_rows_before_an_abort(tmp_path, monkeypatch):
     header = lines[0].split(",")
     assert header[0] == "identity" and header[-1] == "verdict"
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    assert [row["x"] for row in rows] == [cli._num(p["x"]) for p in calls[:2]]
+    assert [float(row["x"]) for row in rows] == [p["x"] for p in calls[:2]]
     assert all(row["identity"] == "cor2" and row["verdict"] == "PASS" for row in rows)
 
 
@@ -935,6 +1031,22 @@ def test_report_missing_file(tmp_path, capsys):
     rc, _, err = run(capsys, "report", str(tmp_path / "nope.jsonl"))
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text, lineno, reason", [
+    ("#!/bin/sh\necho hi\n", 1, "Expecting value"),
+    ("{}\n", 1, "missing 7 required positional arguments"),
+    ("\n[1]\n", 2, "must be a mapping"),
+])
+def test_report_names_the_line_that_is_not_a_record(tmp_path, capsys, text, lineno, reason):
+    # a shell script printed only the JSON error, without the file; `{}`
+    # ended in a KeyError traceback and exit 1
+    path = tmp_path / "records.jsonl"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "report", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}:{lineno}: ") and reason in err
 
 
 def test_default_grids_cover_all_tags():

@@ -32,8 +32,13 @@ VALUES = ("oracle_value", "closed_form_value", "quadrature_value")
 RTOL = 1e-12
 
 
+def _refuse(token):
+    raise ValueError(f"not standard JSON: {token}")
+
+
 def _load(lines):
-    return [json.loads(line) for line in lines if line.strip()]
+    # parse_constant sees only the NaN and Infinity tokens standard JSON lacks
+    return [json.loads(line, parse_constant=_refuse) for line in lines if line.strip()]
 
 
 def _assert_matches_frozen(tmp_path, capsys, flags, frozen, exit_code):
