@@ -6,28 +6,11 @@ class FracimageError(Exception):
 
 
 class DomainError(FracimageError):
-    """A parameter or argument violates a documented validity condition.
-
-    ``conditions`` holds the names/descriptions of the violated inequalities
-    when the error comes from an operator domain check.
-    """
-
-    def __init__(self, message, conditions=()):
-        super().__init__(message)
-        self.conditions = tuple(conditions)
+    """A parameter or argument violates a documented validity condition."""
 
 
 class PoleError(FracimageError):
-    """A gamma factor was evaluated at a nonpositive integer.
-
-    ``argument`` is the offending value, ``side`` is "numerator" or
-    "denominator" when the pole arose inside a gamma product.
-    """
-
-    def __init__(self, message, argument=None, side=None):
-        super().__init__(message)
-        self.argument = argument
-        self.side = side
+    """A gamma factor was evaluated at a nonpositive integer."""
 
 
 class DenominatorPoleError(PoleError):

@@ -33,7 +33,7 @@ def _check_argument(name: str, x: float) -> None:
     if not math.isfinite(x):
         raise ValueError(f"{name}: argument must be finite, got {x!r}")
     if is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at {x!r}", argument=x)
+        raise PoleError(f"gamma pole at {x!r}")
 
 
 def check_finite(name: str, value: float) -> float:
@@ -147,11 +147,7 @@ class GammaProduct:
         ):
             for a in args:
                 if is_nonpositive_integer(a):
-                    raise kind(
-                        f"uncancelled gamma pole at {a!r} in the {side}",
-                        argument=a,
-                        side=side,
-                    )
+                    raise kind(f"uncancelled gamma pole at {a!r} in the {side}")
         return reduced
 
     def same_factors(self, other: "GammaProduct", rel_tol: float = 0.0) -> bool:

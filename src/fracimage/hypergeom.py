@@ -104,12 +104,9 @@ def _check_denominator(num: tuple[float, ...], den: tuple[float, ...]) -> None:
         return
     stop = _termination_index(num)
     if stop is None or stop > pole:
-        bad = float(-pole)
         raise DenominatorPoleError(
-            f"series denominator parameter {bad!r} hits a pole "
-            f"before the series terminates",
-            argument=bad,
-            side="denominator",
+            f"series denominator parameter {float(-pole)!r} hits a pole "
+            f"before the series terminates"
         )
 
 

@@ -280,7 +280,7 @@ def image_rhs(
     printed; for every other identity the flag is a no-op.
     """
     if x <= 0.0:
-        raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
+        raise DomainError(f"need x > 0, got {x!r}")
     op = _make_operator(identity, op_params)
     img = power_image(op, tau)  # also the domain check at the base order
     num, den = img.prefactor.numerator_args, img.prefactor.denominator_args
@@ -324,7 +324,7 @@ def lhs_oracle(
     evaluation and the final conversion. The sum itself runs in integer
     Horner form (hypergeom.exact_series_sum)."""
     if x <= 0.0:
-        raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
+        raise DomainError(f"need x > 0, got {x!r}")
     op = _make_operator(identity, op_params)
     spec = FAMILIES[op.family]
     # t^k against t^(tau-1) or t^(-tau) raises the order; 1/t^k (operand
@@ -358,13 +358,10 @@ def deriv_composition_oracle(op: OperatorSpec, tau: float, x: float) -> float:
     if spec.composition is None:
         raise ValueError(f"{op.family.value} is not a derivative family")
     if x <= 0.0:
-        raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
+        raise DomainError(f"need x > 0, got {x!r}")
     g = op.named_params()["gamma"]
     if g <= 0.0:
-        raise DomainError(
-            f"derivative composition needs gamma > 0, got {g!r}",
-            conditions=("gamma > 0",),
-        )
+        raise DomainError(f"derivative composition needs gamma > 0, got {g!r}")
     m = math.floor(g) + 1
     inner, inner_params = spec.composition
     mirror = (-1.0) ** m if spec.right else 1.0

@@ -141,9 +141,7 @@ def m_jacobi_connection(spec: PolySpec, x: float) -> tuple[float, float]:
 def weight(p: float, q: float, x: float) -> float:
     """Orthogonality weight x^q (1+x)^(-(p+q)) for x > 0."""
     if x <= 0.0:
-        raise DomainError(
-            f"weight needs x > 0, got {x!r}", conditions=(f"x > 0 (x = {x!r})",)
-        )
+        raise DomainError(f"weight needs x > 0, got {x!r}")
     return x**q * (1.0 + x) ** (-(p + q))
 
 

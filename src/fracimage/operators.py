@@ -348,7 +348,7 @@ class PowerImage:
 
     def value_at(self, x: float) -> float:
         if x <= 0.0:
-            raise DomainError(f"need x > 0, got {x!r}", conditions=("x > 0",))
+            raise DomainError(f"need x > 0, got {x!r}")
         return gamma_product_eval(self.prefactor).times_power(x, self.exponent).to_float()
 
 
@@ -362,21 +362,14 @@ def power_image(op: OperatorSpec, tau: float) -> PowerImage:
     cancellation raises here, as GammaProduct.checked names it."""
     failed = [c for c in validate_domain(op, tau) if not c.satisfied]
     if failed:
-        raise DomainError(
-            f"{op.describe()} at tau={tau!r} violates: "
-            + "; ".join(c.label for c in failed),
-            conditions=tuple(c.label for c in failed),
-        )
+        raise DomainError(f"{op.describe()} at tau={tau!r} violates: "
+                          + "; ".join(c.label for c in failed))
     num, den, exponent = FAMILIES[op.family].image(*op.params, tau)
     gp = GammaProduct(tuple(num), tuple(den))
     try:
         gp.checked()
     except PoleError as exc:
-        raise type(exc)(
-            f"{op.describe()} image at tau={tau!r}: {exc}",
-            argument=exc.argument,
-            side=exc.side,
-        ) from None
+        raise type(exc)(f"{op.describe()} image at tau={tau!r}: {exc}") from None
     return PowerImage(gp, exponent)
 
 

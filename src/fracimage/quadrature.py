@@ -160,9 +160,7 @@ def quad_endpoint_singular(
     interior, so g never sees 0 or 1."""
     if exponent_at_0 <= -1.0 or exponent_at_1 <= -1.0:
         raise DomainError(
-            "weight exponents must be > -1, got "
-            f"({exponent_at_0!r}, {exponent_at_1!r})",
-            conditions=("exponent_at_0 > -1", "exponent_at_1 > -1"),
+            f"weight exponents must be > -1, got ({exponent_at_0!r}, {exponent_at_1!r})"
         )
     n = NODE_COUNT
     prev = None
@@ -305,9 +303,7 @@ def operator_apply(
     supported quadrature and raise UnsupportedKernelError; the exact
     finite-sum oracle covers them instead."""
     if x <= 0.0:
-        raise DomainError(
-            f"operator_apply needs x > 0, got {x!r}", conditions=("x > 0",)
-        )
+        raise DomainError(f"operator_apply needs x > 0, got {x!r}")
     spec = FAMILIES[op.family]
     recipe = spec.quadrature
     if recipe is None:
@@ -318,10 +314,7 @@ def operator_apply(
     named = op.named_params()
     order = named[recipe.order]
     if order <= 0.0:
-        raise DomainError(
-            f"operator order must be positive: {recipe.order} = {order!r}",
-            conditions=(f"{recipe.order} > 0",),
-        )
+        raise DomainError(f"operator order must be positive: {recipe.order} = {order!r}")
     if recipe.single_series and all(named[p] != 0.0 for p in recipe.single_series):
         first, second = recipe.single_series
         raise UnsupportedKernelError(

@@ -297,10 +297,11 @@ def test_gamma_product_eval_scale_and_sign():
 def test_gamma_product_eval_poles():
     with pytest.raises(PoleError) as exc:
         gamma_product_eval(GammaProduct((-2.0, 1.5), (3.0,)))
-    assert exc.value.side == "numerator"
+    assert not isinstance(exc.value, DenominatorPoleError)
+    assert str(exc.value) == "uncancelled gamma pole at -2.0 in the numerator"
     with pytest.raises(DenominatorPoleError) as exc:
         gamma_product_eval(GammaProduct((1.5,), (0.0,)))
-    assert exc.value.side == "denominator"
+    assert str(exc.value) == "uncancelled gamma pole at 0.0 in the denominator"
     # a pole cancelled by an identical factor on the other side is fine
     gp = GammaProduct((-2.0, 1.5), (-2.0,))
     assert gamma_product_eval(gp).to_float() == pytest.approx(

@@ -182,8 +182,7 @@ def test_validate_domain_msm_right_deriv_floor_condition():
 def test_power_image_domain_error_names_conditions():
     with pytest.raises(DomainError) as exc:
         power_image(rl_left(0.5), -1.0)
-    assert "tau > 0" in str(exc.value)
-    assert any("tau > 0" in c for c in exc.value.conditions)
+    assert str(exc.value).endswith(" at tau=-1.0 violates: tau > 0")
 
 
 def test_power_image_strict_inequality():
@@ -194,8 +193,8 @@ def test_power_image_strict_inequality():
 def test_power_image_pole_detection():
     with pytest.raises(PoleError) as exc:
         power_image(msm_left_int(0.5, -1.0, 0.3, -2.0, 0.4), 2.0)
-    assert exc.value.side == "denominator"
     assert isinstance(exc.value, DenominatorPoleError)
+    assert str(exc.value).endswith(" in the denominator")
     # the same pole argument cancelled away is fine
     im = power_image(msm_left_int(0.0, 0.0, 0.0, 0.0, 0.7), 2.0)
     assert im.prefactor_value() == pytest.approx(
