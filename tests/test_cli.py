@@ -142,6 +142,8 @@ def test_eval_domain_violation(capsys):
     ("oracle", "--identity", "cor2", "--delta", "0.5", "--n", "1", "--p", "9",
      "--q", "1.5", "--tau", "2", "--x", "1e150"),
     ("apply", "--family", "rl-left", "--delta", "2", "--tau", "0.5", "--x", "2.8e205"),
+    # the recurrence returned inf, which only the JSON writer refused
+    ("jacobi", "--n", "3", "--alpha", "0", "--beta", "0", "--x", "1e300"),
 ])
 def test_eval_overflow_is_a_domain_exit(capsys, argv):
     # exit code 1 means a verification failure, so a value past the double
@@ -194,6 +196,16 @@ def test_eval_target_takes_only_its_own_flags(capsys, target):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: fracimage eval {target} ")
     assert all("--" + dest.replace("_", "-") in err.splitlines()[-1] for dest in required)
+
+
+@pytest.mark.parametrize("target", ["image", "apply", "rhs", "oracle"])
+def test_eval_rejects_another_familys_parameter_flag(capsys, target):
+    # every operator target takes every family's flags; rl-left has only
+    # --delta, and --mu was dropped without a word (exit 0)
+    rc, out, err = run(capsys, "eval", target, *EVAL_ARGV[target], "--mu", "3")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: rl-left takes no --mu\n"
 
 
 def test_eval_apply_unsupported_kernel(capsys):
@@ -784,6 +796,73 @@ def test_cor5_failed_quadrature_keeps_pass(monkeypatch, error):
     assert record.ledger_note == f"quadrature comparison omitted: {error}"
 
 
+def _one_point(tag: str, **values) -> dict:
+    """The first point of tag's default grid, with values in place."""
+    return {tag: {**{k: v[:1] for k, v in DEFAULT_GRIDS[tag].items()},
+                  **{k: [v] for k, v in values.items()}}}
+
+
+def test_refused_quadrature_keeps_the_oracle_verdict():
+    # the order 1e-300 minus 1 rounds to -1.0, an exponent the quadrature
+    # refuses; its DomainError ended `verify` before any record was written
+    (record,) = run_verification(SweepConfig(
+        identities=["cor2"], grids=_one_point("cor2", delta=1e-300)))
+    assert record.verdict == "PASS"
+    assert record.quadrature_value is None
+    assert record.rel_diff <= 1e-10
+    assert record.ledger_note == (
+        "quadrature comparison omitted: weight exponents must be > -1, got (1.0, -1.0)"
+    )
+
+
+@pytest.mark.parametrize("tag, symbol", [("lem1", "epsilon"), ("lem3", "delta")])
+def test_refused_quadrature_skips_a_lemma(tag, symbol):
+    # a lemma without an oracle has nothing left to compare
+    (record,) = run_verification(SweepConfig(
+        identities=[tag], grids=_one_point(tag, **{symbol: 1e-300})))
+    assert record.verdict == "SKIPPED(domain)"
+    assert record.ledger_note == "weight exponents must be > -1, got (-1.0, 0.0)"
+    assert record.closed_form_value is not None
+    assert record.quadrature_value is None
+
+
+def test_verify_writes_every_record_past_the_quadratures_limits(tmp_path, capsys):
+    # order 1e-300 rounds a weight exponent to -1; orders 1e308 and 2000 put
+    # the rule's mass factor 2^(alpha+beta+1) past the double range. The
+    # first two each ended the run with exit 2 and no record.
+    cfg = write_cfg(tmp_path, """
+identities = cor2, lem3
+cor2.delta = 0.5, 1e-300, 1e308, 2000
+cor2.n = 1
+cor2.q = 0
+cor2.tau = 2
+cor2.x = 0.5, 2
+lem3.delta = 0.6, 1e-300, 1e308, 2000
+lem3.tau = 1.5
+lem3.x = 0.5, 2
+""")
+    out_path = tmp_path / "limits.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(out_path))
+    assert rc == 0
+    assert "16 records, 6 PASS, 0 FAIL, 10 SKIPPED" in out
+    records = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
+    # both x values of each order get the same verdict; the closed forms at
+    # orders 1e308 and 2000 underflow at x = 0.5 and 2
+    assert [(r["identity"], r["point"]["delta"], r["verdict"]) for r in records[::2]] == [
+        ("cor2", 0.5, "PASS"), ("cor2", 1e-300, "PASS"),
+        ("cor2", 1e308, "SKIPPED(underflow)"), ("cor2", 2000, "SKIPPED(underflow)"),
+        ("lem3", 0.6, "PASS"), ("lem3", 1e-300, "SKIPPED(domain)"),
+        ("lem3", 1e308, "SKIPPED(overflow)"), ("lem3", 2000, "SKIPPED(overflow)"),
+    ]
+    assert [r["verdict"] for r in records[::2]] == [r["verdict"] for r in records[1::2]]
+    # the rule's refusal names the exponents at once, not the errno of a
+    # power that overflowed after the nodes were found
+    for r in records:
+        if r["point"]["delta"] in (1e308, 2000):
+            assert "Gauss-Jacobi exponents" in r["ledger_note"]
+            assert "past the double range" in r["ledger_note"]
+
+
 def test_verify_rejects_unknown_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "identities = cor2\nbogus = 1\n")
     rc, _, err = run(capsys, "verify", "--config", cfg)
@@ -1033,10 +1112,20 @@ def test_report_missing_file(tmp_path, capsys):
     assert "error:" in err
 
 
+REPORT_LINE = ('{"identity":"cor2","point":{"x":1.0},"oracle_value":1.0,'
+               '"closed_form_value":1.0,"quadrature_value":null,"rel_diff":0.0,'
+               '"verdict":"PASS","ledger_note":null}\n')
+
+
 @pytest.mark.parametrize("text, lineno, reason", [
     ("#!/bin/sh\necho hi\n", 1, "Expecting value"),
     ("{}\n", 1, "missing 7 required positional arguments"),
     ("\n[1]\n", 2, "must be a mapping"),
+    # these ended in a TypeError traceback from max over rel_diff (exit 1)
+    pytest.param(REPORT_LINE.replace('"rel_diff":0.0', '"rel_diff":null'), 1,
+                 "rel_diff must be a number, got None", id="null-rel-diff"),
+    pytest.param("\n" + REPORT_LINE.replace('"oracle_value":1.0', '"oracle_value":"1"'),
+                 2, "oracle_value must be a number or null, got '1'", id="string-value"),
 ])
 def test_report_names_the_line_that_is_not_a_record(tmp_path, capsys, text, lineno, reason):
     # a shell script printed only the JSON error, without the file; `{}`

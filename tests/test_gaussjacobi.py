@@ -1,4 +1,5 @@
-"""Bit-identity guard for the Gauss-Jacobi rule builder.
+"""Bit-identity guard for the Gauss-Jacobi rule builder, and its refusal
+of exponents whose rules it cannot scale.
 
 Each case is one gauss_jacobi request; its digest is the SHA-256 of the
 bytes of every rule's nodes, then weights, in order. The digests were
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from fracimage import gaussjacobi
 from fracimage.gaussjacobi import gauss_jacobi
 
 GJ_64 = json.loads((Path(__file__).parent / "data" / "gauss_jacobi_64.json").read_text())
@@ -64,3 +66,19 @@ def test_rules_are_bit_identical_to_the_frozen_digests(name):
         digest.update(x.tobytes())
         digest.update(w.tobytes())
     assert digest.hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("alpha", [1999.0, 1e308])
+def test_exponents_past_the_double_range_raise_before_any_guess(monkeypatch, alpha):
+    # the mass factor 2^(alpha+beta+1) overflows past these exponents; at
+    # 1999 a scan of 8k angles was built first and the rule still failed
+    # with "(34, 'Numerical result out of range')", and at 1e308 numpy's
+    # linspace ended the run with "Maximum allowed size exceeded"
+    def refuse(rules):
+        raise AssertionError("guesses built for a rule that cannot be scaled")
+
+    monkeypatch.setattr(gaussjacobi, "_asymptotic_guesses", refuse)
+    monkeypatch.setattr(gaussjacobi, "_scanned_guesses", refuse)
+    with pytest.raises(OverflowError) as exc:
+        gauss_jacobi([(64, 0.3, -0.4), (64, alpha, 1.0)])
+    assert f"({alpha!r}, 1.0)" in str(exc.value)

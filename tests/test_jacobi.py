@@ -140,6 +140,12 @@ def test_jacobi_value_at_one():
     assert math.isclose(jacobi_p(JacobiSpec(2, 1.0, 0.3), 1.0), 3.0, rel_tol=1e-13)
 
 
+def test_jacobi_past_the_double_range_raises():
+    # the recurrence returned inf here
+    with pytest.raises(OverflowError):
+        jacobi_p(JacobiSpec(3, 0.0, 0.0), 1e300)
+
+
 def test_connection_examples():
     lhs, rhs = m_jacobi_connection(PolySpec(1, 5.0, 0.0), 1.0)
     assert math.isclose(lhs, 2.0, rel_tol=1e-13)
