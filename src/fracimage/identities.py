@@ -598,8 +598,9 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     for lem1-lem4, against quadrature, whose value is then also the
     record's oracle_value. Every tag runs monomial_quadrature, and
     operator_apply alone decides whether it is supported: a quadrature
-    refused, not converged or overflowing skips a tag without an oracle and
-    is noted, with its reason, for the others; a closed form or oracle past
+    unsupported, not converged, overflowing or refusing the point's weight
+    (an exponent rounded to -1) skips a tag without an oracle and is
+    noted, with its reason, for the others; a closed form or oracle past
     the double range skips the point."""
     spec = TAGS[tag]
     identity, op = spec.identity, OperatorSpec(spec.family, _op_params(tag, point))
@@ -641,11 +642,13 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
                 )
             except UnsupportedKernelError as exc:
                 notes.append(f"five-parameter embedding check omitted: {exc}")
-    except (UnsupportedKernelError, NonConvergedError, OverflowError) as exc:
+    except (UnsupportedKernelError, NonConvergedError, OverflowError, DomainError,
+            PoleError) as exc:
         if oracle is None:
             reason = ("unsupported-kernel" if isinstance(exc, UnsupportedKernelError)
                       else "overflow" if isinstance(exc, OverflowError)
-                      else "nonconverged")
+                      else "nonconverged" if isinstance(exc, NonConvergedError)
+                      else "domain")
             return VerificationRecord(
                 tag, point, None, closed, None, 0.0, f"SKIPPED({reason})", str(exc)
             )
