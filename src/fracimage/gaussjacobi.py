@@ -39,6 +39,7 @@ the same whatever it is built with.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy
 
@@ -62,7 +63,15 @@ def gauss_jacobi(rules) -> list:
     ascending.
 
     Raises NonConvergedError if the zeros cannot be found, which takes
-    exponents in the hundreds together with thousands of nodes."""
+    exponents in the hundreds together with thousands of nodes, and
+    OverflowError, before any guess is formed, if the factor
+    2^(alpha+beta+1) of the weight's mass is past the double range."""
+    for _, alpha, beta in rules:
+        if alpha + beta + 1.0 >= sys.float_info.max_exp:
+            raise OverflowError(
+                f"Gauss-Jacobi exponents ({alpha!r}, {beta!r}) put the mass factor "
+                "2^(alpha+beta+1) past the double range"
+            )
     easy = [r for r in rules if max(r[1], r[2]) <= ASYMPTOTIC_LIMIT]
     found = _refine(easy, _asymptotic_guesses) if easy else {}
     hard = [rule for rule in rules if rule not in found]
