@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .gammafns import binomial_real
+from .gammafns import binomial_real, check_finite
 from .hypergeom import as_ratio, exact_series_sum, gauss_2f1
 
 
@@ -112,9 +112,10 @@ def m_poly(spec: PolySpec, x: float, method: str = "direct") -> float:
 
 def jacobi_p(spec: JacobiSpec, x: float) -> float:
     """Classical Jacobi polynomial P_n^(alpha,beta)(x) by the three-term
-    recurrence. Degenerate parameter sums (2n+alpha+beta hitting zero inside
-    the recurrence) are the caller's concern; the connection-formula range
-    used here never triggers them."""
+    recurrence; OverflowError past the double range. Degenerate parameter
+    sums (2n+alpha+beta hitting zero inside the recurrence) are the
+    caller's concern; the connection-formula range used here never
+    triggers them."""
     n, a, b = spec.n, spec.alpha, spec.beta
     if n == 0:
         return 1.0
@@ -126,7 +127,7 @@ def jacobi_p(spec: JacobiSpec, x: float) -> float:
         c2 = (s - 1.0) * (s * (s - 2.0) * x + a * a - b * b)
         c3 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * s
         prev, cur = cur, (c2 * cur - c3 * prev) / c1
-    return cur
+    return check_finite("jacobi_p", cur)
 
 
 def m_jacobi_connection(spec: PolySpec, x: float) -> tuple[float, float]:
