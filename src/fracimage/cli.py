@@ -191,15 +191,16 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
 # eval
 
 def _params_from_args(args, family: Family) -> tuple[float, ...]:
-    values = []
-    for symbol in FAMILIES[family].symbols:
-        value = getattr(args, symbol)
-        if value is None:
-            raise ConfigError(
-                f"{family.value} needs --{symbol.replace('_', '-')}"
-            )
-        values.append(float(value))
-    return tuple(values)
+    """The family's parameter flags in order; ConfigError names a missing
+    one, or one of another family's that was given."""
+    symbols = FAMILIES[family].symbols
+    for symbol in symbols:
+        if getattr(args, symbol) is None:
+            raise ConfigError(f"{family.value} needs --{symbol.replace('_', '-')}")
+    for symbol in OPERATOR:
+        if symbol not in symbols and getattr(args, symbol) is not None:
+            raise ConfigError(f"{family.value} takes no --{symbol.replace('_', '-')}")
+    return tuple(float(getattr(args, symbol)) for symbol in symbols)
 
 
 def _named(family: Family, params: tuple[float, ...]) -> dict[str, float]:
@@ -326,7 +327,7 @@ OPTIONAL = {"type": float}
 POLY = {"n": {"type": int, "required": True, "help": "polynomial degree"},
         "p": REQUIRED, "q": REQUIRED}
 POINT = {"tau": {**REQUIRED, "help": "monomial order"}, "x": REQUIRED}
-# every family's parameter flags; _params_from_args checks the ones it reads
+# every family's parameter flags; _params_from_args checks them against the family's
 OPERATOR = {s: OPTIONAL for spec in FAMILIES.values() for s in spec.symbols}
 FAMILY = {"family": {"required": True, "choices": [f.value for f in Family]},
           **OPERATOR}
