@@ -417,6 +417,18 @@ def cmd_sweep(args) -> int:
     return EXIT_PASS
 
 
+def _checked_record(fields) -> VerificationRecord:
+    """The record with these fields; TypeError if one is missing or unknown,
+    or a value is not a number (or null, except rel_diff)."""
+    rec = VerificationRecord(**fields)
+    for name in ("oracle_value", "closed_form_value", "quadrature_value", "rel_diff"):
+        value, nullable = getattr(rec, name), name != "rel_diff"
+        if not (type(value) in (int, float) or nullable and value is None):
+            kind = "a number or null" if nullable else "a number"
+            raise TypeError(f"{name} must be {kind}, got {value!r}")
+    return rec
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.records, encoding="utf-8") as handle:
@@ -427,7 +439,7 @@ def cmd_report(args) -> int:
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
-                records.append(VerificationRecord(**json.loads(line)))
+                records.append(_checked_record(json.loads(line)))
             except (ValueError, TypeError) as exc:  # not JSON, or not a record
                 raise ConfigError(f"{args.records}:{lineno}: {exc}") from exc
     by_identity: dict[str, dict] = {}
