@@ -1126,6 +1126,13 @@ REPORT_LINE = ('{"identity":"cor2","point":{"x":1.0},"oracle_value":1.0,'
                  "rel_diff must be a number, got None", id="null-rel-diff"),
     pytest.param("\n" + REPORT_LINE.replace('"oracle_value":1.0', '"oracle_value":"1"'),
                  2, "oracle_value must be a number or null, got '1'", id="string-value"),
+    # these ended in an AttributeError or KeyError traceback
+    pytest.param(REPORT_LINE.replace('"PASS"', '1'), 1, "verdict must be a string, got 1",
+                 id="number-verdict"),
+    pytest.param(REPORT_LINE.replace('"PASS"', '"MAYBE"'), 1, "unknown verdict 'MAYBE'",
+                 id="unknown-verdict"),
+    pytest.param(REPORT_LINE.replace('{"x":1.0}', '[1]'), 1, "point must be an object, got [1]",
+                 id="list-point"),
 ])
 def test_report_names_the_line_that_is_not_a_record(tmp_path, capsys, text, lineno, reason):
     # a shell script printed only the JSON error, without the file; `{}`
