@@ -417,15 +417,25 @@ def cmd_sweep(args) -> int:
     return EXIT_PASS
 
 
+# the JSON types of each record field, as verify writes them
+RECORD_TYPES = {"identity": "a string", "point": "an object",
+                **dict.fromkeys(("oracle_value", "closed_form_value", "quadrature_value"),
+                                "a number or null"),
+                "rel_diff": "a number", "verdict": "a string", "ledger_note": "a string or null"}
+JSON_TYPES = {str: "a string", dict: "an object", int: "a number", float: "a number",
+              type(None): "null"}
+
+
 def _checked_record(fields) -> VerificationRecord:
-    """The record with these fields; TypeError if one is missing or unknown,
-    or a value is not a number (or null, except rel_diff)."""
+    """The record with these fields; TypeError if one is missing, unknown or
+    of a type verify does not write, ValueError for an unknown verdict."""
     rec = VerificationRecord(**fields)
-    for name in ("oracle_value", "closed_form_value", "quadrature_value", "rel_diff"):
-        value, nullable = getattr(rec, name), name != "rel_diff"
-        if not (type(value) in (int, float) or nullable and value is None):
-            kind = "a number or null" if nullable else "a number"
-            raise TypeError(f"{name} must be {kind}, got {value!r}")
+    for name, kinds in RECORD_TYPES.items():
+        value = getattr(rec, name)
+        if JSON_TYPES.get(type(value)) not in kinds.split(" or "):
+            raise TypeError(f"{name} must be {kinds}, got {value!r}")
+    if not re.fullmatch(r"PASS|FAIL|SKIPPED\(.+\)", rec.verdict):
+        raise ValueError(f"unknown verdict {rec.verdict!r}")
     return rec
 
 
