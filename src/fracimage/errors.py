@@ -14,8 +14,9 @@ class PoleError(FracimageError):
 
 
 class DenominatorPoleError(PoleError):
-    """A lower series parameter hit a nonpositive integer before the
-    series terminated, so a term denominator vanished."""
+    """The pole is in a denominator: a gamma factor of a product's
+    denominator, or a lower series parameter reached before the series
+    terminated, so a term denominator vanished."""
 
 
 class DivergenceError(FracimageError):

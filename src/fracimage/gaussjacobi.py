@@ -69,8 +69,8 @@ def gauss_jacobi(rules) -> list:
     for _, alpha, beta in rules:
         if alpha + beta + 1.0 >= sys.float_info.max_exp:
             raise OverflowError(
-                f"Gauss-Jacobi exponents ({alpha!r}, {beta!r}) put the mass factor "
-                "2^(alpha+beta+1) past the double range"
+                f"Gauss-Jacobi weight (1-x)^{alpha!r} (1+x)^{beta!r}: its mass "
+                "factor 2^(alpha+beta+1) is past the double range"
             )
     easy = [r for r in rules if max(r[1], r[2]) <= ASYMPTOTIC_LIMIT]
     found = _refine(easy, _asymptotic_guesses) if easy else {}

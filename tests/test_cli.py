@@ -859,7 +859,7 @@ lem3.x = 0.5, 2
     # power that overflowed after the nodes were found
     for r in records:
         if r["point"]["delta"] in (1e308, 2000):
-            assert "Gauss-Jacobi exponents" in r["ledger_note"]
+            assert "Gauss-Jacobi weight" in r["ledger_note"]
             assert "past the double range" in r["ledger_note"]
 
 
