@@ -418,10 +418,11 @@ def cmd_sweep(args) -> int:
 
 
 # the JSON types of each record field, as verify writes them
-RECORD_TYPES = {"identity": "a string", "point": "an object",
-                **dict.fromkeys(("oracle_value", "closed_form_value", "quadrature_value"),
-                                "a number or null"),
-                "rel_diff": "a number", "verdict": "a string", "ledger_note": "a string or null"}
+RECORD_TYPES = {
+    "identity": "a string", "point": "an object", "oracle_value": "a number or null",
+    "closed_form_value": "a number or null", "quadrature_value": "a number or null",
+    "rel_diff": "a number", "verdict": "a string", "ledger_note": "a string or null",
+}
 JSON_TYPES = {str: "a string", dict: "an object", int: "a number", float: "a number",
               type(None): "null"}
 

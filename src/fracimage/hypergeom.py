@@ -106,7 +106,7 @@ def _check_denominator(num: tuple[float, ...], den: tuple[float, ...]) -> None:
     if stop is None or stop > pole:
         raise DenominatorPoleError(
             f"series denominator parameter {float(-pole)!r} hits a pole "
-            f"before the series terminates"
+            "before the series terminates"
         )
 
 
