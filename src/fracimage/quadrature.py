@@ -9,9 +9,15 @@ spectrally.
 
 The rules come from gaussjacobi, built with numpy alone: nodes keep full
 relative precision at both ends and weights are good to about 1e-14 even
-at exponents near -1. A rule is built in one recurrence sweep with the
-one of twice its nodes, which refinement asks for next, as are all of a
-split kernel's pieces' first two; every rule is memoised per weight.
+at exponents near -1. A split kernel's pieces' first rules are built in
+one recurrence sweep; every rule is memoised per weight, with its two
+null rules.
+
+A quadrature's error is read off its own rule by those null rules
+(Berntsen and Espelid, ACM TOMS 17, 1991): g's discrete coefficients on
+the weight's orthogonal polynomials of degrees n-1 and n-2. A rule whose
+estimate misses the target is doubled; from the second rule on, the
+difference from the previous rule's value is accepted as well.
 
 Left-sided integrals substitute t = x*u; right-sided ones t = x/u, mapping
 (x, inf) onto (0, 1). The 2F1 kernels (argument 1-u) are split at u = 1/2:
@@ -66,17 +72,21 @@ ERROR_FLOOR = 1e-16
 
 # a quadrature starts from NODE_COUNT nodes and doubles the rule up to
 # MAX_REFINEMENTS times (both read at call time)
-NODE_COUNT = 64
-MAX_REFINEMENTS = 6
+NODE_COUNT = 128
+MAX_REFINEMENTS = 5
+# the larger null-rule coefficient, times this, is a rule's error estimate
+NULL_SAFETY = 10.0
 
 
 @dataclass(frozen=True)
 class QuadConfig:
     """Gauss-Jacobi rule configuration.
 
-    Refinement doubles the rule until two consecutive estimates agree
-    within tol (relative). Right-sided integrals never truncate the tail:
-    the t = x/u substitution maps all of it onto (0, 1)."""
+    A rule is accepted once its null-rule error estimate, or after a
+    refinement its difference from the previous rule, is within tol
+    (relative); otherwise the rule is doubled. Right-sided integrals never
+    truncate the tail: the t = x/u substitution maps all of it onto
+    (0, 1)."""
 
     tol: float = 1e-10
 
@@ -121,29 +131,48 @@ def _gj_rules(a0: float, a1: float) -> dict:
     return {}
 
 
-def _gj_build(weights, sizes) -> None:
-    """Builds, in one sweep, the rules of the given sizes for every weight
-    (a0, a1) that lacks the first of them."""
-    wanted = [(n, a0, a1) for a0, a1 in dict.fromkeys(weights)
-              if sizes[0] not in _gj_rules(a0, a1) for n in sizes]
+def _null_rows(nodes: numpy.ndarray, weights: numpy.ndarray) -> numpy.ndarray:
+    """Rows N_1, N_2 with N_k @ g(nodes) the rule's discrete coefficient of g
+    on p_(n-k), the weight's orthogonal polynomial, scaled as weights @ g
+    is (sum N_k^2 / w = sum w); N_k annihilates every lower degree. By
+    Christoffel-Darboux, w_i p_(n-1)(t_i) is proportional to
+    (-1)^i sqrt((1-t_i^2) w_i), and the three-term recurrence at a zero of
+    p_n gives p_(n-2)(t_i) as (t_i - b_(n-1)) p_(n-1)(t_i) up to a
+    constant, b_(n-1) being the mean of t under w p_(n-1)^2. At the nodes
+    u = (1+t)/2, 1-t^2 is 4u(1-u), and the mean is taken in u."""
+    import numpy
+
+    h = nodes * (1.0 - nodes)
+    first = numpy.sqrt(h * weights)
+    first[1::2] *= -1.0
+    second = (nodes - (nodes * h).sum() / h.sum()) * first
+    mass = weights.sum()
+    return numpy.stack([row * math.sqrt(mass / (row * row / weights).sum())
+                        for row in (first, second)])
+
+
+def _gj_build(weights, size: int) -> None:
+    """Builds, in one sweep, the rule of size nodes for every weight
+    (a0, a1) that lacks it."""
+    wanted = [w for w in dict.fromkeys(weights) if size not in _gj_rules(*w)]
     if not wanted:
         return
-    n, a0, a1 = zip(*wanted)
-    for (size, e0, e1), (t, w) in zip(wanted, roots_jacobi(n, a1, a0)):
+    a0, a1 = zip(*wanted)
+    for (e0, e1), (t, w) in zip(wanted, roots_jacobi((size,) * len(wanted), a1, a0)):
         nodes = (1.0 + t) / 2.0
-        nodes.flags.writeable = False
-        w.flags.writeable = False
-        _gj_rules(e0, e1).setdefault(size, (nodes, w, 2.0 ** (-(e0 + e1 + 1.0))))
+        null = _null_rows(nodes, w)
+        for array in (nodes, w, null):
+            array.flags.writeable = False
+        _gj_rules(e0, e1)[size] = (nodes, w, 2.0 ** (-(e0 + e1 + 1.0)), null)
 
 
 def _gj_rule(n: int, a0: float, a1: float):
-    """Read-only node and weight arrays, and the scale, of the rule
-    int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale * sum w g(u). A missing rule is
-    built in one sweep with the rule of 2n nodes, which a quadrature's
-    refinement asks for next."""
+    """Read-only node and weight arrays, the scale and the read-only 2 x n
+    null rows (_null_rows) of the rule
+    int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale * sum w g(u)."""
     rules = _gj_rules(a0, a1)
     if n not in rules:
-        _gj_build([(a0, a1)], (n, 2 * n))
+        _gj_build([(a0, a1)], n)
     return rules[n]
 
 
@@ -165,14 +194,17 @@ def quad_endpoint_singular(
     n = NODE_COUNT
     prev = None
     for _ in range(MAX_REFINEMENTS + 1):
-        nodes, weights, scale = _gj_rule(n, exponent_at_0, exponent_at_1)
-        terms = (weights * g(nodes)).tolist()
+        nodes, weights, scale, null = _gj_rule(n, exponent_at_0, exponent_at_1)
+        values = g(nodes)
+        terms = (weights * values).tolist()
         est = scale * math.fsum(terms)
         l1 = scale * math.fsum(map(abs, terms))
+        error = NULL_SAFETY * scale * float(abs((null * values).sum(axis=1)).max())
+        size = abs(est)
         if prev is not None:
-            diff = abs(est - prev)
-            if diff <= cfg.tol * max(abs(est), abs(prev)) or diff <= NOISE_FLOOR * l1:
-                return QuadResult(est, max(diff, ERROR_FLOOR * l1), n)
+            error, size = min(error, abs(est - prev)), max(size, abs(prev))
+        if error <= cfg.tol * size or error <= NOISE_FLOOR * l1:
+            return QuadResult(est, max(error, ERROR_FLOOR * l1), n)
         prev = est
         n *= 2
     raise NonConvergedError(
@@ -254,7 +286,8 @@ def _kernel_quad(
     e = kc - ka - kb
     if abs(e - round(e)) < 1e-9:
         # logarithmic endpoint case: no pure-power split exists; fall back
-        # to the single rule and let refinement do the work
+        # to the single rule and let refinement do the work (the null rules
+        # overstate a log term's error; the previous rule's difference stops it)
         return quad_endpoint_singular(piece("whole"), a0, b0, cfg)
 
     # (coefficient, piece, weight exponent at v = 0), summed in this order.
@@ -269,9 +302,8 @@ def _kernel_quad(
          piece("left_half", (kc - ka, kc - kb, 1.0 + e), b0), a0 + e),
     ]
     pieces = [p for p in pieces if p[0] != 0.0]
-    # every piece's first two rules come out of one sweep
-    _gj_build([(w, 0.0) for _, _, w in pieces if w > -1.0],
-              (NODE_COUNT, 2 * NODE_COUNT))
+    # every piece's first rule comes out of one sweep
+    _gj_build([(w, 0.0) for _, _, w in pieces if w > -1.0], NODE_COUNT)
     # -0.0 + v is v for every v, so the first piece's value passes unchanged
     value, error, nodes = -0.0, 0.0, 0
     for coeff, g, w in pieces:

@@ -236,12 +236,13 @@ def test_eval_apply_nonconverged_exit(capsys, monkeypatch):
                      "--tau", "0.2", "--x", "1")
     assert rc == 3
     assert "did not converge" in err
-    # a rule whose weights drift with its size never stabilizes
+    # a rule whose weights drift with its size, and whose null rows no
+    # longer annihilate a constant, never stabilizes
     rule = quadrature._gj_rule
 
     def drifting_rule(n, *args):
-        nodes, weights, scale = rule(n, *args)
-        return nodes, weights * (1.0 + 1e-8 * n), scale
+        nodes, weights, scale, null = rule(n, *args)
+        return nodes, weights * (1.0 + 1e-8 * n), scale, null + 1e-8 * weights
 
     monkeypatch.setattr(quadrature, "_gj_rule", drifting_rule)
     rc, _, err = run(capsys, "eval", "apply", "--family", "rl-right",
