@@ -27,10 +27,9 @@ the rule is scaled to the weight's exact mass 2^(alpha+beta+1)
 B(alpha+1, beta+1). Where the asymptotic guesses do not converge (large
 exponents), a sign scan of P_n on a grid of angles brackets every zero.
 
-The recurrence steps are the same for every node, so rules of several
-sizes and weights share one sweep over their joined nodes, each node with
-its own half's coefficients, largest rule first so that a smaller rule's
-nodes stop updating at its degree. Each set-up stage (guesses, tables,
+The recurrence steps are the same for every node, so the rules of one
+size for several weights share one sweep over their joined nodes, each
+node with its own half's coefficients. Each set-up stage (guesses, tables,
 settle test, weights) runs once per sweep on all the nodes, each node's
 arithmetic that of its rule built alone, so a rule comes out bit for bit
 the same whatever it is built with.
@@ -57,40 +56,40 @@ ASYMPTOTIC_LIMIT = 10.0
 BLOCK = 32
 
 
-def gauss_jacobi(rules) -> list:
-    """[(x, w)] of the Gauss-Jacobi rule of each (n, alpha, beta) in rules
-    (distinct), for the weight (1-x)^alpha (1+x)^beta on [-1, 1], nodes
-    ascending.
+def gauss_jacobi(n: int, weights) -> list:
+    """[(x, w)] of the n-point Gauss-Jacobi rule of each (alpha, beta) in
+    weights (distinct), for the weight (1-x)^alpha (1+x)^beta on [-1, 1],
+    nodes ascending.
 
     Raises NonConvergedError if the zeros cannot be found, which takes
     exponents in the hundreds together with thousands of nodes, and
     OverflowError, before any guess is formed, if the factor
     2^(alpha+beta+1) of the weight's mass is past the double range."""
-    for _, alpha, beta in rules:
+    for alpha, beta in weights:
         if alpha + beta + 1.0 >= sys.float_info.max_exp:
             raise OverflowError(
                 f"Gauss-Jacobi weight (1-x)^{alpha!r} (1+x)^{beta!r}: its mass "
                 "factor 2^(alpha+beta+1) is past the double range"
             )
-    easy = [r for r in rules if max(r[1], r[2]) <= ASYMPTOTIC_LIMIT]
-    found = _refine(easy, _asymptotic_guesses) if easy else {}
-    hard = [rule for rule in rules if rule not in found]
-    found.update(_refine(hard, _scanned_guesses) if hard else {})
-    for rule in hard:
-        if rule not in found:
+    easy = [pair for pair in weights if max(pair) <= ASYMPTOTIC_LIMIT]
+    found = _refine(n, easy, _asymptotic_guesses) if easy else {}
+    hard = [pair for pair in weights if pair not in found]
+    found.update(_refine(n, hard, _scanned_guesses) if hard else {})
+    for alpha, beta in hard:
+        if (alpha, beta) not in found:
             raise NonConvergedError(
-                f"Gauss-Jacobi nodes for exponents ({rule[1]!r}, {rule[2]!r}) did "
-                f"not converge at {rule[0]} nodes"
+                f"Gauss-Jacobi nodes for exponents ({alpha!r}, {beta!r}) did "
+                f"not converge at {n} nodes"
             )
-    return [found[rule] for rule in rules]
+    return [found[pair] for pair in weights]
 
 
-def _halves(rules):
-    """(n, a, b) arrays over the halves of the rules: rows 2i and 2i+1 for
-    rules[i] = (n, alpha, beta), the zeros from the beta end (parameters
+def _halves(weights):
+    """(a, b) arrays over the halves of the weights: rows 2i and 2i+1 for
+    weights[i] = (alpha, beta), the zeros from the beta end (parameters
     (beta, alpha)) and those from the alpha end ((alpha, beta))."""
-    return numpy.array([(n, beta, alpha, n, alpha, beta) for n, alpha, beta in rules],
-                       float).reshape(-1, 3).T
+    return numpy.array([(beta, alpha, alpha, beta) for alpha, beta in weights],
+                       float).reshape(-1, 2).T
 
 
 def _bessel_zeros(k: numpy.ndarray, a: numpy.ndarray) -> numpy.ndarray:
@@ -118,137 +117,124 @@ def _bessel_zeros(k: numpy.ndarray, a: numpy.ndarray) -> numpy.ndarray:
     return z
 
 
-def _asymptotic_guesses(rules):
-    """(rules, phi, half): the asymptotic angles of the n zeros of each rule
-    in ascending x, each with its row in _halves(rules). Each half's n
-    angles are formed; the alpha half keeps the split nearest its end, split
-    the number of them at phi <= pi/2, and the beta half its n - split."""
-    n, a, b = _halves(rules)
+def _asymptotic_guesses(n, weights):
+    """(weights, phi, half): the asymptotic angles of the n zeros of each
+    weight's rule in ascending x, each with its row in _halves(weights).
+    Each half's n angles are formed; the alpha half keeps the split nearest
+    its end, split the number of them at phi <= pi/2, and the beta half its
+    n - split."""
+    a, b = _halves(weights)
     rho = n + (a + b + 1.0) / 2.0
     nu = numpy.sqrt(rho * rho + (1.0 - a * a - 3.0 * b * b) / 12.0)
     nu4 = numpy.array([v**4 for v in nu.tolist()])  # Python's pow, not numpy's
-    # Gatteschi's formula for the quarter of each half nearest its end
-    quarter = numpy.minimum(n, numpy.maximum(3.0, n // 4.0))
-    sizes = [size for size, _, _ in rules]
-    up = numpy.arange(1.0, max(sizes) + 1.0)
-    k = numpy.concatenate([p for size in sizes for p in (up[:size], up[size - 1::-1])])
-    half = numpy.repeat(numpy.arange(n.size), numpy.repeat(sizes, 2))
+    up = numpy.arange(1.0, n + 1.0)
+    k = numpy.tile(numpy.concatenate((up, up[::-1])), len(weights))
+    half = numpy.repeat(numpy.arange(a.size), n)
     a, b, rho = a[half], b[half], rho[half]
     t = (k + a / 2.0 - 0.25) * math.pi / rho
     tan = numpy.tan(t / 2.0)
     phi = t + ((0.25 - a * a) / tan - (0.25 - b * b) * tan) / (4.0 * rho * rho)
-    end = numpy.flatnonzero(k <= quarter[half])
+    # Gatteschi's formula for the quarter of each half nearest its end
+    end = numpy.flatnonzero(k <= min(n, max(3, n // 4)))
     j, a, b, at = _bessel_zeros(k[end], a[end]), a[end], b[end], half[end]
     phi[end] = j / nu[at] * (
         1.0 - (4.0 - a * a - 15.0 * b * b) / (720.0 * nu4[at]) * (j * j / 2.0 + a * a - 1.0)
     )
-    near = half % 2 == 1
-    split = numpy.bincount(half[near & (phi <= math.pi / 2.0)], minlength=n.size)[1::2]
-    limit = numpy.column_stack((n[::2] - split, split)).ravel()
+    split = numpy.count_nonzero((phi <= math.pi / 2.0).reshape(-1, n)[1::2], axis=1)
+    limit = numpy.column_stack((n - split, split)).ravel()
     keep = numpy.flatnonzero(k <= limit[half])
-    return rules, phi[keep], half[keep]
+    return weights, phi[keep], half[keep]
 
 
-def _scanned_guesses(rules):
-    """(rules, phi, half) as _asymptotic_guesses gives them, for the rules
-    whose zeros the signs of P_n bracket on a grid fine enough to separate
-    them. Each half of a grid is evaluated from its own end, as the nodes
-    are, so that neither end's normalisation underflows the other's
-    values."""
+def _scanned_guesses(n, weights):
+    """(weights, phi, half) as _asymptotic_guesses gives them, for the
+    weights whose zeros the signs of P_n bracket on a grid fine enough to
+    separate them. Each half of a grid is evaluated from its own end, as
+    the nodes are, so that neither end's normalisation underflows the
+    other's values."""
     grids = [numpy.linspace(0.0, math.pi, 4 * (n + int(alpha + beta) + 4) + 2)
-             for n, alpha, beta in rules]
+             for alpha, beta in weights]
     # each grid's inner points in ascending x, so each half's in one run
     theta = numpy.concatenate([grid[-2:0:-1] for grid in grids])
     near = theta <= math.pi / 2.0
-    half = 2 * numpy.repeat(numpy.arange(len(rules)), [g.size - 2 for g in grids]) + near
-    n, a, b = _halves(rules)
+    half = 2 * numpy.repeat(numpy.arange(len(weights)), [g.size - 2 for g in grids]) + near
     r, _ = _recurrence(2.0 * numpy.sin(numpy.where(near, theta, math.pi - theta) / 2.0) ** 2,
-                       _coefficients(n, a, b), numpy.bincount(half, minlength=n.size), n)
+                       _coefficients(n, *_halves(weights)), numpy.bincount(half), n)
+    # P_n(x) = (-1)^n P_n^(beta,alpha)(-x), P_n(1) > 0, sign P_n(-1) = (-1)^n
+    odd = n % 2 == 1
     kept, angles, end = [], [], 0
-    for rule, grid in zip(rules, grids):
-        # the rule's points back in ascending theta
+    for pair, grid in zip(weights, grids):
+        # the weight's points back in ascending theta
         part, end = numpy.arange(end + grid.size - 3, end - 1, -1), end + grid.size - 2
-        # P_n(x) = (-1)^n P_n^(beta,alpha)(-x), P_n(1) > 0, sign P_n(-1) = (-1)^n
-        odd = rule[0] % 2 == 1
         sign = numpy.signbit(r[part]) ^ (~near[part] & odd)
         cross = numpy.flatnonzero(numpy.diff(numpy.concatenate(([False], sign, [odd]))))
-        if cross.size == rule[0]:
-            kept.append(rule)
+        if cross.size == n:
+            kept.append(pair)
             angles.append(((grid[cross] + grid[cross + 1]) / 2.0)[::-1])
     theta = numpy.concatenate(angles) if kept else numpy.empty(0)
     near = theta <= math.pi / 2.0
-    half = 2 * numpy.repeat(numpy.arange(len(kept)), [rule[0] for rule in kept]) + near
+    half = 2 * numpy.repeat(numpy.arange(len(kept)), n) + near
     return kept, numpy.where(near, theta, math.pi - theta), half
 
 
 def _coefficients(n, a, b):
-    """(g, c) tables of shape (max(n), len(a)): the difference recurrence's
-    coefficients for steps k = 0..max(n)-1, a column for each half with
+    """(g, c) tables of shape (n, len(a)): the difference recurrence's
+    coefficients for steps k = 0..n-1, a column for each half with
     parameters (a[i], b[i])."""
     s = a + b
-    k = numpy.arange(1.0, n.max())[:, None]
+    k = numpy.arange(1.0, n)[:, None]
     u, v, w = 2 * k + s, k + s + 1, k + a + 1
-    g, c = numpy.zeros((k.size + 1, a.size)), numpy.empty((k.size + 1, a.size))
+    g, c = numpy.zeros((n, a.size)), numpy.empty((n, a.size))
     g[1:] = k * (k + b) * (u + 2) / (v * u * w)
     c[1:] = (u + 1) * (u + 2) / (2 * v * w)
     c[0] = (s + 2) / (2 * (a + 1))
     return g, c
 
 
-def _recurrence(s, coefficients, counts, degrees):
-    """R_n and D_n at every node. The nodes come in runs: counts[i] nodes
-    with column i of the coefficient tables and degree degrees[i], the
-    degrees not increasing, so the runs still below their degree at step k
-    are a prefix, and only they are updated."""
+def _recurrence(s, coefficients, counts, n):
+    """R_n and D_n at every node. The nodes come in runs, counts[i] nodes
+    with column i of the coefficient tables."""
     g_table, c_table = coefficients
     r, d, t = numpy.ones(s.size), numpy.zeros(s.size), numpy.empty(s.size)
-    k = 0
-    for stop in sorted(set(degrees.astype(int).tolist())):
-        runs = int(numpy.count_nonzero(degrees >= stop))
-        m = int(counts[:runs].sum())
-        r_m, d_m, t_m, s_m = r[:m], d[:m], t[:m], s[:m]
-        while k < stop:
-            end = min(stop, k + BLOCK)
-            cs = numpy.repeat(c_table[k:end, :runs], counts[:runs], axis=1)
-            cs *= s_m
-            for g, c in zip(numpy.repeat(g_table[k:end, :runs], counts[:runs], axis=1), cs):
-                numpy.multiply(c, r_m, out=t_m)
-                d_m *= g
-                d_m -= t_m
-                r_m += d_m
-            k = end
+    for k in range(0, n, BLOCK):
+        cs = numpy.repeat(c_table[k:k + BLOCK], counts, axis=1)
+        cs *= s
+        for g, c in zip(numpy.repeat(g_table[k:k + BLOCK], counts, axis=1), cs):
+            numpy.multiply(c, r, out=t)
+            d *= g
+            d -= t
+            r += d
     return r, d
 
 
-def _refine(rules, guesses) -> dict:
-    """Steps from the guesses to the zeros of every rule in one sweep, then
-    the rules whose steps settle on n distinct zeros, by (n, alpha, beta)."""
-    rules, phi, half = guesses(sorted(rules, key=lambda rule: -rule[0]))
-    if not rules:
+def _refine(n, weights, guesses) -> dict:
+    """Steps from the guesses to the zeros of every weight's rule in one
+    sweep, then the rules whose steps settle on n distinct zeros, by
+    (alpha, beta)."""
+    weights, phi, half = guesses(n, weights)
+    if not weights:
         return {}
-    sizes = [n for n, _, _ in rules]
-    starts = numpy.cumsum(sizes) - sizes
-    halves = _halves(rules)
+    a, b = _halves(weights)
     # a node's half is its column in the coefficient tables
-    coefficients = _coefficients(*halves)
-    counts = numpy.bincount(half, minlength=2 * len(rules))
-    deg, a, b = (v[half] for v in halves)
+    coefficients = _coefficients(n, a, b)
+    counts = numpy.bincount(half, minlength=a.size)
+    a, b = a[half], b[half]
     total = a + b
-    lam = deg * (deg + total + 1.0)
+    lam = n * (n + total + 1.0)
     # each rule is taken at the sweep its own nodes settle in, so that it
     # does not depend on the rules built with it
     done: dict = {}
-    finished = numpy.zeros(len(rules), bool)
+    finished = numpy.zeros(len(weights), bool)
     with numpy.errstate(all="ignore"):
         for _ in range(MAX_SWEEPS):
             s = 2.0 * numpy.sin(phi / 2.0) ** 2
-            r, d = _recurrence(s, coefficients, counts, halves[0])
+            r, d = _recurrence(s, coefficients, counts, n)
             sin = numpy.sin(phi)
             # dP_n/dphi = n P_n(1) q / sin(phi); the differential equation
             # P'' = ode P' - lam P gives the higher derivatives as ratios r_i
             # to dP_n/dphi
-            q = 2.0 * (deg + b) / (2.0 * deg + total) * d - s * r
-            ratio = r * sin / (deg * q)
+            q = 2.0 * (n + b) / (2.0 * n + total) * d - s * r
+            ratio = r * sin / (n * q)
             ode = ((total + 1.0) * s - (2.0 * a + 1.0)) / sin
             ode1 = (2.0 * a + 1.0 + (b - a) * s) / (sin * sin)
             ode2 = (b - a - 2.0 * (1.0 - s) * ode1) / sin
@@ -261,74 +247,63 @@ def _refine(rules, guesses) -> dict:
             step = u * (1.0 + u * (-c2 + u * (2.0 * c2 * c2 - c3
                                             + u * (5.0 * c2 * c3 - 5.0 * c2**3 - c4))))
             phi = phi + step
-            moved = numpy.maximum.reduceat(numpy.abs(step) * deg, starts)
-            settled = (moved <= STEP_TOL) & ~finished
+            settled = (numpy.abs(step) * n).reshape(-1, n).max(axis=1) <= STEP_TOL
+            settled &= ~finished
             if settled.any():
                 finished |= settled
                 # dP_n/dphi at the stepped node over its value at the old one
                 grow = 1.0 + step * (r2 + step * (r3 / 2.0 + step * r4 / 6.0))
-                inverse = sin / (deg * q * grow)
-                nodes = numpy.repeat(settled, sizes)
-                built = [rule for rule, new in zip(rules, settled.tolist()) if new]
-                done.update(zip(built, _rules(built, phi[nodes], half[nodes] % 2 == 1,
+                inverse = sin / (n * q * grow)
+                nodes = numpy.repeat(settled, n)
+                built = [pair for pair, new in zip(weights, settled.tolist()) if new]
+                done.update(zip(built, _rules(n, built, phi[nodes], half[nodes] % 2 == 1,
                                               inverse[nodes])))
             if finished.all():
                 break
-    return {rule: found for rule, found in done.items() if found is not None}
+    return {pair: found for pair, found in done.items() if found is not None}
 
 
-def _rules(rules, phi, near, inverse) -> list:
-    """(x, w) of each of the rules, nodes ascending, with positive weights
-    scaled to the weight's exact mass, from the phi, near (from the alpha
-    end) and inverse of its nodes as _refine holds them. None unless the
-    nodes are n distinct points of (-1, 1) and the weights finite and
+def _rules(n, weights, phi, near, inverse) -> list:
+    """(x, w) of each weight's n-point rule, nodes ascending, with positive
+    weights scaled to the weight's exact mass, from the phi, near (from the
+    alpha end) and inverse of its nodes as _refine holds them. None unless
+    the nodes are n distinct points of (-1, 1) and the weights finite and
     positive: zeros of P_n lie at least about 7/n^2 apart in x, two steps
     that settled on one zero do not.
 
     w = C_n / (dP_n/dphi)^2 on each half with parameters (a, b), inverse
     proportional to 1 / (dP_n/dphi) up to a factor the rule shares: C_n /
     P_n(1)^2 is (1+b)/(1+a) prod_{k=2..n} k(k+b) / ((k+a)(k+a+b)), summed as
-    logs of factors near 1, the rules of one size together; inverse is
-    scaled to the half's largest entry, so that neither its square nor the
-    constant leaves the float range."""
-    sizes = [size for size, _, _ in rules]
-    starts = numpy.cumsum(sizes) - sizes
-    ends = starts + sizes
-    half = 2 * numpy.repeat(numpy.arange(len(rules)), sizes) + near
-    n, a, b = _halves(rules)
+    logs of factors near 1; inverse is scaled to the half's largest entry,
+    so that neither its square nor the constant leaves the float range."""
+    half = 2 * numpy.repeat(numpy.arange(len(weights)), n) + near
+    a, b = _halves(weights)
     cos = numpy.cos(phi)
-    x = numpy.where(near, cos, -cos)
-    deg = n[half]
-    apart = numpy.append(x[1:] - x[:-1] > 1e-3 / (deg[1:] * deg[1:]), True)
-    apart[ends - 1] = True
-    ok = numpy.logical_and.reduceat(apart, starts) & (-1.0 < x[starts]) & (x[ends - 1] < 1.0)
-    k = numpy.arange(2.0, max(sizes) + 1.0)
+    x = numpy.where(near, cos, -cos).reshape(-1, n)
+    ok = ((numpy.diff(x, axis=1) > 1e-3 / (n * n)).all(axis=1)
+          & (-1.0 < x[:, 0]) & (x[:, -1] < 1.0))
+    k = numpy.arange(2.0, n + 1.0)
     p, q = a[:, None], b[:, None]
     kp = k + p
-    terms = numpy.log1p(-p * (2.0 * k + p + q) / ((kp + q) * kp))
-    logs = numpy.empty(n.size)
-    for size in set(sizes):
-        rows = n == size
-        logs[rows] = numpy.add.reduce(terms[rows, :size - 1], axis=1)
-    top = numpy.zeros(n.size)
+    logs = numpy.add.reduce(numpy.log1p(-p * (2.0 * k + p + q) / ((kp + q) * kp)), axis=1)
+    top = numpy.zeros(a.size)
     numpy.maximum.at(top, half, numpy.abs(inverse))
-    filled = numpy.repeat(ok, 2) & (numpy.bincount(half, minlength=n.size) > 0)
+    filled = numpy.repeat(ok, 2) & (numpy.bincount(half, minlength=a.size) > 0)
     tops, logs, a, b = top.tolist(), logs.tolist(), a.tolist(), b.tolist()
-    scale = [0.0] * n.size
+    scale = [0.0] * len(a)
     for h in numpy.flatnonzero(filled).tolist():
         log_c = math.log((1.0 + b[h]) / (1.0 + a[h])) + logs[h]
         scale[h] = math.exp(log_c + 2.0 * math.log(tops[h]))
-    w = (inverse / top[half]) ** 2 * numpy.array(scale)[half]
-    positive = ok & numpy.logical_and.reduceat(w > 0.0, starts)
+    w = ((inverse / top[half]) ** 2 * numpy.array(scale)[half]).reshape(-1, n)
+    positive = ok & (w > 0.0).all(axis=1)
     found = []
-    for (_, alpha, beta), start, end, good in zip(rules, starts.tolist(), ends.tolist(),
-                                                  positive.tolist()):
-        total = math.fsum(w[start:end].tolist()) if good else 0.0
+    for (alpha, beta), xs, ws, good in zip(weights, x, w, positive.tolist()):
+        total = math.fsum(ws.tolist()) if good else 0.0
         if not 0.0 < total < math.inf:
             found.append(None)
             continue
         mass = 2.0 ** (alpha + beta + 1.0) * _beta(alpha + 1.0, beta + 1.0)
-        found.append((x[start:end], w[start:end] * (mass / total)))
+        found.append((xs, ws * (mass / total)))
     return found
 
 

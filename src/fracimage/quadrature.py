@@ -104,15 +104,15 @@ class QuadResult(NamedTuple):
     nodes: int
 
 
-def roots_jacobi(n: tuple[int, ...], alpha: tuple[float, ...], beta: tuple[float, ...]):
-    """[(x, w)] of the Gauss-Jacobi rule of n[i] nodes for the weight
+def roots_jacobi(n: int, alpha: tuple[float, ...], beta: tuple[float, ...]):
+    """[(x, w)] of the n-point Gauss-Jacobi rule for the weight
     (1-x)^alpha[i] (1+x)^beta[i] on [-1, 1], for each i, all built in one
     recurrence sweep (gaussjacobi.gauss_jacobi); each rule comes out as it
     would alone. numpy is imported on the first rule build, so work
     without quadrature never loads it."""
     from .gaussjacobi import gauss_jacobi
 
-    return gauss_jacobi(list(zip(n, alpha, beta)))
+    return gauss_jacobi(n, list(zip(alpha, beta)))
 
 
 def node_power(base: numpy.ndarray, exponent: float) -> numpy.ndarray:
@@ -158,7 +158,7 @@ def _gj_build(weights, size: int) -> None:
     if not wanted:
         return
     a0, a1 = zip(*wanted)
-    for (e0, e1), (t, w) in zip(wanted, roots_jacobi((size,) * len(wanted), a1, a0)):
+    for (e0, e1), (t, w) in zip(wanted, roots_jacobi(size, a1, a0)):
         nodes = (1.0 + t) / 2.0
         null = _null_rows(nodes, w)
         for array in (nodes, w, null):
@@ -186,7 +186,10 @@ def quad_endpoint_singular(
 
     Both exponents must exceed -1 (integrability). g takes a rule's whole
     read-only node array and returns g at every node. Nodes are strictly
-    interior, so g never sees 0 or 1."""
+    interior, so g never sees 0 or 1. Raises OverflowError if g is not
+    finite at a node."""
+    import numpy
+
     if exponent_at_0 <= -1.0 or exponent_at_1 <= -1.0:
         raise DomainError(
             f"weight exponents must be > -1, got ({exponent_at_0!r}, {exponent_at_1!r})"
@@ -195,10 +198,14 @@ def quad_endpoint_singular(
     prev = None
     for _ in range(MAX_REFINEMENTS + 1):
         nodes, weights, scale, null = _gj_rule(n, exponent_at_0, exponent_at_1)
-        values = g(nodes)
-        terms = (weights * values).tolist()
-        est = scale * math.fsum(terms)
+        with numpy.errstate(all="ignore"):
+            values = g(nodes)
+            terms = (weights * values).tolist()
+        # the weights are positive and finite: a non-finite value makes this so
         l1 = scale * math.fsum(map(abs, terms))
+        if not math.isfinite(l1):
+            raise OverflowError(f"the integrand is not finite on the {n}-node rule")
+        est = scale * math.fsum(terms)
         error = NULL_SAFETY * scale * float(abs((null * values).sum(axis=1)).max())
         size = abs(est)
         if prev is not None:

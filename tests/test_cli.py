@@ -144,6 +144,10 @@ def test_eval_domain_violation(capsys):
     ("apply", "--family", "rl-left", "--delta", "2", "--tau", "0.5", "--x", "2.8e205"),
     # the recurrence returned inf, which only the JSON writer refused
     ("jacobi", "--n", "3", "--alpha", "0", "--beta", "0", "--x", "1e300"),
+    # M_3 overflows at the nodes: this refined to 4,096 nodes with numpy
+    # RuntimeWarnings and exited 3, "did not stabilize"
+    ("apply", "--family", "rl-left", "--delta", "0.5", "--tau", "2", "--n", "3",
+     "--p", "9", "--q", "0", "--x", "1e120"),
 ])
 def test_eval_overflow_is_a_domain_exit(capsys, argv):
     # exit code 1 means a verification failure, so a value past the double

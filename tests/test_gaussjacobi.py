@@ -1,8 +1,9 @@
 """Bit-identity guard for the Gauss-Jacobi rule builder, and its refusal
 of exponents whose rules it cannot scale.
 
-Each case is one gauss_jacobi request; its digest is the SHA-256 of the
-bytes of every rule's nodes, then weights, in order. The digests were
+Each case is a list of (n, alpha, beta) rules, built by one gauss_jacobi
+call per node count; its digest is the SHA-256 of the bytes of every
+rule's nodes, then weights, in the case's order. The digests were
 frozen from the builder that set up each rule on its own (numpy 2.4,
 x86-64 Linux with glibc's libm, AVX-512), so a rewrite that changes the
 arithmetic of any node or weight, even in the last bit, fails here. Another
@@ -22,8 +23,8 @@ GJ_64 = json.loads((Path(__file__).parent / "data" / "gauss_jacobi_64.json").rea
 
 # (n, alpha, beta) for the weight (1-x)^alpha (1+x)^beta
 CASES = {
-    # the 64/128 pairs and 6-rule batches quadrature asks for, at exponents
-    # in random-grid's range
+    # one weight at 64 and 128 nodes, and three weights a sweep, at
+    # exponents in random-grid's range
     "pair-0,3.15": [(64, 0.0, 3.15), (128, 0.0, 3.15)],
     "pair--0.71,-0.97": [(64, -0.71, -0.97), (128, -0.71, -0.97)],
     "pair-0.31,1.37": [(64, 0.31, 1.37), (128, 0.31, 1.37)],
@@ -61,8 +62,13 @@ DIGESTS = {
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_rules_are_bit_identical_to_the_frozen_digests(name):
+    rules = CASES[name]
+    built = {}
+    for n in dict.fromkeys(n for n, _, _ in rules):
+        weights = [(alpha, beta) for size, alpha, beta in rules if size == n]
+        built.update(((n, *pair), rule) for pair, rule in zip(weights, gauss_jacobi(n, weights)))
     digest = hashlib.sha256()
-    for x, w in gauss_jacobi(CASES[name]):
+    for x, w in map(built.get, rules):
         digest.update(x.tobytes())
         digest.update(w.tobytes())
     assert digest.hexdigest() == DIGESTS[name]
@@ -74,11 +80,11 @@ def test_exponents_past_the_double_range_raise_before_any_guess(monkeypatch, alp
     # 1999 a scan of 8k angles was built first and the rule still failed
     # with "(34, 'Numerical result out of range')", and at 1e308 numpy's
     # linspace ended the run with "Maximum allowed size exceeded"
-    def refuse(rules):
+    def refuse(n, weights):
         raise AssertionError("guesses built for a rule that cannot be scaled")
 
     monkeypatch.setattr(gaussjacobi, "_asymptotic_guesses", refuse)
     monkeypatch.setattr(gaussjacobi, "_scanned_guesses", refuse)
     with pytest.raises(OverflowError) as exc:
-        gauss_jacobi([(64, 0.3, -0.4), (64, alpha, 1.0)])
+        gauss_jacobi(64, [(0.3, -0.4), (alpha, 1.0)])
     assert f"(1-x)^{alpha!r} (1+x)^1.0" in str(exc.value)

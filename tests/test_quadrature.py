@@ -8,6 +8,7 @@ and t = x/u substitutions, and the split evaluation of 2F1 kernels.
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from fracimage import cli, identities, quadrature
 from fracimage.errors import DomainError, NonConvergedError, UnsupportedKernelError
 from fracimage.gammafns import is_nonpositive_integer
+from fracimage.gaussjacobi import ASYMPTOTIC_LIMIT
 from fracimage.hypergeom import gauss_2f1
 from fracimage.identities import (
     DEFAULT_GRIDS,
@@ -120,6 +122,24 @@ def test_nonconverged_oscillatory(monkeypatch):
     cfg = QuadConfig(tol=1e-15)
     with pytest.raises(NonConvergedError):
         quad_endpoint_singular(lambda u: numpy.cos(57.0 * u), 0.0, 0.0, cfg)
+
+
+@pytest.mark.parametrize("g", [
+    lambda u: 1e300 * (1e300 * u),  # +inf at every node
+    lambda u: (1e300 * u) ** 3 * (1.0 - 2.0 * u),  # +inf and -inf, so nan sums
+    lambda u: numpy.where(u < 0.5, u, numpy.nan),
+])
+def test_non_finite_integrand_raises_overflow_without_warnings(monkeypatch, g):
+    # an integrand past the double range was refined to the last rule with
+    # numpy's RuntimeWarnings and then reported as not converged
+    calls = []
+    real = quadrature._gj_rule
+    monkeypatch.setattr(quadrature, "_gj_rule", lambda *a: calls.append(a[0]) or real(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="not finite"):
+            quad_endpoint_singular(g, 0.5, -0.5)
+    assert calls == [NODE_COUNT]
 
 
 def test_no_refinement_budget_accepts_only_the_first_rule(monkeypatch):
@@ -676,12 +696,14 @@ def test_gj_rule_matches_mpmath_at_64_nodes(case):
 
 
 def test_rules_built_together_equal_rules_built_alone():
-    # one sweep serves several sizes and weights; each rule takes the sweep
-    # its own nodes settle in, so it does not depend on the others
-    n, alpha, beta = (64, 128, 64, 8), (0.3, 0.3, 2.9, -0.93), (-0.4, -0.4, 0.0, 12.0)
-    together = quadrature.roots_jacobi(n, alpha, beta)
+    # one sweep serves several weights; each rule takes the sweep its own
+    # nodes settle in, so it does not depend on the others. The last weight
+    # is past ASYMPTOTIC_LIMIT, so its rule starts from the sign scan
+    alpha, beta = (0.3, 2.9, -0.93), (-0.4, 0.0, 12.0)
+    assert max(beta) > ASYMPTOTIC_LIMIT >= max(alpha[:2] + beta[:2])
+    together = quadrature.roots_jacobi(64, alpha, beta)
     for i, (x, w) in enumerate(together):
-        ((x1, w1),) = quadrature.roots_jacobi((n[i],), (alpha[i],), (beta[i],))
+        ((x1, w1),) = quadrature.roots_jacobi(64, (alpha[i],), (beta[i],))
         assert numpy.array_equal(x, x1) and numpy.array_equal(w, w1)
 
 
