@@ -16,8 +16,10 @@ null rules.
 A quadrature's error is read off its own rule by those null rules
 (Berntsen and Espelid, ACM TOMS 17, 1991): g's discrete coefficients on
 the weight's orthogonal polynomials of degrees n-1 and n-2. A rule whose
-estimate misses the target is doubled; from the second rule on, the
-difference from the previous rule's value is accepted as well.
+estimate misses the target is doubled; from the third rule on, the
+difference from the previous rule's value is accepted as well (the
+second rule's difference from the first can be under the target while
+the second rule is not).
 
 Left-sided integrals substitute t = x*u; right-sided ones t = x/u, mapping
 (x, inf) onto (0, 1). The 2F1 kernels (argument 1-u) are split at u = 1/2:
@@ -71,9 +73,10 @@ ERROR_FLOOR = 1e-16
 
 
 # a quadrature starts from NODE_COUNT nodes and doubles the rule up to
-# MAX_REFINEMENTS times (both read at call time)
-NODE_COUNT = 128
-MAX_REFINEMENTS = 5
+# MAX_REFINEMENTS times, to 4,096 nodes (both read at call time); the
+# default grid's integrals, jittered or not, are accepted on the first
+NODE_COUNT = 64
+MAX_REFINEMENTS = 6
 # the larger null-rule coefficient, times this, is a rule's error estimate
 NULL_SAFETY = 10.0
 
@@ -82,8 +85,8 @@ NULL_SAFETY = 10.0
 class QuadConfig:
     """Gauss-Jacobi rule configuration.
 
-    A rule is accepted once its null-rule error estimate, or after a
-    refinement its difference from the previous rule, is within tol
+    A rule is accepted once its null-rule error estimate, or from the
+    third rule on its difference from the previous rule, is within tol
     (relative); otherwise the rule is doubled. Right-sided integrals never
     truncate the tail: the t = x/u substitution maps all of it onto
     (0, 1)."""
@@ -195,8 +198,7 @@ def quad_endpoint_singular(
             f"weight exponents must be > -1, got ({exponent_at_0!r}, {exponent_at_1!r})"
         )
     n = NODE_COUNT
-    prev = None
-    for _ in range(MAX_REFINEMENTS + 1):
+    for i in range(MAX_REFINEMENTS + 1):
         nodes, weights, scale, null = _gj_rule(n, exponent_at_0, exponent_at_1)
         with numpy.errstate(all="ignore"):
             values = g(nodes)
@@ -208,15 +210,15 @@ def quad_endpoint_singular(
         est = scale * math.fsum(terms)
         error = NULL_SAFETY * scale * float(abs((null * values).sum(axis=1)).max())
         size = abs(est)
-        if prev is not None:
+        if i >= 2:
             error, size = min(error, abs(est - prev)), max(size, abs(prev))
         if error <= cfg.tol * size or error <= NOISE_FLOOR * l1:
             return QuadResult(est, max(error, ERROR_FLOOR * l1), n)
         prev = est
         n *= 2
     raise NonConvergedError(
-        f"quadrature did not stabilize within {MAX_REFINEMENTS} "
-        f"doublings from {NODE_COUNT} nodes"
+        f"quadrature did not stabilize within {NODE_COUNT << MAX_REFINEMENTS} "
+        f"nodes ({MAX_REFINEMENTS} doublings from {NODE_COUNT})"
     )
 
 
@@ -294,7 +296,8 @@ def _kernel_quad(
     if abs(e - round(e)) < 1e-9:
         # logarithmic endpoint case: no pure-power split exists; fall back
         # to the single rule and let refinement do the work (the null rules
-        # overstate a log term's error; the previous rule's difference stops it)
+        # overstate a log term's error; the third or a later rule's
+        # difference from the previous one stops it)
         return quad_endpoint_singular(piece("whole"), a0, b0, cfg)
 
     # (coefficient, piece, weight exponent at v = 0), summed in this order.

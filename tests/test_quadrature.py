@@ -5,8 +5,10 @@ Gauss-Jacobi machinery is checked end to end: weight handling, the t = x*u
 and t = x/u substitutions, and the split evaluation of 2F1 kernels.
 """
 
+import itertools
 import json
 import math
+import random
 import sys
 import warnings
 from pathlib import Path
@@ -155,6 +157,27 @@ def test_no_refinement_budget_accepts_only_the_first_rule(monkeypatch):
         quad_endpoint_singular(lambda u: abs(u - 0.3), 0.0, 0.0, cfg)
 
 
+def test_difference_from_the_previous_rule_is_trusted_from_the_third_rule(monkeypatch):
+    # with no null estimate meeting the target, the first two rules are
+    # refined and a smooth integrand is accepted on its third rule's
+    # difference from the second, never on the second's from the first
+    monkeypatch.setattr(quadrature, "NULL_SAFETY", 1e300)
+    res = quad_endpoint_singular(numpy.exp, 0.0, 0.0)
+    assert res.nodes == 4 * NODE_COUNT
+    assert math.isclose(res.value, math.e - 1.0, rel_tol=1e-13)
+
+
+def test_nonconverged_message_names_the_largest_rule(monkeypatch):
+    monkeypatch.setattr(quadrature, "NODE_COUNT", 8)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 2)
+    with pytest.raises(NonConvergedError, match=r"within 32 nodes \(2 doublings from 8\)"):
+        quad_endpoint_singular(lambda u: numpy.cos(57.0 * u), 0.0, 0.0, QuadConfig(tol=1e-15))
+
+
+def test_largest_rule_has_4096_nodes():
+    assert NODE_COUNT << quadrature.MAX_REFINEMENTS == 4096
+
+
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("a0, a1", [(-0.95, 0.0), (0.0, 0.0), (2.5, -0.9), (0.0, 3.2),
                                     (-0.99, -0.99)])
@@ -200,6 +223,31 @@ def test_default_verify_accepts_every_integral_on_its_first_rule(monkeypatch):
     assert set(nodes) == {NODE_COUNT}
 
 
+def test_jittered_default_verify_accepts_every_integral_on_its_first_rule(monkeypatch):
+    # the same on one jittered copy of the default grid, where no two points
+    # share a rule or a kernel series: each nonzero coordinate except n and p
+    # scaled by a seeded uniform +-5% factor (perfbench's random-grid rule)
+    rng = random.Random(21)
+    nodes = []
+
+    def counted(*args, _real=quad_endpoint_singular):
+        res = _real(*args)
+        nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(quadrature, "quad_endpoint_singular", counted)
+    verdicts = set()
+    for tag, grid in DEFAULT_GRIDS.items():
+        for combo in itertools.product(*grid.values()):
+            point = {s: [v if s in ("n", "p") or v == 0 else v * rng.uniform(0.95, 1.05)]
+                     for s, v in zip(grid, combo)}
+            config = identities.SweepConfig([tag], {tag: point})
+            verdicts.update(r.verdict for r in identities.run_verification(config))
+    assert verdicts == {"PASS"}
+    assert len(nodes) == 920
+    assert set(nodes) == {NODE_COUNT}
+
+
 # Points of the lem3 and cor1 grids at mu = epsilon = 0.4, where the Saigo
 # kernel's exponent difference is an integer: the kernel has a logarithm at
 # u -> 0, no split applies, and one rule integrates it. Its null-rule
@@ -222,7 +270,8 @@ def test_logarithmic_kernel_verdicts(tag, point, verdict, omitted, quad_diff):
     assert (record.ledger_note or "").startswith("quadrature comparison omitted") == omitted
     if quad_diff is not None:
         # the 256-node rule's value, accepted on its difference from the
-        # first; the first rule's was 1.5e-11 (lem3) and 5.3e-10 (cor1) off
+        # 128-node rule; the 64 -> 128 difference is not trusted, because
+        # the 128-node rule was 1.5e-11 (lem3) and 5.3e-10 (cor1) off
         diff = identities.rel_diff(record.quadrature_value, record.closed_form_value)
         assert diff <= quad_diff
 
@@ -429,10 +478,10 @@ def test_error_estimate_is_usable():
 def per_node_quad(g, a0, a1, cfg=QuadConfig()):
     """quad_endpoint_singular with g called once per node on Python floats:
     the scalar reference the node-array evaluation must reproduce bit for
-    bit. The first rule is accepted on its null-rule estimate, a later one
-    on that or on its difference from the previous rule."""
-    n, prev = quadrature.NODE_COUNT, None
-    for _ in range(quadrature.MAX_REFINEMENTS + 1):
+    bit. The first two rules are accepted on their null-rule estimates, a
+    later one on that or on its difference from the previous rule."""
+    n = quadrature.NODE_COUNT
+    for i in range(quadrature.MAX_REFINEMENTS + 1):
         nodes, weights, scale, null = _gj_rule(n, a0, a1)
         values = [g(u) for u in nodes.tolist()]
         terms = [w * v for w, v in zip(weights.tolist(), values)]
@@ -440,7 +489,7 @@ def per_node_quad(g, a0, a1, cfg=QuadConfig()):
         l1 = scale * math.fsum(abs(t) for t in terms)
         coefficients = (null * numpy.array(values)).sum(axis=1).tolist()
         error, size = NULL_SAFETY * scale * max(map(abs, coefficients)), abs(est)
-        if prev is not None:
+        if i >= 2:
             error, size = min(error, abs(est - prev)), max(size, abs(prev))
         if error <= cfg.tol * size or error <= NOISE_FLOOR * l1:
             return QuadResult(est, max(error, ERROR_FLOOR * l1), n)
