@@ -90,6 +90,26 @@ def test_eval_apply_matches_rhs(capsys):
     assert rel_diff(applied, closed) < 1e-8
 
 
+def test_eval_apply_logarithmic_kernel_output_is_pinned(capsys):
+    # mu = epsilon: the Saigo kernel's log term makes the null rules
+    # overstate the error, and the 128-node rule's difference from the
+    # 64-node one is under the target while 1.5e-11 off the closed form;
+    # the value is the 256-node rule's, accepted on its difference from
+    # the 128-node one
+    rc, out, _ = run(capsys, "eval", "apply", "--family", "saigo-left",
+                     "--delta", "0.6", "--mu", "0.4", "--epsilon", "0.4",
+                     "--tau", "2.5", "--x", "0.5")
+    assert rc == 0
+    assert out.splitlines()[:3] == [
+        "value = 0.23704447468320947",
+        "error = 3.4145020473125367e-12",
+        "nodes = 256",
+    ]
+    result = json_tail(out)
+    assert (result["value"], result["error"], result["nodes"]) == (
+        0.23704447468320947, 3.4145020473125367e-12, 256)
+
+
 def test_eval_oracle_target(capsys):
     rc, out, _ = run(capsys, "eval", "oracle", "--identity", "cor1",
                      "--delta", "0.6", "--mu", "0.2", "--epsilon", "0.4",
