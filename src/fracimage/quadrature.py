@@ -16,10 +16,10 @@ null rules.
 A quadrature's error is read off its own rule by those null rules
 (Berntsen and Espelid, ACM TOMS 17, 1991): g's discrete coefficients on
 the weight's orthogonal polynomials of degrees n-1 and n-2. A rule whose
-estimate misses the target is doubled; from the third rule on, the
-difference from the previous rule's value is accepted as well (the
-second rule's difference from the first can be under the target while
-the second rule is not).
+estimate misses the target is doubled; from 256 nodes on, the difference
+from the previous rule's value is accepted as well (on a logarithmic
+kernel a smaller rule's difference can be under the target while the
+rule is not).
 
 Left-sided integrals substitute t = x*u; right-sided ones t = x/u, mapping
 (x, inf) onto (0, 1). The 2F1 kernels (argument 1-u) are split at u = 1/2:
@@ -73,10 +73,11 @@ ERROR_FLOOR = 1e-16
 
 
 # a quadrature starts from NODE_COUNT nodes and doubles the rule up to
-# MAX_REFINEMENTS times, to 4,096 nodes (both read at call time); the
-# default grid's integrals, jittered or not, are accepted on the first
-NODE_COUNT = 64
-MAX_REFINEMENTS = 6
+# MAX_REFINEMENTS times, to 4,096 nodes (both read at call time); a rule's
+# difference from the previous one is trusted from TRUSTED_NODES nodes on
+NODE_COUNT = 16
+MAX_REFINEMENTS = 8
+TRUSTED_NODES = 256
 # the larger null-rule coefficient, times this, is a rule's error estimate
 NULL_SAFETY = 10.0
 
@@ -85,11 +86,11 @@ NULL_SAFETY = 10.0
 class QuadConfig:
     """Gauss-Jacobi rule configuration.
 
-    A rule is accepted once its null-rule error estimate, or from the
-    third rule on its difference from the previous rule, is within tol
-    (relative); otherwise the rule is doubled. Right-sided integrals never
-    truncate the tail: the t = x/u substitution maps all of it onto
-    (0, 1)."""
+    A rule is accepted once its null-rule error estimate, or from
+    TRUSTED_NODES nodes on its difference from the previous rule, is
+    within tol (relative); otherwise the rule is doubled. Right-sided
+    integrals never truncate the tail: the t = x/u substitution maps all
+    of it onto (0, 1)."""
 
     tol: float = 1e-10
 
@@ -210,7 +211,7 @@ def quad_endpoint_singular(
         est = scale * math.fsum(terms)
         error = NULL_SAFETY * scale * float(abs((null * values).sum(axis=1)).max())
         size = abs(est)
-        if i >= 2:
+        if i and n >= TRUSTED_NODES:
             error, size = min(error, abs(est - prev)), max(size, abs(prev))
         if error <= cfg.tol * size or error <= NOISE_FLOOR * l1:
             return QuadResult(est, max(error, ERROR_FLOOR * l1), n)

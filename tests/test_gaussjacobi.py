@@ -42,6 +42,11 @@ CASES = {
         for a, b in ((10.5, 0.0), (-0.5, 30.0), (1.0, 170.5))
     },
     "scan-mixed": [(64, 0.3, -0.4), (64, 10.5, 10.5), (512, 30.0, 0.0), (128, 0.3, -0.4)],
+    # a quadrature's first rule (16 nodes) and its first doubling (32)
+    "small-0,3.15": [(16, 0.0, 3.15), (32, 0.0, 3.15)],
+    "small--0.71,-0.97": [(16, -0.71, -0.97), (32, -0.71, -0.97)],
+    "small-batch-6": [(n, 0.0, b) for b in (-0.97, 0.1, 3.15) for n in (16, 32)],
+    "small-scan-10.5,0.0": [(16, 10.5, 0.0), (32, 10.5, 0.0)],
 }
 
 DIGESTS = {
@@ -57,6 +62,10 @@ DIGESTS = {
     "scan--0.5,30.0": "42646e282d2089f45319c546d4c465d0d364c54e37f26bbf4f9836cb6d8e343a",
     "scan-1.0,170.5": "923b1abf5161447485057e1f896dd14c59f018d51bc91960a13fa7d3fe609fca",
     "scan-mixed": "59fddb47a137d1c3966b2d73abc8da002013852a32f51209ac8451ab7593350e",
+    "small-0,3.15": "000f769db5d408f88e5fdb0cd8ea6f8c27f82f94b7bb470e4671d8c40d3b20f9",
+    "small--0.71,-0.97": "bd8afdca0026277bb73a1d5874318290e30b9908d23425d930ead184a459ddaf",
+    "small-batch-6": "fafa12af36e1175dc650268508ea05f4abdfedfd1112114c681b223bbc5816c4",
+    "small-scan-10.5,0.0": "9a672546618fd0eb39b8884514ae414e2873a497ab80f0de0847b840dbe107cc",
 }
 
 

@@ -157,13 +157,15 @@ def test_no_refinement_budget_accepts_only_the_first_rule(monkeypatch):
         quad_endpoint_singular(lambda u: abs(u - 0.3), 0.0, 0.0, cfg)
 
 
-def test_difference_from_the_previous_rule_is_trusted_from_the_third_rule(monkeypatch):
-    # with no null estimate meeting the target, the first two rules are
-    # refined and a smooth integrand is accepted on its third rule's
-    # difference from the second, never on the second's from the first
+def test_difference_from_the_previous_rule_is_trusted_from_256_nodes(monkeypatch):
+    # with no null estimate meeting the target, a smooth integrand is
+    # refined past every rule below TRUSTED_NODES and accepted on the
+    # 256-node rule's difference from the 128-node one, never on the
+    # 32 -> 64 or 64 -> 128 difference, though those are under the target
     monkeypatch.setattr(quadrature, "NULL_SAFETY", 1e300)
     res = quad_endpoint_singular(numpy.exp, 0.0, 0.0)
-    assert res.nodes == 4 * NODE_COUNT
+    assert quadrature.TRUSTED_NODES == 256
+    assert res.nodes == 256
     assert math.isclose(res.value, math.e - 1.0, rel_tol=1e-13)
 
 
@@ -270,8 +272,9 @@ def test_logarithmic_kernel_verdicts(tag, point, verdict, omitted, quad_diff):
     assert (record.ledger_note or "").startswith("quadrature comparison omitted") == omitted
     if quad_diff is not None:
         # the 256-node rule's value, accepted on its difference from the
-        # 128-node rule; the 64 -> 128 difference is not trusted, because
-        # the 128-node rule was 1.5e-11 (lem3) and 5.3e-10 (cor1) off
+        # 128-node rule; no smaller rule's difference is trusted
+        # (TRUSTED_NODES), because the 128-node rule was 1.5e-11 (lem3) and
+        # 5.3e-10 (cor1) off the closed form
         diff = identities.rel_diff(record.quadrature_value, record.closed_form_value)
         assert diff <= quad_diff
 
@@ -478,8 +481,9 @@ def test_error_estimate_is_usable():
 def per_node_quad(g, a0, a1, cfg=QuadConfig()):
     """quad_endpoint_singular with g called once per node on Python floats:
     the scalar reference the node-array evaluation must reproduce bit for
-    bit. The first two rules are accepted on their null-rule estimates, a
-    later one on that or on its difference from the previous rule."""
+    bit. A rule below TRUSTED_NODES is accepted on its null-rule estimate
+    alone, a larger one on that or on its difference from the previous
+    rule."""
     n = quadrature.NODE_COUNT
     for i in range(quadrature.MAX_REFINEMENTS + 1):
         nodes, weights, scale, null = _gj_rule(n, a0, a1)
@@ -489,7 +493,7 @@ def per_node_quad(g, a0, a1, cfg=QuadConfig()):
         l1 = scale * math.fsum(abs(t) for t in terms)
         coefficients = (null * numpy.array(values)).sum(axis=1).tolist()
         error, size = NULL_SAFETY * scale * max(map(abs, coefficients)), abs(est)
-        if i >= 2:
+        if i and n >= quadrature.TRUSTED_NODES:
             error, size = min(error, abs(est - prev)), max(size, abs(prev))
         if error <= cfg.tol * size or error <= NOISE_FLOOR * l1:
             return QuadResult(est, max(error, ERROR_FLOOR * l1), n)
@@ -740,6 +744,20 @@ GJ_64 = json.loads((Path(__file__).parent / "data" / "gauss_jacobi_64.json").rea
 )
 def test_gj_rule_matches_mpmath_at_64_nodes(case):
     nodes, weights, _, _ = _gj_rule(64, case["exponent_at_0"], case["exponent_at_1"])
+    assert numpy.max(numpy.abs(nodes - case["nodes"])) <= 5e-16
+    assert numpy.max(numpy.abs(weights / case["weights"] - 1.0)) <= 2e-14
+
+
+# The same weights at 16 nodes, the size of every quadrature's first rule
+GJ_16 = json.loads((Path(__file__).parent / "data" / "gauss_jacobi_16.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GJ_16["cases"], ids=lambda c: f"{c['exponent_at_0']},{c['exponent_at_1']}"
+)
+def test_gj_rule_matches_mpmath_at_16_nodes(case):
+    nodes, weights, _, _ = _gj_rule(16, case["exponent_at_0"], case["exponent_at_1"])
+    assert quadrature.NODE_COUNT == 16
     assert numpy.max(numpy.abs(nodes - case["nodes"])) <= 5e-16
     assert numpy.max(numpy.abs(weights / case["weights"] - 1.0)) <= 2e-14
 
