@@ -6,7 +6,6 @@ Verbs:
           takes only its own flags (EVAL_TARGETS, `eval <target> --help`)
   verify  run identity checks over parameter grids and write one JSON
           line per (identity, point)
-  sweep   tabulate values over a grid as CSV for external plotting
   report  summarize a verification record file and print the
           corrections ledger
 
@@ -17,10 +16,10 @@ one-parameter family; epsilon (weight exponent) and delta (order) for
 the two-parameter family. The Python API uses alpha, alpha_prime, beta,
 beta_prime, gamma / alpha, beta, eta / alpha / eta, alpha for the same
 positions (operators.FAMILIES); flag values map positionally. verify
-and sweep write each record (sweep: each CSV row) to --out as soon as it
-is computed, in grid order. Records and eval lines are standard JSON
-(json.dumps, floats as their shortest round-trip repr); CSV cells are
-csv.writer's, with an empty cell for None.
+writes each record to --out as soon as it is computed, in grid order,
+and leaves every check of the run's configuration to
+identities.iter_verification. Records and eval lines are standard JSON
+(json.dumps, floats as their shortest round-trip repr).
 
 Exit codes: 0 all pass, 1 any verification failure, 2 domain or config
 error (argparse prints its usage line first), 3 convergence error.
@@ -29,7 +28,6 @@ error (argparse prints its usage line first), 3 convergence error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -54,11 +52,10 @@ from .identities import (  # noqa: F401
     CORRECTIONS,
     DEFAULT_GRIDS,
     IDENTITY_FAMILY,
-    TAGS,
+    TOLERANCES,
     IdentityId,
     SweepConfig,
     VerificationRecord,
-    _point_symbols,
     image_rhs,
     iter_verification,
     lhs_oracle,
@@ -136,17 +133,8 @@ def load_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-TOLERANCES = ("tol_oracle", "tol_quadrature", "tol_reduction")
-
-
 def _parse_tags(text: str) -> list[str]:
-    tags = [t.strip() for t in text.split(",") if t.strip()]
-    bad = [t for t in tags if t not in TAGS]
-    if bad:
-        raise ConfigError(f"unknown identities: {', '.join(bad)}")
-    if not tags:
-        raise ConfigError(f"no identities selected: {text!r}")
-    return tags
+    return [t.strip() for t in text.split(",") if t.strip()]
 
 
 def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
@@ -164,26 +152,19 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
             cfg.out = value
         elif "." in key:
             tag, symbol = key.split(".", 1)
-            if tag not in TAGS:
-                raise ConfigError(f"unknown identity in key {key!r}")
-            if symbol not in _point_symbols(tag):
-                raise ConfigError(f"unknown symbol in key {key!r}")
             cfg.grids.setdefault(tag, {})[symbol] = _parse_list(value)
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    if getattr(args, "identities", None):
+    if args.identities:
         cfg.identities = _parse_tags(args.identities)
-    if getattr(args, "as_printed", False):
+    if args.as_printed:
         cfg.as_printed = True
-    if getattr(args, "out", None):
+    if args.out:
         cfg.out = args.out
     # a tolerance of 0 is a valid request, so test for presence, not truth
     for key in TOLERANCES:
-        if getattr(args, key, None) is not None:
+        if getattr(args, key) is not None:
             setattr(cfg, key, getattr(args, key))
-        # no comparison with NaN is true, and none below 0 can pass
-        if not getattr(cfg, key) >= 0.0:
-            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)!r}")
     return cfg
 
 
@@ -368,7 +349,7 @@ def cmd_eval(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify / sweep / report
+# verify / report
 
 def cmd_verify(args) -> int:
     pairs = load_config_file(args.config) if args.config else {}
@@ -387,36 +368,6 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL if n_fail else EXIT_PASS
 
 
-def cmd_sweep(args) -> int:
-    pairs = load_config_file(args.config) if args.config else {}
-    cfg = build_sweep_config(pairs, args)
-    if args.identity:
-        if args.identity not in TAGS:
-            raise ConfigError(f"unknown identity {args.identity!r}")
-        cfg.identities = [args.identity]
-    pending = iter_verification(cfg)
-    symbols = list(dict.fromkeys(s for t in cfg.identities for s in _point_symbols(t)))
-    values = ["oracle_value", "closed_form_value", "quadrature_value", "rel_diff",
-              "verdict"]
-    to_file = args.out or "out" in pairs
-    out = _open_out(cfg.out) if to_file else sys.stdout
-    rows = 0
-    try:
-        # csv writes a float as its repr and None as an empty cell
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["identity", *symbols, *values])
-        for rec in pending:
-            writer.writerow([rec.identity, *map(rec.point.get, symbols),
-                             *(getattr(rec, v) for v in values)])
-            rows += 1
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    if to_file:
-        print(f"sweep: {rows} rows -> {cfg.out}")
-    return EXIT_PASS
-
-
 # the JSON types of each record field, as verify writes them
 RECORD_TYPES = {
     "identity": "a string", "point": "an object", "oracle_value": "a number or null",
@@ -425,6 +376,10 @@ RECORD_TYPES = {
 }
 JSON_TYPES = {str: "a string", dict: "an object", int: "a number", float: "a number",
               type(None): "null"}
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not standard JSON")
 
 
 def _checked_record(fields) -> VerificationRecord:
@@ -450,7 +405,8 @@ def cmd_report(args) -> int:
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
-                records.append(_checked_record(json.loads(line)))
+                records.append(_checked_record(
+                    json.loads(line, parse_constant=_refuse_constant)))
             except (ValueError, TypeError) as exc:  # not JSON, or not a record
                 raise ConfigError(f"{args.records}:{lineno}: {exc}") from exc
     by_identity: dict[str, dict] = {}
@@ -500,15 +456,6 @@ def _add_flags(sub: argparse.ArgumentParser, flags: dict[str, dict]) -> None:
         sub.add_argument("--" + dest.replace("_", "-"), **kwargs)
 
 
-def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--out", help="output path")
-    sub.add_argument("--identities", help="comma-separated identity tags")
-    sub.add_argument("--as-printed", action="store_true",
-                     help="verify the as-printed variants instead")
-    _add_flags(sub, dict.fromkeys(TOLERANCES, {"type": float}))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracimage",
@@ -522,11 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefix matching: --a is f3's flag, not an abbreviation of --arg
         target = targets.add_parser(name, help=evaluate.__doc__, allow_abbrev=False)
         _add_flags(target, flags)
-    _add_sweep_flags(subs.add_parser(
-        "verify", help="run identity checks over grids"))
-    sweep = subs.add_parser("sweep", help="tabulate values over grids as CSV")
-    _add_sweep_flags(sweep)
-    sweep.add_argument("--identity", help="restrict the sweep to one tag")
+    verify = subs.add_parser("verify", help="run identity checks over grids")
+    verify.add_argument("--config", help="flat key = value config file")
+    verify.add_argument("--out", help="records path")
+    verify.add_argument("--identities", help="comma-separated identity tags")
+    verify.add_argument("--as-printed", action="store_true",
+                        help="verify the as-printed variants instead")
+    _add_flags(verify, dict.fromkeys(TOLERANCES, {"type": float}))
     report = subs.add_parser("report", help="summarize a records file")
     report.add_argument("records", help="JSON-lines records path")
     return parser
@@ -551,12 +500,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
     args = parser.parse_args(argv)
-    commands = {"eval": cmd_eval, "verify": cmd_verify, "sweep": cmd_sweep,
-                "report": cmd_report}
+    commands = {"eval": cmd_eval, "verify": cmd_verify, "report": cmd_report}
     try:
         return commands[args.command](args)
     except BrokenPipeError:
-        # the reader left (`fracimage sweep | head`): point stdout at devnull
+        # the reader left (`fracimage report FILE | head`): point stdout at devnull
         # so the interpreter's final flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL

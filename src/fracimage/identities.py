@@ -515,6 +515,7 @@ TAGS: dict[str, TagSpec] = {
 IDENTITY_FAMILY = {spec.identity: spec.family for spec in TAGS.values() if spec.identity}
 DEFAULT_GRIDS = {tag: spec.grid for tag, spec in TAGS.items()}
 ALL_TAGS = list(TAGS)
+TOLERANCES = ("tol_oracle", "tol_quadrature", "tol_reduction")
 
 
 @dataclass
@@ -568,9 +569,6 @@ def _expand_grid(tag: str, grid: dict[str, list]) -> list[dict]:
     missing = [s for s in symbols if s not in grid or not grid[s]]
     if missing:
         raise ConfigError(f"{tag}: no grid values for {', '.join(missing)}")
-    extra = sorted(set(grid) - set(symbols))
-    if extra:
-        raise ConfigError(f"{tag}: unknown grid symbols {', '.join(extra)}")
     for s in symbols:
         if not all(map(math.isfinite, grid[s])):
             raise ConfigError(f"{tag}.{s}: grid values must be finite, got {grid[s]!r}")
@@ -695,7 +693,22 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
 
 def iter_verification(cfg: SweepConfig) -> Iterator[VerificationRecord]:
     """The records for the configured grids, in deterministic order, each
-    evaluated when drawn; every grid is expanded (and checked) first."""
+    evaluated when drawn. ConfigError before the first record unless every
+    tag is known and one is selected, every grid symbol belongs to its tag,
+    every tolerance is >= 0 and every selected grid is finite."""
+    unknown = [t for t in (*cfg.identities, *cfg.grids) if t not in TAGS]
+    if unknown:
+        raise ConfigError(f"unknown identities: {', '.join(map(repr, unknown))}")
+    if not cfg.identities:
+        raise ConfigError("no identities selected")
+    unknown = [f"{tag}.{s}" for tag, grid in cfg.grids.items()
+               for s in sorted(set(grid).difference(_point_symbols(tag)))]
+    if unknown:
+        raise ConfigError(f"unknown grid symbols: {', '.join(unknown)}")
+    for key in TOLERANCES:
+        # no comparison with NaN is true, and none below 0 can pass
+        if not getattr(cfg, key) >= 0.0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)!r}")
     grids = [(tag, _expand_grid(tag, {**DEFAULT_GRIDS[tag], **cfg.grids.get(tag, {})}))
              for tag in cfg.identities]
     return (_evaluate_point(tag, p, cfg) for tag, points in grids for p in points)

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -608,10 +609,11 @@ def test_negative_non_finite_values_reach_the_program(capsys, value):
 @pytest.mark.parametrize("argv, config", [
     (["verify", "--identities", ",,"], None),
     (["verify"], "identities =\n"),
-    (["sweep", "--identities", ",,"], None),
+    # the empty flag replaces the file's list; it is not dropped as falsy
+    (["verify", "--identities", ",,"], "identities = cor2\n"),
 ])
 def test_empty_tag_selection_is_rejected(tmp_path, capsys, argv, config):
-    # each ran 0 records and exited 0
+    # the first two ran 0 records and exited 0
     out_path = tmp_path / "out"
     argv = [*argv, "--out", str(out_path)]
     if config is not None:
@@ -690,7 +692,7 @@ def test_verify_lemma_nonpositive_x_is_skipped(tmp_path, capsys):
     assert kept == [json.loads(cli._json_line(asdict(r))) for r in alone]
 
 
-@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
     # a FileNotFoundError traceback, exit 1
     path = tmp_path / "missing" / "out"
@@ -914,88 +916,19 @@ def test_config_comments_and_spacing(tmp_path):
     assert load_config_file(path) == {"out": "r.jsonl"}
 
 
-def test_sweep_csv(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SMALL_CFG)
-    rc, out, _ = run(capsys, "sweep", "--config", cfg, "--identity", "cor2")
-    assert rc == 0
-    lines = out.strip().splitlines()
-    header = lines[0].split(",")
-    assert header[:2] == ["identity", "delta"]
-    assert header[-1] == "verdict"
-    assert len(lines) == 9
-    assert all(line.endswith("PASS") for line in lines[1:])
-    # image values grow with x at fixed remaining coordinates
-    rows = [line.split(",") for line in lines[1:]]
-    x_col = header.index("x")
-    v_col = header.index("closed_form_value")
-    pairs = {}
-    for row in rows:
-        key = tuple(row[i] for i in range(len(header))
-                    if header[i] not in ("x", "oracle_value",
-                                         "closed_form_value",
-                                         "quadrature_value", "rel_diff"))
-        pairs.setdefault(key, []).append((float(row[x_col]),
-                                          float(row[v_col])))
-    for values in pairs.values():
-        ordered = sorted(values)
-        assert ordered[0][1] < ordered[-1][1]
-
-
-def test_sweep_writes_to_the_config_files_out(tmp_path, capsys):
-    # the config's out key was ignored: the CSV went to stdout, no file
-    out_path = tmp_path / "rows.csv"
+def test_verify_writes_to_the_config_files_out(tmp_path, capsys):
+    out_path = tmp_path / "records.jsonl"
     cfg = write_cfg(tmp_path, SMALL_CFG + f"out = {out_path}\n")
-    rc, out, _ = run(capsys, "sweep", "--config", cfg)
+    rc, out, _ = run(capsys, "verify", "--config", cfg)
     assert rc == 0
-    assert out == f"sweep: 8 rows -> {out_path}\n"
-    lines = out_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("identity,delta,") and len(lines) == 9
+    assert out == f"verify: 8 records, 8 PASS, 0 FAIL, 0 SKIPPED -> {out_path}\n"
+    assert len(out_path.read_text(encoding="utf-8").splitlines()) == 8
     # the flag still wins over the file
-    flag_path = tmp_path / "flag.csv"
-    rc, out, _ = run(capsys, "sweep", "--config", cfg, "--out", str(flag_path))
+    flag_path = tmp_path / "flag.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(flag_path))
     assert rc == 0
-    assert out == f"sweep: 8 rows -> {flag_path}\n"
-    assert flag_path.read_text(encoding="utf-8") == out_path.read_text(encoding="utf-8")
-
-
-def test_sweep_into_a_closed_pipe_exits_without_a_traceback():
-    # `fracimage sweep | head -3` ended in a BrokenPipeError traceback; the
-    # full sweep (about 98 kB) outgrows the pipe and stdout buffers, so it
-    # is still writing when the reader goes
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "fracimage", "sweep"], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    head = [proc.stdout.readline() for _ in range(3)]
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == 1
-    assert head[0].startswith(b"identity,") and head[2].startswith(b"thm1,")
-    assert err == ""
-
-
-def test_sweep_streams_rows_before_an_abort(tmp_path, monkeypatch):
-    # rows were written only after the last point, so an uncaught error
-    # left no CSV at all
-    real_evaluate = identities._evaluate_point
-    calls = []
-
-    def evaluate(tag, point, cfg):
-        calls.append(point)
-        if len(calls) == 3:
-            raise RuntimeError("injected failure")
-        return real_evaluate(tag, point, cfg)
-
-    monkeypatch.setattr(identities, "_evaluate_point", evaluate)
-    out_path = tmp_path / "f.csv"
-    with pytest.raises(RuntimeError):
-        main(["sweep", "--identity", "cor2", "--out", str(out_path)])
-    lines = out_path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    assert header[0] == "identity" and header[-1] == "verdict"
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    assert [float(row["x"]) for row in rows] == [p["x"] for p in calls[:2]]
-    assert all(row["identity"] == "cor2" and row["verdict"] == "PASS" for row in rows)
+    assert out.endswith(f" -> {flag_path}\n")
+    assert flag_path.read_bytes() == out_path.read_bytes()
 
 
 def _loaded_probe(label: str) -> str:
@@ -1082,10 +1015,14 @@ def test_only_the_cli_imports_the_command_line_layer():
         assert getattr(cli, name) is getattr(identities, name), name
 
 
-def test_sweep_rejects_unknown_identity(capsys):
-    rc, _, err = run(capsys, "sweep", "--identity", "nope")
+def test_verify_rejects_unknown_identity(tmp_path, capsys):
+    out_path = tmp_path / "records.jsonl"
+    rc, out, err = run(capsys, "verify", "--identities", "cor2,nope",
+                       "--out", str(out_path))
     assert rc == 2
-    assert "nope" in err
+    assert out == ""
+    assert err.startswith("error: ") and "nope" in err
+    assert not out_path.exists()
 
 
 def test_report_pass(tmp_path, capsys):
@@ -1158,6 +1095,14 @@ REPORT_LINE = ('{"identity":"cor2","point":{"x":1.0},"oracle_value":1.0,'
                  id="unknown-verdict"),
     pytest.param(REPORT_LINE.replace('{"x":1.0}', '[1]'), 1, "point must be an object, got [1]",
                  id="list-point"),
+    # verify never writes these tokens; a NaN rel_diff was reported as
+    # "max rel diff 0.000e+00" with exit 0, since max(0.0, nan) is 0.0
+    pytest.param(REPORT_LINE.replace('"rel_diff":0.0', '"rel_diff":NaN'), 1,
+                 "NaN is not standard JSON", id="nan-rel-diff"),
+    pytest.param("\n" + REPORT_LINE.replace('"x":1.0', '"x":Infinity'), 2,
+                 "Infinity is not standard JSON", id="infinite-point"),
+    pytest.param(REPORT_LINE.replace('"oracle_value":1.0', '"oracle_value":-Infinity'), 1,
+                 "-Infinity is not standard JSON", id="negative-infinite-value"),
 ])
 def test_report_names_the_line_that_is_not_a_record(tmp_path, capsys, text, lineno, reason):
     # a shell script printed only the JSON error, without the file; `{}`
@@ -1168,6 +1113,38 @@ def test_report_names_the_line_that_is_not_a_record(tmp_path, capsys, text, line
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: {path}:{lineno}: ") and reason in err
+
+
+def test_report_into_a_closed_pipe_exits_without_a_traceback(tmp_path):
+    # 3,000 failures print about 160 kB, more than the pipe and stdout
+    # buffers hold, so report is still writing when `| head -2` goes
+    path = tmp_path / "records.jsonl"
+    path.write_text(REPORT_LINE.replace('"PASS"', '"FAIL"') * 3000, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "fracimage", "report", str(path)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head[0].startswith(b"identity ") and head[1].startswith(b"cor2 ")
+    assert err == ""
+
+
+def _readme_command_line() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_documents_every_verb_and_eval_target():
+    section = _readme_command_line()
+    verbs = re.findall(r"^### ([a-z]+)$", section, re.MULTILINE)
+    usage = build_parser().format_usage()
+    assert verbs == re.search(r"\{([\w,]+)\}", usage).group(1).split(",")
+    targets = re.search(r"^Evaluate one object at one point\. Targets: (.+?)\.$",
+                        section, re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r"`(\w+)`", targets) == list(cli.EVAL_TARGETS)
 
 
 def test_default_grids_cover_all_tags():

@@ -1,6 +1,7 @@
 """Closed-form images versus the exact finite-sum oracle."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracimage import identities
-from fracimage.errors import DenominatorPoleError, DomainError, UnsupportedKernelError
+from fracimage.errors import (
+    ConfigError,
+    DenominatorPoleError,
+    DomainError,
+    UnsupportedKernelError,
+)
 from fracimage.gammafns import gamma, gamma_product_eval
 from fracimage.identities import (
     ALL_TAGS,
@@ -17,6 +23,7 @@ from fracimage.identities import (
     IDENTITY_FAMILY,
     TAGS,
     IdentityId,
+    SweepConfig,
     _expand_grid,
     _op_params,
     corrections_for,
@@ -25,6 +32,7 @@ from fracimage.identities import (
     lhs_oracle,
     monomial_quadrature,
     quadrature_value,
+    run_verification,
 )
 from fracimage.jacobi import PolySpec, m_poly_coefficients
 from fracimage.operators import (
@@ -470,6 +478,25 @@ def test_corrections_registry():
     assert evaluable == {"thm1", "thm3", "cor4"}
     assert corrections_for(IdentityId.THM1)
     assert all(c.printed and c.implemented for c in CORRECTIONS)
+
+
+@pytest.mark.parametrize("cfg, named", [
+    # a NaN tolerance switched its comparison off, so lem3 passed every
+    # record; a negative one failed every record
+    (SweepConfig(["cor2", "lem3"], {}, tol_reduction=math.nan), "tol_reduction"),
+    (SweepConfig(["cor2"], {}, tol_oracle=-1), "tol_oracle"),
+    # an unknown tag ended in a bare KeyError
+    (SweepConfig(["cor2", "nope"], {}), "unknown identities: 'nope'"),
+    (SweepConfig(["cor2"], {"nope": {"x": [1]}}), "'nope'"),
+    # the grid of a tag that is not selected was not checked at all
+    (SweepConfig(["lem1"], {"cor2": {"alpha": [1]}}), "cor2.alpha"),
+    (SweepConfig(["cor2"], {"cor2": {"x": [1], "beta": [2]}}), "cor2.beta"),
+    # an empty selection ran 0 records
+    (SweepConfig([], {}), "no identities selected"),
+])
+def test_run_verification_checks_its_configuration(cfg, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        run_verification(cfg)
 
 
 def test_identity_family_covers_all_tags():
