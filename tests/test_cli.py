@@ -570,6 +570,26 @@ def test_verify_rejects_non_finite_grid_values(tmp_path, capsys, config, key):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, config, named", [
+    # every cor2 record was written twice: 192 records
+    pytest.param(["--identities", "cor2,cor2"], "", "repeated identities: 'cor2'",
+                 id="repeated-tag"),
+    pytest.param(["--identities", "cor2"], "cor2.x = 1, 1\n",
+                 "cor2.x: grid value 1 is repeated", id="repeated-value"),
+    # a PASS record whose point said "n":1.5 held the values of n = 1
+    pytest.param(["--identities", "cor2"], "cor2.n = 1.5\n",
+                 "cor2.n: a degree must be an integer >= 0, got 1.5", id="fractional-degree"),
+])
+def test_verify_rejects_repeated_and_fractional_grid_entries(tmp_path, capsys, argv, config,
+                                                             named):
+    out_path = tmp_path / "records.jsonl"
+    rc, out, err = run(capsys, "verify", *argv, "--config", write_cfg(tmp_path, config),
+                       "--out", str(out_path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {named}\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--x", "nan"), ("--tau", "inf"),
                                          ("--delta", "-1e999")])
 def test_eval_rejects_non_finite_point_flags(capsys, flag, value):

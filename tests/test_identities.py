@@ -493,6 +493,29 @@ def test_corrections_registry():
     (SweepConfig(["cor2"], {"cor2": {"x": [1], "beta": [2]}}), "cor2.beta"),
     # an empty selection ran 0 records
     (SweepConfig([], {}), "no identities selected"),
+    # a tolerance or grid value that is not a number ended in a bare
+    # TypeError, and True was taken for a tolerance of 1.0
+    pytest.param(SweepConfig(["cor2"], {}, tol_oracle="1e-3"),
+                 "tol_oracle must be an int or a float", id="string-tolerance"),
+    pytest.param(SweepConfig(["cor2"], {}, tol_quadrature=None),
+                 "tol_quadrature must be an int or a float", id="none-tolerance"),
+    pytest.param(SweepConfig(["cor2"], {}, tol_oracle=True),
+                 "tol_oracle must be an int or a float, got True", id="bool-tolerance"),
+    pytest.param(SweepConfig(["cor2"], {"cor2": {"x": ["1"]}}),
+                 "cor2.x: grid values must be ints or floats", id="string-grid-value"),
+    pytest.param(SweepConfig(["cor2"], {"cor2": {"x": [True]}}),
+                 "cor2.x: grid values must be ints or floats", id="bool-grid-value"),
+    # n = 1.5 ran as n = 1 under a point that said 1.5, and n = -1 raised
+    # ValueError from PolySpec partway through the run
+    pytest.param(SweepConfig(["cor2"], {"cor2": {"n": [1.5]}}),
+                 "cor2.n: a degree must be an integer >= 0, got 1.5", id="fractional-degree"),
+    pytest.param(SweepConfig(["cor2"], {"cor2": {"n": [0, -1]}}),
+                 "cor2.n: a degree must be an integer >= 0, got -1", id="negative-degree"),
+    # a repeated tag or grid value ran its records twice
+    pytest.param(SweepConfig(["cor2", "lem1", "cor2"], {}),
+                 "repeated identities: 'cor2'", id="repeated-tag"),
+    pytest.param(SweepConfig(["cor2"], {"cor2": {"x": [1, 1.0]}}),
+                 "cor2.x: grid value 1.0 is repeated", id="repeated-grid-value"),
 ])
 def test_run_verification_checks_its_configuration(cfg, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
