@@ -564,14 +564,29 @@ def _point_symbols(tag: str) -> list[str]:
     return symbols + ["tau", "x"]
 
 
+def _is_number(value) -> bool:
+    """An int or a float; bool is an int but never a grid value or a tolerance."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _expand_grid(tag: str, grid: dict[str, list]) -> list[dict]:
     symbols = _point_symbols(tag)
     missing = [s for s in symbols if s not in grid or not grid[s]]
     if missing:
         raise ConfigError(f"{tag}: no grid values for {', '.join(missing)}")
     for s in symbols:
-        if not all(map(math.isfinite, grid[s])):
-            raise ConfigError(f"{tag}.{s}: grid values must be finite, got {grid[s]!r}")
+        values = grid[s]
+        if not all(map(_is_number, values)):
+            raise ConfigError(f"{tag}.{s}: grid values must be ints or floats, got {values!r}")
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{tag}.{s}: grid values must be finite, got {values!r}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"{tag}.{s}: grid value {repeated[0]!r} is repeated")
+        # PolySpec would truncate n = 1.5 to 1 under a point that says 1.5
+        bad = [v for v in values if v < 0 or v != math.floor(v)] if s == "n" else []
+        if bad:
+            raise ConfigError(f"{tag}.n: a degree must be an integer >= 0, got {bad[0]!r}")
     return [dict(zip(symbols, combo))
             for combo in itertools.product(*(grid[s] for s in symbols))]
 
@@ -694,21 +709,28 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
 def iter_verification(cfg: SweepConfig) -> Iterator[VerificationRecord]:
     """The records for the configured grids, in deterministic order, each
     evaluated when drawn. ConfigError before the first record unless every
-    tag is known and one is selected, every grid symbol belongs to its tag,
-    every tolerance is >= 0 and every selected grid is finite."""
+    tag is known, one is selected and none twice, every grid symbol belongs
+    to its tag, every tolerance is a number >= 0, and every selected grid
+    holds distinct finite numbers, its degrees n integers >= 0."""
     unknown = [t for t in (*cfg.identities, *cfg.grids) if t not in TAGS]
     if unknown:
         raise ConfigError(f"unknown identities: {', '.join(map(repr, unknown))}")
     if not cfg.identities:
         raise ConfigError("no identities selected")
+    repeated = [t for i, t in enumerate(cfg.identities) if t in cfg.identities[:i]]
+    if repeated:
+        raise ConfigError(f"repeated identities: {', '.join(map(repr, repeated))}")
     unknown = [f"{tag}.{s}" for tag, grid in cfg.grids.items()
                for s in sorted(set(grid).difference(_point_symbols(tag)))]
     if unknown:
         raise ConfigError(f"unknown grid symbols: {', '.join(unknown)}")
     for key in TOLERANCES:
+        value = getattr(cfg, key)
+        if not _is_number(value):
+            raise ConfigError(f"{key} must be an int or a float, got {value!r}")
         # no comparison with NaN is true, and none below 0 can pass
-        if not getattr(cfg, key) >= 0.0:
-            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)!r}")
+        if not value >= 0.0:
+            raise ConfigError(f"{key} must be >= 0, got {value!r}")
     grids = [(tag, _expand_grid(tag, {**DEFAULT_GRIDS[tag], **cfg.grids.get(tag, {})}))
              for tag in cfg.identities]
     return (_evaluate_point(tag, p, cfg) for tag, points in grids for p in points)
