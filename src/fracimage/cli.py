@@ -409,26 +409,21 @@ def cmd_report(args) -> int:
                     json.loads(line, parse_constant=_refuse_constant)))
             except (ValueError, TypeError) as exc:  # not JSON, or not a record
                 raise ConfigError(f"{args.records}:{lineno}: {exc}") from exc
-    by_identity: dict[str, dict] = {}
+    verdicts: dict[str, Counter] = {}
+    worst: dict[str, float] = {}
     for rec in records:
-        stats = by_identity.setdefault(
-            rec.identity,
-            {"PASS": 0, "FAIL": 0, "SKIPPED": 0, "max_rel_diff": 0.0},
-        )
-        key = "SKIPPED" if rec.verdict.startswith("SKIPPED") else rec.verdict
-        stats[key] += 1
-        stats["max_rel_diff"] = max(stats["max_rel_diff"], rec.rel_diff)
+        kind = "SKIPPED" if rec.verdict.startswith("SKIPPED") else rec.verdict
+        verdicts.setdefault(rec.identity, Counter())[kind] += 1
+        worst[rec.identity] = max(worst.get(rec.identity, 0.0), rec.rel_diff)
     print(f"{'identity':<10} {'pass':>6} {'fail':>6} {'skipped':>8} "
           f"{'max rel diff':>14}")
-    for tag in sorted(by_identity):
-        stats = by_identity[tag]
-        print(f"{tag:<10} {stats['PASS']:>6} {stats['FAIL']:>6} "
-              f"{stats['SKIPPED']:>8} {stats['max_rel_diff']:>14.3e}")
-    n_fail = sum(s["FAIL"] for s in by_identity.values())
-    n_pass = sum(s["PASS"] for s in by_identity.values())
-    n_skip = sum(s["SKIPPED"] for s in by_identity.values())
-    print(f"total: {len(records)} records, {n_pass} pass, {n_fail} fail, "
-          f"{n_skip} skipped")
+    for tag, counts in sorted(verdicts.items()):
+        print(f"{tag:<10} {counts['PASS']:>6} {counts['FAIL']:>6} "
+              f"{counts['SKIPPED']:>8} {worst[tag]:>14.3e}")
+    total = sum(verdicts.values(), Counter())
+    n_fail = total["FAIL"]
+    print(f"total: {len(records)} records, {total['PASS']} pass, {n_fail} fail, "
+          f"{total['SKIPPED']} skipped")
     if n_fail:
         print("\nfailures:")
         for rec in records:

@@ -14,16 +14,6 @@ from dataclasses import dataclass
 
 from .errors import DenominatorPoleError, PoleError
 
-__all__ = [
-    "SignedLogValue",
-    "GammaProduct",
-    "gamma",
-    "log_gamma_signed",
-    "pochhammer",
-    "binomial_real",
-    "gamma_product_eval",
-]
-
 
 def is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)

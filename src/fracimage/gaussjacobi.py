@@ -73,9 +73,9 @@ def gauss_jacobi(n: int, weights) -> list:
             )
     easy = [pair for pair in weights if max(pair) <= ASYMPTOTIC_LIMIT]
     found = _refine(n, easy, _asymptotic_guesses) if easy else {}
-    hard = [pair for pair in weights if pair not in found]
-    found.update(_refine(n, hard, _scanned_guesses) if hard else {})
-    for alpha, beta in hard:
+    for alpha, beta in weights:
+        if (alpha, beta) not in found:
+            found.update(_refine(n, [(alpha, beta)], _scanned_guesses))
         if (alpha, beta) not in found:
             raise NonConvergedError(
                 f"Gauss-Jacobi nodes for exponents ({alpha!r}, {beta!r}) did "
@@ -147,34 +147,28 @@ def _asymptotic_guesses(n, weights):
 
 
 def _scanned_guesses(n, weights):
-    """(weights, phi, half) as _asymptotic_guesses gives them, for the
-    weights whose zeros the signs of P_n bracket on a grid fine enough to
-    separate them. Each half of a grid is evaluated from its own end, as
-    the nodes are, so that neither end's normalisation underflows the
-    other's values."""
-    grids = [numpy.linspace(0.0, math.pi, 4 * (n + int(alpha + beta) + 4) + 2)
-             for alpha, beta in weights]
-    # each grid's inner points in ascending x, so each half's in one run
-    theta = numpy.concatenate([grid[-2:0:-1] for grid in grids])
+    """(weights, phi, half) as _asymptotic_guesses gives them for the one
+    weight in weights, if the signs of P_n bracket its n zeros on a grid
+    fine enough to separate them, else no weight. Each half of the grid is
+    evaluated from its own end, as the nodes are, so that neither end's
+    normalisation underflows the other's values."""
+    [(alpha, beta)] = weights
+    grid = numpy.linspace(0.0, math.pi, 4 * (n + int(alpha + beta) + 4) + 2)
+    # the inner points in ascending x, so each half's in one run
+    theta = grid[-2:0:-1]
     near = theta <= math.pi / 2.0
-    half = 2 * numpy.repeat(numpy.arange(len(weights)), [g.size - 2 for g in grids]) + near
     r, _ = _recurrence(2.0 * numpy.sin(numpy.where(near, theta, math.pi - theta) / 2.0) ** 2,
-                       _coefficients(n, *_halves(weights)), numpy.bincount(half), n)
-    # P_n(x) = (-1)^n P_n^(beta,alpha)(-x), P_n(1) > 0, sign P_n(-1) = (-1)^n
+                       _coefficients(n, *_halves(weights)), numpy.bincount(near), n)
+    # P_n(x) = (-1)^n P_n^(beta,alpha)(-x), P_n(1) > 0, sign P_n(-1) = (-1)^n;
+    # the signs back in ascending theta
     odd = n % 2 == 1
-    kept, angles, end = [], [], 0
-    for pair, grid in zip(weights, grids):
-        # the weight's points back in ascending theta
-        part, end = numpy.arange(end + grid.size - 3, end - 1, -1), end + grid.size - 2
-        sign = numpy.signbit(r[part]) ^ (~near[part] & odd)
-        cross = numpy.flatnonzero(numpy.diff(numpy.concatenate(([False], sign, [odd]))))
-        if cross.size == n:
-            kept.append(pair)
-            angles.append(((grid[cross] + grid[cross + 1]) / 2.0)[::-1])
-    theta = numpy.concatenate(angles) if kept else numpy.empty(0)
+    sign = numpy.signbit(r[::-1]) ^ (~near[::-1] & odd)
+    cross = numpy.flatnonzero(numpy.diff(numpy.concatenate(([False], sign, [odd]))))
+    if cross.size != n:
+        return [], None, None
+    theta = ((grid[cross] + grid[cross + 1]) / 2.0)[::-1]
     near = theta <= math.pi / 2.0
-    half = 2 * numpy.repeat(numpy.arange(len(kept)), n) + near
-    return kept, numpy.where(near, theta, math.pi - theta), half
+    return weights, numpy.where(near, theta, math.pi - theta), near.astype(int)
 
 
 def _coefficients(n, a, b):

@@ -80,20 +80,6 @@ from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadResult, operator_apply
 if TYPE_CHECKING:
     import numpy
 
-__all__ = [
-    "IdentityId",
-    "IDENTITY_FAMILY",
-    "ImageEvaluation",
-    "Correction",
-    "CORRECTIONS",
-    "corrections_for",
-    "image_rhs",
-    "lhs_oracle",
-    "deriv_composition_oracle",
-    "monomial_quadrature",
-    "quadrature_value",
-]
-
 
 class IdentityId(enum.Enum):
     """Stable tags for the ten power-image identities."""
@@ -259,10 +245,6 @@ def corrections_for(identity: IdentityId) -> tuple[Correction, ...]:
     )
 
 
-def _make_operator(identity: IdentityId, op_params) -> OperatorSpec:
-    return OperatorSpec(IDENTITY_FAMILY[identity], tuple(float(v) for v in op_params))
-
-
 def image_rhs(
     identity: IdentityId,
     op_params,
@@ -281,7 +263,7 @@ def image_rhs(
     """
     if x <= 0.0:
         raise DomainError(f"need x > 0, got {x!r}")
-    op = _make_operator(identity, op_params)
+    op = OperatorSpec(IDENTITY_FAMILY[identity], op_params)
     img = power_image(op, tau)  # also the domain check at the base order
     num, den = img.prefactor.numerator_args, img.prefactor.denominator_args
     series_den, sign = den, -1 if poly.n % 2 else 1
@@ -325,7 +307,7 @@ def lhs_oracle(
     Horner form (hypergeom.exact_series_sum)."""
     if x <= 0.0:
         raise DomainError(f"need x > 0, got {x!r}")
-    op = _make_operator(identity, op_params)
+    op = OperatorSpec(IDENTITY_FAMILY[identity], op_params)
     spec = FAMILIES[op.family]
     # t^k against t^(tau-1) or t^(-tau) raises the order; 1/t^k (operand
     # M_n(1/t), right-sided) against t^(tau-1) lowers it
@@ -410,7 +392,8 @@ def quadrature_value(
 ) -> QuadResult | None:
     """One identity's left-hand side by monomial_quadrature; None where unsupported."""
     try:
-        return monomial_quadrature(_make_operator(identity, op_params), poly, tau, x, cfg)
+        op = OperatorSpec(IDENTITY_FAMILY[identity], op_params)
+        return monomial_quadrature(op, poly, tau, x, cfg)
     except UnsupportedKernelError:
         return None
 

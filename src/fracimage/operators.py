@@ -247,12 +247,13 @@ FAMILIES: dict[Family, FamilySpec] = {
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """An operator family plus its real parameter tuple."""
+    """An operator family plus its real parameters, stored as a float tuple."""
 
     family: Family
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
         expected = len(FAMILIES[self.family].params)
         if len(self.params) != expected:
             raise ValueError(
@@ -270,50 +271,44 @@ class OperatorSpec:
         return f"{self.family.value}({inner})"
 
 
-def _operator(family: Family, *values) -> OperatorSpec:
-    return OperatorSpec(family, tuple(float(v) for v in values))
-
-
 def msm_left_int(alpha, alpha_prime, beta, beta_prime, gamma) -> OperatorSpec:
-    return _operator(Family.MSM_LEFT_INT, alpha, alpha_prime, beta, beta_prime, gamma)
+    return OperatorSpec(Family.MSM_LEFT_INT, (alpha, alpha_prime, beta, beta_prime, gamma))
 
 
 def msm_right_int(alpha, alpha_prime, beta, beta_prime, gamma) -> OperatorSpec:
-    return _operator(Family.MSM_RIGHT_INT, alpha, alpha_prime, beta, beta_prime, gamma)
+    return OperatorSpec(Family.MSM_RIGHT_INT, (alpha, alpha_prime, beta, beta_prime, gamma))
 
 
 def msm_left_deriv(alpha, alpha_prime, beta, beta_prime, gamma) -> OperatorSpec:
-    return _operator(Family.MSM_LEFT_DERIV, alpha, alpha_prime, beta, beta_prime, gamma)
+    return OperatorSpec(Family.MSM_LEFT_DERIV, (alpha, alpha_prime, beta, beta_prime, gamma))
 
 
 def msm_right_deriv(alpha, alpha_prime, beta, beta_prime, gamma) -> OperatorSpec:
-    return _operator(
-        Family.MSM_RIGHT_DERIV, alpha, alpha_prime, beta, beta_prime, gamma
-    )
+    return OperatorSpec(Family.MSM_RIGHT_DERIV, (alpha, alpha_prime, beta, beta_prime, gamma))
 
 
 def saigo_left(alpha, beta, eta) -> OperatorSpec:
-    return _operator(Family.SAIGO_LEFT, alpha, beta, eta)
+    return OperatorSpec(Family.SAIGO_LEFT, (alpha, beta, eta))
 
 
 def saigo_right(alpha, beta, eta) -> OperatorSpec:
-    return _operator(Family.SAIGO_RIGHT, alpha, beta, eta)
+    return OperatorSpec(Family.SAIGO_RIGHT, (alpha, beta, eta))
 
 
 def rl_left(alpha) -> OperatorSpec:
-    return _operator(Family.RL_LEFT, alpha)
+    return OperatorSpec(Family.RL_LEFT, (alpha,))
 
 
 def rl_right(alpha) -> OperatorSpec:
-    return _operator(Family.RL_RIGHT, alpha)
+    return OperatorSpec(Family.RL_RIGHT, (alpha,))
 
 
 def ek_left(eta, alpha) -> OperatorSpec:
-    return _operator(Family.EK_LEFT, eta, alpha)
+    return OperatorSpec(Family.EK_LEFT, (eta, alpha))
 
 
 def ek_right(eta, alpha) -> OperatorSpec:
-    return _operator(Family.EK_RIGHT, eta, alpha)
+    return OperatorSpec(Family.EK_RIGHT, (eta, alpha))
 
 
 @dataclass(frozen=True)

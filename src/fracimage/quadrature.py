@@ -291,14 +291,12 @@ def _kernel_quad(
 
         return g
 
-    if is_nonpositive_integer(ka) or is_nonpositive_integer(kb):
-        return quad_endpoint_singular(piece("whole"), a0, b0, cfg)
     e = kc - ka - kb
-    if abs(e - round(e)) < 1e-9:
-        # logarithmic endpoint case: no pure-power split exists; fall back
-        # to the single rule and let refinement do the work (the null rules
-        # overstate a log term's error; the third or a later rule's
-        # difference from the previous one stops it)
+    if is_nonpositive_integer(ka) or is_nonpositive_integer(kb) or abs(e - round(e)) < 1e-9:
+        # a polynomial kernel needs no split; at a logarithmic endpoint no
+        # pure-power split exists, so refinement does the work (the null
+        # rules overstate a log term's error; from TRUSTED_NODES on, a
+        # rule's difference from the previous one stops it)
         return quad_endpoint_singular(piece("whole"), a0, b0, cfg)
 
     # (coefficient, piece, weight exponent at v = 0), summed in this order.

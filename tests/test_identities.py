@@ -121,7 +121,6 @@ RECIPROCAL_IDS = {
 def test_oracle_matches_independent_term_summation():
     # the same finite sum with every shifted image evaluated on its own,
     # with no shared gamma factor; cancellation caps agreement near 1e-8
-    from fracimage.identities import _make_operator
     from fracimage.jacobi import m_poly_coefficients
 
     for identity in IdentityId:
@@ -130,7 +129,7 @@ def test_oracle_matches_independent_term_summation():
         lowering = spec.right and not spec.negative_power
         assert lowering == (identity in LOWERING_IDS)
     for identity, param_sets, taus, xs in GRID:
-        op = _make_operator(identity, param_sets[0])
+        op = OperatorSpec(IDENTITY_FAMILY[identity], param_sets[0])
         shift = -1 if identity in LOWERING_IDS else 1
         poly = PolySpec(5, 13, 1.5)
         for tau in taus:
@@ -154,9 +153,7 @@ def _binomial_fraction(top: Fraction, k: int) -> Fraction:
 def fraction_loop_oracle(identity, params, poly, tau, x) -> float:
     """lhs_oracle as a term-by-term Fraction loop: every coefficient from
     the binomial sum and every step reduced, rounded once at the end."""
-    from fracimage.identities import _make_operator
-
-    op = _make_operator(identity, params)
+    op = OperatorSpec(IDENTITY_FAMILY[identity], params)
     spec = FAMILIES[op.family]
     base = power_image(op, tau)
     n, p, q = poly.n, Fraction(poly.p), Fraction(poly.q)
