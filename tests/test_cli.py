@@ -233,6 +233,13 @@ def test_eval_rejects_another_familys_parameter_flag(capsys, target):
     assert err == "error: rl-left takes no --mu\n"
 
 
+@pytest.mark.parametrize("flags", [["--n", "1"], ["--p", "9", "--q", "0"]])
+def test_eval_apply_takes_the_polynomial_flags_together(capsys, flags):
+    rc, out, err = run(capsys, "eval", "apply", *EVAL_ARGV["apply"], *flags)
+    assert (rc, out) == (2, "")
+    assert err == "error: eval apply takes --n, --p and --q together\n"
+
+
 def test_eval_apply_unsupported_kernel(capsys):
     rc, _, err = run(capsys, "eval", "apply", "--family", "msm-right-int",
                      "--delta", "0.5", "--delta-prime", "0.3", "--mu", "0.2",
@@ -579,15 +586,28 @@ def test_verify_rejects_non_finite_grid_values(tmp_path, capsys, config, key):
     # a PASS record whose point said "n":1.5 held the values of n = 1
     pytest.param(["--identities", "cor2"], "cor2.n = 1.5\n",
                  "cor2.n: a degree must be an integer >= 0, got 1.5", id="fractional-degree"),
+    pytest.param([], "cor2.x = ,\n", "empty value list: ','", id="empty-list"),
+    pytest.param([], "identities cor2\n", ":1: expected key = value", id="no-equals-sign"),
+    pytest.param([], "as_printed = yes\n", "as_printed must be true or false, got 'yes'",
+                 id="as-printed-value"),
+    # None: --config names a file that does not exist
+    pytest.param([], None, "cannot read config", id="unreadable-config"),
 ])
-def test_verify_rejects_repeated_and_fractional_grid_entries(tmp_path, capsys, argv, config,
-                                                             named):
+def test_verify_rejects_a_bad_configuration(tmp_path, capsys, argv, config, named):
     out_path = tmp_path / "records.jsonl"
-    rc, out, err = run(capsys, "verify", *argv, "--config", write_cfg(tmp_path, config),
-                       "--out", str(out_path))
+    path = str(tmp_path / "missing.cfg") if config is None else write_cfg(tmp_path, config)
+    rc, out, err = run(capsys, "verify", *argv, "--config", path, "--out", str(out_path))
     assert (rc, out) == (2, "")
-    assert err == f"error: {named}\n"
+    assert err.startswith("error: ") and named in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("value, argv, as_printed", [
+    ("true", [], True), ("false", [], False), ("false", ["--as-printed"], True),
+])
+def test_verify_as_printed_config_key(value, argv, as_printed):
+    args = build_parser().parse_args(["verify", *argv])
+    assert build_sweep_config({"as_printed": value}, args).as_printed is as_printed
 
 
 @pytest.mark.parametrize("flag, value", [("--x", "nan"), ("--tau", "inf"),
@@ -1080,6 +1100,17 @@ thm1.x = 1
     assert "thm1-kernel-argument" in out
 
 
+def test_report_lists_only_the_failures(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    failed = REPORT_LINE.replace('"PASS"', '"FAIL"').replace('"x":1.0', '"x":2.0')
+    path.write_text(REPORT_LINE + failed + REPORT_LINE, encoding="utf-8")
+    rc, out, _ = run(capsys, "report", str(path))
+    assert rc == 1
+    assert "total: 3 records, 2 pass, 1 fail, 0 skipped" in out
+    listing = out.split("\nfailures:\n", 1)[1].split("\n\n", 1)[0]
+    assert listing == "  cor2 [x=2.0]\n    oracle 1.0  closed 1.0  rel diff 0.0"
+
+
 def test_report_empty(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
@@ -1152,19 +1183,26 @@ def test_report_into_a_closed_pipe_exits_without_a_traceback(tmp_path):
     assert err == ""
 
 
-def _readme_command_line() -> str:
+def _readme_section(title: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_readme_documents_every_verb_and_eval_target():
-    section = _readme_command_line()
+    section = _readme_section("Command line")
     verbs = re.findall(r"^### ([a-z]+)$", section, re.MULTILINE)
     usage = build_parser().format_usage()
     assert verbs == re.search(r"\{([\w,]+)\}", usage).group(1).split(",")
     targets = re.search(r"^Evaluate one object at one point\. Targets: (.+?)\.$",
                         section, re.MULTILINE | re.DOTALL).group(1)
     assert re.findall(r"`(\w+)`", targets) == list(cli.EVAL_TARGETS)
+
+
+def test_readme_library_example_runs():
+    code = re.search(r"```python\n(.*?)```", _readme_section("Library"), re.DOTALL).group(1)
+    names: dict = {}
+    exec(code, names)
+    assert rel_diff(names["closed"], names["oracle"]) <= 1e-10
 
 
 def test_default_grids_cover_all_tags():

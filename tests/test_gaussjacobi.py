@@ -14,9 +14,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy
 import pytest
 
 from fracimage import gaussjacobi
+from fracimage.errors import NonConvergedError
 from fracimage.gaussjacobi import gauss_jacobi
 
 GJ_64 = json.loads((Path(__file__).parent / "data" / "gauss_jacobi_64.json").read_text())
@@ -97,3 +99,25 @@ def test_exponents_past_the_double_range_raise_before_any_guess(monkeypatch, alp
     with pytest.raises(OverflowError) as exc:
         gauss_jacobi(64, [(0.3, -0.4), (alpha, 1.0)])
     assert f"(1-x)^{alpha!r} (1+x)^1.0" in str(exc.value)
+
+
+@pytest.mark.parametrize("case", ["no-sweeps", "coincident-nodes"])
+def test_a_rule_whose_zeros_are_not_found_is_not_converged(monkeypatch, case):
+    built = []
+    if case == "no-sweeps":
+        monkeypatch.setattr(gaussjacobi, "MAX_SWEEPS", 0)
+    else:
+        # every guess on one angle settles every node of a half on one zero,
+        # which _rules refuses; the scan then finds nothing either
+        guesses, rules = gaussjacobi._asymptotic_guesses, gaussjacobi._rules
+
+        def collapsed(n, weights):
+            weights, phi, half = guesses(n, weights)
+            return weights, numpy.full_like(phi, phi[0]), half
+
+        monkeypatch.setattr(gaussjacobi, "_asymptotic_guesses", collapsed)
+        monkeypatch.setattr(gaussjacobi, "_rules", lambda *a: built.append(rules(*a)) or built[-1])
+        monkeypatch.setattr(gaussjacobi, "_scanned_guesses", lambda n, weights: ([], None, None))
+    with pytest.raises(NonConvergedError, match=r"\(0\.3, -0\.4\) did not converge at 16 nodes"):
+        gauss_jacobi(16, [(0.3, -0.4)])
+    assert built == ([] if case == "no-sweeps" else [[None]])

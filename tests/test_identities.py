@@ -325,6 +325,8 @@ def test_domain_error_from_both_routes():
         image_rhs(IdentityId.COR4, (0.6, 0.2, 0.4), poly, 1.5, 2.0)
     with pytest.raises(DomainError):
         image_rhs(IdentityId.COR1, (0.6, 0.2, 0.4), poly, 2.0, 0.0)
+    with pytest.raises(DomainError, match="need x > 0"):
+        lhs_oracle(IdentityId.COR1, (0.6, 0.2, 0.4), poly, 2.0, 0.0)
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -513,6 +515,8 @@ def test_corrections_registry():
                  "repeated identities: 'cor2'", id="repeated-tag"),
     pytest.param(SweepConfig(["cor2"], {"cor2": {"x": [1, 1.0]}}),
                  "cor2.x: grid value 1.0 is repeated", id="repeated-grid-value"),
+    pytest.param(SweepConfig(["cor2"], {"cor2": {"x": []}}),
+                 "cor2: no grid values for x", id="empty-grid"),
 ])
 def test_run_verification_checks_its_configuration(cfg, named):
     with pytest.raises(ConfigError, match=re.escape(named)):

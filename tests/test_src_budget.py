@@ -4,7 +4,7 @@ from pathlib import Path
 
 import fracimage
 
-# ROADMAP item 8: src/ stays at or below its PR-10 high-water mark, so new
+# ROADMAP item 11: src/ stays at or below its PR-10 high-water mark, so new
 # checks are paid for with deletions
 SRC_LINE_BUDGET = 3369
 
