@@ -566,10 +566,10 @@ def _expand_grid(tag: str, grid: dict[str, list]) -> list[dict]:
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ConfigError(f"{tag}.{s}: grid value {repeated[0]!r} is repeated")
-        # PolySpec would truncate n = 1.5 to 1 under a point that says 1.5
-        bad = [v for v in values if v < 0 or v != math.floor(v)] if s == "n" else []
-        if bad:
-            raise ConfigError(f"{tag}.n: a degree must be an integer >= 0, got {bad[0]!r}")
+    # PolySpec would truncate n = 1.5 to 1 under a point that says 1.5
+    bad = [v for v in grid.get("n", []) if v < 0 or v != math.floor(v)]
+    if bad:
+        raise ConfigError(f"{tag}.n: a degree must be an integer >= 0, got {bad[0]!r}")
     return [dict(zip(symbols, combo))
             for combo in itertools.product(*(grid[s] for s in symbols))]
 
