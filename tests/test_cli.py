@@ -564,6 +564,9 @@ def test_verify_infinite_tolerance_is_honoured():
     ("identities = lem1\nlem1.x = inf\n", "lem1.x"),
     ("identities = lem1\nlem1.x = nan\n", "lem1.x"),
     ("identities = cor2\ncor2.delta = -1e400\n", "cor2.delta"),
+    # an int past the double range ended in an OverflowError naming no key
+    pytest.param("identities = cor2\ncor2.x = 1" + "0" * 400 + "\n", "cor2.x",
+                 id="int-past-double-range"),
 ])
 def test_verify_rejects_non_finite_grid_values(tmp_path, capsys, config, key):
     # a NaN x aborted the run after one record ("cannot convert NaN to
@@ -705,6 +708,19 @@ def test_verify_derivative_lemma_oracle_domain_is_skipped(tmp_path, capsys):
         assert rec["verdict"] == "SKIPPED(domain)"
         assert "violates" in rec["ledger_note"]
         assert rec["oracle_value"] is None
+
+
+def test_verify_derivative_lemma_far_from_its_conditions_passes(tmp_path, capsys):
+    # delta = 200 was refused by the printed msm-left condition on the
+    # composition's inner integral, which that integral does not need
+    cfg = write_cfg(tmp_path, "identities = lem5, lem6\nlem5.delta = 0.3, 200\n")
+    out_path = tmp_path / "deriv.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(out_path))
+    assert rc == 0
+    assert "12 records, 12 PASS, 0 FAIL, 0 SKIPPED" in out
+    records = [json.loads(line) for line in
+               out_path.read_text(encoding="utf-8").splitlines()]
+    assert [r["point"]["delta"] for r in records if r["identity"] == "lem5"] == [0.3] * 4 + [200] * 4
 
 
 def test_verify_lemma_nonpositive_x_is_skipped(tmp_path, capsys):

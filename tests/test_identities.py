@@ -517,6 +517,9 @@ def test_corrections_registry():
                  "cor2.x: grid value 1.0 is repeated", id="repeated-grid-value"),
     pytest.param(SweepConfig(["cor2"], {"cor2": {"x": []}}),
                  "cor2: no grid values for x", id="empty-grid"),
+    # math.isfinite raised a bare OverflowError on an int past the double range
+    pytest.param(SweepConfig(["cor2"], {"cor2": {"x": [1, 10**400]}}),
+                 "cor2.x: grid values must be finite", id="int-past-double-range"),
 ])
 def test_run_verification_checks_its_configuration(cfg, named):
     with pytest.raises(ConfigError, match=re.escape(named)):

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from fracimage.errors import DenominatorPoleError, DomainError, PoleError
 from fracimage.gammafns import GammaProduct
-from fracimage.identities import IDENTITY_FAMILY, TAGS, IdentityId
+from fracimage.identities import (
+    IDENTITY_FAMILY,
+    TAGS,
+    IdentityId,
+    deriv_composition_oracle,
+    monomial_quadrature,
+)
 from fracimage.operators import (
     FAMILIES,
     Family,
@@ -183,6 +189,33 @@ def test_power_image_domain_error_names_conditions():
     with pytest.raises(DomainError) as exc:
         power_image(rl_left(0.5), -1.0)
     assert str(exc.value).endswith(" at tau=-1.0 violates: tau > 0")
+
+
+@pytest.mark.parametrize("op, tau", [
+    # refused by a printed MSM-left bound, tau > alpha - alpha_prime - beta -
+    # gamma, and by tau > 0 and tau < 1 on the Erdelyi-Kober integrals; none
+    # of the three is needed for the defining integral to exist
+    (msm_left_int(3.0, -1.0, 0.0, 0.0, 0.5), 2.5),
+    (ek_left(0.5, 0.75), -0.25),
+    (ek_right(0.5, 0.75), 1.2),
+])
+def test_power_image_accepts_every_point_its_integral_exists_at(op, tau):
+    quad = monomial_quadrature(op, None, tau, 1.0).value
+    assert power_image(op, tau).value_at(1.0) == pytest.approx(quad, rel=1e-14)
+
+
+def test_msm_left_deriv_conditions_are_its_inner_integrals():
+    # the condition read beta where the image's numerator Gamma(tau + alpha +
+    # alpha_prime + beta_prime - gamma) needs beta_prime: here that argument
+    # is -0.2 and the image returned 0.8488..., where the inner integral of
+    # the composition diverges
+    with pytest.raises(DomainError, match="violates: tau > gamma - alpha - alpha_prime - beta_prime$"):
+        power_image(msm_left_deriv(1.0, 0.1, 1.0, 0.0, 1.5), 0.2)
+    # and it refused this point, where the composition exists
+    op = msm_left_deriv(0.1, 0.1, 0.0, 1.0, 1.5)
+    value = power_image(op, 0.8).value_at(1.0)
+    assert value == pytest.approx(-0.24088183943455269, rel=1e-15)
+    assert value == pytest.approx(deriv_composition_oracle(op, 0.8, 1.0), rel=1e-14)
 
 
 def test_power_image_strict_inequality():
