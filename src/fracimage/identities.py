@@ -71,6 +71,7 @@ from .operators import (
     FAMILIES,
     Family,
     OperatorSpec,
+    _defining_integral,
     power_image,
     saigo_left_as_msm,
     saigo_right_as_msm,
@@ -182,6 +183,16 @@ CORRECTIONS: tuple[Correction, ...] = (
         ),
     ),
     Correction(
+        key="thm1-condition",
+        identity="thm1",
+        printed="validity condition Re(tau) > Re(alpha - alpha_prime - beta - gamma)",
+        implemented=(
+            "tau > alpha + alpha_prime + beta - gamma, from the image's numerator "
+            "Gamma(tau + gamma - alpha - alpha_prime - beta); the printed bound is "
+            "not needed for the integral to exist: (3, -1, 0, 0, 0.5) at tau = 2.5"
+        ),
+    ),
+    Correction(
         key="thm2-series-class",
         identity="thm2",
         printed="closed form labelled as a 5Psi4 (Fox-Wright) series",
@@ -208,9 +219,8 @@ CORRECTIONS: tuple[Correction, ...] = (
         identity="cor3",
         printed="validity condition Re(tau) > Re(eta)",
         implemented=(
-            "tau > max(0, -eta), obtained by specialising the left-sided "
-            "five-parameter conditions; tau > eta is neither necessary "
-            "nor sufficient"
+            "tau > -eta, where the Erdelyi-Kober integral of t^(tau-1) "
+            "converges; tau > eta is neither necessary nor sufficient"
         ),
     ),
     Correction(
@@ -344,10 +354,9 @@ def deriv_composition_oracle(op: OperatorSpec, tau: float, x: float) -> float:
     g = op.named_params()["gamma"]
     if g <= 0.0:
         raise DomainError(f"derivative composition needs gamma > 0, got {g!r}")
-    m = math.floor(g) + 1
-    inner, inner_params = spec.composition
+    inner, inner_params, m = _defining_integral(op.family, op.params)
     mirror = (-1.0) ** m if spec.right else 1.0
-    img = power_image(OperatorSpec(inner, inner_params(*op.params, m)), tau)
+    img = power_image(OperatorSpec(inner, inner_params), tau)
     s = img.exponent
     falling = 1.0
     for j in range(m):
@@ -561,8 +570,9 @@ def _expand_grid(tag: str, grid: dict[str, list]) -> list[dict]:
         values = grid[s]
         if not all(map(_is_number, values)):
             raise ConfigError(f"{tag}.{s}: grid values must be ints or floats, got {values!r}")
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"{tag}.{s}: grid values must be finite, got {values!r}")
+        # an int past the double range is finite yet raises in math.isfinite
+        if not all(abs(v) <= sys.float_info.max for v in values):
+            raise ConfigError(f"{tag}.{s}: grid values must be finite doubles, got {values!r}")
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ConfigError(f"{tag}.{s}: grid value {repeated[0]!r} is repeated")

@@ -9,9 +9,10 @@ gamma-factor prefactor times a power of x; the prefactor is returned as a
 symbolic GammaProduct so downstream checks can compare argument multisets
 exactly instead of comparing rounded floats. FAMILIES states everything
 that distinguishes one family from another, once per family: names,
-conditions, image, the defining integral (QuadRecipe) of an integral
-family, and the composition that defines a derivative family through an
-integral one.
+image, the defining integral (QuadRecipe) of an integral family, and the
+composition that defines a derivative family through an integral one.
+The validity conditions are derived: an operator exists where its
+defining integral's order and image numerator arguments are positive.
 
 Monomial conventions (negative_power in FAMILIES): left-sided families act
 on t^(tau-1); the generalized right-sided families act on t^(-tau); the
@@ -62,8 +63,8 @@ class QuadRecipe:
 @dataclass(frozen=True)
 class FamilySpec:
     """One operator family: API names and CLI flag/grid letters in tuple
-    order; conditions and image of (*params, tau), as (label, margin) pairs
-    and as (numerator args, denominator args, exponent of x); quadrature,
+    order; image of (*params, tau), as (numerator args, denominator args,
+    exponent of x), each affine in (*params, tau); quadrature,
     None for the derivative families; right-sidedness; negative_power, the
     monomial t^(-tau) in place of t^(tau-1); and composition, set on the
     derivative families only: (inner integral family, map from (*params, m)
@@ -72,7 +73,6 @@ class FamilySpec:
 
     params: tuple[str, ...]
     symbols: tuple[str, ...]
-    conditions: Callable[..., tuple[tuple[str, float], ...]]
     image: Callable[..., tuple[tuple[float, ...], tuple[float, ...], float]]
     quadrature: QuadRecipe | None
     right: bool = False
@@ -91,15 +91,6 @@ _SAIGO_NAMES, _SAIGO_LETTERS = ("alpha", "beta", "eta"), ("delta", "mu", "epsilo
 FAMILIES: dict[Family, FamilySpec] = {
     Family.MSM_LEFT_INT: FamilySpec(
         _FIVE_NAMES, _FIVE_LETTERS,
-        conditions=lambda a, ap, b, bp, g, tau: (
-            ("gamma > 0", g),
-            ("tau > 0", tau),
-            ("tau > alpha - alpha_prime - beta - gamma (as printed)",
-             tau - (a - ap - b - g)),
-            ("tau > alpha + alpha_prime + beta - gamma (corrected)",
-             tau - (a + ap + b - g)),
-            ("tau > alpha_prime - beta_prime", tau - (ap - bp)),
-        ),
         image=lambda a, ap, b, bp, g, tau: (
             (tau, tau + g - a - ap - b, tau + bp - ap),
             (tau + bp, tau + g - a - ap, tau + g - ap - b),
@@ -115,12 +106,6 @@ FAMILIES: dict[Family, FamilySpec] = {
     ),
     Family.MSM_RIGHT_INT: FamilySpec(
         _FIVE_NAMES, _FIVE_LETTERS, right=True, negative_power=True,
-        conditions=lambda a, ap, b, bp, g, tau: (
-            ("gamma > 0", g),
-            ("tau > beta", tau - b),
-            ("tau > gamma - alpha - alpha_prime", tau - (g - a - ap)),
-            ("tau > gamma - alpha - beta_prime", tau - (g - a - bp)),
-        ),
         image=lambda a, ap, b, bp, g, tau: (
             (tau - b, a + ap - g + tau, a + bp - g + tau),
             (tau, a - b + tau, a + ap + bp - g + tau),
@@ -139,11 +124,6 @@ FAMILIES: dict[Family, FamilySpec] = {
     ),
     Family.MSM_LEFT_DERIV: FamilySpec(
         _FIVE_NAMES, _FIVE_LETTERS,
-        conditions=lambda a, ap, b, bp, g, tau: (
-            ("tau > 0", tau),
-            ("tau > beta - alpha", tau - (b - a)),
-            ("tau > gamma - alpha - alpha_prime - beta", tau - (g - a - ap - b)),
-        ),
         image=lambda a, ap, b, bp, g, tau: (
             (tau, tau + a - b, tau + a + ap + bp - g),
             (tau - b, tau + a + ap - g, tau + a + bp - g),
@@ -155,12 +135,6 @@ FAMILIES: dict[Family, FamilySpec] = {
     ),
     Family.MSM_RIGHT_DERIV: FamilySpec(
         _FIVE_NAMES, _FIVE_LETTERS, right=True, negative_power=True,
-        conditions=lambda a, ap, b, bp, g, tau: (
-            ("tau > -beta_prime", tau + bp),
-            ("tau > alpha_prime + beta - gamma", tau - (ap + b - g)),
-            ("tau > alpha + alpha_prime - gamma + floor(gamma) + 1",
-             tau - (a + ap - g + math.floor(g) + 1.0)),
-        ),
         image=lambda a, ap, b, bp, g, tau: (
             (tau + bp, tau - a - ap + g, tau - ap - b + g),
             (tau, tau - ap + bp, tau - a - ap - b + g),
@@ -172,9 +146,6 @@ FAMILIES: dict[Family, FamilySpec] = {
     ),
     Family.SAIGO_LEFT: FamilySpec(
         _SAIGO_NAMES, _SAIGO_LETTERS,
-        conditions=lambda a, b, e, tau: (
-            ("alpha > 0", a), ("tau > 0", tau), ("tau > beta - eta", tau - (b - e)),
-        ),
         image=lambda a, b, e, tau: (
             (tau, tau + e - b), (tau - b, tau + e + a), tau - b - 1.0,
         ),
@@ -187,11 +158,6 @@ FAMILIES: dict[Family, FamilySpec] = {
     ),
     Family.SAIGO_RIGHT: FamilySpec(
         _SAIGO_NAMES, _SAIGO_LETTERS, right=True,
-        conditions=lambda a, b, e, tau: (
-            ("alpha > 0", a),
-            ("tau < 1 + beta", 1.0 + b - tau),
-            ("tau < 1 + eta", 1.0 + e - tau),
-        ),
         image=lambda a, b, e, tau: (
             (b - tau + 1.0, e - tau + 1.0),
             (1.0 - tau, a + b + e - tau + 1.0),
@@ -206,7 +172,6 @@ FAMILIES: dict[Family, FamilySpec] = {
     ),
     Family.RL_LEFT: FamilySpec(
         ("alpha",), ("delta",),
-        conditions=lambda a, tau: (("alpha > 0", a), ("tau > 0", tau)),
         image=lambda a, tau: ((tau,), (tau + a,), tau + a - 1.0),
         quadrature=QuadRecipe(
             "alpha", u_power=lambda a, s: s, x_power=lambda a, s: a + s
@@ -214,9 +179,6 @@ FAMILIES: dict[Family, FamilySpec] = {
     ),
     Family.RL_RIGHT: FamilySpec(
         ("alpha",), ("delta",), right=True,
-        conditions=lambda a, tau: (
-            ("alpha > 0", a), ("tau < 1 - alpha", 1.0 - a - tau),
-        ),
         image=lambda a, tau: ((1.0 - a - tau,), (1.0 - tau,), tau + a - 1.0),
         quadrature=QuadRecipe(
             "alpha", u_power=lambda a, s: -a - s - 1.0, x_power=lambda a, s: a + s
@@ -224,9 +186,6 @@ FAMILIES: dict[Family, FamilySpec] = {
     ),
     Family.EK_LEFT: FamilySpec(
         ("eta", "alpha"), ("epsilon", "delta"),
-        conditions=lambda e, a, tau: (
-            ("alpha > 0", a), ("tau > 0", tau), ("tau > -eta", tau + e),
-        ),
         image=lambda e, a, tau: ((tau + e,), (tau + a + e,), tau - 1.0),
         quadrature=QuadRecipe(
             "alpha", u_power=lambda e, a, s: e + s, x_power=lambda e, a, s: s
@@ -234,9 +193,6 @@ FAMILIES: dict[Family, FamilySpec] = {
     ),
     Family.EK_RIGHT: FamilySpec(
         ("eta", "alpha"), ("epsilon", "delta"), right=True,
-        conditions=lambda e, a, tau: (
-            ("alpha > 0", a), ("tau < 1", 1.0 - tau), ("tau < 1 + eta", 1.0 + e - tau),
-        ),
         image=lambda e, a, tau: ((e - tau + 1.0,), (a + e - tau + 1.0,), tau - 1.0),
         quadrature=QuadRecipe(
             "alpha", u_power=lambda e, a, s: e - s - 1.0, x_power=lambda e, a, s: s
@@ -320,14 +276,59 @@ class ConditionResult:
     margin: float
 
 
-def validate_domain(op: OperatorSpec, tau: float) -> list[ConditionResult]:
-    """Validity inequalities for power_image(op, tau), each with its margin.
+def _defining_integral(family: Family, params: tuple, m: float | None = None):
+    """(integral family, parameters, m): family itself and m = 0, or a derivative
+    family's composition integral at m = floor(gamma) + 1 or at the m given."""
+    composition = FAMILIES[family].composition
+    if composition is None:
+        return family, params, 0
+    if m is None:
+        m = math.floor(params[FAMILIES[family].params.index("gamma")]) + 1
+    inner, inner_params = composition
+    return inner, inner_params(*params, m), m
 
-    For the five-parameter left integral the third condition exists in two
-    printed variants that disagree (see the discrepancy registry); both are
-    reported and both bind."""
-    pairs = FAMILIES[op.family].conditions(*op.params, tau)
-    return [ConditionResult(label, margin > 0.0, margin) for label, margin in pairs]
+
+def _margins(family: Family, params: tuple, tau: float, m: float | None = None) -> list:
+    """The defining integral's order and its image's numerator gamma
+    arguments at (params, tau): all positive exactly where it exists."""
+    inner, params, _ = _defining_integral(family, params, m)
+    spec = FAMILIES[inner]
+    return [params[spec.params.index(spec.quadrature.order)], *spec.image(*params, tau)[0]]
+
+
+def _coefficients(family: Family) -> list[list[float]]:
+    """Each margin of family as its affine coefficients over (1, *params, m,
+    tau), read off at 0 and at each unit vector."""
+    size = len(FAMILIES[family].params) + 2
+    points = [[float(i == j) for j in range(size)] for i in range(-1, size)]
+    values = [_margins(family, tuple(v[:-2]), v[-1], v[-2]) for v in points]
+    return [[c0, *(v[k] - c0 for v in values[1:])] for k, c0 in enumerate(values[0])]
+
+
+def _label(family: Family, coefficients: list[float]) -> str:
+    """'subject > bound' or '<': the subject is tau where the margin holds it,
+    else its first parameter; positive terms of the bound come first and
+    its term in m, floor(gamma) + 1, last."""
+    names = ("", *FAMILIES[family].params, "floor(gamma) + 1", "tau")
+    subject = len(names) - 1 if coefficients[-1] else next(
+        i for i, c in enumerate(coefficients) if c and i)
+    scale, bound = -coefficients[subject], ""
+    terms = [(c / scale, name) for i, (c, name) in enumerate(zip(coefficients, names))
+             if c and i != subject]
+    for c, name in sorted(terms, key=lambda t: (t[1] == names[-2], t[0] < 0)):
+        name = f"({name})" if " " in name and c != 1 else name
+        word = name if abs(c) == 1 and name else f"{abs(c):g}*{name}".rstrip("*")
+        bound += (f" {'-+'[c > 0]} " if bound else "-" if c < 0 else "") + word
+    return f"{names[subject]} {'<>'[scale < 0]} {bound or 0}"
+
+
+def validate_domain(op: OperatorSpec, tau: float) -> list[ConditionResult]:
+    """Validity inequalities for power_image(op, tau), one per margin of its
+    defining integral, each with that margin. A printed condition that
+    differs is a CORRECTIONS entry of its identity and never binds."""
+    margins = _margins(op.family, op.params, tau)
+    return [ConditionResult(_label(op.family, c), margin > 0.0, margin)
+            for c, margin in zip(_coefficients(op.family), margins)]
 
 
 @dataclass(frozen=True)
@@ -355,10 +356,9 @@ def power_image(op: OperatorSpec, tau: float) -> PowerImage:
     names the violated ones. The prefactor is kept uncancelled so its
     argument schema stays visible; any pole that survives exact
     cancellation raises here, as GammaProduct.checked names it."""
-    failed = [c for c in validate_domain(op, tau) if not c.satisfied]
-    if failed:
-        raise DomainError(f"{op.describe()} at tau={tau!r} violates: "
-                          + "; ".join(c.label for c in failed))
+    if not all(margin > 0.0 for margin in _margins(op.family, op.params, tau)):
+        failed = [c.label for c in validate_domain(op, tau) if not c.satisfied]
+        raise DomainError(f"{op.describe()} at tau={tau!r} violates: " + "; ".join(failed))
     num, den, exponent = FAMILIES[op.family].image(*op.params, tau)
     gp = GammaProduct(tuple(num), tuple(den))
     try:

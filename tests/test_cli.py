@@ -692,10 +692,9 @@ def test_verify_lemma_zero_tolerance_failures(tmp_path, capsys, tags, flag, n_fa
 
 
 def test_verify_derivative_lemma_oracle_domain_is_skipped(tmp_path, capsys):
-    # the composition oracle's inner integral operator violates its own
-    # condition at delta = 200; that DomainError used to escape verify
-    # (exit 2 after 4 of 12 records)
-    cfg = write_cfg(tmp_path, "identities = lem5, lem6\nlem5.delta = 0.3, 200\n")
+    # a DomainError of a lem5/lem6 point used to escape verify (exit 2 after
+    # 4 of 12 records); mu = 5 violates tau > beta - alpha at both tau
+    cfg = write_cfg(tmp_path, "identities = lem5, lem6\nlem5.mu = 0.1, 5\n")
     out_path = tmp_path / "deriv.jsonl"
     rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(out_path))
     assert rc == 0
@@ -703,7 +702,7 @@ def test_verify_derivative_lemma_oracle_domain_is_skipped(tmp_path, capsys):
     records = [json.loads(line) for line in
                out_path.read_text(encoding="utf-8").splitlines()]
     skipped = [r for r in records if r["verdict"] != "PASS"]
-    assert [(r["identity"], r["point"]["delta"]) for r in skipped] == [("lem5", 200)] * 4
+    assert [(r["identity"], r["point"]["mu"]) for r in skipped] == [("lem5", 5)] * 4
     for rec in skipped:
         assert rec["verdict"] == "SKIPPED(domain)"
         assert "violates" in rec["ledger_note"]

@@ -42,6 +42,7 @@ from fracimage.operators import (
     msm_left_int,
     msm_right_deriv,
     power_image,
+    validate_domain,
 )
 
 MSM_SETS = [(0.5, 0.3, 0.2, 0.4, 1.1), (0.2, 0.1, 0.3, 0.5, 0.9)]
@@ -344,9 +345,9 @@ def test_oracle_order_shift_widens_conditions_and_moves_arguments(family, params
     spec = FAMILIES[family]
     params = params[: len(spec.params)]
     shifted = tau + (-k if spec.right and not spec.negative_power else k)
-    base_margins = spec.conditions(*params, tau)
-    for (label, margin), (_, moved) in zip(base_margins, spec.conditions(*params, shifted)):
-        assert moved >= margin, label
+    op = OperatorSpec(family, params)
+    for base, moved in zip(validate_domain(op, tau), validate_domain(op, shifted)):
+        assert moved.margin >= base.margin, base.label
     base, moved = spec.image(*params, tau), spec.image(*params, shifted)
     for side in (0, 1):
         assert len(moved[side]) == len(base[side])

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fracimage.errors import DenominatorPoleError, DomainError, PoleError
 from fracimage.gammafns import GammaProduct
 from fracimage.identities import (
+    CORRECTIONS,
     IDENTITY_FAMILY,
     TAGS,
     IdentityId,
@@ -168,12 +169,16 @@ def test_validate_domain_msm_generic_pass():
     assert all(c.satisfied for c in results)
 
 
-def test_validate_domain_reports_both_lemma_variants():
+def test_validate_domain_msm_left_printed_variant_does_not_bind():
+    # the printed tau > alpha - alpha_prime - beta - gamma is a ledger entry;
+    # the conditions are the integral's order and the image's numerators
     results = validate_domain(msm_left_int(0.5, 0.3, 0.2, 0.4, 1.1), 2.0)
-    labels = [c.label for c in results]
-    assert any("as printed" in s for s in labels)
-    assert any("corrected" in s for s in labels)
-    assert len(results) == 5
+    assert [c.label for c in results] == [
+        "gamma > 0", "tau > 0", "tau > alpha + alpha_prime + beta - gamma",
+        "tau > alpha_prime - beta_prime",
+    ]
+    printed = {c.key: c.printed for c in CORRECTIONS}["thm1-condition"]
+    assert "alpha - alpha_prime - beta - gamma" in printed
 
 
 def test_validate_domain_msm_right_deriv_floor_condition():
