@@ -290,7 +290,7 @@ def _defining_integral(family: Family, params: tuple, m: float | None = None):
 
 def _margins(family: Family, params: tuple, tau: float, m: float | None = None) -> list:
     """The defining integral's order and its image's numerator gamma
-    arguments at (params, tau): all positive exactly where it exists."""
+    arguments at (params, tau): the integral exists where all are positive."""
     inner, params, _ = _defining_integral(family, params, m)
     spec = FAMILIES[inner]
     return [params[spec.params.index(spec.quadrature.order)], *spec.image(*params, tau)[0]]
