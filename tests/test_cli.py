@@ -722,6 +722,23 @@ def test_verify_derivative_lemma_far_from_its_conditions_passes(tmp_path, capsys
     assert [r["point"]["delta"] for r in records if r["identity"] == "lem5"] == [0.3] * 4 + [200] * 4
 
 
+@pytest.mark.parametrize("epsilon", [-0.5, -1.5])
+def test_verify_derivative_lemma_at_nonpositive_gamma_passes(tmp_path, capsys, epsilon):
+    # power_image answered at gamma <= 0 while the composition oracle refused
+    # it, so all 8 records were SKIPPED(domain); with m = max(floor(gamma) +
+    # 1, 0) = 0 the derivative is its inner integral of order -gamma
+    cfg = write_cfg(tmp_path, f"identities = lem5, lem6\nlem5.epsilon = {epsilon}\n"
+                    f"lem6.epsilon = {epsilon}\n")
+    out_path = tmp_path / "deriv.jsonl"
+    rc, out, _ = run(capsys, "verify", "--config", cfg, "--out", str(out_path))
+    assert rc == 0
+    assert "8 records, 8 PASS, 0 FAIL, 0 SKIPPED" in out
+    for line in out_path.read_text(encoding="utf-8").splitlines():
+        rec = json.loads(line)
+        assert rec["point"]["epsilon"] == epsilon
+        assert rec["rel_diff"] <= 1e-13
+
+
 def test_verify_lemma_nonpositive_x_is_skipped(tmp_path, capsys):
     # the power image's x^e raised ValueError at x <= 0, which aborted
     # verify (exit 2, no record) instead of skipping the point
