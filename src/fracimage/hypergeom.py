@@ -71,12 +71,17 @@ def exact_series_sum(coefficients, numerator_params, denominator_params, z) -> f
     numerator and denominator, never reduced, so no step takes a gcd. The
     single true division at the end is correctly rounded, the double
     float(Fraction) gives for the same rational. Only r_0..r_(m-1) are
-    formed, so a denominator parameter that vanishes at k = m is harmless."""
+    formed, so a denominator parameter that vanishes at k = m is harmless;
+    one that vanishes earlier raises DenominatorPoleError."""
     coeffs = [as_ratio(c) for c in coefficients]
     scale = math.lcm(*(d for _, d in coeffs))
     ints = [n * (scale // d) for n, d in coeffs]
-    nums = [as_ratio(a) for a in numerator_params]
-    dens = [as_ratio(b) for b in denominator_params]
+    nums, dens = [as_ratio(a) for a in numerator_params], []
+    for b in map(as_ratio, denominator_params):
+        if b in nums:  # (b)_k / (b)_k = 1, so the pair drops out
+            nums.remove(b)
+        else:
+            dens.append(b)
     # constant parts of r_k: z and the parameters' own denominators
     zn, zd = as_ratio(z)
     top, bottom = zn, zd
@@ -84,6 +89,8 @@ def exact_series_sum(coefficients, numerator_params, denominator_params, z) -> f
         bottom *= ad
     for _, bd in dens:
         top *= bd
+    g = math.gcd(top, bottom)  # the powers of two that float parameters share
+    top, bottom = top // g, bottom // g
     num, den = ints[-1], 1
     for k in range(len(ints) - 2, -1, -1):
         p, q = top, bottom
@@ -91,6 +98,8 @@ def exact_series_sum(coefficients, numerator_params, denominator_params, z) -> f
             p *= an + k * ad
         for bn, bd in dens:
             q *= bn + k * bd
+        if not q:
+            raise DenominatorPoleError(f"series term denominator vanishes at k = {k}")
         den *= q
         num = ints[k] * den + p * num
     den *= scale

@@ -25,9 +25,10 @@ and every gamma argument of G by +k, so the sum collapses to
       * pFq([-n, 1+n-p, <num args of G at tau>];
             [q+1, <den args of G at tau>]; -x or -1/x)
 
-The series terminates at k = n, so the closed form is a finite sum; the
-exact finite-sum oracle lhs_oracle sums the same terms without the
-hypergeometric rearrangement and must agree to rounding error.
+The series terminates at k = n, so the closed form is a finite sum. The
+exact oracle lhs_oracle sums the same terms from the defining integral's
+image row, differentiated m = max(floor(gamma) + 1, 0) times for thm3/thm4,
+and must agree to rounding error.
 
 A small number of published statements of these identities circulate
 with typos.  The CORRECTIONS table lists every discrepancy this module
@@ -41,7 +42,7 @@ cor1-cor6 are the paper's identities, lem1-lem6 the bare power image of
 one family), its operator family, its default grid and its embedding.
 IDENTITY_FAMILY, DEFAULT_GRIDS and ALL_TAGS are views of TAGS.
 _evaluate_point judges each closed form against one reference: the exact
-finite-sum oracle (thm/cor), the derivative composition (lem5/lem6) or
+oracle from the defining integral (thm/cor; lem5/lem6 without M_n) or
 quadrature (lem1-lem4, which also compare the operator with its
 five-parameter embedding where TAGS names one: lem3/lem4; a point whose
 embedding has no supported quadrature notes that this check did not run).
@@ -296,73 +297,63 @@ def image_rhs(
     )
 
 
-def lhs_oracle(
-    identity: IdentityId,
-    op_params,
-    poly: PolySpec,
-    tau: float,
-    x: float,
-) -> float:
-    """Exact finite-sum left-hand side of one identity.
-
-    Expands M_n into its monomial coefficients and sums the shifted
-    power images term by term, never forming the hypergeometric series.
-    Every shifted order tau +/- k must satisfy the image conditions.
-
-    The alternating sum can cancel five or more digits, so the terms are
-    kept exact: the coefficients are rationals, each shifted image is
-    the base image times an exact Pochhammer ratio (the gamma
-    recurrence), and the only rounding happens in the one base gamma
-    evaluation and the final conversion. The sum itself runs in integer
-    Horner form (hypergeom.exact_series_sum)."""
-    if x <= 0.0:
-        raise DomainError(f"need x > 0, got {x!r}")
-    op = OperatorSpec(IDENTITY_FAMILY[identity], op_params)
-    spec = FAMILIES[op.family]
-    # t^k against t^(tau-1) or t^(-tau) raises the order; 1/t^k (operand
-    # M_n(1/t), right-sided) against t^(tau-1) lowers it
-    shift = -1 if spec.right and not spec.negative_power else 1
-    base = power_image(op, tau)
-    for k in range(1, poly.n + 1):
-        power_image(op, tau + shift * k)  # conditions and poles at each order
-    # every gamma argument moves by +k under the order shift, so term k is
-    # c_k (num)_k / (den)_k times the output power step^k, which moves with
-    # the operand's own power of t
-    total = exact_series_sum(
-        _coefficients_exact(poly),
-        base.prefactor.numerator_args,
-        base.prefactor.denominator_args,
-        1 / Fraction(x) if spec.right else x,
-    )
-    scale = gamma_product_eval(base.prefactor).times_power(x, base.exponent)
-    return check_finite("oracle", scale.to_float() * total)
+def lhs_oracle(identity: IdentityId, op_params, poly: PolySpec, tau: float,
+               x: float) -> float:
+    """Exact finite-sum left-hand side of one identity, by _composed_image:
+    for thm3/thm4 it never reads the derivative row the closed form uses."""
+    return _composed_image(OperatorSpec(IDENTITY_FAMILY[identity], op_params), poly, tau, x)
 
 
 def deriv_composition_oracle(op: OperatorSpec, tau: float, x: float) -> float:
-    """A derivative family's operator on its monomial convention, computed
-    the long way from FamilySpec.composition: the inner integral image,
-    then m-fold monomial differentiation, (d/dx)^m left-sided and
-    (-d/dx)^m right-sided, m = floor(gamma) + 1.
-
-    Must agree with power_image(op, tau). ValueError if op's family has
-    no composition."""
-    spec = FAMILIES[op.family]
-    if spec.composition is None:
+    """A derivative family's power image by _composed_image: must agree with
+    power_image(op, tau). ValueError if op's family has no composition."""
+    if FAMILIES[op.family].composition is None:
         raise ValueError(f"{op.family.value} is not a derivative family")
+    return _composed_image(op, None, tau, x)
+
+
+def _composed_image(op: OperatorSpec, poly: PolySpec | None, tau: float, x: float) -> float:
+    """op on its monomial convention at order tau times M_n (of t, or of 1/t
+    right-sided), or times 1 if poly is None, from op's defining integral
+    alone (operators._defining_integral): that integral's image at each
+    order tau +/- k, then (d/dx)^m left-sided or (-d/dx)^m right-sided, term
+    by term, m = max(floor(gamma) + 1, 0) for a derivative family and 0 for
+    an integral one. Every shifted order must satisfy op's conditions.
+
+    The alternating sum can cancel five or more digits, so the terms are
+    kept exact: the coefficients are rationals, and each shifted image and
+    each term's falling factorial s_k (s_k - 1) ... (s_k - m + 1) of its
+    exponent s_k is its value at k = 0 times an exact Pochhammer ratio. The
+    sum runs in integer Horner form (hypergeom.exact_series_sum) and rounds
+    once; the falling factorial at k = 0 multiplies it exactly and rounds
+    once more."""
     if x <= 0.0:
         raise DomainError(f"need x > 0, got {x!r}")
-    g = op.named_params()["gamma"]
-    if g <= 0.0:
-        raise DomainError(f"derivative composition needs gamma > 0, got {g!r}")
-    inner, inner_params, m = _defining_integral(op.family, op.params)
-    mirror = (-1.0) ** m if spec.right else 1.0
-    img = power_image(OperatorSpec(inner, inner_params), tau)
-    s = img.exponent
-    falling = 1.0
-    for j in range(m):
-        falling *= s - j
-    base = gamma_product_eval(img.prefactor).times_power(x, s - m)
-    return check_finite("composition oracle", mirror * falling * base.to_float())
+    spec = FAMILIES[op.family]
+    inner, params, m = _defining_integral(op.family, op.params)
+    coeffs = (1,) if poly is None else _coefficients_exact(poly)
+    # t^k against t^(tau-1) or t^(-tau) raises the order; 1/t^k (operand
+    # M_n(1/t), right-sided) against t^(tau-1) lowers it
+    shift = -1 if spec.right and not spec.negative_power else 1
+    for k in range(1, len(coeffs)):
+        power_image(op, tau + shift * k)  # conditions and poles at each order
+    base = power_image(OperatorSpec(inner, params), tau)
+    # every gamma argument moves by +k under the order shift, so term k is
+    # c_k (num)_k / (den)_k times the output power step^k, which moves with
+    # the operand's own power of t
+    num, den = base.prefactor.numerator_args, base.prefactor.denominator_args
+    if m:
+        # s_k = s + k (left) or s - k (right); the ratio of falling factorials,
+        # times (-1)^m right-sided, is (s + 1)_k / (s - m + 1)_k or (m - s)_k / (-s)_k
+        sn, sd = base.exponent.as_integer_ratio()
+        s = Fraction(sn, sd)
+        falling = Fraction(math.prod(sd * j - sn if spec.right else sn - sd * j
+                                     for j in range(m)), sd**m)
+        num, den = (*num, m - s if spec.right else s + 1), (*den, -s if spec.right else s - m + 1)
+    total = exact_series_sum(coeffs, num, den, 1 / Fraction(x) if spec.right else x)
+    total = float(falling * Fraction(total)) if m else total
+    scale = gamma_product_eval(base.prefactor).times_power(x, base.exponent - m)
+    return check_finite("oracle", scale.to_float() * total)
 
 
 def monomial_quadrature(

@@ -69,7 +69,7 @@ class FamilySpec:
     monomial t^(-tau) in place of t^(tau-1); and composition, set on the
     derivative families only: (inner integral family, map from (*params, m)
     to its parameters), the operator being (d/dx)^m (left) or (-d/dx)^m
-    (right) of that integral, m = floor(gamma) + 1."""
+    (right) of that integral, m = max(floor(gamma) + 1, 0)."""
 
     params: tuple[str, ...]
     symbols: tuple[str, ...]
@@ -278,12 +278,12 @@ class ConditionResult:
 
 def _defining_integral(family: Family, params: tuple, m: float | None = None):
     """(integral family, parameters, m): family itself and m = 0, or a derivative
-    family's composition integral at m = floor(gamma) + 1 or at the m given."""
+    family's composition integral at m = max(floor(gamma) + 1, 0) or the m given."""
     composition = FAMILIES[family].composition
     if composition is None:
         return family, params, 0
     if m is None:
-        m = math.floor(params[FAMILIES[family].params.index("gamma")]) + 1
+        m = max(math.floor(params[FAMILIES[family].params.index("gamma")]) + 1, 0)
     inner, inner_params = composition
     return inner, inner_params(*params, m), m
 
@@ -308,8 +308,8 @@ def _coefficients(family: Family) -> list[list[float]]:
 def _label(family: Family, coefficients: list[float]) -> str:
     """'subject > bound' or '<': the subject is tau where the margin holds it,
     else its first parameter; positive terms of the bound come first and
-    its term in m, floor(gamma) + 1, last."""
-    names = ("", *FAMILIES[family].params, "floor(gamma) + 1", "tau")
+    its term in m, max(floor(gamma) + 1, 0), last."""
+    names = ("", *FAMILIES[family].params, "max(floor(gamma) + 1, 0)", "tau")
     subject = len(names) - 1 if coefficients[-1] else next(
         i for i, c in enumerate(coefficients) if c and i)
     scale, bound = -coefficients[subject], ""

@@ -70,8 +70,8 @@ CANCELLED = {
     (Family.MSM_RIGHT_DERIV, "tau > -beta_prime"): {"alpha_prime", "beta_prime"},
 }
 
-# m - gamma with m = floor(gamma) + 1 is positive at every gamma
-ALWAYS_HOLDS = "gamma < floor(gamma) + 1"
+# m - gamma with m = max(floor(gamma) + 1, 0) is positive at every gamma
+ALWAYS_HOLDS = "gamma < max(floor(gamma) + 1, 0)"
 
 
 def _cases():

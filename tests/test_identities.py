@@ -32,12 +32,14 @@ from fracimage.identities import (
     lhs_oracle,
     monomial_quadrature,
     quadrature_value,
+    rel_diff,
     run_verification,
 )
 from fracimage.jacobi import PolySpec, m_poly_coefficients
 from fracimage.operators import (
     FAMILIES,
     OperatorSpec,
+    _defining_integral,
     msm_left_deriv,
     msm_left_int,
     msm_right_deriv,
@@ -153,10 +155,15 @@ def _binomial_fraction(top: Fraction, k: int) -> Fraction:
 
 def fraction_loop_oracle(identity, params, poly, tau, x) -> float:
     """lhs_oracle as a term-by-term Fraction loop: every coefficient from
-    the binomial sum and every step reduced, rounded once at the end."""
+    the binomial sum and every step reduced, rounded once at the end. The
+    terms are the defining integral's; a derivative family differentiates
+    each term t^s_k m times, (d/dx)^m left-sided and (-d/dx)^m right-sided.
+    That factor's value at k = 0 is applied to the rounded sum and rounded
+    again, as lhs_oracle does."""
     op = OperatorSpec(IDENTITY_FAMILY[identity], params)
     spec = FAMILIES[op.family]
-    base = power_image(op, tau)
+    inner, inner_params, m = _defining_integral(op.family, op.params)
+    base = power_image(OperatorSpec(inner, inner_params), tau)
     n, p, q = poly.n, Fraction(poly.p), Fraction(poly.q)
     coeffs = [
         (-1) ** (n + k) * math.factorial(n)
@@ -166,16 +173,24 @@ def fraction_loop_oracle(identity, params, poly, tau, x) -> float:
     num = [Fraction(a) for a in base.prefactor.numerator_args]
     den = [Fraction(a) for a in base.prefactor.denominator_args]
     step = 1 / Fraction(x) if spec.right else Fraction(x)
+    derivatives = []
+    for k in range(n + 1):
+        exponent = Fraction(base.exponent) + (-k if spec.right else k)
+        derivative = Fraction(1)
+        for j in range(m):
+            derivative *= (exponent - j) * (-1 if spec.right else 1)
+        derivatives.append(derivative)
     total, ratio, power = Fraction(0), Fraction(1), Fraction(1)
     for k, c in enumerate(coeffs):
-        total += c * ratio * power
+        total += c * ratio * power * derivatives[k] / derivatives[0]
         power *= step
         for a in num:
             ratio *= a + k
         for a in den:
             ratio /= a + k
-    scale = gamma_product_eval(base.prefactor).times_power(x, base.exponent)
-    return scale.to_float() * float(total)
+    total = float(total) if m == 0 else float(derivatives[0] * Fraction(float(total)))
+    scale = gamma_product_eval(base.prefactor).times_power(x, base.exponent - m)
+    return scale.to_float() * total
 
 
 def _oracle_points():
@@ -198,6 +213,17 @@ def test_oracle_bit_equal_to_fraction_loop():
         assert repr(got) == repr(fraction_loop_oracle(identity, params, poly, tau, x))
         count += 1
     assert count == 672 + 2 * 17 * 12
+
+
+def test_oracle_meets_closed_form_at_every_oracle_point():
+    # thm3/thm4 reach the same value by another route, the inner integral's
+    # row and the falling factorials, so their rounding differs; the largest
+    # difference measured is 5.6e-14, at n = 16, p = 35.5
+    worst = max(
+        rel_diff(lhs_oracle(*point), image_rhs(*point).value)
+        for point in _oracle_points()
+    )
+    assert worst <= 1e-13
 
 
 def test_value_decomposition():
@@ -400,8 +426,26 @@ def test_deriv_composition_validation():
     # an integral family has no composition to compute
     with pytest.raises(ValueError, match="not a derivative family"):
         deriv_composition_oracle(msm_left_int(0, 0, 0, 0, 0.6), 3.0, 1.5)
-    with pytest.raises(DomainError):
-        deriv_composition_oracle(msm_left_deriv(0, 0, 0, 0, -0.2), 3.0, 1.5)
+    # at gamma = -0.2, m = max(floor(gamma) + 1, 0) = 0: the operator is its
+    # inner integral, here the Riemann-Liouville integral of order 0.2
+    op = msm_left_deriv(0, 0, 0, 0, -0.2)
+    want = gamma(3.0) / gamma(3.2) * 1.5**2.2
+    assert deriv_composition_oracle(op, 3.0, 1.5) == pytest.approx(want, rel=1e-14)
+    assert power_image(op, 3.0).value_at(1.5) == pytest.approx(want, rel=1e-14)
+
+
+def test_composition_zero_falling_factor():
+    # the inner integral's image is x^1 here and m = 2, so the falling factor
+    # at k = 0 is 1 * 0 and (s + 1)_k / (s - m + 1)_k divides by (0)_1. The
+    # exact sum raised ZeroDivisionError; the derivative row, whose
+    # denominator holds Gamma(s - m + 1), refuses the point
+    op = msm_left_deriv(0, 0, 0, 0.5, 1.5)
+    with pytest.raises(DenominatorPoleError):
+        power_image(op, 1.5)
+    with pytest.raises(DenominatorPoleError, match="vanishes at k = 0"):
+        lhs_oracle(IdentityId.THM3, op.params, PolySpec(1, 9, 0.0), 1.5, 1.0)
+    # without a polynomial no ratio is formed: d^2/dx^2 of x^1 is 0
+    assert deriv_composition_oracle(op, 1.5, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -184,7 +184,7 @@ def test_validate_domain_msm_left_printed_variant_does_not_bind():
 def test_validate_domain_msm_right_deriv_floor_condition():
     results = validate_domain(msm_right_deriv(0.3, 0.4, 0.1, 0.2, 0.6), 3.0)
     by_label = {c.label: c for c in results}
-    key = "tau > alpha + alpha_prime - gamma + floor(gamma) + 1"
+    key = "tau > alpha + alpha_prime - gamma + max(floor(gamma) + 1, 0)"
     # bound = 0.3 + 0.4 - 0.6 + 0 + 1 = 1.1, margin 1.9
     assert by_label[key].margin == pytest.approx(1.9)
     assert by_label[key].satisfied
