@@ -436,9 +436,9 @@ def test_deriv_composition_validation():
 
 def test_composition_zero_falling_factor():
     # the inner integral's image is x^1 here and m = 2, so the falling factor
-    # at k = 0 is 1 * 0 and (s + 1)_k / (s - m + 1)_k divides by (0)_1. The
-    # exact sum raised ZeroDivisionError; the derivative row, whose
-    # denominator holds Gamma(s - m + 1), refuses the point
+    # at k = 0 is 1 * 0 and (s + 1)_k / (s - m + 1)_k divides by (0)_1: the
+    # exact sum refuses with a typed error, not ZeroDivisionError, as the
+    # derivative row, whose denominator holds Gamma(s - m + 1), does
     op = msm_left_deriv(0, 0, 0, 0.5, 1.5)
     with pytest.raises(DenominatorPoleError):
         power_image(op, 1.5)
