@@ -321,9 +321,8 @@ def _composed_image(op: OperatorSpec, poly: PolySpec | None, tau: float, x: floa
     an integral one. Every shifted order must satisfy op's conditions.
 
     The alternating sum can cancel five or more digits, so the terms are
-    kept exact: the coefficients are rationals, and each shifted image and
-    each term's falling factorial s_k (s_k - 1) ... (s_k - m + 1) of its
-    exponent s_k is its value at k = 0 times an exact Pochhammer ratio. The
+    kept exact: rational coefficients times exact Pochhammer ratios for the
+    shifted images (the gamma recurrence) and the falling factorials. The
     sum runs in integer Horner form (hypergeom.exact_series_sum) and rounds
     once; the falling factorial at k = 0 multiplies it exactly and rounds
     once more."""
@@ -343,8 +342,9 @@ def _composed_image(op: OperatorSpec, poly: PolySpec | None, tau: float, x: floa
     # the operand's own power of t
     num, den = base.prefactor.numerator_args, base.prefactor.denominator_args
     if m:
-        # s_k = s + k (left) or s - k (right); the ratio of falling factorials,
-        # times (-1)^m right-sided, is (s + 1)_k / (s - m + 1)_k or (m - s)_k / (-s)_k
+        # term k gains s_k (s_k - 1) ... (s_k - m + 1), times (-1)^m right-sided,
+        # with s_k = s + k (left) or s - k (right): its value at s times
+        # (s + 1)_k / (s - m + 1)_k or (m - s)_k / (-s)_k
         sn, sd = base.exponent.as_integer_ratio()
         s = Fraction(sn, sd)
         falling = Fraction(math.prod(sd * j - sn if spec.right else sn - sd * j

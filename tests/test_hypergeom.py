@@ -14,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracimage.errors import DivergenceError, NonConvergedError, PoleError
+from fracimage.errors import DenominatorPoleError, DivergenceError, NonConvergedError, PoleError
 from fracimage.gammafns import GammaProduct, gamma_product_eval
 from fracimage import hypergeom
 from fracimage.hypergeom import (
     ARRAY_BLOCK_TERMS,
     appell_f3,
+    exact_series_sum,
     gauss_2f1,
     gauss_2f1_array,
     pfq,
@@ -170,6 +171,14 @@ def test_pfq_exact_path_bit_equal_to_fraction_sum(stop, stop_kind, upper, lower,
             pfq(tuple(num), tuple(den), z)
         return
     assert repr(pfq(tuple(num), tuple(den), z)) == repr(expected)
+
+
+def test_exact_series_sum_term_denominator_pole():
+    # (-1)_k vanishes at k = 1, before the last term: a typed error, where the
+    # sum divided by zero; an equal upper parameter cancels it exactly
+    with pytest.raises(DenominatorPoleError, match="vanishes at k = 1"):
+        exact_series_sum((1, 1, 1), (1.5,), (-1,), 0.5)
+    assert exact_series_sum((1, 1, 1), (-1.0,), (Fraction(-1),), 0.5) == 1.75
 
 
 def test_pfq_trivial_values():

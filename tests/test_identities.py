@@ -218,7 +218,7 @@ def test_oracle_bit_equal_to_fraction_loop():
 def test_oracle_meets_closed_form_at_every_oracle_point():
     # thm3/thm4 reach the same value by another route, the inner integral's
     # row and the falling factorials, so their rounding differs; the largest
-    # difference measured is 5.6e-14, at n = 16, p = 35.5
+    # difference measured is 5.6e-14, at thm4, n = 9, p = 35.5
     worst = max(
         rel_diff(lhs_oracle(*point), image_rhs(*point).value)
         for point in _oracle_points()
