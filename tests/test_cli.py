@@ -559,6 +559,39 @@ def test_verify_infinite_tolerance_is_honoured():
     assert cfg.tol_oracle == cfg.tol_reduction == math.inf
 
 
+@pytest.mark.parametrize("key", ["tol_oracle", "tol_quadrature", "tol_reduction"])
+def test_verify_rejects_a_tolerance_past_the_double_range(tmp_path, capsys, key):
+    # ended in "a value overflows the double range (int too large to convert
+    # to float)", naming no key
+    out_path = tmp_path / "records.jsonl"
+    config = f"identities = cor2\n{key} = 1" + "0" * 400 + "\n"
+    rc, out, err = run(capsys, "verify", "--config", write_cfg(tmp_path, config),
+                       "--out", str(out_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and key in err and "double range" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("config, key, lines", [
+    # ran x = 2 alone and exited 0
+    pytest.param("identities = cor2\ncor2.x = 1\n# x again\ncor2.x = 2\n", "cor2.x",
+                 (2, 4), id="grid-values"),
+    pytest.param("tol_oracle = 1e-3\nidentities = cor2\ntol_oracle = 1e-12\n",
+                 "tol_oracle", (1, 3), id="tolerance"),
+    pytest.param("identities = cor2\nidentities = cor5\n", "identities", (1, 2),
+                 id="identities"),
+])
+def test_verify_rejects_a_key_set_twice_in_a_config_file(tmp_path, capsys, config, key,
+                                                         lines):
+    out_path = tmp_path / "records.jsonl"
+    path = write_cfg(tmp_path, config)
+    rc, out, err = run(capsys, "verify", "--config", path, "--out", str(out_path))
+    assert (rc, out) == (2, "")
+    first, second = lines
+    assert err == f"error: {path}:{second}: {key} is already set on line {first}\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("config, key", [
     ("identities = cor2\ncor2.x = 1, nan\n", "cor2.x"),
     ("identities = lem1\nlem1.x = inf\n", "lem1.x"),

@@ -1,5 +1,6 @@
 """Closed-form images versus the exact finite-sum oracle."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -38,6 +39,7 @@ from fracimage.identities import (
 from fracimage.jacobi import PolySpec, m_poly_coefficients
 from fracimage.operators import (
     FAMILIES,
+    Family,
     OperatorSpec,
     _defining_integral,
     msm_left_deriv,
@@ -157,9 +159,8 @@ def fraction_loop_oracle(identity, params, poly, tau, x) -> float:
     """lhs_oracle as a term-by-term Fraction loop: every coefficient from
     the binomial sum and every step reduced, rounded once at the end. The
     terms are the defining integral's; a derivative family differentiates
-    each term t^s_k m times, (d/dx)^m left-sided and (-d/dx)^m right-sided.
-    That factor's value at k = 0 is applied to the rounded sum and rounded
-    again, as lhs_oracle does."""
+    each term t^s_k m times, (d/dx)^m left-sided and (-d/dx)^m right-sided,
+    so each term carries its own exact falling factorial."""
     op = OperatorSpec(IDENTITY_FAMILY[identity], params)
     spec = FAMILIES[op.family]
     inner, inner_params, m = _defining_integral(op.family, op.params)
@@ -173,24 +174,20 @@ def fraction_loop_oracle(identity, params, poly, tau, x) -> float:
     num = [Fraction(a) for a in base.prefactor.numerator_args]
     den = [Fraction(a) for a in base.prefactor.denominator_args]
     step = 1 / Fraction(x) if spec.right else Fraction(x)
-    derivatives = []
-    for k in range(n + 1):
+    total, ratio, power = Fraction(0), Fraction(1), Fraction(1)
+    for k, c in enumerate(coeffs):
         exponent = Fraction(base.exponent) + (-k if spec.right else k)
         derivative = Fraction(1)
         for j in range(m):
             derivative *= (exponent - j) * (-1 if spec.right else 1)
-        derivatives.append(derivative)
-    total, ratio, power = Fraction(0), Fraction(1), Fraction(1)
-    for k, c in enumerate(coeffs):
-        total += c * ratio * power * derivatives[k] / derivatives[0]
+        total += c * ratio * power * derivative
         power *= step
         for a in num:
             ratio *= a + k
         for a in den:
             ratio /= a + k
-    total = float(total) if m == 0 else float(derivatives[0] * Fraction(float(total)))
     scale = gamma_product_eval(base.prefactor).times_power(x, base.exponent - m)
-    return scale.to_float() * total
+    return scale.to_float() * float(total)
 
 
 def _oracle_points():
@@ -436,16 +433,38 @@ def test_deriv_composition_validation():
 
 def test_composition_zero_falling_factor():
     # the inner integral's image is x^1 here and m = 2, so the falling factor
-    # at k = 0 is 1 * 0 and (s + 1)_k / (s - m + 1)_k divides by (0)_1: the
-    # exact sum refuses with a typed error, not ZeroDivisionError, as the
-    # derivative row, whose denominator holds Gamma(s - m + 1), does
+    # at k = 0 is 1 * 0: the derivative row, whose denominator holds
+    # Gamma(s - m + 1), refuses the point, but the composition has a value
     op = msm_left_deriv(0, 0, 0, 0.5, 1.5)
     with pytest.raises(DenominatorPoleError):
         power_image(op, 1.5)
-    with pytest.raises(DenominatorPoleError, match="vanishes at k = 0"):
-        lhs_oracle(IdentityId.THM3, op.params, PolySpec(1, 9, 0.0), 1.5, 1.0)
-    # without a polynomial no ratio is formed: d^2/dx^2 of x^1 is 0
+    # the term k = 0 is c_0 d^2/dx^2 x^1 = 0 and the term k = 1 is c_1 2 times
+    # the inner image at order 2.5, 7 Gamma(2.5)/Gamma(3) at x = 1 (M_1 has
+    # coefficients [-1, 7]); the frozen value is mpmath's at 40 digits
+    value = lhs_oracle(IdentityId.THM3, op.params, PolySpec(1, 9, 0.0), 1.5, 1.0)
+    assert value == pytest.approx(9.305382717253959143, rel=1e-15)
+    # without a polynomial only the vanishing term is left: d^2/dx^2 of x^1 is 0
     assert deriv_composition_oracle(op, 1.5, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("family, identity", [
+    (Family.MSM_LEFT_DERIV, IdentityId.THM3), (Family.MSM_RIGHT_DERIV, IdentityId.THM4),
+])
+def test_composition_oracle_reads_no_derivative_row(monkeypatch, family, identity):
+    # the oracle must stand apart from the closed form: a derivative family's
+    # image row that cannot be read changes no oracle value
+    params = (0.5, 0.3, 0.2, 0.4, 1.1)
+    poly = PolySpec(3, 9, 1.5)
+    want = [lhs_oracle(identity, params, poly, 2.0, 0.5),
+            deriv_composition_oracle(OperatorSpec(family, params), 2.0, 0.5)]
+
+    def unreadable(*args):
+        raise AssertionError(f"{family.value} image row read")
+
+    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(FAMILIES[family],
+                                                              image=unreadable))
+    assert [lhs_oracle(identity, params, poly, 2.0, 0.5),
+            deriv_composition_oracle(OperatorSpec(family, params), 2.0, 0.5)] == want
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
