@@ -115,8 +115,9 @@ def _parse_list(text: str) -> list:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat key-value lines: `key = value`, # starts a comment."""
+    """Flat key-value lines: `key = value`, # starts a comment, each key once."""
     pairs: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -128,8 +129,11 @@ def load_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {first_line[key]}")
+        first_line[key] = lineno
+        pairs[key] = value
     return pairs
 
 
@@ -143,7 +147,7 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
         if key == "identities":
             cfg.identities = _parse_tags(value)
         elif key in TOLERANCES:
-            setattr(cfg, key, float(_parse_scalar(value)))
+            setattr(cfg, key, _parse_scalar(value))
         elif key == "as_printed":
             if value not in ("true", "false"):
                 raise ConfigError(f"as_printed must be true or false, got {value!r}")

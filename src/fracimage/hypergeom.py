@@ -107,16 +107,11 @@ def exact_series_sum(coefficients, numerator_params, denominator_params, z) -> f
     return num / den if den > 0 else -num / -den
 
 
-def _check_denominator(num: tuple[float, ...], den: tuple[float, ...]) -> None:
+def _check_denominator(den: tuple[float, ...]) -> None:
+    """Refuse a lower parameter b at a nonpositive integer: a stream reaches every (b)_k."""
     pole = _termination_index(den)
-    if pole is None:
-        return
-    stop = _termination_index(num)
-    if stop is None or stop > pole:
-        raise DenominatorPoleError(
-            f"series denominator parameter {float(-pole)!r} hits a pole "
-            "before the series terminates"
-        )
+    if pole is not None:
+        raise DenominatorPoleError(f"series denominator parameter {-pole} hits a pole")
 
 
 def pfq(
@@ -134,8 +129,6 @@ def pfq(
     only for |z| < 1; anything else raises DivergenceError."""
     num = tuple(float(a) for a in numerator_params)
     den = tuple(float(b) for b in denominator_params)
-    _check_denominator(num, den)
-
     stop = _termination_index(num)
     if stop is not None:
         # the original values are used so an exact Fraction argument is not
@@ -144,6 +137,7 @@ def pfq(
         return exact_series_sum(
             (1,) * (stop + 1), numerator_params, (*denominator_params, 1), z
         )
+    _check_denominator(den)
 
     z = float(z)
     if z == 0.0:
@@ -205,7 +199,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
             raise DivergenceError(
                 f"2F1 at z = 1 needs c - a - b > 0, got {c - a - b!r}"
             )
-        _check_denominator((a, b), (c,))
+        _check_denominator((c,))
         gp = GammaProduct((c, c - a - b), (c - a, c - b))
         return gamma_product_eval(gp).to_float()
     return pfq((a, b), (c,), z)
@@ -310,7 +304,7 @@ def appell_f3(
     needs |w| < 1 unless (a)_m (b)_m terminates it; it stops as pfq does,
     once two successive tail bounds (the next coefficient over 1 - |w|,
     times the last |2F1| or 1 if larger) fall below RTOL."""
-    _check_denominator((), (c,))
+    _check_denominator((c,))
     w_stop = 0 if w == 0.0 else _termination_index((a, b))
     if w_stop is None and not abs(w) < 1.0:
         raise DivergenceError(f"F3 requires |w| < 1, got w = {w!r}")

@@ -27,8 +27,9 @@ and every gamma argument of G by +k, so the sum collapses to
 
 The series terminates at k = n, so the closed form is a finite sum. The
 exact oracle lhs_oracle sums the same terms from the defining integral's
-image row, differentiated m = max(floor(gamma) + 1, 0) times for thm3/thm4,
-and must agree to rounding error.
+image row alone, each differentiated m = max(floor(gamma) + 1, 0) times for
+thm3/thm4 by an exact factor on its coefficient, and must agree to rounding
+error.
 
 A small number of published statements of these identities circulate
 with typos.  The CORRECTIONS table lists every discrepancy this module
@@ -318,40 +319,33 @@ def _composed_image(op: OperatorSpec, poly: PolySpec | None, tau: float, x: floa
     alone (operators._defining_integral): that integral's image at each
     order tau +/- k, then (d/dx)^m left-sided or (-d/dx)^m right-sided, term
     by term, m = max(floor(gamma) + 1, 0) for a derivative family and 0 for
-    an integral one. Every shifted order must satisfy op's conditions.
+    an integral one. The base order's conditions and poles imply those of
+    every shifted order.
 
     The alternating sum can cancel five or more digits, so the terms are
-    kept exact: rational coefficients times exact Pochhammer ratios for the
-    shifted images (the gamma recurrence) and the falling factorials. The
-    sum runs in integer Horner form (hypergeom.exact_series_sum) and rounds
-    once; the falling factorial at k = 0 multiplies it exactly and rounds
-    once more."""
+    kept exact: rational coefficients, each times its exact falling
+    factorial, and exact Pochhammer ratios for the shifted images (the gamma
+    recurrence). The sum runs in integer Horner form
+    (hypergeom.exact_series_sum) and rounds once."""
     if x <= 0.0:
         raise DomainError(f"need x > 0, got {x!r}")
     spec = FAMILIES[op.family]
     inner, params, m = _defining_integral(op.family, op.params)
     coeffs = (1,) if poly is None else _coefficients_exact(poly)
-    # t^k against t^(tau-1) or t^(-tau) raises the order; 1/t^k (operand
-    # M_n(1/t), right-sided) against t^(tau-1) lowers it
-    shift = -1 if spec.right and not spec.negative_power else 1
-    for k in range(1, len(coeffs)):
-        power_image(op, tau + shift * k)  # conditions and poles at each order
     base = power_image(OperatorSpec(inner, params), tau)
+    if m:
+        # term k gains s_k (s_k - 1) ... (s_k - m + 1) left-sided, s_k = s + k,
+        # and (-s_k) (1 - s_k) ... (m - 1 - s_k) right-sided, s_k = s - k
+        sn, sd = base.exponent.as_integer_ratio()
+        sn, sign = (-sn, 1) if spec.right else (sn, -1)
+        coeffs = [c * Fraction(math.prod(sn + sd * (k + sign * j) for j in range(m)), sd**m)
+                  for k, c in enumerate(coeffs)]
     # every gamma argument moves by +k under the order shift, so term k is
     # c_k (num)_k / (den)_k times the output power step^k, which moves with
     # the operand's own power of t
-    num, den = base.prefactor.numerator_args, base.prefactor.denominator_args
-    if m:
-        # term k gains s_k (s_k - 1) ... (s_k - m + 1), times (-1)^m right-sided,
-        # with s_k = s + k (left) or s - k (right): its value at s times
-        # (s + 1)_k / (s - m + 1)_k or (m - s)_k / (-s)_k
-        sn, sd = base.exponent.as_integer_ratio()
-        s = Fraction(sn, sd)
-        falling = Fraction(math.prod(sd * j - sn if spec.right else sn - sd * j
-                                     for j in range(m)), sd**m)
-        num, den = (*num, m - s if spec.right else s + 1), (*den, -s if spec.right else s - m + 1)
-    total = exact_series_sum(coeffs, num, den, 1 / Fraction(x) if spec.right else x)
-    total = float(falling * Fraction(total)) if m else total
+    total = exact_series_sum(coeffs, base.prefactor.numerator_args,
+                             base.prefactor.denominator_args,
+                             1 / Fraction(x) if spec.right else x)
     scale = gamma_product_eval(base.prefactor).times_power(x, base.exponent - m)
     return check_finite("oracle", scale.to_float() * total)
 
@@ -694,7 +688,7 @@ def iter_verification(cfg: SweepConfig) -> Iterator[VerificationRecord]:
     """The records for the configured grids, in deterministic order, each
     evaluated when drawn. ConfigError before the first record unless every
     tag is known, one is selected and none twice, every grid symbol belongs
-    to its tag, every tolerance is a number >= 0, and every selected grid
+    to its tag, every tolerance is a double >= 0, and every selected grid
     holds distinct finite numbers, its degrees n integers >= 0."""
     unknown = [t for t in (*cfg.identities, *cfg.grids) if t not in TAGS]
     if unknown:
@@ -712,6 +706,8 @@ def iter_verification(cfg: SweepConfig) -> Iterator[VerificationRecord]:
         value = getattr(cfg, key)
         if not _is_number(value):
             raise ConfigError(f"{key} must be an int or a float, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{key} is an int past the double range")
         # no comparison with NaN is true, and none below 0 can pass
         if not value >= 0.0:
             raise ConfigError(f"{key} must be >= 0, got {value!r}")
