@@ -700,6 +700,23 @@ def test_empty_tag_selection_is_rejected(tmp_path, capsys, argv, config):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--identities", "error: no identities selected"),
+    ("--out", "error: cannot write : "),
+    ("--config", "error: cannot read config : "),
+], ids=["identities", "out", "config"])
+def test_empty_verify_flag_is_honoured(tmp_path, monkeypatch, capsys, flag, message):
+    # each empty value was dropped as falsy: --identities "" ran every tag,
+    # --out "" wrote verification.jsonl and --config "" read no file, exit 0
+    monkeypatch.chdir(tmp_path)
+    argv = {"--identities": "cor2", "--out": str(tmp_path / "out"), flag: ""}
+    rc, out, err = run(capsys, "verify", *(t for pair in argv.items() for t in pair))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tags, flag, n_fail, note", [
     ("lem3,lem4", "--tol-reduction", 6, "five-parameter embedding quadrature disagrees: "),
     ("lem1,lem3", "--tol-quadrature", 8, None),
@@ -945,6 +962,30 @@ def test_refused_quadrature_keeps_the_oracle_verdict():
     assert record.ledger_note == (
         "quadrature comparison omitted: weight exponents must be > -1, got (1.0, -1.0)"
     )
+
+
+THM3_ZERO_FACTOR = dict(delta=0, delta_prime=0, mu=0, mu_prime=0.5, epsilon=1.5,
+                        tau=1.5, x=1)
+
+
+@pytest.mark.parametrize("tag, values, note, oracle", [
+    # the derivative row keeps Gamma(0) in its denominator; the oracle's
+    # value is mpmath's, 9.3053827172539591, and 0 without M_n
+    ("thm3", dict(THM3_ZERO_FACTOR, n=1, p=9, q=0),
+     "image at tau=1.5: uncancelled gamma pole at 0.0 in the denominator", 9.305382717253957),
+    ("lem5", THM3_ZERO_FACTOR,
+     "image at tau=1.5: uncancelled gamma pole at 0.0 in the denominator", 0.0),
+    # the series parameter q+1 = 0; mpmath gives the oracle 8.2532876221843205
+    ("cor2", dict(delta=0.5, n=2, p=9, q=-1, tau=2, x=1),
+     "series term denominator vanishes at k = 0", 8.253287622184317),
+], ids=["thm3", "lem5", "cor2"])
+def test_refused_closed_form_keeps_the_oracle_value(tag, values, note, oracle):
+    # the record was SKIPPED(domain) with every value null
+    (record,) = run_verification(SweepConfig(identities=[tag], grids=_one_point(tag, **values)))
+    assert record.verdict == "SKIPPED(domain)"
+    assert record.ledger_note.endswith(note)
+    assert record.oracle_value == oracle
+    assert record.closed_form_value is None and record.quadrature_value is None
 
 
 @pytest.mark.parametrize("tag, symbol", [("lem1", "epsilon"), ("lem3", "delta")])
