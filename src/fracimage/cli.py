@@ -33,6 +33,7 @@ import math
 import os
 import re
 import sys
+import typing
 from collections import Counter
 from fractions import Fraction
 
@@ -159,13 +160,13 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
             cfg.grids.setdefault(tag, {})[symbol] = _parse_list(value)
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    if args.identities:
+    # an empty value or a tolerance of 0 is a request as given: test presence, not truth
+    if args.identities is not None:
         cfg.identities = _parse_tags(args.identities)
     if args.as_printed:
         cfg.as_printed = True
-    if args.out:
+    if args.out is not None:
         cfg.out = args.out
-    # a tolerance of 0 is a valid request, so test for presence, not truth
     for key in TOLERANCES:
         if getattr(args, key) is not None:
             setattr(cfg, key, getattr(args, key))
@@ -356,7 +357,7 @@ def cmd_eval(args) -> int:
 # verify / report
 
 def cmd_verify(args) -> int:
-    pairs = load_config_file(args.config) if args.config else {}
+    pairs = {} if args.config is None else load_config_file(args.config)
     cfg = build_sweep_config(pairs, args)
     pending = iter_verification(cfg)
     verdicts = Counter()
@@ -372,14 +373,11 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL if n_fail else EXIT_PASS
 
 
-# the JSON types of each record field, as verify writes them
-RECORD_TYPES = {
-    "identity": "a string", "point": "an object", "oracle_value": "a number or null",
-    "closed_form_value": "a number or null", "quadrature_value": "a number or null",
-    "rel_diff": "a number", "verdict": "a string", "ledger_note": "a string or null",
-}
 JSON_TYPES = {str: "a string", dict: "an object", int: "a number", float: "a number",
               type(None): "null"}
+# the JSON types of each record field, as verify writes them ("a number or null")
+RECORD_TYPES = {name: " or ".join(JSON_TYPES[kind] for kind in typing.get_args(hint) or (hint,))
+                for name, hint in typing.get_type_hints(VerificationRecord).items()}
 
 
 def _refuse_constant(token: str):

@@ -42,15 +42,13 @@ def gamma(x: float) -> float:
 
 @dataclass(frozen=True)
 class SignedLogValue:
-    """A real number stored as (log|v|, sign).  sign is -1, 0, or +1;
-    log_magnitude is -inf exactly when sign == 0."""
+    """A nonzero real number stored as (log|v|, sign), sign -1 or +1: a
+    gamma value or a product of them, which is never 0."""
 
     log_magnitude: float
     sign: int
 
     def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
         mag = math.exp(self.log_magnitude)  # may over/underflow naturally
         return mag if self.sign > 0 else -mag
 
@@ -58,8 +56,6 @@ class SignedLogValue:
         """Multiply by base**exponent for base > 0."""
         if base <= 0.0:
             raise ValueError(f"times_power: base must be positive, got {base!r}")
-        if self.sign == 0:
-            return self
         return SignedLogValue(
             self.log_magnitude + exponent * math.log(base), self.sign
         )
@@ -89,17 +85,6 @@ def pochhammer(a: float, k: int) -> float:
     for i in range(k):
         acc *= a + i
     return acc
-
-
-def binomial_real(a: float, k: int) -> float:
-    """Generalized binomial coefficient C(a, k) = a(a-1)...(a-k+1)/k! for
-    real a and nonnegative integer k; exact for integer a in range."""
-    if k < 0:
-        raise ValueError(f"binomial_real: k must be >= 0, got {k!r}")
-    falling = 1.0
-    for i in range(k):
-        falling *= a - i
-    return falling / math.factorial(k)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DenominatorPoleError, DivergenceError, NonConvergedError
-from .gammafns import GammaProduct, gamma_product_eval, is_nonpositive_integer
+from .gammafns import is_nonpositive_integer
 
 if TYPE_CHECKING:
     import numpy
@@ -190,18 +190,8 @@ def pfq(
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """2F1(a, b; c; z) inside the unit disc (or terminating, any z).
-
-    The single continuation handled here is the classical z = 1 value,
-    which exists for c - a - b > 0."""
-    if z == 1.0 and _termination_index((a, b)) is None:
-        if c - a - b <= 0.0:
-            raise DivergenceError(
-                f"2F1 at z = 1 needs c - a - b > 0, got {c - a - b!r}"
-            )
-        _check_denominator((c,))
-        gp = GammaProduct((c, c - a - b), (c - a, c - b))
-        return gamma_product_eval(gp).to_float()
+    """2F1(a, b; c; z) by pfq. At |z| >= 1, z = 1 too, DivergenceError unless
+    a or b is a nonpositive integer, so that the series terminates."""
     return pfq((a, b), (c,), z)
 
 
@@ -210,7 +200,8 @@ def gauss_2f1_array(a: float, b: float, c: float, z: numpy.ndarray) -> numpy.nda
 
     The non-terminating series at 0 < zi < 1 is summed on the whole
     array; every other element (terminating or pole parameters, zi <= 0,
-    zi >= 1) goes through the scalar gauss_2f1 and raises its errors."""
+    zi >= 1) goes through the scalar gauss_2f1 and raises its errors, so
+    zi >= 1 raises DivergenceError unless the series terminates."""
     import numpy
 
     z = numpy.asarray(z, dtype=float)
@@ -281,8 +272,6 @@ def _series_2f1(a: float, b: float, c: float, z: numpy.ndarray) -> numpy.ndarray
     raise NonConvergedError(
         f"pfq did not converge within {MAX_TERMS} terms (z = {float(z[0])!r})"
     )
-
-
 
 
 def appell_f3(

@@ -51,6 +51,7 @@ embedding has no supported quadrature notes that this check did not run).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import math
@@ -599,20 +600,25 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     poly = None if identity is None else PolySpec(
         int(point["n"]), float(point["p"]), float(point["q"])
     )
+
+    def exact() -> float | None:
+        if identity is not None:
+            return lhs_oracle(identity, op.params, poly, tau, x)
+        if FAMILIES[spec.family].composition is not None:  # lem5, lem6
+            return deriv_composition_oracle(op, tau, x)
+        return None
+
     closed = oracle = None
     try:
-        if identity is not None:
-            closed = image_rhs(
-                identity, op.params, poly, tau, x, as_printed=cfg.as_printed
-            ).value
-            oracle = lhs_oracle(identity, op.params, poly, tau, x)
-        else:
-            closed = power_image(op, tau).value_at(x)
-            if FAMILIES[spec.family].composition is not None:  # lem5, lem6
-                oracle = deriv_composition_oracle(op, tau, x)
+        closed = power_image(op, tau).value_at(x) if identity is None else image_rhs(
+            identity, op.params, poly, tau, x, as_printed=cfg.as_printed).value
+        oracle = exact()
     except (DomainError, PoleError) as exc:
+        if closed is None:  # the closed form's refusal stands; the oracle may have a value
+            with contextlib.suppress(DomainError, PoleError, OverflowError):
+                oracle = exact()
         return VerificationRecord(
-            tag, point, None, None, None, 0.0, "SKIPPED(domain)", str(exc)
+            tag, point, oracle, None, None, 0.0, "SKIPPED(domain)", str(exc)
         )
     except OverflowError as exc:
         name = "closed_form_value" if closed is None else "oracle_value"

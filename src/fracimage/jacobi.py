@@ -6,9 +6,9 @@ M_n^(p,q) is the degree-n polynomial
     M_n^(p,q)(x) = (-1)^n n! sum_k binom(p-n-1, k) binom(q+n, n-k) (-x)^k,
 
 orthogonal on (0, inf) with weight x^q (1+x)^(-(p+q)) when p > 2n+1 and
-q > -1. Its terminating hypergeometric form is
+q > -1. With (q+1)_n = n! binom(q+n, n), its terminating hypergeometric form is
 
-    (-1)^n n! binom(q+n, n) 2F1(-n, n+1-p; q+1; -x),
+    (-1)^n (q+1)_n 2F1(-n, n+1-p; q+1; -x),
 
 and it connects to the classical Jacobi polynomial through
 M_n^(p,q)(x) = (-1)^n n! P_n^(q, -p-q)(2x+1).
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .gammafns import binomial_real, check_finite
+from .gammafns import check_finite, pochhammer
 from .hypergeom import as_ratio, exact_series_sum, gauss_2f1
 
 
@@ -97,15 +97,15 @@ def m_poly(spec: PolySpec, x: float, method: str = "direct") -> float:
     """M_n^(p,q)(x).
 
     method="direct" evaluates the explicit coefficient sum exactly and
-    rounds once; method="hypergeometric" evaluates the terminating 2F1
-    form and raises DenominatorPoleError when q+1 is a nonpositive integer
-    reached before the series terminates."""
+    rounds once; method="hypergeometric" is (-1)^n (q+1)_n times the exact
+    terminating 2F1 sum, and raises DenominatorPoleError when q+1 is a
+    nonpositive integer reached before the series terminates."""
     if method == "direct":
         return exact_series_sum(_coefficients_exact(spec), (), (), x)
     if method == "hypergeometric":
         n, p, q = spec.n, spec.p, spec.q
         sign_n = -1.0 if n % 2 else 1.0
-        front = sign_n * math.factorial(n) * binomial_real(q + n, n)
+        front = sign_n * pochhammer(q + 1.0, n)
         return front * gauss_2f1(float(-n), n + 1.0 - p, q + 1.0, -x)
     raise ValueError(f"unknown method {method!r}")
 

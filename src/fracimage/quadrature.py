@@ -108,15 +108,15 @@ class QuadResult(NamedTuple):
     nodes: int
 
 
-def roots_jacobi(n: int, alpha: tuple[float, ...], beta: tuple[float, ...]):
-    """[(x, w)] of the n-point Gauss-Jacobi rule for the weight
-    (1-x)^alpha[i] (1+x)^beta[i] on [-1, 1], for each i, all built in one
-    recurrence sweep (gaussjacobi.gauss_jacobi); each rule comes out as it
-    would alone. numpy is imported on the first rule build, so work
-    without quadrature never loads it."""
+def roots_jacobi(n: int, weights: list[tuple[float, float]]):
+    """[(x, w)] of the n-point Gauss-Jacobi rule for each weight
+    (1-x)^alpha (1+x)^beta on [-1, 1] in weights, given as (alpha, beta),
+    all built in one recurrence sweep (gaussjacobi.gauss_jacobi); each
+    rule comes out as it would alone. numpy is imported on the first rule
+    build, so work without quadrature never loads it."""
     from .gaussjacobi import gauss_jacobi
 
-    return gauss_jacobi(n, list(zip(alpha, beta)))
+    return gauss_jacobi(n, weights)
 
 
 def node_power(base: numpy.ndarray, exponent: float) -> numpy.ndarray:
@@ -161,8 +161,8 @@ def _gj_build(weights, size: int) -> None:
     wanted = [w for w in dict.fromkeys(weights) if size not in _gj_rules(*w)]
     if not wanted:
         return
-    a0, a1 = zip(*wanted)
-    for (e0, e1), (t, w) in zip(wanted, roots_jacobi(size, a1, a0)):
+    # u^e0 (1-u)^e1 is (1-t)^e1 (1+t)^e0 up to scale, at u = (1+t)/2
+    for (e0, e1), (t, w) in zip(wanted, roots_jacobi(size, [(e1, e0) for e0, e1 in wanted])):
         nodes = (1.0 + t) / 2.0
         null = _null_rows(nodes, w)
         for array in (nodes, w, null):

@@ -766,11 +766,11 @@ def test_rules_built_together_equal_rules_built_alone():
     # one sweep serves several weights; each rule takes the sweep its own
     # nodes settle in, so it does not depend on the others. The last weight
     # is past ASYMPTOTIC_LIMIT, so its rule starts from the sign scan
-    alpha, beta = (0.3, 2.9, -0.93), (-0.4, 0.0, 12.0)
-    assert max(beta) > ASYMPTOTIC_LIMIT >= max(alpha[:2] + beta[:2])
-    together = quadrature.roots_jacobi(64, alpha, beta)
-    for i, (x, w) in enumerate(together):
-        ((x1, w1),) = quadrature.roots_jacobi(64, (alpha[i],), (beta[i],))
+    weights = [(0.3, -0.4), (2.9, 0.0), (-0.93, 12.0)]
+    assert weights[-1][1] > ASYMPTOTIC_LIMIT >= max(max(pair) for pair in weights[:2])
+    together = quadrature.roots_jacobi(64, weights)
+    for pair, (x, w) in zip(weights, together):
+        ((x1, w1),) = quadrature.roots_jacobi(64, [pair])
         assert numpy.array_equal(x, x1) and numpy.array_equal(w, w1)
 
 
