@@ -89,7 +89,7 @@ def pochhammer(a: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class GammaProduct:
-    """sign * prod Gamma(num) / prod Gamma(den).
+    """sign * prod Gamma(num) / prod Gamma(den), with sign +1 or -1.
 
     Arguments are kept symbolically so identical factors can be cancelled
     exactly before any gamma evaluation and so two products can be compared

@@ -591,9 +591,9 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
     record's oracle_value. Every tag runs monomial_quadrature, and
     operator_apply alone decides whether it is supported: a quadrature
     unsupported, not converged, overflowing or refusing the point's weight
-    (an exponent rounded to -1) skips a tag without an oracle and is
-    noted, with its reason, for the others; a closed form or oracle past
-    the double range skips the point."""
+    (an exponent rounded to -1) skips a tag without an oracle and is noted,
+    with its reason, for the others. A closed form or oracle past the double
+    range skips the point; a refused closed form does too, keeping any oracle value."""
     spec = TAGS[tag]
     identity, op = spec.identity, OperatorSpec(spec.family, _op_params(tag, point))
     tau, x = float(point["tau"]), float(point["x"])
@@ -614,7 +614,7 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
             identity, op.params, poly, tau, x, as_printed=cfg.as_printed).value
         oracle = exact()
     except (DomainError, PoleError) as exc:
-        if closed is None:  # the closed form's refusal stands; the oracle may have a value
+        if closed is None:  # the closed form refused the point, not the oracle
             with contextlib.suppress(DomainError, PoleError, OverflowError):
                 oracle = exact()
         return VerificationRecord(
