@@ -272,6 +272,14 @@ def test_gamma_product_eval_scale_and_sign():
     assert gamma_product_eval(gp).to_float() == pytest.approx(-2.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("sign", [2, 0, -3])
+def test_gamma_product_refuses_a_sign_other_than_plus_or_minus_one(sign):
+    # gamma_product_eval reads only the sign's direction, so sign 2 gave
+    # Gamma(3) = 2 instead of 4, and sign 0 gave -2
+    with pytest.raises(ValueError, match=f"sign must be \\+1 or -1, got {sign}"):
+        GammaProduct((3.0,), (), sign)
+
+
 def test_gamma_product_eval_poles():
     with pytest.raises(PoleError) as exc:
         gamma_product_eval(GammaProduct((-2.0, 1.5), (3.0,)))
