@@ -100,6 +100,10 @@ class GammaProduct:
     denominator_args: tuple[float, ...]
     sign: int = 1
 
+    def __post_init__(self) -> None:
+        if self.sign not in (1, -1):
+            raise ValueError(f"GammaProduct sign must be +1 or -1, got {self.sign!r}")
+
     def cancelled(self) -> "GammaProduct":
         """Remove arguments appearing (exactly equal) in both lists."""
         num = list(self.numerator_args)

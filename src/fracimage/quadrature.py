@@ -16,16 +16,14 @@ null rules.
 A quadrature's error is read off its own rule by those null rules
 (Berntsen and Espelid, ACM TOMS 17, 1991): g's discrete coefficients on
 the weight's orthogonal polynomials of degrees n-1 and n-2. A rule whose
-estimate misses the target is doubled; from 256 nodes on, the difference
-from the previous rule's value is accepted as well (on a logarithmic
-kernel a smaller rule's difference can be under the target while the
-rule is not).
+estimate misses both the target and the rounding noise is doubled.
 
 Left-sided integrals substitute t = x*u; right-sided ones t = x/u, mapping
 (x, inf) onto (0, 1). The 2F1 kernels (argument 1-u) are split at u = 1/2:
 the right half is evaluated by the fast-converging series directly, the
 left half through the standard connection formula at 1-u, which turns the
-u -> 0 behavior into two more Jacobi-weighted smooth integrals.
+u -> 0 behavior into two more Jacobi-weighted smooth integrals. Where the
+formula has a pole (a logarithmic kernel), splits beside it are interpolated.
 
 An operand is t^power g(t): its leading power goes into the weight and
 is never evaluated at a node, so the caller's g is only the smooth
@@ -73,11 +71,11 @@ ERROR_FLOOR = 1e-16
 
 
 # a quadrature starts from NODE_COUNT nodes and doubles the rule up to
-# MAX_REFINEMENTS times, to 4,096 nodes (both read at call time); a rule's
-# difference from the previous one is trusted from TRUSTED_NODES nodes on
+# MAX_REFINEMENTS times, to 4,096 nodes (both read at call time)
 NODE_COUNT = 16
 MAX_REFINEMENTS = 8
-TRUSTED_NODES = 256
+# the step in e = kc-ka-kb of a 2F1 kernel's split near an integer e
+LOG_STEP = 1e-3
 # the larger null-rule coefficient, times this, is a rule's error estimate
 NULL_SAFETY = 10.0
 
@@ -86,11 +84,10 @@ NULL_SAFETY = 10.0
 class QuadConfig:
     """Gauss-Jacobi rule configuration.
 
-    A rule is accepted once its null-rule error estimate, or from
-    TRUSTED_NODES nodes on its difference from the previous rule, is
-    within tol (relative); otherwise the rule is doubled. Right-sided
-    integrals never truncate the tail: the t = x/u substitution maps all
-    of it onto (0, 1)."""
+    A rule is accepted once its null-rule error estimate is within tol
+    (relative) or within the rounding noise of its L1 mass; otherwise the
+    rule is doubled. Right-sided integrals never truncate the tail: the
+    t = x/u substitution maps all of it onto (0, 1)."""
 
     tol: float = 1e-10
 
@@ -198,8 +195,7 @@ def quad_endpoint_singular(
         raise DomainError(
             f"weight exponents must be > -1, got ({exponent_at_0!r}, {exponent_at_1!r})"
         )
-    n = NODE_COUNT
-    for i in range(MAX_REFINEMENTS + 1):
+    for n in (NODE_COUNT << i for i in range(MAX_REFINEMENTS + 1)):
         nodes, weights, scale, null = _gj_rule(n, exponent_at_0, exponent_at_1)
         with numpy.errstate(all="ignore"):
             values = g(nodes)
@@ -210,13 +206,8 @@ def quad_endpoint_singular(
             raise OverflowError(f"the integrand is not finite on the {n}-node rule")
         est = scale * math.fsum(terms)
         error = NULL_SAFETY * scale * float(abs((null * values).sum(axis=1)).max())
-        size = abs(est)
-        if i and n >= TRUSTED_NODES:
-            error, size = min(error, abs(est - prev)), max(size, abs(prev))
-        if error <= cfg.tol * size or error <= NOISE_FLOOR * l1:
+        if error <= cfg.tol * abs(est) or error <= NOISE_FLOOR * l1:
             return QuadResult(est, max(error, ERROR_FLOOR * l1), n)
-        prev = est
-        n *= 2
     raise NonConvergedError(
         f"quadrature did not stabilize within {NODE_COUNT << MAX_REFINEMENTS} "
         f"nodes ({MAX_REFINEMENTS} doublings from {NODE_COUNT})"
@@ -278,10 +269,11 @@ def _kernel_quad(
 ) -> QuadResult:
     """int_0^1 u^a0 (1-u)^b0 2F1(ka, kb; kc; 1-u) s(u) du.
 
-    Polynomial kernels (ka or kb a nonpositive integer) and near-integer
-    exponent differences e = kc-ka-kb go through a single rule; otherwise
-    the integral is split at 1/2 and the u -> 0 half is rewritten by the
-    2F1 connection formula, so every piece has a pure Jacobi weight."""
+    A polynomial kernel (ka or kb a nonpositive integer) goes through a
+    single rule; any other is split at 1/2 and the u -> 0 half rewritten by
+    the 2F1 connection formula, so every piece has a pure Jacobi weight.
+    Near an integer e = kc-ka-kb, where the kernel has a logarithm, that
+    split is interpolated from six shifted ones and must meet tol."""
     ka, kb, kc = kernel
 
     def piece(name: str, series=kernel, power: float | None = None):
@@ -292,12 +284,25 @@ def _kernel_quad(
         return g
 
     e = kc - ka - kb
-    if is_nonpositive_integer(ka) or is_nonpositive_integer(kb) or abs(e - round(e)) < 1e-9:
-        # a polynomial kernel needs no split; at a logarithmic endpoint no
-        # pure-power split exists, so refinement does the work (the null
-        # rules overstate a log term's error; from TRUSTED_NODES on, a
-        # rule's difference from the previous one stops it)
+    if is_nonpositive_integer(ka) or is_nonpositive_integer(kb):
         return quad_endpoint_singular(piece("whole"), a0, b0, cfg)
+    k = round(e)
+    if abs(e - k) < LOG_STEP / 3.0:
+        # the splits at e = k +- h, k +- 2h, k +- 3h (h = LOG_STEP, moving kb),
+        # held to tol * h since their coefficients Gamma(+-e) ~ 1/h cancel,
+        # and their Lagrange interpolants at t through all six and the inner four
+        t, steps = (e - k) / LOG_STEP, (-3, -2, -1, 1, 2, 3)
+        parts = [_kernel_quad((ka, kc - ka - k - j * LOG_STEP, kc), a0, b0, s,
+                              QuadConfig(cfg.tol * LOG_STEP)) for j in steps]
+        six = [math.prod((t - m) / (j - m) for m in steps if m != j) for j in steps]
+        four = [math.prod((t - m) / (j - m) for m in steps[1:-1] if m != j) for j in steps[1:-1]]
+        value = math.fsum(w * p.value for w, p in zip(six, parts))
+        error = math.fsum(abs(w) * p.error for w, p in zip(six, parts)) + abs(
+            value - math.fsum(w * p.value for w, p in zip(four, parts[1:-1])))
+        if not error <= cfg.tol * abs(value):
+            raise NonConvergedError(f"2F1 kernel quadrature near e = {k} did not converge: "
+                                    f"error {error:.3g}, target {cfg.tol * abs(value):.3g}")
+        return QuadResult(value, error, max(p.nodes for p in parts))
 
     # (coefficient, piece, weight exponent at v = 0), summed in this order.
     # Right half, u = 1 - v/2 in (1/2, 1): series argument v/2 < 1/2. Left

@@ -92,23 +92,22 @@ def test_eval_apply_matches_rhs(capsys):
 
 
 def test_eval_apply_logarithmic_kernel_output_is_pinned(capsys):
-    # mu = epsilon: the Saigo kernel's log term makes the null rules
-    # overstate the error, and the 128-node rule's difference from the
-    # 64-node one is under the target while 1.5e-11 off the closed form;
-    # the value is the 256-node rule's, accepted on its difference from
-    # the 128-node one
+    # mu = epsilon: the Saigo kernel has a logarithm, and the value is
+    # interpolated from the splits beside it, each on its 16-node rules;
+    # it is 1.0e-14 off the closed form 0.2370444746830956 (the 256-node
+    # single rule this replaced gave 0.23704447468320947, 4.8e-13 off)
     rc, out, _ = run(capsys, "eval", "apply", "--family", "saigo-left",
                      "--delta", "0.6", "--mu", "0.4", "--epsilon", "0.4",
                      "--tau", "2.5", "--x", "0.5")
     assert rc == 0
     assert out.splitlines()[:3] == [
-        "value = 0.23704447468320947",
-        "error = 3.4145020473125367e-12",
-        "nodes = 256",
+        "value = 0.237044474683098",
+        "error = 1.4394795678557192e-12",
+        "nodes = 16",
     ]
     result = json_tail(out)
     assert (result["value"], result["error"], result["nodes"]) == (
-        0.23704447468320947, 3.4145020473125367e-12, 256)
+        0.237044474683098, 1.4394795678557192e-12, 16)
 
 
 def test_eval_oracle_target(capsys):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracimage import cli, identities, quadrature
-from fracimage.errors import DomainError, NonConvergedError, UnsupportedKernelError
+from fracimage.errors import DomainError, NonConvergedError, PoleError, UnsupportedKernelError
 from fracimage.gammafns import is_nonpositive_integer
 from fracimage.gaussjacobi import ASYMPTOTIC_LIMIT
 from fracimage.hypergeom import gauss_2f1
@@ -45,6 +45,7 @@ from fracimage.operators import (
     rl_right,
     saigo_left,
     saigo_right,
+    validate_domain,
 )
 from fracimage.quadrature import (
     ERROR_FLOOR,
@@ -157,18 +158,6 @@ def test_no_refinement_budget_accepts_only_the_first_rule(monkeypatch):
         quad_endpoint_singular(lambda u: abs(u - 0.3), 0.0, 0.0, cfg)
 
 
-def test_difference_from_the_previous_rule_is_trusted_from_256_nodes(monkeypatch):
-    # with no null estimate meeting the target, a smooth integrand is
-    # refined past every rule below TRUSTED_NODES and accepted on the
-    # 256-node rule's difference from the 128-node one, never on the
-    # 32 -> 64 or 64 -> 128 difference, though those are under the target
-    monkeypatch.setattr(quadrature, "NULL_SAFETY", 1e300)
-    res = quad_endpoint_singular(numpy.exp, 0.0, 0.0)
-    assert quadrature.TRUSTED_NODES == 256
-    assert res.nodes == 256
-    assert math.isclose(res.value, math.e - 1.0, rel_tol=1e-13)
-
-
 def test_nonconverged_message_names_the_largest_rule(monkeypatch):
     monkeypatch.setattr(quadrature, "NODE_COUNT", 8)
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 2)
@@ -251,32 +240,27 @@ def test_jittered_default_verify_accepts_every_integral_on_its_first_rule(monkey
 
 
 # Points of the lem3 and cor1 grids at mu = epsilon = 0.4, where the Saigo
-# kernel's exponent difference is an integer: the kernel has a logarithm at
-# u -> 0, no split applies, and one rule integrates it. Its null-rule
-# estimate overstates the error, so acceptance on the difference from the
-# previous rule keeps refinement away from the nodes where the 2F1 at 1-u
-# needs over 10^6 terms; two points still reach them.
+# kernel's exponent difference is an integer and the kernel has a logarithm
+# at u -> 0. One rule over the whole kernel left lem3 at tau 1.5
+# SKIPPED(nonconverged) and omitted cor1's quadrature at n 3, because the
+# 2F1 at 1-u needed over 10^6 terms next to u = 0; the split beside the
+# logarithm keeps every series argument below 1/2.
 LOG_KERNEL = {"delta": 0.6, "mu": 0.4, "epsilon": 0.4}
 
 
-@pytest.mark.parametrize("tag, point, verdict, omitted, quad_diff", [
-    ("lem3", dict(tau=2.5, x=0.5), "PASS", False, 1e-12),
-    ("lem3", dict(tau=1.5, x=0.5), "SKIPPED(nonconverged)", False, None),
-    ("cor1", dict(n=1, p=9.0, q=0.0, tau=2.0, x=0.5), "PASS", False, 1e-10),
-    ("cor1", dict(n=3, p=9.0, q=1.5, tau=2.0, x=1.0), "PASS", True, None),
+@pytest.mark.parametrize("tag, point, quad_diff", [
+    ("lem3", dict(tau=2.5, x=0.5), 1e-12),
+    ("lem3", dict(tau=1.5, x=0.5), 1e-12),
+    ("cor1", dict(n=1, p=9.0, q=0.0, tau=2.0, x=0.5), 1e-10),
+    ("cor1", dict(n=3, p=9.0, q=1.5, tau=2.0, x=1.0), 1e-10),
 ])
-def test_logarithmic_kernel_verdicts(tag, point, verdict, omitted, quad_diff):
+def test_logarithmic_kernel_verdicts(tag, point, quad_diff):
     grid = {k: [v] for k, v in dict(LOG_KERNEL, **point).items()}
     (record,) = identities.run_verification(identities.SweepConfig([tag], {tag: grid}))
-    assert record.verdict == verdict
-    assert (record.ledger_note or "").startswith("quadrature comparison omitted") == omitted
-    if quad_diff is not None:
-        # the 256-node rule's value, accepted on its difference from the
-        # 128-node rule; no smaller rule's difference is trusted
-        # (TRUSTED_NODES), because the 128-node rule was 1.5e-11 (lem3) and
-        # 5.3e-10 (cor1) off the closed form
-        diff = identities.rel_diff(record.quadrature_value, record.closed_form_value)
-        assert diff <= quad_diff
+    assert record.verdict == "PASS"
+    assert record.ledger_note is None
+    diff = identities.rel_diff(record.quadrature_value, record.closed_form_value)
+    assert diff <= quad_diff
 
 
 # Grids of lem3, cor1, lem4 and cor4 where the Saigo kernel's exponent
@@ -320,6 +304,32 @@ def test_near_logarithmic_kernel_meets_its_target(tau, d):
     deviation = abs(res.value - want)
     assert deviation <= 1e-12 * abs(want)
     assert res.error >= deviation
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    right=st.booleans(),
+    alpha=st.floats(min_value=0.2, max_value=2.0),
+    beta=st.floats(min_value=-1.0, max_value=1.5),
+    k=st.sampled_from([-1, 0, 1]),
+    d=st.floats(min_value=-1e-3, max_value=1e-3),
+    inside=st.floats(min_value=0.05, max_value=2.0),
+    x=st.floats(min_value=0.25, max_value=4.0),
+)
+def test_saigo_quadrature_at_and_near_logarithmic_kernels(right, alpha, beta, k, d, inside, x):
+    # eta - beta within 1e-3 of -1, 0 or 1, and tau `inside` past the
+    # binding tau margin of validate_domain (tau > bound on the left,
+    # tau < bound on the right); each margin is +-(tau - bound)
+    op = (saigo_right if right else saigo_left)(alpha, beta, beta + k + d)
+    edges = [c.margin for c in validate_domain(op, 0.0) if c.label.startswith("tau")]
+    tau = min(edges) - inside if right else max(-m for m in edges) + inside
+    power = FAMILIES[op.family].monomial_power(tau)
+    try:
+        want = power_image(op, tau).value_at(x)
+        res = operator_apply(op, one, x, QuadConfig(tol=1e-8), power=power)
+    except (NonConvergedError, DomainError, PoleError, OverflowError):
+        return
+    assert math.isclose(res.value, want, rel_tol=1e-9)
 
 
 def test_kinked_integrand_is_not_accepted_at_the_first_rule():
@@ -447,7 +457,8 @@ def test_polynomial_kernel_path():
 
 
 def test_integer_exponent_difference_fallback():
-    # eta - beta = 1 defeats the pure-power split; single rule still converges
+    # eta - beta = 1 puts the split's connection coefficients on a pole; the
+    # splits beside it are interpolated
     op = saigo_left(0.6, 0.2, 1.2)
     want = power_image(op, 1.5).value_at(2.0)
     res = operator_apply(op, one, 2.0, power=0.5)
@@ -524,23 +535,19 @@ def test_error_estimate_is_usable():
 def per_node_quad(g, a0, a1, cfg=QuadConfig()):
     """quad_endpoint_singular with g called once per node on Python floats:
     the scalar reference the node-array evaluation must reproduce bit for
-    bit. A rule below TRUSTED_NODES is accepted on its null-rule estimate
-    alone, a larger one on that or on its difference from the previous
-    rule."""
+    bit. A rule is accepted on its null-rule estimate or on the noise floor
+    of its L1 mass."""
     n = quadrature.NODE_COUNT
-    for i in range(quadrature.MAX_REFINEMENTS + 1):
+    for _ in range(quadrature.MAX_REFINEMENTS + 1):
         nodes, weights, scale, null = _gj_rule(n, a0, a1)
         values = [g(u) for u in nodes.tolist()]
         terms = [w * v for w, v in zip(weights.tolist(), values)]
         est = scale * math.fsum(terms)
         l1 = scale * math.fsum(abs(t) for t in terms)
         coefficients = (null * numpy.array(values)).sum(axis=1).tolist()
-        error, size = NULL_SAFETY * scale * max(map(abs, coefficients)), abs(est)
-        if i and n >= quadrature.TRUSTED_NODES:
-            error, size = min(error, abs(est - prev)), max(size, abs(prev))
-        if error <= cfg.tol * size or error <= NOISE_FLOOR * l1:
+        error = NULL_SAFETY * scale * max(map(abs, coefficients))
+        if error <= cfg.tol * abs(est) or error <= NOISE_FLOOR * l1:
             return QuadResult(est, max(error, ERROR_FLOOR * l1), n)
-        prev = est
         n *= 2
     raise NonConvergedError("per-node reference did not stabilize")
 
@@ -605,13 +612,25 @@ def per_node_kernel_quad(kernel, a0, b0, s, cfg=QuadConfig()):
     """_kernel_quad with the scalar series called once per node: the
     reference the node-array evaluation must reproduce bit for bit."""
     ka, kb, kc = kernel
-    if is_nonpositive_integer(ka) or is_nonpositive_integer(kb) or abs(
-        (kc - ka - kb) - round(kc - ka - kb)
-    ) < 1e-9:
+    if is_nonpositive_integer(ka) or is_nonpositive_integer(kb):
         return per_node_quad(
             lambda u: gauss_2f1(ka, kb, kc, 1.0 - u) * s(u), a0, b0, cfg
         )
     e = kc - ka - kb
+    k, h = round(e), quadrature.LOG_STEP
+    if abs(e - k) < h / 3.0:
+        # the splits at e = k +- h, k +- 2h and k +- 3h, interpolated to e
+        t, steps = (e - k) / h, (-3, -2, -1, 1, 2, 3)
+        parts = [per_node_kernel_quad((ka, kc - ka - k - j * h, kc), a0, b0, s,
+                                      QuadConfig(cfg.tol * h)) for j in steps]
+        six = [math.prod((t - m) / (j - m) for m in steps if m != j) for j in steps]
+        four = [math.prod((t - m) / (j - m) for m in steps[1:-1] if m != j)
+                for j in steps[1:-1]]
+        value = math.fsum(w * p.value for w, p in zip(six, parts))
+        error = math.fsum(abs(w) * p.error for w, p in zip(six, parts)) + abs(
+            value - math.fsum(w * p.value for w, p in zip(four, parts[1:-1])))
+        assert error <= cfg.tol * abs(value)
+        return QuadResult(value, error, max(p.nodes for p in parts))
     right = per_node_quad(
         lambda v: (1.0 - v / 2.0) ** a0
         * gauss_2f1(ka, kb, kc, 1.0 - (1.0 - v / 2.0))
@@ -641,7 +660,7 @@ def per_node_kernel_quad(kernel, a0, b0, s, cfg=QuadConfig()):
 @pytest.mark.parametrize("alpha,beta,eta", [
     (0.6, 0.2, 0.4),    # split at 1/2, both connection halves
     (0.6, 0.2, 1.0),    # polynomial kernel
-    (0.6, 0.2, 1.2),    # integer exponent difference: one rule, z -> 1
+    (0.6, 0.2, 1.2),    # integer exponent difference: splits beside it
     (1.3, -0.45, 0.7),
 ])
 def test_kernel_quad_bit_equal_to_per_node_series(alpha, beta, eta):
