@@ -409,14 +409,15 @@ class TagSpec:
     embedding: Callable[..., OperatorSpec] | None = None
 
 
-# Every identity runs its polynomial factor M_n^(p,q) over POLY_GRID; the
-# five-parameter tags start from MSM_POINT, the derivative lemmas from
-# DERIV_POINT, each overriding at most one coordinate in place.
+# Every identity runs its polynomial factor M_n^(p,q) over POLY_GRID. An
+# operator tag starts from its kind's default point (five-parameter, derivative
+# lemma or Saigo) and overrides at most one coordinate in place.
 POLY_GRID = {"n": [0, 1, 2, 3], "p": [9.0], "q": [0.0, 1.5]}
 MSM_POINT = {"delta": [0.5], "delta_prime": [0.3], "mu": [0.2], "mu_prime": [0.4],
              "epsilon": [1.1]}
 DERIV_POINT = {"delta": [0.3], "delta_prime": [0.4], "mu": [0.1], "mu_prime": [0.2],
                "epsilon": [0.6]}
+SAIGO_POINT = {"delta": [0.6], "mu": [0.2], "epsilon": [0.4]}
 TAGS: dict[str, TagSpec] = {
     "thm1": TagSpec(IdentityId.THM1, Family.MSM_LEFT_INT, {
         **MSM_POINT, "delta_prime": [0.0, 0.3], **POLY_GRID,
@@ -433,7 +434,7 @@ TAGS: dict[str, TagSpec] = {
         **MSM_POINT, **POLY_GRID, "tau": [2.0, 3.5], "x": [1.0, 2.0, 4.0],
     }),
     "cor1": TagSpec(IdentityId.COR1, Family.SAIGO_LEFT, {
-        "delta": [0.6], "mu": [0.2], "epsilon": [0.4], **POLY_GRID,
+        **SAIGO_POINT, **POLY_GRID,
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
     }),
     "cor2": TagSpec(IdentityId.COR2, Family.RL_LEFT, {
@@ -445,7 +446,7 @@ TAGS: dict[str, TagSpec] = {
         "tau": [2.0, 3.5], "x": [0.5, 1.0, 2.0],
     }),
     "cor4": TagSpec(IdentityId.COR4, Family.SAIGO_RIGHT, {
-        "delta": [0.6], "mu": [0.2], "epsilon": [0.4], **POLY_GRID,
+        **SAIGO_POINT, **POLY_GRID,
         "tau": [0.5, 1.125], "x": [1.0, 2.0, 4.0],
     }),
     "cor5": TagSpec(IdentityId.COR5, Family.RL_RIGHT, {
@@ -465,12 +466,12 @@ TAGS: dict[str, TagSpec] = {
         **MSM_POINT, "delta": [0.0], "tau": [1.5, 2.5], "x": [1.0, 2.0],
     }),
     "lem3": TagSpec(None, Family.SAIGO_LEFT, {
-        "delta": [0.6], "mu": [0.2], "epsilon": [0.4], "tau": [1.5, 2.5], "x": [0.5, 2.0],
+        **SAIGO_POINT, "tau": [1.5, 2.5], "x": [0.5, 2.0],
     }, saigo_left_as_msm),
     # epsilon = 0 keeps the five-parameter embedding on the slice the
     # right-sided quadrature supports, so the reduction check runs too
     "lem4": TagSpec(None, Family.SAIGO_RIGHT, {
-        "delta": [0.6], "mu": [0.2], "epsilon": [0.0], "tau": [0.5, 0.75], "x": [1.0, 2.0],
+        **SAIGO_POINT, "epsilon": [0.0], "tau": [0.5, 0.75], "x": [1.0, 2.0],
     }, saigo_right_as_msm),
     "lem5": TagSpec(None, Family.MSM_LEFT_DERIV, {
         **DERIV_POINT, "tau": [3.0, 4.5], "x": [0.7, 2.0],

@@ -94,8 +94,7 @@ def test_eval_apply_matches_rhs(capsys):
 def test_eval_apply_logarithmic_kernel_output_is_pinned(capsys):
     # mu = epsilon: the Saigo kernel has a logarithm, and the value is
     # interpolated from the splits beside it, each on its 16-node rules;
-    # it is 1.0e-14 off the closed form 0.2370444746830956 (the 256-node
-    # single rule this replaced gave 0.23704447468320947, 4.8e-13 off)
+    # it is 1.0e-14 off the closed form 0.2370444746830956
     rc, out, _ = run(capsys, "eval", "apply", "--family", "saigo-left",
                      "--delta", "0.6", "--mu", "0.4", "--epsilon", "0.4",
                      "--tau", "2.5", "--x", "0.5")
