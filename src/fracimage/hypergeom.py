@@ -140,6 +140,8 @@ def pfq(
     _check_denominator(den)
 
     z = float(z)
+    if not math.isfinite(z):
+        raise ValueError(f"pfq: argument must be finite, got {z!r}")
     if z == 0.0:
         return 1.0
     p, q = len(num), len(den)
@@ -294,6 +296,8 @@ def appell_f3(
     once two successive tail bounds (the next coefficient over 1 - |w|,
     times the last |2F1| or 1 if larger) fall below RTOL."""
     _check_denominator((c,))
+    if not (math.isfinite(w) and math.isfinite(z)):
+        raise ValueError(f"appell_f3: argument must be finite, got w = {w!r}, z = {z!r}")
     w_stop = 0 if w == 0.0 else _termination_index((a, b))
     if w_stop is None and not abs(w) < 1.0:
         raise DivergenceError(f"F3 requires |w| < 1, got w = {w!r}")

@@ -79,7 +79,7 @@ from .operators import (
     saigo_left_as_msm,
     saigo_right_as_msm,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadResult, operator_apply
+from .quadrature import DEFAULT_TOL, QuadResult, operator_apply
 
 if TYPE_CHECKING:
     import numpy
@@ -274,8 +274,8 @@ def image_rhs(
     value-changing typos (thm1, thm3, cor4) are evaluated exactly as
     printed; for every other identity the flag is a no-op.
     """
-    if x <= 0.0:
-        raise DomainError(f"need x > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"need x > 0 and finite, got {x!r}")
     op = OperatorSpec(IDENTITY_FAMILY[identity], op_params)
     img = power_image(op, tau)  # also the domain check at the base order
     num, den = img.prefactor.numerator_args, img.prefactor.denominator_args
@@ -328,8 +328,8 @@ def _composed_image(op: OperatorSpec, poly: PolySpec | None, tau: float, x: floa
     factorial, and exact Pochhammer ratios for the shifted images (the gamma
     recurrence). The sum runs in integer Horner form
     (hypergeom.exact_series_sum) and rounds once."""
-    if x <= 0.0:
-        raise DomainError(f"need x > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"need x > 0 and finite, got {x!r}")
     spec = FAMILIES[op.family]
     inner, params, m = _defining_integral(op.family, op.params)
     coeffs = (1,) if poly is None else _coefficients_exact(poly)
@@ -356,7 +356,7 @@ def monomial_quadrature(
     poly: PolySpec | None,
     tau: float,
     x: float,
-    cfg: QuadConfig = DEFAULT_CONFIG,
+    tol: float = DEFAULT_TOL,
     operand: Family | None = None,
 ) -> QuadResult:
     """Quadrature of op on a family's monomial convention at order tau times
@@ -374,7 +374,7 @@ def monomial_quadrature(
             coeffs = [1.0] if poly is None else m_poly_coefficients(poly)
         return _poly_eval(coeffs, 1.0 / t if spec.right else t)
 
-    return operator_apply(op, g, x, cfg, power=spec.monomial_power(tau))
+    return operator_apply(op, g, x, tol, power=spec.monomial_power(tau))
 
 
 def quadrature_value(
@@ -383,12 +383,12 @@ def quadrature_value(
     poly: PolySpec,
     tau: float,
     x: float,
-    cfg: QuadConfig = DEFAULT_CONFIG,
+    tol: float = DEFAULT_TOL,
 ) -> QuadResult | None:
     """One identity's left-hand side by monomial_quadrature; None where unsupported."""
     try:
         op = OperatorSpec(IDENTITY_FAMILY[identity], op_params)
-        return monomial_quadrature(op, poly, tau, x, cfg)
+        return monomial_quadrature(op, poly, tau, x, tol)
     except UnsupportedKernelError:
         return None
 
@@ -516,14 +516,14 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def _quad_config(cfg: SweepConfig) -> QuadConfig:
+def _quad_config(cfg: SweepConfig) -> float:
     """Quadrature convergence target matched to the check tolerance.
 
     Two digits of headroom below the comparison tolerance is enough for
     the verdict; demanding full machine accuracy instead makes strongly
     singular weights (exponents near -1) fail to stabilize, because the
     node accuracy of very-high-order rules becomes the limit."""
-    return QuadConfig(tol=max(cfg.tol_quadrature * 1e-2, 1e-12))
+    return max(cfg.tol_quadrature * 1e-2, 1e-12)
 
 
 def _point_symbols(tag: str) -> list[str]:
@@ -620,13 +620,13 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
 
     notes = []
     quad = embed = None
-    qcfg = _quad_config(cfg)
+    qtol = _quad_config(cfg)
     try:
-        quad = monomial_quadrature(op, poly, tau, x, qcfg)
+        quad = monomial_quadrature(op, poly, tau, x, qtol)
         if spec.embedding is not None:
             try:
                 embed = monomial_quadrature(
-                    spec.embedding(*op.params), None, tau, x, qcfg, operand=spec.family
+                    spec.embedding(*op.params), None, tau, x, qtol, operand=spec.family
                 )
             except UnsupportedKernelError as exc:
                 notes.append(f"five-parameter embedding check omitted: {exc}")

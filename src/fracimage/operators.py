@@ -343,8 +343,8 @@ class PowerImage:
         return gamma_product_eval(self.prefactor).to_float()
 
     def value_at(self, x: float) -> float:
-        if x <= 0.0:
-            raise DomainError(f"need x > 0, got {x!r}")
+        if not 0.0 < x < math.inf:
+            raise DomainError(f"need x > 0 and finite, got {x!r}")
         return gamma_product_eval(self.prefactor).times_power(x, self.exponent).to_float()
 
 

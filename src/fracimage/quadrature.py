@@ -45,7 +45,6 @@ quadrature never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -78,25 +77,8 @@ MAX_REFINEMENTS = 8
 LOG_STEP = 1e-3
 # the larger null-rule coefficient, times this, is a rule's error estimate
 NULL_SAFETY = 10.0
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Gauss-Jacobi rule configuration.
-
-    A rule is accepted once its null-rule error estimate is within tol
-    (relative) or within the rounding noise of its L1 mass; otherwise the
-    rule is doubled. Right-sided integrals never truncate the tail: the
-    t = x/u substitution maps all of it onto (0, 1)."""
-
-    tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol!r}")
-
-
-DEFAULT_CONFIG = QuadConfig()
+# the relative error target of every quadrature entry point
+DEFAULT_TOL = 1e-10
 
 
 class QuadResult(NamedTuple):
@@ -181,16 +163,23 @@ def quad_endpoint_singular(
     g: Callable[[numpy.ndarray], numpy.ndarray],
     exponent_at_0: float,
     exponent_at_1: float,
-    cfg: QuadConfig = DEFAULT_CONFIG,
+    tol: float = DEFAULT_TOL,
 ) -> QuadResult:
     """int_0^1 u^exponent_at_0 (1-u)^exponent_at_1 g(u) du for smooth g.
 
     Both exponents must exceed -1 (integrability). g takes a rule's whole
     read-only node array and returns g at every node. Nodes are strictly
     interior, so g never sees 0 or 1. Raises OverflowError if g is not
-    finite at a node."""
+    finite at a node, and ValueError unless tol > 0.
+
+    A rule is accepted once its null-rule error estimate is within tol
+    (relative) or within the rounding noise of its L1 mass; otherwise the
+    rule is doubled. Right-sided integrals never truncate the tail: the
+    t = x/u substitution maps all of it onto (0, 1)."""
     import numpy
 
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     if exponent_at_0 <= -1.0 or exponent_at_1 <= -1.0:
         raise DomainError(
             f"weight exponents must be > -1, got ({exponent_at_0!r}, {exponent_at_1!r})"
@@ -206,7 +195,7 @@ def quad_endpoint_singular(
             raise OverflowError(f"the integrand is not finite on the {n}-node rule")
         est = scale * math.fsum(terms)
         error = NULL_SAFETY * scale * float(abs((null * values).sum(axis=1)).max())
-        if error <= cfg.tol * abs(est) or error <= NOISE_FLOOR * l1:
+        if error <= tol * abs(est) or error <= NOISE_FLOOR * l1:
             return QuadResult(est, max(error, ERROR_FLOOR * l1), n)
     raise NonConvergedError(
         f"quadrature did not stabilize within {NODE_COUNT << MAX_REFINEMENTS} "
@@ -265,7 +254,7 @@ def _kernel_quad(
     a0: float,
     b0: float,
     s: Callable[[numpy.ndarray], numpy.ndarray],
-    cfg: QuadConfig,
+    tol: float,
 ) -> QuadResult:
     """int_0^1 u^a0 (1-u)^b0 2F1(ka, kb; kc; 1-u) s(u) du.
 
@@ -285,7 +274,7 @@ def _kernel_quad(
 
     e = kc - ka - kb
     if is_nonpositive_integer(ka) or is_nonpositive_integer(kb):
-        return quad_endpoint_singular(piece("whole"), a0, b0, cfg)
+        return quad_endpoint_singular(piece("whole"), a0, b0, tol)
     k = round(e)
     if abs(e - k) < LOG_STEP / 3.0:
         # the splits at e = k +- h, k +- 2h, k +- 3h (h = LOG_STEP, moving kb),
@@ -293,15 +282,15 @@ def _kernel_quad(
         # and their Lagrange interpolants at t through all six and the inner four
         t, steps = (e - k) / LOG_STEP, (-3, -2, -1, 1, 2, 3)
         parts = [_kernel_quad((ka, kc - ka - k - j * LOG_STEP, kc), a0, b0, s,
-                              QuadConfig(cfg.tol * LOG_STEP)) for j in steps]
+                              tol * LOG_STEP) for j in steps]
         six = [math.prod((t - m) / (j - m) for m in steps if m != j) for j in steps]
         four = [math.prod((t - m) / (j - m) for m in steps[1:-1] if m != j) for j in steps[1:-1]]
         value = math.fsum(w * p.value for w, p in zip(six, parts))
         error = math.fsum(abs(w) * p.error for w, p in zip(six, parts)) + abs(
             value - math.fsum(w * p.value for w, p in zip(four, parts[1:-1])))
-        if not error <= cfg.tol * abs(value):
+        if not error <= tol * abs(value):
             raise NonConvergedError(f"2F1 kernel quadrature near e = {k} did not converge: "
-                                    f"error {error:.3g}, target {cfg.tol * abs(value):.3g}")
+                                    f"error {error:.3g}, target {tol * abs(value):.3g}")
         return QuadResult(value, error, max(p.nodes for p in parts))
 
     # (coefficient, piece, weight exponent at v = 0), summed in this order.
@@ -321,7 +310,7 @@ def _kernel_quad(
     # -0.0 + v is v for every v, so the first piece's value passes unchanged
     value, error, nodes = -0.0, 0.0, 0
     for coeff, g, w in pieces:
-        part = quad_endpoint_singular(g, w, 0.0, cfg)
+        part = quad_endpoint_singular(g, w, 0.0, tol)
         scale = coeff * 0.5 ** (w + 1.0)
         value += scale * part.value
         error += abs(scale) * part.error
@@ -333,7 +322,7 @@ def operator_apply(
     op: OperatorSpec,
     g: Callable[[numpy.ndarray], numpy.ndarray],
     x: float,
-    cfg: QuadConfig = DEFAULT_CONFIG,
+    tol: float = DEFAULT_TOL,
     power: float = 0.0,
 ) -> QuadResult:
     """Numerically apply an integral-family operator to t^power g(t) at x.
@@ -348,8 +337,8 @@ def operator_apply(
     Derivative families and the full two-series kernel regime have no
     supported quadrature and raise UnsupportedKernelError; the exact
     finite-sum oracle covers them instead."""
-    if x <= 0.0:
-        raise DomainError(f"operator_apply needs x > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"operator_apply needs x > 0 and finite, got {x!r}")
     spec = FAMILIES[op.family]
     recipe = spec.quadrature
     if recipe is None:
@@ -375,9 +364,9 @@ def operator_apply(
     # |x - t|^(order - 1) becomes the weight (1 - u)^(order - 1)
     w0, w1 = recipe.u_power(*op.params, power), order - 1.0
     if recipe.kernel is None:
-        quad = quad_endpoint_singular(smooth, w0, w1, cfg)
+        quad = quad_endpoint_singular(smooth, w0, w1, tol)
     else:
-        quad = _kernel_quad(recipe.kernel(*op.params), w0, w1, smooth, cfg)
+        quad = _kernel_quad(recipe.kernel(*op.params), w0, w1, smooth, tol)
     x_power = recipe.x_power(*op.params, power)
     try:
         factor = x**x_power / math.gamma(order)

@@ -39,7 +39,7 @@ from fracimage.operators import (
     saigo_right,
     saigo_right_as_msm,
 )
-from fracimage.quadrature import QuadConfig, operator_apply
+from fracimage.quadrature import operator_apply
 
 MSM_SETS = [(0.5, 0.3, 0.2, 0.4, 1.1), (0.2, 0.1, 0.3, 0.5, 0.9)]
 
@@ -128,14 +128,14 @@ def test_acceptance_c2(capsys):
 
 def test_acceptance_c3(capsys):
     failures = []
-    qcfg = QuadConfig(tol=1e-8)
+    qtol = 1e-8
 
     # (a) classical one-parameter images against direct quadrature
     for delta in (0.3, 0.5, 1.0):
         for tau in (1.0, 1.5, 2.5):
             for x in (1.0, 2.0):
                 img = power_image(rl_left(delta), tau).value_at(x)
-                quad = operator_apply(rl_left(delta), one, x, qcfg, power=tau - 1.0)
+                quad = operator_apply(rl_left(delta), one, x, qtol, power=tau - 1.0)
                 d = rel(img, quad.value)
                 if d > 1e-8:
                     failures.append(("rl-left", delta, tau, x, d))
@@ -149,7 +149,7 @@ def test_acceptance_c3(capsys):
                     (saigo_right(alpha, beta, eta), 0.5),
                 ):
                     img = power_image(op, tau).value_at(1.5)
-                    quad = operator_apply(op, one, 1.5, qcfg, power=tau - 1.0)
+                    quad = operator_apply(op, one, 1.5, qtol, power=tau - 1.0)
                     d = rel(img, quad.value)
                     if d > 1e-6:
                         failures.append((op.family.value, alpha, beta, eta, d))
@@ -166,7 +166,7 @@ def test_acceptance_c3(capsys):
                     for x in xs:
                         closed = image_rhs(identity, params, poly, tau, x).value
                         quad = quadrature_value(
-                            identity, params, poly, tau, x, qcfg
+                            identity, params, poly, tau, x, qtol
                         )
                         assert quad is not None
                         d = rel(closed, quad.value)

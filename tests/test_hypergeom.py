@@ -315,6 +315,18 @@ def test_appell_f3_domain_errors():
         appell_f3(0.5, 0.3, 0.2, 0.4, -2.0, 0.25, 0.25)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_non_finite_series_argument_is_refused_at_once(z):
+    # pfq summed a million terms for about a second before it raised
+    # NonConvergedError; appell_f3 with a terminating outer sum returned nan
+    with pytest.raises(ValueError, match="argument must be finite"):
+        pfq((0.5,), (1.5,), z)
+    with pytest.raises(ValueError, match="argument must be finite"):
+        appell_f3(-2.0, 0.3, 0.5, 0.4, 1.1, z, 0.25)
+    with pytest.raises(ValueError, match="argument must be finite"):
+        appell_f3(-2.0, 0.3, 0.5, 0.4, 1.1, 0.25, z)
+
+
 def test_appell_f3_outer_budget_raises(monkeypatch):
     # the outer sum at w = 0.99 needs thousands of terms
     monkeypatch.setattr(hypergeom, "MAX_TERMS", 100)

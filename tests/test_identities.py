@@ -46,8 +46,11 @@ from fracimage.operators import (
     msm_left_int,
     msm_right_deriv,
     power_image,
+    rl_left,
+    saigo_left,
     validate_domain,
 )
+from fracimage.quadrature import operator_apply
 
 MSM_SETS = [(0.5, 0.3, 0.2, 0.4, 1.1), (0.2, 0.1, 0.3, 0.5, 0.9)]
 
@@ -475,6 +478,23 @@ def test_deriv_composition_needs_positive_x(side, x):
     fam = msm_left_deriv if side == "left" else msm_right_deriv
     with pytest.raises(DomainError, match="need x > 0"):
         deriv_composition_oracle(fam(0.3, 0.4, 0.1, 0.2, 0.6), 3.0, x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_every_evaluator_refuses_a_non_finite_x(x):
+    # value_at returned nan or inf; the others raised OverflowError or a
+    # ValueError from converting nan to a ratio
+    poly = PolySpec(1, 9.0, 0.0)
+    with pytest.raises(DomainError, match="need x > 0"):
+        power_image(saigo_left(0.6, 0.2, 0.4), 2.0).value_at(x)
+    with pytest.raises(DomainError, match="need x > 0"):
+        image_rhs(IdentityId.COR2, (0.5,), poly, 2.0, x)
+    with pytest.raises(DomainError, match="need x > 0"):
+        lhs_oracle(IdentityId.COR2, (0.5,), poly, 2.0, x)
+    with pytest.raises(DomainError, match="need x > 0"):
+        deriv_composition_oracle(msm_left_deriv(0.3, 0.4, 0.1, 0.2, 0.6), 3.0, x)
+    with pytest.raises(DomainError, match="needs x > 0"):
+        operator_apply(rl_left(0.5), lambda t: t, x, power=1.0)
 
 
 def test_quadrature_matches_closed_form():

@@ -52,7 +52,6 @@ from fracimage.quadrature import (
     NODE_COUNT,
     NOISE_FLOOR,
     NULL_SAFETY,
-    QuadConfig,
     QuadResult,
     _connection_coefficient,
     _gj_rule,
@@ -102,14 +101,20 @@ def test_weight_mass_is_beta_function(a, b):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadConfig(tol=0.0)
+    # every quadrature path reaches quad_endpoint_singular before tol is used
+    for tol in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            quad_endpoint_singular(lambda u: 1.0, 0.0, 0.0, tol)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            operator_apply(rl_left(0.5), one, 1.0, tol)
 
 
 def test_config_rejects_nan_tolerance():
     # no comparison with NaN is true, so a NaN target passed every check
-    with pytest.raises(ValueError):
-        QuadConfig(tol=math.nan)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        quad_endpoint_singular(lambda u: 1.0, 0.0, 0.0, math.nan)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        operator_apply(saigo_left(0.6, 0.2, 0.4), one, 1.0, math.nan, power=1.0)
 
 
 def test_nonintegrable_weight_rejected():
@@ -122,9 +127,8 @@ def test_nonintegrable_weight_rejected():
 def test_nonconverged_oscillatory(monkeypatch):
     monkeypatch.setattr(quadrature, "NODE_COUNT", 8)
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
-    cfg = QuadConfig(tol=1e-15)
     with pytest.raises(NonConvergedError):
-        quad_endpoint_singular(lambda u: numpy.cos(57.0 * u), 0.0, 0.0, cfg)
+        quad_endpoint_singular(lambda u: numpy.cos(57.0 * u), 0.0, 0.0, 1e-15)
 
 
 @pytest.mark.parametrize("g", [
@@ -150,19 +154,18 @@ def test_no_refinement_budget_accepts_only_the_first_rule(monkeypatch):
     # accepted there, a kinked one has no second rule to reach
     monkeypatch.setattr(quadrature, "NODE_COUNT", 8)
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 0)
-    cfg = QuadConfig(tol=1e-3)
-    res = quad_endpoint_singular(numpy.exp, 0.0, 0.0, cfg)
+    res = quad_endpoint_singular(numpy.exp, 0.0, 0.0, 1e-3)
     assert res.nodes == 8
     assert math.isclose(res.value, math.e - 1.0, rel_tol=1e-13)
     with pytest.raises(NonConvergedError):
-        quad_endpoint_singular(lambda u: abs(u - 0.3), 0.0, 0.0, cfg)
+        quad_endpoint_singular(lambda u: abs(u - 0.3), 0.0, 0.0, 1e-3)
 
 
 def test_nonconverged_message_names_the_largest_rule(monkeypatch):
     monkeypatch.setattr(quadrature, "NODE_COUNT", 8)
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 2)
     with pytest.raises(NonConvergedError, match=r"within 32 nodes \(2 doublings from 8\)"):
-        quad_endpoint_singular(lambda u: numpy.cos(57.0 * u), 0.0, 0.0, QuadConfig(tol=1e-15))
+        quad_endpoint_singular(lambda u: numpy.cos(57.0 * u), 0.0, 0.0, 1e-15)
 
 
 def test_largest_rule_has_4096_nodes():
@@ -300,7 +303,7 @@ def test_near_logarithmic_kernel_meets_its_target(tau, d):
     # estimate that missed the target
     op = saigo_left(0.6, 0.4, 0.4 + d)
     want = power_image(op, tau).value_at(0.5)
-    res = operator_apply(op, one, 0.5, QuadConfig(tol=1e-10), power=tau - 1.0)
+    res = operator_apply(op, one, 0.5, 1e-10, power=tau - 1.0)
     deviation = abs(res.value - want)
     assert deviation <= 1e-12 * abs(want)
     assert res.error >= deviation
@@ -326,7 +329,7 @@ def test_saigo_quadrature_at_and_near_logarithmic_kernels(right, alpha, beta, k,
     power = FAMILIES[op.family].monomial_power(tau)
     try:
         want = power_image(op, tau).value_at(x)
-        res = operator_apply(op, one, x, QuadConfig(tol=1e-8), power=power)
+        res = operator_apply(op, one, x, 1e-8, power=power)
     except (NonConvergedError, DomainError, PoleError, OverflowError):
         return
     assert math.isclose(res.value, want, rel_tol=1e-9)
@@ -335,9 +338,8 @@ def test_saigo_quadrature_at_and_near_logarithmic_kernels(right, alpha, beta, k,
 def test_kinked_integrand_is_not_accepted_at_the_first_rule():
     # |u - 0.3| has Jacobi coefficients that decay only algebraically, so
     # its first rule's null-rule estimate is far above 1e-10
-    cfg = QuadConfig(tol=1e-10)
     try:
-        res = quad_endpoint_singular(lambda u: abs(u - 0.3), 0.0, 0.0, cfg)
+        res = quad_endpoint_singular(lambda u: abs(u - 0.3), 0.0, 0.0, 1e-10)
     except NonConvergedError:
         return
     assert res.nodes > NODE_COUNT
@@ -532,7 +534,7 @@ def test_error_estimate_is_usable():
     assert abs(res.value - want) <= max(100.0 * res.error, 1e-12 * abs(want))
 
 
-def per_node_quad(g, a0, a1, cfg=QuadConfig()):
+def per_node_quad(g, a0, a1, tol=1e-10):
     """quad_endpoint_singular with g called once per node on Python floats:
     the scalar reference the node-array evaluation must reproduce bit for
     bit. A rule is accepted on its null-rule estimate or on the noise floor
@@ -546,7 +548,7 @@ def per_node_quad(g, a0, a1, cfg=QuadConfig()):
         l1 = scale * math.fsum(abs(t) for t in terms)
         coefficients = (null * numpy.array(values)).sum(axis=1).tolist()
         error = NULL_SAFETY * scale * max(map(abs, coefficients))
-        if error <= cfg.tol * abs(est) or error <= NOISE_FLOOR * l1:
+        if error <= tol * abs(est) or error <= NOISE_FLOOR * l1:
             return QuadResult(est, max(error, ERROR_FLOOR * l1), n)
         n *= 2
     raise NonConvergedError("per-node reference did not stabilize")
@@ -608,34 +610,34 @@ def test_gj_rule_node_array_is_cached_readonly():
     assert cached[0] is nodes and cached[1] is weights and cached[3] is null
 
 
-def per_node_kernel_quad(kernel, a0, b0, s, cfg=QuadConfig()):
+def per_node_kernel_quad(kernel, a0, b0, s, tol=1e-10):
     """_kernel_quad with the scalar series called once per node: the
     reference the node-array evaluation must reproduce bit for bit."""
     ka, kb, kc = kernel
     if is_nonpositive_integer(ka) or is_nonpositive_integer(kb):
         return per_node_quad(
-            lambda u: gauss_2f1(ka, kb, kc, 1.0 - u) * s(u), a0, b0, cfg
+            lambda u: gauss_2f1(ka, kb, kc, 1.0 - u) * s(u), a0, b0, tol
         )
     e = kc - ka - kb
     k, h = round(e), quadrature.LOG_STEP
     if abs(e - k) < h / 3.0:
         # the splits at e = k +- h, k +- 2h and k +- 3h, interpolated to e
         t, steps = (e - k) / h, (-3, -2, -1, 1, 2, 3)
-        parts = [per_node_kernel_quad((ka, kc - ka - k - j * h, kc), a0, b0, s,
-                                      QuadConfig(cfg.tol * h)) for j in steps]
+        parts = [per_node_kernel_quad((ka, kc - ka - k - j * h, kc), a0, b0, s, tol * h)
+                 for j in steps]
         six = [math.prod((t - m) / (j - m) for m in steps if m != j) for j in steps]
         four = [math.prod((t - m) / (j - m) for m in steps[1:-1] if m != j)
                 for j in steps[1:-1]]
         value = math.fsum(w * p.value for w, p in zip(six, parts))
         error = math.fsum(abs(w) * p.error for w, p in zip(six, parts)) + abs(
             value - math.fsum(w * p.value for w, p in zip(four, parts[1:-1])))
-        assert error <= cfg.tol * abs(value)
+        assert error <= tol * abs(value)
         return QuadResult(value, error, max(p.nodes for p in parts))
     right = per_node_quad(
         lambda v: (1.0 - v / 2.0) ** a0
         * gauss_2f1(ka, kb, kc, 1.0 - (1.0 - v / 2.0))
         * s(1.0 - v / 2.0),
-        b0, 0.0, cfg,
+        b0, 0.0, tol,
     )
     value = 0.5 ** (b0 + 1.0) * right.value
     error = 0.5 ** (b0 + 1.0) * right.error
@@ -649,7 +651,7 @@ def per_node_kernel_quad(kernel, a0, b0, s, cfg=QuadConfig()):
             continue
         part = per_node_quad(
             lambda v: (1.0 - v / 2.0) ** b0 * gauss_2f1(pa, pb, pc, v / 2.0) * s(v / 2.0),
-            power, 0.0, cfg,
+            power, 0.0, tol,
         )
         value += coeff * 0.5 ** (power + 1.0) * part.value
         error += abs(coeff) * 0.5 ** (power + 1.0) * part.error
@@ -676,11 +678,34 @@ def test_kernel_quad_bit_equal_to_per_node_series(alpha, beta, eta):
     want = per_node_kernel_quad(kernel, 0.5, alpha - 1.0, s)
     _kernel_piece.cache_clear()
     # the first call fills the memo, the second is served from it
-    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s_array, QuadConfig()) == want
+    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s_array, 1e-10) == want
     misses = _kernel_piece.cache_info().misses
     assert misses > 0
-    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s_array, QuadConfig()) == want
+    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s_array, 1e-10) == want
     assert _kernel_piece.cache_info().misses == misses
+
+
+# (a, b, c), rho and int_0^1 u^(rho-1) (1-u)^(c-1) 2F1(a, b; c; 1-u) du =
+# Gamma(c) Gamma(rho) Gamma(c+rho-a-b) / (Gamma(c+rho-a) Gamma(c+rho-b))
+# (Gradshteyn-Ryzhik 7.512.4), frozen from mpmath at 30 digits
+BETA_GAUSS = [
+    ((0.3, 0.7, 1.6), 1.25, 0.518045638635902083980761037958),
+    ((0.8, -0.4, 0.6), 2.0, 0.88083762046543583479086196468),
+    ((-2.0, 0.7, 1.6), 1.25, 0.285747342684497953963332358501),  # polynomial kernel
+    ((0.4, 0.5, 0.9001), 1.5, 0.872533969151731946820960501253),  # e = 1e-4
+    ((0.3, 0.7, 2.0), 1.5, 0.289903553253468830715789000637),  # e = 1
+    ((0.8, 0.7, 0.5), 2.5, 1.62438397891760824070229729716),  # e = -1
+    ((0.3, 0.7, 1.9998), 0.75, 0.8580373081574199296600290222),
+]
+
+
+@pytest.mark.parametrize("kernel,rho,want", BETA_GAUSS)
+def test_kernel_quad_matches_the_beta_gauss_integral(kernel, rho, want):
+    # a closed form that shares no code with the image rows in operators
+    res = _kernel_quad(kernel, rho - 1.0, kernel[2] - 1.0, numpy.ones_like, tol=1e-10)
+    deviation = abs(res.value - want)
+    assert deviation <= 1e-12 * want
+    assert res.error >= deviation
 
 
 def test_kernel_piece_memo_is_a_bounded_module_cache():
@@ -704,12 +729,12 @@ def test_kernel_piece_memo_keys_on_the_power():
     assert first[1].tolist() == second[1].tolist()
     assert first[0].tolist() != second[0].tolist()
     for a0 in (0.5, 0.25):
-        assert _kernel_quad(kernel, a0, -0.4, s, QuadConfig()) == per_node_kernel_quad(
+        assert _kernel_quad(kernel, a0, -0.4, s, 1e-10) == per_node_kernel_quad(
             kernel, a0, -0.4, s
         )
 
 
-def per_node_operator_apply(op, g, x, power, cfg):
+def per_node_operator_apply(op, g, x, power, tol):
     """operator_apply with g, the substitution and the kernel evaluated once
     per node on Python floats; power is the operand's leading power."""
     spec = FAMILIES[op.family]
@@ -721,15 +746,15 @@ def per_node_operator_apply(op, g, x, power, cfg):
 
     w0, w1 = recipe.u_power(*op.params, power), order - 1.0
     if recipe.kernel is None:
-        quad = per_node_quad(smooth, w0, w1, cfg)
+        quad = per_node_quad(smooth, w0, w1, tol)
     else:
-        quad = per_node_kernel_quad(recipe.kernel(*op.params), w0, w1, smooth, cfg)
+        quad = per_node_kernel_quad(recipe.kernel(*op.params), w0, w1, smooth, tol)
     factor = x ** recipe.x_power(*op.params, power) / math.gamma(order)
     return QuadResult(factor * quad.value, abs(factor) * quad.error, quad.nodes)
 
 
-# verify's quadrature configuration at its default tolerance
-VERIFY_QUAD = QuadConfig(tol=1e-8)
+# verify's quadrature target at its default tolerance
+VERIFY_QUAD = 1e-8
 
 
 @pytest.mark.parametrize("tag", [
