@@ -17,29 +17,21 @@ a continuation value.
 One index, the smallest m with a parameter equal to -m, gives both where a
 series terminates (upper) and where (b)_k first vanishes, at k = m + 1.
 
-gauss_2f1_array sums the same 2F1 series over an array of arguments at
-once, rounding exactly as the scalar loop does at every element. numpy is
-imported on its first call, so work without quadrature never loads it.
+Everything is plain Python floats and integers: quadrature sums its 2F1
+kernels with gauss_2f1 at one node at a time.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import DenominatorPoleError, DivergenceError, NonConvergedError
 from .gammafns import is_nonpositive_integer
 
-if TYPE_CHECKING:
-    import numpy
-
 # relative stopping tolerance and term budget of every infinite series
 RTOL = 1e-13
 MAX_TERMS = 1_000_000
-# terms per block of gauss_2f1_array: memory is O(arguments x block) however
-# many terms a slow argument near 1 needs
-ARRAY_BLOCK_TERMS = 64
 
 
 def _termination_index(params: tuple[float, ...]) -> int | None:
@@ -195,85 +187,6 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """2F1(a, b; c; z) by pfq. At |z| >= 1, z = 1 too, DivergenceError unless
     a or b is a nonpositive integer, so that the series terminates."""
     return pfq((a, b), (c,), z)
-
-
-def gauss_2f1_array(a: float, b: float, c: float, z: numpy.ndarray) -> numpy.ndarray:
-    """gauss_2f1(a, b, c, zi) at every element zi of a 1-D array, bit for bit.
-
-    The non-terminating series at 0 < zi < 1 is summed on the whole
-    array; every other element (terminating or pole parameters, zi <= 0,
-    zi >= 1) goes through the scalar gauss_2f1 and raises its errors, so
-    zi >= 1 raises DivergenceError unless the series terminates."""
-    import numpy
-
-    z = numpy.asarray(z, dtype=float)
-    a, b, c = float(a), float(b), float(c)
-    out = numpy.empty(z.shape)
-    plain = _termination_index((a, b)) is None and not is_nonpositive_integer(c)
-    series = (z > 0.0) & (z < 1.0) & plain
-    for i in numpy.flatnonzero(~series).tolist():
-        out[i] = gauss_2f1(a, b, c, float(z[i]))
-    if series.any():
-        out[series] = _series_2f1(a, b, c, z[series])
-    return out
-
-
-def _series_2f1(a: float, b: float, c: float, z: numpy.ndarray) -> numpy.ndarray:
-    """pfq's non-terminating 2F1 loop run for every element of z at once.
-
-    Each row is one argument, each column one term index. Terms and
-    partial sums come from multiply/add.accumulate, which are sequential
-    scans, so each product and sum rounds as in the scalar loop. TwoSum
-    gives each addition's exact rounding error, which is what Neumaier's
-    branch computes, and the errors are accumulated the same way. A block
-    starts its scans from the values the previous block carried; rows that
-    met the stopping rule are dropped."""
-    import numpy
-
-    out = numpy.empty(z.shape)
-    rows = numpy.arange(z.size)
-    tail_scale = 1.0 / (1.0 - numpy.abs(z))
-    term = numpy.ones(z.size)
-    acc = numpy.zeros(z.size)
-    comp = numpy.zeros(z.size)
-    small_before = numpy.zeros(z.size, dtype=bool)
-    for start in range(0, MAX_TERMS, ARRAY_BLOCK_TERMS):
-        k = numpy.arange(start, min(start + ARRAY_BLOCK_TERMS, MAX_TERMS), dtype=float)
-        factor = (a + k) * (b + k) / (c + k)
-        ratio = factor * z[:, None] / (k + 1.0)
-        # terms[:, j] is the term added at step start+j; the last column is
-        # the next term, the one the stopping rule bounds
-        terms = numpy.multiply.accumulate(
-            numpy.concatenate((term[:, None], ratio), axis=1), axis=1
-        )
-        sums = numpy.add.accumulate(
-            numpy.concatenate((acc[:, None], terms[:, :-1]), axis=1), axis=1
-        )
-        before, added, after = sums[:, :-1], terms[:, :-1], sums[:, 1:]
-        back = after - before
-        errors = (before - (after - back)) + (added - back)
-        comps = numpy.add.accumulate(
-            numpy.concatenate((comp[:, None], errors), axis=1), axis=1
-        )[:, 1:]
-        values = after + comps
-        small = numpy.abs(terms[:, 1:]) * tail_scale[:, None] <= RTOL * numpy.maximum(
-            numpy.abs(values), 1e-300
-        )
-        # two consecutive small bounds stop a row, also across blocks
-        stops = small & numpy.concatenate((small_before[:, None], small[:, :-1]), axis=1)
-        done = stops.any(axis=1)
-        if done.any():
-            first = stops[done].argmax(axis=1)
-            out[rows[done]] = values[done, first]
-            keep = ~done
-            rows, z, tail_scale = rows[keep], z[keep], tail_scale[keep]
-            terms, after, comps, small = terms[keep], after[keep], comps[keep], small[keep]
-            if rows.size == 0:
-                return out
-        term, acc, comp, small_before = terms[:, -1], after[:, -1], comps[:, -1], small[:, -1]
-    raise NonConvergedError(
-        f"pfq did not converge within {MAX_TERMS} terms (z = {float(z[0])!r})"
-    )
 
 
 def appell_f3(

@@ -58,7 +58,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     ConfigError,
@@ -80,9 +80,6 @@ from .operators import (
     saigo_right_as_msm,
 )
 from .quadrature import DEFAULT_TOL, QuadResult, operator_apply
-
-if TYPE_CHECKING:
-    import numpy
 
 
 class IdentityId(enum.Enum):
@@ -368,11 +365,11 @@ def monomial_quadrature(
     spec = FAMILIES[op.family if operand is None else operand]
     coeffs = None
 
-    def g(t: numpy.ndarray) -> numpy.ndarray:
+    def g(ts: tuple) -> list[float]:
         nonlocal coeffs
         if coeffs is None:
             coeffs = [1.0] if poly is None else m_poly_coefficients(poly)
-        return _poly_eval(coeffs, 1.0 / t if spec.right else t)
+        return [_poly_eval(coeffs, 1.0 / t if spec.right else t) for t in ts]
 
     return operator_apply(op, g, x, tol, power=spec.monomial_power(tau))
 

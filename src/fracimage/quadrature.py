@@ -3,20 +3,33 @@
 This is the independent oracle for the closed-form images: nothing here
 reuses the gamma-product formulas, only the integral definitions (the
 quadrature recipes of operators.FAMILIES, never their images). Endpoint
-singularities u^a (1-u)^b are absorbed into Gauss-Jacobi weights, so the
+singularities u^a0 (1-u)^a1 are absorbed into the rule's weights, so the
 evaluated factor of the integrand is smooth and the rules converge
 spectrally.
 
-The rules come from gaussjacobi, built with numpy alone: nodes keep full
-relative precision at both ends and weights are good to about 1e-14 even
-at exponents near -1. A split kernel's pieces' first rules are built in
-one recurrence sweep; every rule is memoised per weight, with its two
-null rules.
+Every rule is Fejer's first rule, in plain floats: its N nodes are the
+Chebyshev points u_j = cos^2(theta_j / 2), theta_j = pi (j + 1/2) / N,
+taken as sin^2 of the complementary angle so that each keeps its relative
+precision next to u = 0; g never sees 0 or 1. Only the weights depend on
+the weight function. They integrate g's Chebyshev interpolant exactly
+against u^a0 (1-u)^a1, so they are a DCT-III of the weight's modified
+moments M_k = int_{-1}^{1} (1-y)^a0 (1+y)^a1 T_k(y) dy, y = 1 - 2u, done by
+a radix-2 FFT. The moments follow from M_0 = 2^(a0+a1+1) B(a0+1, a1+1) and
+M_1 = M_0 (a1-a0)/(a0+a1+2) by the forward recurrence
+(a0+a1+2+k) M_(k+1) = 2(a1-a0) M_k - (a0+a1+2-k) M_(k-1), which stays
+within 1.5e-13 M_0 of the exact moments for every k < 4,096 at exponents
+from -0.99 to 1,000 (Piessens and Branders, BIT 13, 1973; Trefethen, SIAM
+Review 50, 2008). Each weight's rules are memoised per node count.
 
-A quadrature's error is read off its own rule by those null rules
-(Berntsen and Espelid, ACM TOMS 17, 1991): g's discrete coefficients on
-the weight's orthogonal polynomials of degrees n-1 and n-2. A rule whose
-estimate misses both the target and the rounding noise is doubled.
+A quadrature's error is read off its own rule, from the last four
+Chebyshev coefficients of g's interpolant as null rules (Berntsen and
+Espelid, ACM TOMS 17, 1991): NULL_SAFETY times the weight's mass times the
+larger of the last two, times its ratio to the larger of the two before
+where the coefficients decay. From the second rule on, NULL_SAFETY times
+the difference from the previous rule takes its place where that is
+smaller, which is what an integrand with an endpoint singularity of its
+own needs. A rule whose estimate misses both the target and the rounding
+noise is doubled.
 
 Left-sided integrals substitute t = x*u; right-sided ones t = x/u, mapping
 (x, inf) onto (0, 1). The 2F1 kernels (argument 1-u) are split at u = 1/2:
@@ -28,25 +41,23 @@ formula has a pole (a logarithmic kernel), splits beside it are interpolated.
 An operand is t^power g(t): its leading power goes into the weight and
 is never evaluated at a node, so the caller's g is only the smooth
 factor (1 for a monomial, the polynomial for an identity). Every
-integrand is evaluated on a rule's whole node array: the kernel series
-by gauss_2f1_array, the substitution and g by numpy's elementwise
-arithmetic, which rounds as Python floats do. The only node powers left
-are a kernel piece's u^a0 or (1-u)^b0; numpy's vectorised power may
-differ from libm pow in the last bit, so they go through node_power,
-which applies Python's float ** per node. Every value is thus the one
-the per-node expression gives. Each kernel piece's node factor is
-memoised per (series, piece, power, rule nodes) in a bounded cache,
-since it does not depend on the integrand's other factor: a grid that
-sweeps x and the polynomial around one operator sums each series once
-per rule. numpy is imported on the first rule build, so work without
-quadrature never loads it.
+integrand takes a rule's nodes as a tuple of floats and returns its
+values there as a sequence of floats, or one constant for all of them.
+The kernel series is summed at each node by the scalar gauss_2f1. Each
+kernel piece's node factor is memoised per (series, piece, power, N) in a
+bounded cache, since it does not depend on the integrand's other factor:
+a grid that sweeps x and the polynomial around one operator sums each
+series once per rule.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
+import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import (
     DenominatorPoleError,
@@ -55,11 +66,8 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .gammafns import GammaProduct, check_finite, gamma_product_eval, is_nonpositive_integer
-from .hypergeom import gauss_2f1_array
+from .hypergeom import gauss_2f1
 from .operators import FAMILIES, OperatorSpec
-
-if TYPE_CHECKING:
-    import numpy
 
 # |diff| <= NOISE_FLOOR * (sum of |weighted terms|) counts as converged: the
 # remaining difference is rounding, not discretization. Node accuracy limits
@@ -75,10 +83,13 @@ NODE_COUNT = 16
 MAX_REFINEMENTS = 8
 # the step in e = kc-ka-kb of a 2F1 kernel's split near an integer e
 LOG_STEP = 1e-3
-# the larger null-rule coefficient, times this, is a rule's error estimate
+# the safety factor of a rule's error estimate (quad_endpoint_singular)
 NULL_SAFETY = 10.0
 # the relative error target of every quadrature entry point
 DEFAULT_TOL = 1e-10
+
+# an integrand: the values at a rule's nodes, or one constant for all
+Integrand = Callable[[tuple], Union[Sequence[float], float]]
 
 
 class QuadResult(NamedTuple):
@@ -87,25 +98,89 @@ class QuadResult(NamedTuple):
     nodes: int
 
 
-def roots_jacobi(n: int, weights: list[tuple[float, float]]):
-    """[(x, w)] of the n-point Gauss-Jacobi rule for each weight
-    (1-x)^alpha (1+x)^beta on [-1, 1] in weights, given as (alpha, beta),
-    all built in one recurrence sweep (gaussjacobi.gauss_jacobi); each
-    rule comes out as it would alone. numpy is imported on the first rule
-    build, so work without quadrature never loads it."""
-    from .gaussjacobi import gauss_jacobi
+@lru_cache(maxsize=16)
+def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """The n nodes u_j = sin^2(pi (2j+1) / (4n)), ascending, and the rows R
+    with R . g(nodes) g's interpolant's coefficient on T_k, k = n-1 down to
+    n-4, in y = 1 - 2u: (2/n) cos(k phi_j), phi_j = pi (2j+1) / (2n), each
+    angle reduced exactly before the cosine is taken."""
+    nodes = tuple(math.sin(math.pi * (2 * j + 1) / (4 * n)) ** 2 for j in range(n))
+    rows = tuple(
+        tuple(2.0 / n * math.cos(math.pi * (k * (2 * j + 1) % (4 * n)) / (2 * n))
+              for j in range(n))
+        for k in range(n - 1, max(n - 5, 0), -1))
+    return nodes, rows
 
-    return gauss_jacobi(n, weights)
+
+@lru_cache(maxsize=16)
+def _fft_stages(n: int) -> list:
+    """Per stage of _fft: the block step, the half-block and the twiddles."""
+    stages, m, s = [], 1, n
+    while s > 1:
+        h = s // 2
+        stages.append((s, h, [cmath.rect(1.0, math.pi * (i // h) / m) for i in range(n // 2)]))
+        m, s = 2 * m, h
+    return stages
 
 
-def node_power(base: numpy.ndarray, exponent: float) -> numpy.ndarray:
-    """base**exponent at every node, as Python's float ** (libm pow) gives
-    it node by node; numpy.power can differ from it in the last bit."""
-    import numpy
+def _fft(x: list) -> list:
+    """sum_k x_k exp(2 pi i jk / n) for every j < n, n a power of two, in
+    log2(n) radix-2 stages (Stockham's order: no bit reversal)."""
+    n = len(x)
+    for step, h, twiddles in _fft_stages(n):
+        even = [v for k in range(0, n, step) for v in x[k:k + h]]
+        odd = [t * v for t, v in zip(twiddles, [v for k in range(h, n, step) for v in x[k:k + h]])]
+        x = [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
+    return x
 
-    return numpy.fromiter(
-        (b**exponent for b in base.tolist()), float, count=base.size
-    )
+
+def _fejer_weights(moments: list[float]) -> tuple[float, ...]:
+    """w_j = (2/n) (M_0/2 + sum_(k>=1) M_k cos(k phi_j)), the DCT-III of the
+    moments, by one n-point FFT: with V_k = M_k exp(i pi k / (2n)), the
+    sum at j = 2m and at j = 2n-1-2m is Re FFT(V)_m."""
+    n = len(moments)
+    spectrum = _fft([(m / 2.0 if k == 0 else m) * cmath.rect(1.0, math.pi * k / (2 * n))
+                     for k, m in enumerate(moments)])
+    sums = [spectrum[j // 2 if j % 2 == 0 else n - 1 - j // 2].real for j in range(n)]
+    return tuple(2.0 / n * v for v in sums)
+
+
+def _beta(p: float, q: float) -> float:
+    """B(p, q) for p, q > 0: the larger argument is stepped down until
+    math.gamma of the sum is finite, B(p+1, q) = B(p, q) p / (p + q)."""
+    scale = 1.0
+    while p + q > 170.0:
+        if p >= q:
+            p -= 1.0
+            scale *= p / (p + q)
+        else:
+            q -= 1.0
+            scale *= q / (p + q)
+    return scale * math.gamma(p) * math.gamma(q) / math.gamma(p + q)
+
+
+def roots_jacobi(n: int, weights: list[tuple[float, float]]) -> list:
+    """[(w, mass)] of the n-point Fejer rule of each weight u^a0 (1-u)^a1
+    in weights, given as (a0, a1): int_0^1 u^a0 (1-u)^a1 g(u) du ~
+    mass * sum w g(u) on the nodes of _chebyshev(n), sum w = 1 to rounding.
+    perfbench's rule-build hook times this function by its name.
+
+    The weights are those of M_k / M_0, which the recurrence starts from 1
+    and (a1-a0)/(a0+a1+2). Raises OverflowError, naming the exponents, if
+    M_0's factor 2^(a0+a1+1) is past the double range."""
+    rules = []
+    for a0, a1 in weights:
+        if a0 + a1 + 1.0 >= sys.float_info.max_exp:
+            raise OverflowError(
+                f"Gauss-Jacobi weight (1-x)^{a1!r} (1+x)^{a0!r}: its mass "
+                "factor 2^(alpha+beta+1) is past the double range"
+            )
+        c = a0 + a1 + 2.0
+        moments = [1.0, (a1 - a0) / c]
+        for k in range(1, n - 1):
+            moments.append((2.0 * (a1 - a0) * moments[k] - (c - k) * moments[k - 1]) / (c + k))
+        rules.append((_fejer_weights(moments[:n]), _beta(a0 + 1.0, a1 + 1.0)))
+    return rules
 
 
 @lru_cache(maxsize=128)
@@ -114,93 +189,70 @@ def _gj_rules(a0: float, a1: float) -> dict:
     return {}
 
 
-def _null_rows(nodes: numpy.ndarray, weights: numpy.ndarray) -> numpy.ndarray:
-    """Rows N_1, N_2 with N_k @ g(nodes) the rule's discrete coefficient of g
-    on p_(n-k), the weight's orthogonal polynomial, scaled as weights @ g
-    is (sum N_k^2 / w = sum w); N_k annihilates every lower degree. By
-    Christoffel-Darboux, w_i p_(n-1)(t_i) is proportional to
-    (-1)^i sqrt((1-t_i^2) w_i), and the three-term recurrence at a zero of
-    p_n gives p_(n-2)(t_i) as (t_i - b_(n-1)) p_(n-1)(t_i) up to a
-    constant, b_(n-1) being the mean of t under w p_(n-1)^2. At the nodes
-    u = (1+t)/2, 1-t^2 is 4u(1-u), and the mean is taken in u."""
-    import numpy
-
-    h = nodes * (1.0 - nodes)
-    first = numpy.sqrt(h * weights)
-    first[1::2] *= -1.0
-    second = (nodes - (nodes * h).sum() / h.sum()) * first
-    mass = weights.sum()
-    return numpy.stack([row * math.sqrt(mass / (row * row / weights).sum())
-                        for row in (first, second)])
-
-
-def _gj_build(weights, size: int) -> None:
-    """Builds, in one sweep, the rule of size nodes for every weight
-    (a0, a1) that lacks it."""
-    wanted = [w for w in dict.fromkeys(weights) if size not in _gj_rules(*w)]
-    if not wanted:
-        return
-    # u^e0 (1-u)^e1 is (1-t)^e1 (1+t)^e0 up to scale, at u = (1+t)/2
-    for (e0, e1), (t, w) in zip(wanted, roots_jacobi(size, [(e1, e0) for e0, e1 in wanted])):
-        nodes = (1.0 + t) / 2.0
-        null = _null_rows(nodes, w)
-        for array in (nodes, w, null):
-            array.flags.writeable = False
-        _gj_rules(e0, e1)[size] = (nodes, w, 2.0 ** (-(e0 + e1 + 1.0)), null)
-
-
 def _gj_rule(n: int, a0: float, a1: float):
-    """Read-only node and weight arrays, the scale and the read-only 2 x n
-    null rows (_null_rows) of the rule
-    int_0^1 u^a0 (1-u)^a1 g(u) du ~ scale * sum w g(u)."""
+    """The nodes, the weights, the mass and the rows of the error estimate
+    (_chebyshev) of the n-point rule int_0^1 u^a0 (1-u)^a1 g(u) du ~
+    mass * sum w g(u), each a tuple. perfbench's rule-lookup hook counts
+    the calls of this function by its name."""
     rules = _gj_rules(a0, a1)
     if n not in rules:
-        _gj_build([(a0, a1)], n)
+        ((weights, mass),) = roots_jacobi(n, [(a0, a1)])
+        nodes, rows = _chebyshev(n)
+        rules[n] = (nodes, weights, mass, rows)
     return rules[n]
 
 
 def quad_endpoint_singular(
-    g: Callable[[numpy.ndarray], numpy.ndarray],
+    g: Integrand,
     exponent_at_0: float,
     exponent_at_1: float,
     tol: float = DEFAULT_TOL,
 ) -> QuadResult:
     """int_0^1 u^exponent_at_0 (1-u)^exponent_at_1 g(u) du for smooth g.
 
-    Both exponents must exceed -1 (integrability). g takes a rule's whole
-    read-only node array and returns g at every node. Nodes are strictly
-    interior, so g never sees 0 or 1. Raises OverflowError if g is not
-    finite at a node, and ValueError unless tol > 0.
+    Both exponents must exceed -1 (integrability). g takes a rule's nodes
+    as a tuple of floats and returns g at every node, or one constant.
+    Nodes are strictly interior, so g never sees 0 or 1. Raises
+    OverflowError if g is not finite at a node, and ValueError unless
+    tol > 0.
 
-    A rule is accepted once its null-rule error estimate is within tol
-    (relative) or within the rounding noise of its L1 mass; otherwise the
-    rule is doubled. Right-sided integrals never truncate the tail: the
-    t = x/u substitution maps all of it onto (0, 1)."""
-    import numpy
-
+    A rule is accepted once its error estimate (see the module docstring)
+    is within tol (relative) or within the rounding noise of its L1 mass;
+    otherwise the rule is doubled. Right-sided integrals never truncate the tail: the t = x/u
+    substitution maps all of it onto (0, 1)."""
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if exponent_at_0 <= -1.0 or exponent_at_1 <= -1.0:
         raise DomainError(
             f"weight exponents must be > -1, got ({exponent_at_0!r}, {exponent_at_1!r})"
         )
+    prev = None
     for n in (NODE_COUNT << i for i in range(MAX_REFINEMENTS + 1)):
         nodes, weights, scale, null = _gj_rule(n, exponent_at_0, exponent_at_1)
-        with numpy.errstate(all="ignore"):
-            values = g(nodes)
-            terms = (weights * values).tolist()
-        # the weights are positive and finite: a non-finite value makes this so
+        values = _at_nodes(g(nodes), n)
+        terms = list(map(operator.mul, weights, values))
+        # the weights are finite: a non-finite value makes this so
         l1 = scale * math.fsum(map(abs, terms))
         if not math.isfinite(l1):
             raise OverflowError(f"the integrand is not finite on the {n}-node rule")
         est = scale * math.fsum(terms)
-        error = NULL_SAFETY * scale * float(abs((null * values).sum(axis=1)).max())
+        c = [abs(math.fsum(map(operator.mul, row, values))) for row in null]
+        last, before = max(c[:2]), max(c[2:])
+        error = NULL_SAFETY * scale * last * (min(last / before, 1.0) if before else 1.0)
+        if prev is not None:
+            error = min(error, NULL_SAFETY * abs(est - prev))
         if error <= tol * abs(est) or error <= NOISE_FLOOR * l1:
             return QuadResult(est, max(error, ERROR_FLOOR * l1), n)
+        prev = est
     raise NonConvergedError(
         f"quadrature did not stabilize within {NODE_COUNT << MAX_REFINEMENTS} "
         f"nodes ({MAX_REFINEMENTS} doublings from {NODE_COUNT})"
     )
+
+
+def _at_nodes(values, n: int):
+    """An integrand's values at n nodes: a constant stands for all of them."""
+    return (values,) * n if isinstance(values, (int, float)) else values
 
 
 def _connection_coefficient(num: tuple, den: tuple) -> float:
@@ -216,10 +268,10 @@ def _kernel_piece(
     series: tuple[float, float, float],
     piece: str,
     power: float | None,
-    node_bytes: bytes,
-) -> tuple[numpy.ndarray, numpy.ndarray]:
-    """Read-only arrays of the prefactors and points u of one 2F1 kernel
-    piece on a rule's nodes v (given as bytes), with K = 2F1(series; .):
+    n: int,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The prefactors and points u of one 2F1 kernel piece on the nodes v
+    of the n-point rule, with K = 2F1(series; .) summed by gauss_2f1:
 
         whole       K(1-u)              at u = v
         right_half  u^power K(1-u)      at u = 1 - v/2
@@ -230,30 +282,27 @@ def _kernel_piece(
     x, polynomial and power) sum each series once. A prefactor is formed
     as (u^power * K) before s(u) multiplies it, the order of the unmemoised
     expression, so the values are bit for bit the same."""
-    import numpy
-
-    v = numpy.frombuffer(node_bytes)
+    v = _chebyshev(n)[0]
     if piece == "whole":
-        u, z, base = v, 1.0 - v, None
+        u, base = v, None
+        z = [1.0 - t for t in v]
     elif piece == "right_half":
-        u = 1.0 - v / 2.0
-        z, base = 1.0 - u, u
+        u = tuple(1.0 - t / 2.0 for t in v)
+        z, base = [1.0 - t for t in u], u
     else:
-        u = v / 2.0
-        z, base = u, 1.0 - u
-    pre = gauss_2f1_array(*series, z)
+        u = tuple(t / 2.0 for t in v)
+        z, base = u, [1.0 - t for t in u]
+    pre = [gauss_2f1(*series, t) for t in z]
     if base is not None:
-        pre = node_power(base, power) * pre
-    pre.flags.writeable = False
-    u.flags.writeable = False
-    return pre, u
+        pre = [b**power * k for b, k in zip(base, pre)]
+    return tuple(pre), u
 
 
 def _kernel_quad(
     kernel: tuple[float, float, float],
     a0: float,
     b0: float,
-    s: Callable[[numpy.ndarray], numpy.ndarray],
+    s: Integrand,
     tol: float,
 ) -> QuadResult:
     """int_0^1 u^a0 (1-u)^b0 2F1(ka, kb; kc; 1-u) s(u) du.
@@ -266,9 +315,9 @@ def _kernel_quad(
     ka, kb, kc = kernel
 
     def piece(name: str, series=kernel, power: float | None = None):
-        def g(v: numpy.ndarray) -> numpy.ndarray:
-            pre, u = _kernel_piece(series, name, power, v.tobytes())
-            return pre * s(u)
+        def g(v: tuple) -> list[float]:
+            pre, u = _kernel_piece(series, name, power, len(v))
+            return [k * f for k, f in zip(pre, _at_nodes(s(u), len(u)))]
 
         return g
 
@@ -305,8 +354,6 @@ def _kernel_quad(
          piece("left_half", (kc - ka, kc - kb, 1.0 + e), b0), a0 + e),
     ]
     pieces = [p for p in pieces if p[0] != 0.0]
-    # every piece's first rule comes out of one sweep
-    _gj_build([(w, 0.0) for _, _, w in pieces if w > -1.0], NODE_COUNT)
     # -0.0 + v is v for every v, so the first piece's value passes unchanged
     value, error, nodes = -0.0, 0.0, 0
     for coeff, g, w in pieces:
@@ -320,7 +367,7 @@ def _kernel_quad(
 
 def operator_apply(
     op: OperatorSpec,
-    g: Callable[[numpy.ndarray], numpy.ndarray],
+    g: Integrand,
     x: float,
     tol: float = DEFAULT_TOL,
     power: float = 0.0,
@@ -330,9 +377,9 @@ def operator_apply(
     power is the operand's leading power at t -> 0 (left-sided families)
     or at t -> infinity (right-sided); it goes into the quadrature weight
     exactly and is never evaluated at a node. g, the smooth factor, takes
-    an array of points t and returns g at each of them. For the monomial
-    t^(tau-1) pass g = 1 and power = tau-1, and the rule integrates it to
-    machine accuracy.
+    a tuple of points t and returns g at each of them, or one constant.
+    For the monomial t^(tau-1) pass g = 1 and power = tau-1, and the rule
+    integrates it to machine accuracy.
 
     Derivative families and the full two-series kernel regime have no
     supported quadrature and raise UnsupportedKernelError; the exact
@@ -358,8 +405,8 @@ def operator_apply(
             "of scope)"
         )
 
-    def smooth(u: numpy.ndarray) -> numpy.ndarray:
-        return g(x / u if right else x * u)
+    def smooth(u: tuple) -> Sequence[float] | float:
+        return g(tuple(x / t for t in u) if right else tuple(x * t for t in u))
 
     # |x - t|^(order - 1) becomes the weight (1 - u)^(order - 1)
     w0, w1 = recipe.u_power(*op.params, power), order - 1.0

@@ -256,10 +256,9 @@ def test_acceptance_c5(capsys):
         coeffs = [m_poly_coefficients(PolySpec(k, p, q)) for k in range(4)]
 
         def pair(m, n):
-            def g(u):
-                x = u / (1.0 - u)
-                return ((1.0 - u) ** (m + n)
-                        * _poly_eval(coeffs[m], x) * _poly_eval(coeffs[n], x))
+            def g(nodes):
+                return [(1.0 - u) ** (m + n) * _poly_eval(coeffs[m], x) * _poly_eval(coeffs[n], x)
+                        for u, x in ((u, u / (1.0 - u)) for u in nodes)]
             return quad_endpoint_singular(g, q, p - 2.0 - m - n).value
 
         norms = [pair(k, k) for k in range(4)]

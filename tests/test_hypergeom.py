@@ -6,10 +6,8 @@ with exact Fraction arithmetic, independent of the float evaluator.
 """
 
 import math
-import random
 from fractions import Fraction
 
-import numpy
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,11 +15,9 @@ from hypothesis import strategies as st
 from fracimage.errors import DenominatorPoleError, DivergenceError, NonConvergedError, PoleError
 from fracimage import hypergeom
 from fracimage.hypergeom import (
-    ARRAY_BLOCK_TERMS,
     appell_f3,
     exact_series_sum,
     gauss_2f1,
-    gauss_2f1_array,
     pfq,
 )
 
@@ -334,62 +330,16 @@ def test_appell_f3_outer_budget_raises(monkeypatch):
         appell_f3(0.5, 0.5, 0.5, 0.5, 1.5, 0.99, 0.0)
 
 
-def scalar_2f1(a, b, c, z):
-    """The per-element reference for gauss_2f1_array."""
-    return [gauss_2f1(a, b, c, zi) for zi in z.tolist()]
-
-
-def test_2f1_array_bit_equal_to_scalar_sweep():
-    rng = random.Random(20261018)
-    compared = 0
-    for _ in range(150):
-        a, b = rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)
-        c = rng.uniform(0.05, 8.0) * rng.choice((-1.0, 1.0))
-        reach = rng.choice((0.5, 0.9, 0.99))
-        z = numpy.array([rng.uniform(-reach, reach) for _ in range(32)])
-        assert gauss_2f1_array(a, b, c, z).tolist() == scalar_2f1(a, b, c, z)
-        compared += z.size
-    assert compared == 4800
-
-
-def test_2f1_array_near_one_crosses_blocks(monkeypatch):
-    # at z = 0.999 the series needs tens of thousands of terms, so rows
-    # finish in many different blocks
-    z = numpy.array([0.2, -0.7, 0.95, 0.999, 0.9995, -0.999])
-    got = gauss_2f1_array(0.3, 0.45, 1.2, z)
-    assert got.tolist() == scalar_2f1(0.3, 0.45, 1.2, z)
-    monkeypatch.setattr(hypergeom, "MAX_TERMS", 100 * ARRAY_BLOCK_TERMS)
+def test_2f1_term_budget_raises(monkeypatch):
+    # the series at 0.999 needs tens of thousands of terms, at 0.9 more than
+    # ten; a zero budget refuses even z = 0.01
+    gauss_2f1(0.3, 0.45, 1.2, 0.999)
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 6400)
     with pytest.raises(NonConvergedError):
         gauss_2f1(0.3, 0.45, 1.2, 0.999)
-
-
-def test_2f1_array_scalar_fallbacks():
-    # terminating parameters use the exact path at any argument
-    z = numpy.array([-3.0, 0.25, 1.0, 2.5])
-    assert gauss_2f1_array(-3.0, 1.5, 2.25, z).tolist() == scalar_2f1(-3.0, 1.5, 2.25, z)
-    # z = 0 sits beside series elements
-    z = numpy.array([0.0, 0.3, -0.0])
-    got = gauss_2f1_array(0.5, 0.25, 2.0, z)
-    assert got.tolist() == scalar_2f1(0.5, 0.25, 2.0, z)
-    assert got[0] == 1.0 and got[2] == 1.0
-    assert gauss_2f1_array(0.5, 0.25, 2.0, numpy.array([])).size == 0
-
-
-def test_2f1_array_errors_match_scalar(monkeypatch):
-    for bad in (1.5, -1.0, 1.0):
-        z = numpy.array([0.1, bad])
-        # z = 1 diverges, since the series does not terminate
-        with pytest.raises(DivergenceError):
-            gauss_2f1(0.5, 0.75, 1.0, bad)
-        with pytest.raises(DivergenceError):
-            gauss_2f1_array(0.5, 0.75, 1.0, z)
-    with pytest.raises(PoleError):
-        gauss_2f1_array(0.5, 0.75, -2.0, numpy.array([0.1, 0.2]))
     monkeypatch.setattr(hypergeom, "MAX_TERMS", 10)
     with pytest.raises(NonConvergedError):
         gauss_2f1(0.5, 0.75, 1.5, 0.9)
-    with pytest.raises(NonConvergedError):
-        gauss_2f1_array(0.5, 0.75, 1.5, numpy.array([0.01, 0.9]))
     monkeypatch.setattr(hypergeom, "MAX_TERMS", 0)
     with pytest.raises(NonConvergedError):
-        gauss_2f1_array(0.5, 0.75, 1.5, numpy.array([0.01]))
+        gauss_2f1(0.5, 0.75, 1.5, 0.01)

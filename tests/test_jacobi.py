@@ -208,9 +208,9 @@ def _pair_integral(m, n, p, q):
     cm = m_poly_coefficients(PolySpec(m, p, q))
     cn = m_poly_coefficients(PolySpec(n, p, q))
 
-    def g(u):
-        x = u / (1.0 - u)
-        return (1.0 - u) ** (m + n) * _poly_eval(cm, x) * _poly_eval(cn, x)
+    def g(nodes):
+        return [(1.0 - u) ** (m + n) * _poly_eval(cm, x) * _poly_eval(cn, x)
+                for u, x in ((u, u / (1.0 - u)) for u in nodes)]
 
     return quad_endpoint_singular(g, q, p - 2.0 - m - n).value
 

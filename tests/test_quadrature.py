@@ -1,27 +1,25 @@
 """Quadrature oracle tests.
 
 The closed-form power images provide exact reference values, so the
-Gauss-Jacobi machinery is checked end to end: weight handling, the t = x*u
-and t = x/u substitutions, and the split evaluation of 2F1 kernels.
+Fejer rules are checked end to end: weight handling, the t = x*u and
+t = x/u substitutions, and the split evaluation of 2F1 kernels. The rules'
+weights are checked against exact modified moments frozen from mpmath.
 """
 
 import itertools
 import json
 import math
 import random
-import sys
 import warnings
 from pathlib import Path
 
-import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracimage import cli, identities, quadrature
+from fracimage import identities, quadrature
 from fracimage.errors import DomainError, NonConvergedError, PoleError, UnsupportedKernelError
 from fracimage.gammafns import is_nonpositive_integer
-from fracimage.gaussjacobi import ASYMPTOTIC_LIMIT
 from fracimage.hypergeom import gauss_2f1
 from fracimage.identities import (
     DEFAULT_GRIDS,
@@ -57,7 +55,6 @@ from fracimage.quadrature import (
     _gj_rule,
     _kernel_piece,
     _kernel_quad,
-    node_power,
     operator_apply,
     quad_endpoint_singular,
 )
@@ -66,6 +63,18 @@ from fracimage.quadrature import (
 def one(t):
     """Smooth factor of a bare monomial: its power goes into the weight."""
     return 1.0
+
+
+def exp(u):
+    return [math.exp(v) for v in u]
+
+
+def cos57(u):
+    return [math.cos(57.0 * v) for v in u]
+
+
+def kink(u):
+    return [abs(v - 0.3) for v in u]
 
 
 def test_unit_weight():
@@ -84,7 +93,7 @@ def test_arcsine_weight():
 
 
 def test_smooth_integrand():
-    res = quad_endpoint_singular(numpy.exp, 0.0, 0.0)
+    res = quad_endpoint_singular(exp, 0.0, 0.0)
     assert math.isclose(res.value, math.e - 1.0, rel_tol=1e-13)
 
 
@@ -128,13 +137,14 @@ def test_nonconverged_oscillatory(monkeypatch):
     monkeypatch.setattr(quadrature, "NODE_COUNT", 8)
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
     with pytest.raises(NonConvergedError):
-        quad_endpoint_singular(lambda u: numpy.cos(57.0 * u), 0.0, 0.0, 1e-15)
+        quad_endpoint_singular(cos57, 0.0, 0.0, 1e-15)
 
 
 @pytest.mark.parametrize("g", [
-    lambda u: 1e300 * (1e300 * u),  # +inf at every node
-    lambda u: (1e300 * u) ** 3 * (1.0 - 2.0 * u),  # +inf and -inf, so nan sums
-    lambda u: numpy.where(u < 0.5, u, numpy.nan),
+    lambda u: [1e300 * (1e300 * v) for v in u],  # +inf at every node
+    # +inf and -inf, so nan sums
+    lambda u: [1e300 * v * 1e300 * v * (1.0 - 2.0 * v) for v in u],
+    lambda u: [v if v < 0.5 else math.nan for v in u],
 ])
 def test_non_finite_integrand_raises_overflow_without_warnings(monkeypatch, g):
     # an integrand past the double range was refined to the last rule with
@@ -150,22 +160,21 @@ def test_non_finite_integrand_raises_overflow_without_warnings(monkeypatch, g):
 
 
 def test_no_refinement_budget_accepts_only_the_first_rule(monkeypatch):
-    # the null rules judge the first rule alone: a smooth integrand is
+    # the error estimate judges the first rule alone: a smooth integrand is
     # accepted there, a kinked one has no second rule to reach
-    monkeypatch.setattr(quadrature, "NODE_COUNT", 8)
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 0)
-    res = quad_endpoint_singular(numpy.exp, 0.0, 0.0, 1e-3)
-    assert res.nodes == 8
+    res = quad_endpoint_singular(exp, 0.0, 0.0, 1e-3)
+    assert res.nodes == NODE_COUNT
     assert math.isclose(res.value, math.e - 1.0, rel_tol=1e-13)
     with pytest.raises(NonConvergedError):
-        quad_endpoint_singular(lambda u: abs(u - 0.3), 0.0, 0.0, 1e-3)
+        quad_endpoint_singular(kink, 0.0, 0.0, 1e-3)
 
 
 def test_nonconverged_message_names_the_largest_rule(monkeypatch):
     monkeypatch.setattr(quadrature, "NODE_COUNT", 8)
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 2)
     with pytest.raises(NonConvergedError, match=r"within 32 nodes \(2 doublings from 8\)"):
-        quad_endpoint_singular(lambda u: numpy.cos(57.0 * u), 0.0, 0.0, 1e-15)
+        quad_endpoint_singular(cos57, 0.0, 0.0, 1e-15)
 
 
 def test_largest_rule_has_4096_nodes():
@@ -176,32 +185,28 @@ def test_largest_rule_has_4096_nodes():
 @pytest.mark.parametrize("a0, a1", [(-0.95, 0.0), (0.0, 0.0), (2.5, -0.9), (0.0, 3.2),
                                     (-0.99, -0.99)])
 def test_null_rows_annihilate_every_lower_degree(n, a0, a1):
-    # row k is the discrete coefficient on p_(n-k), the rule's orthogonal
-    # polynomials being the Jacobi ones of its weight (1-x)^a1 (1+x)^a0:
-    # to rounding, zero on p_0 ... p_(n-3), row one on p_(n-2) and row two
-    # on p_(n-1), and neither zero on a degree n-1 one of another weight
-    nodes, weights, _, null = _gj_rule(n, a0, a1)
-    assert null.shape == (2, n)
-    # each row weighs g as the rule does: sum N^2 / w = sum w
-    for row in null:
-        assert math.isclose((row * row / weights).sum(), weights.sum(), rel_tol=1e-14)
+    # the rows read g's interpolant's coefficients on T_(n-1) ... T_(n-4),
+    # in y = 1 - 2u: to rounding, zero on every polynomial of lower degree
+    # (here the weight's own Jacobi polynomials), and each one on its own
+    # T_k and zero on the others
+    nodes, _, _, null = _gj_rule(n, a0, a1)
+    assert len(null) == 4 and {len(row) for row in null} == {n}
 
-    def ratios(degree, alpha, beta):
-        p = numpy.array([jacobi_p(JacobiSpec(degree, alpha, beta), 2.0 * u - 1.0)
-                         for u in nodes.tolist()])
-        return [abs((row * p).sum()) / abs(row * p).sum() for row in null]
+    def coefficients(values):
+        return [math.fsum(r * v for r, v in zip(row, values)) for row in null]
 
-    for degree in range(n - 2):
-        assert max(ratios(degree, a1, a0)) <= 1e-13
-    first, second = ratios(n - 2, a1, a0)
-    assert first <= 1e-13 and second >= 1e-3
-    first, second = ratios(n - 1, a1, a0)
-    assert first >= 1e-3 and second <= 1e-13
-    assert min(ratios(n - 1, 0.5, -0.25)) >= 1e-3
+    for degree in range(n - 4):
+        p = [jacobi_p(JacobiSpec(degree, a0, a1), 1.0 - 2.0 * u) for u in nodes]
+        assert max(map(abs, coefficients(p))) <= 1e-13 * max(map(abs, p))
+    for i, k in enumerate((n - 1, n - 2, n - 3, n - 4)):
+        t = [math.cos(k * math.acos(1.0 - 2.0 * u)) for u in nodes]
+        got = coefficients(t)
+        assert math.isclose(got[i], 1.0, rel_tol=1e-13)
+        assert max(abs(c) for j, c in enumerate(got) if j != i) <= 1e-13
 
 
 def test_default_verify_accepts_every_integral_on_its_first_rule(monkeypatch):
-    # the null rules must not refine a smooth integrand: every one of the
+    # the error estimate must not refine a smooth integrand: every one of the
     # default grid's 920 integrals is accepted at NODE_COUNT nodes
     nodes = []
 
@@ -336,10 +341,10 @@ def test_saigo_quadrature_at_and_near_logarithmic_kernels(right, alpha, beta, k,
 
 
 def test_kinked_integrand_is_not_accepted_at_the_first_rule():
-    # |u - 0.3| has Jacobi coefficients that decay only algebraically, so
-    # its first rule's null-rule estimate is far above 1e-10
+    # |u - 0.3| has Chebyshev coefficients that decay only algebraically,
+    # so its first rule's estimate is far above 1e-10
     try:
-        res = quad_endpoint_singular(lambda u: abs(u - 0.3), 0.0, 0.0, 1e-10)
+        res = quad_endpoint_singular(kink, 0.0, 0.0, 1e-10)
     except NonConvergedError:
         return
     assert res.nodes > NODE_COUNT
@@ -377,7 +382,7 @@ def test_rl_left_large_order(order, x, expected, rtol):
 def test_saigo_example_without_power_hint():
     op = saigo_left(0.6, 0.2, 0.4)
     want = power_image(op, 1.5).value_at(1.0)
-    res = operator_apply(op, lambda t: t**0.5, 1.0)
+    res = operator_apply(op, lambda t: [v**0.5 for v in t], 1.0)
     assert math.isclose(res.value, want, rel_tol=1e-6)
 
 
@@ -473,10 +478,10 @@ def test_linearity():
 
     # t^0.3 and t^1.2 share the leading power t^0.3
     def h(t):
-        return t**0.9
+        return [v**0.9 for v in t]
 
     def combo(t):
-        return 2.5 * one(t) - 1.75 * h(t)
+        return [2.5 * one(v) - 1.75 * w for v, w in zip(t, h(t))]
 
     lhs = operator_apply(op, combo, x, power=0.3).value
     rhs = 2.5 * operator_apply(op, one, x, power=0.3).value
@@ -535,84 +540,60 @@ def test_error_estimate_is_usable():
 
 
 def per_node_quad(g, a0, a1, tol=1e-10):
-    """quad_endpoint_singular with g called once per node on Python floats:
-    the scalar reference the node-array evaluation must reproduce bit for
-    bit. A rule is accepted on its null-rule estimate or on the noise floor
-    of its L1 mass."""
-    n = quadrature.NODE_COUNT
+    """quad_endpoint_singular with g called once per node: the scalar
+    reference the node-tuple evaluation must reproduce bit for bit. A rule
+    is accepted on its error estimate or on the noise floor of its L1
+    mass: the estimate extrapolates the last pair of Chebyshev
+    coefficients by its ratio to the pair before, and from the second rule
+    on takes the difference from the previous rule where that is smaller."""
+    n, prev = quadrature.NODE_COUNT, None
     for _ in range(quadrature.MAX_REFINEMENTS + 1):
         nodes, weights, scale, null = _gj_rule(n, a0, a1)
-        values = [g(u) for u in nodes.tolist()]
-        terms = [w * v for w, v in zip(weights.tolist(), values)]
+        values = [g(u) for u in nodes]
+        terms = [w * v for w, v in zip(weights, values)]
         est = scale * math.fsum(terms)
         l1 = scale * math.fsum(abs(t) for t in terms)
-        coefficients = (null * numpy.array(values)).sum(axis=1).tolist()
-        error = NULL_SAFETY * scale * max(map(abs, coefficients))
+        c = [abs(math.fsum(r * v for r, v in zip(row, values))) for row in null]
+        last, before = max(c[:2]), max(c[2:])
+        error = NULL_SAFETY * scale * last * (min(last / before, 1.0) if before else 1.0)
+        if prev is not None:
+            error = min(error, NULL_SAFETY * abs(est - prev))
         if error <= tol * abs(est) or error <= NOISE_FLOOR * l1:
             return QuadResult(est, max(error, ERROR_FLOOR * l1), n)
-        n *= 2
+        n, prev = 2 * n, est
     raise NonConvergedError("per-node reference did not stabilize")
 
 
 def test_node_array_evaluator_matches_per_node():
-    # elementwise +, * and / round as Python floats do; powers go through
-    # node_power, so the node-array integrand is the per-node one
+    # the integrand sees the whole node tuple, and gives the per-node values
     def g(u):
         return (1.0 + u) ** 0.3 * (1.0 + u * u) / (2.0 + u)
 
-    def g_array(u):
-        return node_power(1.0 + u, 0.3) * (1.0 + u * u) / (2.0 + u)
+    def g_nodes(u):
+        return [g(v) for v in u]
 
-    assert quad_endpoint_singular(g_array, -0.4, 0.7) == per_node_quad(g, -0.4, 0.7)
-
-
-def test_node_power_is_libm_pow_per_node():
-    # numpy.power differs from libm pow in the last bit on about one node
-    # in twenty at a fractional exponent; node_power must not
-    rng = numpy.random.default_rng(7)
-    base = numpy.concatenate([rng.random(4096), 1.0 + 9.0 * rng.random(4096),
-                              _gj_rule(128, -0.4, 0.7)[0]])
-    for exponent in (-0.3, 0.5, -0.5, 1.0, 2.0, -1.0, 0.0, 3.7, -5.25):
-        got = node_power(base, exponent)
-        assert got.dtype == numpy.float64 and got.shape == base.shape
-        assert got.tolist() == [math.pow(b, exponent) for b in base.tolist()]
-
-
-def test_node_power_only_in_kernel_pieces(monkeypatch):
-    # the operand's power goes into the Gauss-Jacobi weight, so no node
-    # power is taken outside a kernel piece's u^a0 or (1-u)^b0 factor
-    callers = []
-
-    def counting(base, exponent):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return node_power(base, exponent)
-
-    for module in (quadrature, identities, cli):
-        monkeypatch.setattr(module, "node_power", counting, raising=False)
-    _kernel_piece.cache_clear()
-    grids = {tag: {s: v[-1:] for s, v in DEFAULT_GRIDS[tag].items()}
-             for tag in ("cor2", "lem1")}
-    records = identities.run_verification(identities.SweepConfig(["cor2", "lem1"], grids))
-    assert [r.verdict for r in records] == ["PASS", "PASS"]
-    assert all(r.quadrature_value is not None for r in records)
-    assert callers and set(callers) == {"_kernel_piece"}
+    assert quad_endpoint_singular(g_nodes, -0.4, 0.7) == per_node_quad(g, -0.4, 0.7)
 
 
 def test_gj_rule_node_array_is_cached_readonly():
     nodes, weights, scale, null = _gj_rule(16, -0.25, 0.5)
-    assert nodes.shape == weights.shape == (16,)
-    assert null.shape == (2, 16)
-    assert not nodes.flags.writeable
-    assert not weights.flags.writeable
-    assert not null.flags.writeable
-    assert scale == 2.0 ** -1.25
+    assert type(nodes) is type(weights) is type(null) is tuple
+    assert len(nodes) == len(weights) == 16
+    assert [len(row) for row in null] == [16, 16, 16, 16]
+    # the nodes are interior and ascending, the same for every weight
+    assert 0.0 < nodes[0] and nodes[-1] < 1.0 and list(nodes) == sorted(nodes)
+    assert _gj_rule(16, 2.0, -0.5)[0] is nodes
+    assert math.isclose(scale, math.gamma(0.75) * math.gamma(1.5) / math.gamma(2.25),
+                        rel_tol=1e-15)
+    assert math.isclose(math.fsum(weights), 1.0, rel_tol=1e-15)
     cached = _gj_rule(16, -0.25, 0.5)
-    assert cached[0] is nodes and cached[1] is weights and cached[3] is null
+    assert cached[1] is weights and cached[3] is null
 
 
 def per_node_kernel_quad(kernel, a0, b0, s, tol=1e-10):
-    """_kernel_quad with the scalar series called once per node: the
-    reference the node-array evaluation must reproduce bit for bit."""
+    """_kernel_quad with the series and s called once per node: the
+    reference the memoised node-tuple evaluation must reproduce bit for
+    bit."""
     ka, kb, kc = kernel
     if is_nonpositive_integer(ka) or is_nonpositive_integer(kb):
         return per_node_quad(
@@ -670,18 +651,17 @@ def test_kernel_quad_bit_equal_to_per_node_series(alpha, beta, eta):
         t = 2.0 * u
         return (1.0 + t * t) ** 0.5
 
-    def s_array(u):
-        t = 2.0 * u
-        return node_power(1.0 + t * t, 0.5)
+    def s_nodes(u):
+        return [s(v) for v in u]
 
     kernel = (alpha + beta, -eta, alpha)
     want = per_node_kernel_quad(kernel, 0.5, alpha - 1.0, s)
     _kernel_piece.cache_clear()
     # the first call fills the memo, the second is served from it
-    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s_array, 1e-10) == want
+    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s_nodes, 1e-10) == want
     misses = _kernel_piece.cache_info().misses
     assert misses > 0
-    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s_array, 1e-10) == want
+    assert _kernel_quad(kernel, 0.5, alpha - 1.0, s_nodes, 1e-10) == want
     assert _kernel_piece.cache_info().misses == misses
 
 
@@ -702,7 +682,7 @@ BETA_GAUSS = [
 @pytest.mark.parametrize("kernel,rho,want", BETA_GAUSS)
 def test_kernel_quad_matches_the_beta_gauss_integral(kernel, rho, want):
     # a closed form that shares no code with the image rows in operators
-    res = _kernel_quad(kernel, rho - 1.0, kernel[2] - 1.0, numpy.ones_like, tol=1e-10)
+    res = _kernel_quad(kernel, rho - 1.0, kernel[2] - 1.0, one, tol=1e-10)
     deviation = abs(res.value - want)
     assert deviation <= 1e-12 * want
     assert res.error >= deviation
@@ -718,18 +698,20 @@ def test_kernel_piece_memo_keys_on_the_power():
     def s(u):
         return 1.0 + u
 
+    def s_nodes(u):
+        return [s(v) for v in u]
+
     kernel = (0.8, -0.4, 0.6)
-    nodes = _gj_rule(64, -0.4, 0.0)[0].tobytes()
     _kernel_piece.cache_clear()
     # two kernels differing only in a0 share the right half's rule
-    first = _kernel_piece(kernel, "right_half", 0.5, nodes)
-    second = _kernel_piece(kernel, "right_half", 0.25, nodes)
+    first = _kernel_piece(kernel, "right_half", 0.5, 64)
+    second = _kernel_piece(kernel, "right_half", 0.25, 64)
     assert _kernel_piece.cache_info().misses == 2
-    assert not any(a.flags.writeable for a in first + second)
-    assert first[1].tolist() == second[1].tolist()
-    assert first[0].tolist() != second[0].tolist()
+    assert all(type(a) is tuple and len(a) == 64 for a in first + second)
+    assert first[1] == second[1]
+    assert first[0] != second[0]
     for a0 in (0.5, 0.25):
-        assert _kernel_quad(kernel, a0, -0.4, s, 1e-10) == per_node_kernel_quad(
+        assert _kernel_quad(kernel, a0, -0.4, s_nodes, 1e-10) == per_node_kernel_quad(
             kernel, a0, -0.4, s
         )
 
@@ -808,57 +790,64 @@ COR5_FIRST_MOMENT = 1.964365041535668847772142153111062851493
 def test_gj_rule_mass_at_strong_singularity():
     for n in (64, 128, 512):
         _, weights, scale, _ = _gj_rule(n, *COR5_WEIGHT)
-        assert math.isclose(scale * math.fsum(weights.tolist()), COR5_MASS, rel_tol=1e-15)
+        assert math.isclose(scale * math.fsum(weights), COR5_MASS, rel_tol=1e-15)
 
 
 def test_gj_rule_first_moment_at_strong_singularity():
     for n in (64, 128, 512):
         nodes, weights, scale, _ = _gj_rule(n, *COR5_WEIGHT)
-        moment = scale * math.fsum((weights * nodes).tolist())
+        moment = scale * math.fsum(w * u for w, u in zip(weights, nodes))
         assert math.isclose(moment, COR5_FIRST_MOMENT, rel_tol=1e-13)
 
 
-# Edge cases of the rule's parameters (alpha, beta) = (exponent_at_1,
-# exponent_at_0): alpha = beta (Gegenbauer), alpha = beta = 0 (Legendre),
-# alpha + beta = -1 and alpha + beta = 0, where the recurrence's k = 0 and
-# k = 1 coefficients have removable zero denominators; the file says how
-# its mpmath values were made.
-GJ_64 = json.loads((Path(__file__).parent / "data" / "gauss_jacobi_64.json").read_text())
+# M_k / M_0 of the weight (1-y)^a0 (1+y)^a1 on [-1, 1], the weight u^a0
+# (1-u)^a1 at y = 1 - 2u, frozen from mpmath (tests/data/make_moments.py)
+MOMENTS = json.loads((Path(__file__).parent / "data" / "modified_moments.json").read_text())
 
 
+@pytest.mark.parametrize("n", [16, 4096])
 @pytest.mark.parametrize(
-    "case", GJ_64["cases"], ids=lambda c: f"{c['exponent_at_0']},{c['exponent_at_1']}"
+    "case", MOMENTS["cases"], ids=lambda c: f"{c['exponent_at_0']},{c['exponent_at_1']}"
 )
-def test_gj_rule_matches_mpmath_at_64_nodes(case):
-    nodes, weights, _, _ = _gj_rule(64, case["exponent_at_0"], case["exponent_at_1"])
-    assert numpy.max(numpy.abs(nodes - case["nodes"])) <= 5e-16
-    assert numpy.max(numpy.abs(weights / case["weights"] - 1.0)) <= 2e-14
+def test_rule_reproduces_the_exact_modified_moments(case, n):
+    # the n-point rule integrates T_k exactly for k < n, so applied to T_k
+    # it gives M_k / M_0: the forward recurrence and the FFT together stay
+    # within 2e-13 of the exact moments at every k below 4,096, exponents
+    # -0.99 to 170.5 (1.5e-13 measured, at (170.5, -0.99) and k near 4,095)
+    a0, a1 = case["exponent_at_0"], case["exponent_at_1"]
+    nodes, weights, _, _ = _gj_rule(n, a0, a1)
+    for k, exact in zip(MOMENTS["k"], case["ratios"]):
+        if k >= n:
+            continue
+        # T_k(y_j) = cos(k phi_j), phi_j = pi (2j+1) / (2n), reduced exactly
+        t = [math.cos(math.pi * (k * (2 * j + 1) % (4 * n)) / (2 * n)) for j in range(n)]
+        got = math.fsum(w * v for w, v in zip(weights, t))
+        assert abs(got - float(exact)) <= 2e-13, (k, got, exact)
 
 
-# The same weights at 16 nodes, the size of every quadrature's first rule
-GJ_16 = json.loads((Path(__file__).parent / "data" / "gauss_jacobi_16.json").read_text())
-
-
-@pytest.mark.parametrize(
-    "case", GJ_16["cases"], ids=lambda c: f"{c['exponent_at_0']},{c['exponent_at_1']}"
-)
-def test_gj_rule_matches_mpmath_at_16_nodes(case):
-    nodes, weights, _, _ = _gj_rule(16, case["exponent_at_0"], case["exponent_at_1"])
-    assert quadrature.NODE_COUNT == 16
-    assert numpy.max(numpy.abs(nodes - case["nodes"])) <= 5e-16
-    assert numpy.max(numpy.abs(weights / case["weights"] - 1.0)) <= 2e-14
+def test_nodes_are_the_chebyshev_points():
+    # u_j = cos^2(theta_j / 2), theta_j = pi (j + 1/2) / n, ascending; the
+    # node next to u = 0 keeps its relative precision
+    for n in (16, 4096):
+        nodes = _gj_rule(n, 0.0, 0.0)[0]
+        theta = [math.pi * (j + 0.5) / n for j in range(n)]
+        want = sorted(math.cos(t / 2.0) ** 2 for t in theta)
+        assert max(abs(u - w) for u, w in zip(nodes, want)) <= 4.5e-16
+        assert math.isclose(nodes[0], math.sin(math.pi / (4 * n)) ** 2, rel_tol=1e-15)
 
 
 def test_rules_built_together_equal_rules_built_alone():
-    # one sweep serves several weights; each rule takes the sweep its own
-    # nodes settle in, so it does not depend on the others. The last weight
-    # is past ASYMPTOTIC_LIMIT, so its rule starts from the sign scan
-    weights = [(0.3, -0.4), (2.9, 0.0), (-0.93, 12.0)]
-    assert weights[-1][1] > ASYMPTOTIC_LIMIT >= max(max(pair) for pair in weights[:2])
+    # roots_jacobi builds each weight's rule on its own, whatever it is given
+    # with, far past the exponents of any grid too
+    weights = [(0.3, -0.4), (2.9, 0.0), (-0.93, 12.0), (170.5, 1.0)]
     together = quadrature.roots_jacobi(64, weights)
-    for pair, (x, w) in zip(weights, together):
-        ((x1, w1),) = quadrature.roots_jacobi(64, [pair])
-        assert numpy.array_equal(x, x1) and numpy.array_equal(w, w1)
+    for pair, rule in zip(weights, together):
+        assert quadrature.roots_jacobi(64, [pair]) == [rule]
+
+
+def test_weight_past_the_double_range_is_refused_by_name():
+    with pytest.raises(OverflowError, match=r"\(1-x\)\^1999.0 \(1\+x\)\^1.0: its mass factor"):
+        quad_endpoint_singular(one, 1.0, 1999.0)
 
 
 # int_0^1 u^a (1-u)^b du = B(a+1, b+1) at large exponents; the bounds are
