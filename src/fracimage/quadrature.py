@@ -57,7 +57,7 @@ import math
 import operator
 import sys
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     DenominatorPoleError,
@@ -89,7 +89,7 @@ NULL_SAFETY = 10.0
 DEFAULT_TOL = 1e-10
 
 # an integrand: the values at a rule's nodes, or one constant for all
-Integrand = Callable[[tuple], Union[Sequence[float], float]]
+Integrand = Callable[[tuple], Sequence[float] | float]
 
 
 class QuadResult(NamedTuple):
@@ -141,8 +141,8 @@ def _fejer_weights(moments: list[float]) -> tuple[float, ...]:
     n = len(moments)
     spectrum = _fft([(m / 2.0 if k == 0 else m) * cmath.rect(1.0, math.pi * k / (2 * n))
                      for k, m in enumerate(moments)])
-    sums = [spectrum[j // 2 if j % 2 == 0 else n - 1 - j // 2].real for j in range(n)]
-    return tuple(2.0 / n * v for v in sums)
+    return tuple(2.0 / n * spectrum[j // 2 if j % 2 == 0 else n - 1 - j // 2].real
+                 for j in range(n))
 
 
 def _beta(p: float, q: float) -> float:
