@@ -218,8 +218,8 @@ def quad_endpoint_singular(
 
     A rule is accepted once its error estimate (see the module docstring)
     is within tol (relative) or within the rounding noise of its L1 mass;
-    otherwise the rule is doubled. Right-sided integrals never truncate the tail: the t = x/u
-    substitution maps all of it onto (0, 1)."""
+    otherwise the rule is doubled. Right-sided integrals never truncate
+    the tail: the t = x/u substitution maps all of it onto (0, 1)."""
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if exponent_at_0 <= -1.0 or exponent_at_1 <= -1.0:
