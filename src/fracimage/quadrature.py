@@ -167,14 +167,16 @@ def roots_jacobi(n: int, weights: list[tuple[float, float]]) -> list:
 
     The weights are those of M_k / M_0, which the recurrence starts from 1
     and (a1-a0)/(a0+a1+2). Raises OverflowError, naming the exponents, if
-    M_0's factor 2^(a0+a1+1) is past the double range."""
-    rules = []
+    M_0's factor 2^(a0+a1+1) is past the double range, before any rule
+    is built."""
     for a0, a1 in weights:
         if a0 + a1 + 1.0 >= sys.float_info.max_exp:
             raise OverflowError(
                 f"Gauss-Jacobi weight (1-x)^{a1!r} (1+x)^{a0!r}: its mass "
                 "factor 2^(alpha+beta+1) is past the double range"
             )
+    rules = []
+    for a0, a1 in weights:
         c = a0 + a1 + 2.0
         moments = [1.0, (a1 - a0) / c]
         for k in range(1, n - 1):

@@ -825,6 +825,24 @@ def test_rule_reproduces_the_exact_modified_moments(case, n):
         assert abs(got - float(exact)) <= 2e-13, (k, got, exact)
 
 
+# Fejer's 16-point rule, the size of every quadrature's first rule, at the
+# edge cases of the weight: alpha = beta (Gegenbauer), alpha = beta = 0
+# (Legendre), alpha + beta = -1 and alpha + beta = 0, where the moment
+# recurrence's k = 0 and k = 1 coefficients have removable zero
+# denominators; the file says how its mpmath values were made.
+FEJER_16 = json.loads((Path(__file__).parent / "data" / "fejer_16.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", FEJER_16["cases"], ids=lambda c: f"{c['exponent_at_0']},{c['exponent_at_1']}"
+)
+def test_gj_rule_matches_mpmath_at_16_nodes(case):
+    nodes, weights, scale, _ = _gj_rule(16, case["exponent_at_0"], case["exponent_at_1"])
+    assert quadrature.NODE_COUNT == 16
+    assert max(abs(u - want) for u, want in zip(nodes, case["nodes"])) <= 5e-16
+    assert max(abs(scale * w / want - 1.0) for w, want in zip(weights, case["weights"])) <= 2e-14
+
+
 def test_nodes_are_the_chebyshev_points():
     # u_j = cos^2(theta_j / 2), theta_j = pi (j + 1/2) / n, ascending; the
     # node next to u = 0 keeps its relative precision
