@@ -5,8 +5,10 @@ binary-double inputs). The terminating-series oracle is recomputed here
 with exact Fraction arithmetic, independent of the float evaluator.
 """
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -343,3 +345,29 @@ def test_2f1_term_budget_raises(monkeypatch):
     monkeypatch.setattr(hypergeom, "MAX_TERMS", 0)
     with pytest.raises(NonConvergedError):
         gauss_2f1(0.5, 0.75, 1.5, 0.01)
+
+
+# seeded float-series inputs and the doubles the float stream returned for
+# them (tests/data/make_float_series.py). A direct value uses only + - * /,
+# so it holds on any IEEE platform; a "libm" value went through Pfaff's
+# (1 - z) ** -a, which is pinned on glibc 2.36 like tests/test_cli.py's pins
+FLOAT_SERIES = json.loads(
+    (Path(__file__).parent / "data" / "float_series.json").read_text())["cases"]
+
+
+def _series_value(case: dict) -> float:
+    if case["kind"] == "f3":
+        return appell_f3(*map(float.fromhex, case["args"]))
+    num = tuple(map(float.fromhex, case["num"]))
+    den = tuple(map(float.fromhex, case["den"]))
+    return pfq(num, den, float.fromhex(case["z"]))
+
+
+@pytest.mark.parametrize("libm", [False, True], ids=["direct", "libm"])
+def test_float_series_are_bit_identical_to_the_frozen_values(libm):
+    # an operation changed inside pfq's or appell_f3's loop moves some of
+    # these doubles; the quadrature tests compare the memo with the same pfq
+    cases = [case for case in FLOAT_SERIES if case["libm"] == libm]
+    assert len(cases) >= 70
+    moved = [case for case in cases if _series_value(case).hex() != case["value"]]
+    assert not moved, f"{len(moved)} of {len(cases)} moved, first {moved[0]}"
