@@ -167,6 +167,8 @@ def test_eval_domain_violation(capsys):
     # exited 3, "did not stabilize"
     ("apply", "--family", "rl-left", "--delta", "0.5", "--tau", "2", "--n", "3",
      "--p", "9", "--q", "0", "--x", "1e120"),
+    # e^710: the series ran to its term budget and exited 3, "did not converge"
+    ("pfq", "--num", "1", "--den", "1", "--arg", "710"),
 ])
 def test_eval_overflow_is_a_domain_exit(capsys, argv):
     # exit code 1 means a verification failure, so a value past the double

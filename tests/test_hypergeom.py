@@ -7,6 +7,7 @@ with exact Fraction arithmetic, independent of the float evaluator.
 
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -313,16 +314,45 @@ def test_appell_f3_domain_errors():
         appell_f3(0.5, 0.3, 0.2, 0.4, -2.0, 0.25, 0.25)
 
 
+def _refused_at_once(error, match, call) -> None:
+    start = time.perf_counter()
+    with pytest.raises(error, match=match):
+        call()
+    assert time.perf_counter() - start < 0.1
+
+
+F3_POINT = (0.5, 0.5, 0.5, 0.5, 1.5, 0.5, 0.5)
+
+
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
 def test_non_finite_series_argument_is_refused_at_once(z):
     # pfq summed a million terms for about a second before it raised
-    # NonConvergedError; appell_f3 with a terminating outer sum returned nan
-    with pytest.raises(ValueError, match="argument must be finite"):
-        pfq((0.5,), (1.5,), z)
-    with pytest.raises(ValueError, match="argument must be finite"):
-        appell_f3(-2.0, 0.3, 0.5, 0.4, 1.1, z, 0.25)
-    with pytest.raises(ValueError, match="argument must be finite"):
-        appell_f3(-2.0, 0.3, 0.5, 0.4, 1.1, 0.25, z)
+    # NonConvergedError; appell_f3 with a terminating outer sum returned nan.
+    # A non-finite parameter spun the same way (8.4 s through appell_f3),
+    # met a bare OverflowError in the pole scan at -inf, or gave F3 = 1 at c = inf
+    refusals = [
+        ("argument", lambda: pfq((0.5,), (1.5,), z)),
+        ("argument", lambda: appell_f3(-2.0, 0.3, 0.5, 0.4, 1.1, z, 0.25)),
+        ("argument", lambda: appell_f3(-2.0, 0.3, 0.5, 0.4, 1.1, 0.25, z)),
+        ("parameters", lambda: pfq((z, 1.0), (1.5,), 0.5)),
+        ("parameters", lambda: pfq((1.0, 1.0), (z,), 0.5)),
+        *(("parameters", lambda i=i: appell_f3(*F3_POINT[:i], z, *F3_POINT[i + 1:]))
+          for i in range(5)),
+    ]
+    for what, call in refusals:
+        _refused_at_once(ValueError, f"{what} must be finite", call)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pfq((1.0,), (1.0,), 710.0),  # e^710
+    lambda: pfq((), (1.0,), 1e300),
+    lambda: gauss_2f1(300.5, 300.5, 0.5, 0.99),
+    lambda: appell_f3(300.5, 0.5, 300.5, 0.5, 0.5, 0.99, 0.5),
+], ids=["1F1", "0F1", "2F1", "F3"])
+def test_overflowing_series_sum_is_refused_at_once(call):
+    # each ran to its term budget (0.8-1.3 s, F3 10 s) before it raised
+    # NonConvergedError, once the sum was inf or nan
+    _refused_at_once(OverflowError, "overflows", call)
 
 
 def test_appell_f3_outer_budget_raises(monkeypatch):
