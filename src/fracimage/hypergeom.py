@@ -121,6 +121,8 @@ def pfq(
     only for |z| < 1; anything else raises DivergenceError."""
     num = tuple(float(a) for a in numerator_params)
     den = tuple(float(b) for b in denominator_params)
+    if not all(map(math.isfinite, num + den)):
+        raise ValueError(f"pfq: parameters must be finite, got {num!r}; {den!r}")
     stop = _termination_index(num)
     if stop is not None:
         # the original values are used so an exact Fraction argument is not
@@ -157,6 +159,7 @@ def pfq(
     comp = 0.0
     term = 1.0
     small_runs = 0
+    inf = math.inf  # a local name: the overflow test below runs at every term
     for k in range(MAX_TERMS):
         # Neumaier step
         t = acc + term
@@ -171,13 +174,19 @@ def pfq(
         for b in den:
             factor /= b + k
         term *= factor * z / (k + 1)
-        bound = abs(term) * tail_scale
-        if bound <= RTOL * max(abs(acc + comp), 1e-300):
+        # max(total, 1e-300) spelt out, since a builtin call per term is a
+        # quarter of the loop. The floor is taken only where total < 1e-300
+        # holds, so a NaN total stays NaN and never passes, as with max; the
+        # reversed test would turn NaN into the floor and return it
+        total = abs(acc + comp)
+        if abs(term) * tail_scale <= RTOL * (1e-300 if total < 1e-300 else total):
             small_runs += 1
             if small_runs >= 2:
                 return acc + comp
-        else:
+        elif total < inf:
             small_runs = 0
+        else:
+            raise OverflowError(f"pfq: the partial sum overflows the double range at term {k}")
     raise NonConvergedError(
         f"pfq did not converge within {MAX_TERMS} terms (z = {z!r})"
     )
@@ -208,6 +217,9 @@ def appell_f3(
     needs |w| < 1 unless (a)_m (b)_m terminates it; it stops as pfq does,
     once two successive tail bounds (the next coefficient over 1 - |w|,
     times the last |2F1| or 1 if larger) fall below RTOL."""
+    params = (a, a_prime, b, b_prime, c)
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"appell_f3: parameters must be finite, got {params!r}")
     _check_denominator((c,))
     if not (math.isfinite(w) and math.isfinite(z)):
         raise ValueError(f"appell_f3: argument must be finite, got w = {w!r}, z = {z!r}")
@@ -233,14 +245,18 @@ def appell_f3(
         if m == w_stop:
             return acc + comp
         coeff *= (a + m) * (b + m) * w / ((m + 1) * (c + m))
-        # a terminating outer sum runs to its last term
-        bound = abs(coeff) * max(abs(inner), 1.0) * tail_scale
-        if w_stop is None and bound <= RTOL * max(abs(acc + comp), 1e-300):
+        # a terminating outer sum runs to its last term; both floors are
+        # max spelt out as in pfq, so a NaN stays NaN and never passes
+        size, total = abs(inner), abs(acc + comp)
+        bound = abs(coeff) * (1.0 if size < 1.0 else size) * tail_scale
+        if w_stop is None and bound <= RTOL * (1e-300 if total < 1e-300 else total):
             small_runs += 1
             if small_runs >= 2:
                 return acc + comp
-        else:
+        elif total < math.inf:
             small_runs = 0
+        else:
+            raise OverflowError(f"F3: the partial sum overflows the double range at term {m}")
     raise NonConvergedError(
         f"F3 did not converge within {MAX_TERMS} terms (w = {w!r}, z = {z!r})"
     )
