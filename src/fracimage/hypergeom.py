@@ -118,7 +118,10 @@ def pfq(
     Horner form, one rounding at the end), taking each float, int or
     Fraction input at its exact rational value, so heavy cancellation
     costs no accuracy. Otherwise p <= q converges for every z and p == q+1
-    only for |z| < 1; anything else raises DivergenceError."""
+    only for |z| < 1; anything else raises DivergenceError. The stream
+    stops once two successive tail bounds fall below RTOL times the
+    partial sum. A non-finite parameter or argument raises ValueError, and
+    a partial sum past the double range raises OverflowError at that term."""
     num = tuple(float(a) for a in numerator_params)
     den = tuple(float(b) for b in denominator_params)
     if not all(map(math.isfinite, num + den)):
@@ -174,10 +177,13 @@ def pfq(
         for b in den:
             factor /= b + k
         term *= factor * z / (k + 1)
-        # max(total, 1e-300) spelt out, since a builtin call per term is a
+        # max(total, 1e-300) spelt out: a builtin call per term costs a
         # quarter of the loop. The floor is taken only where total < 1e-300
-        # holds, so a NaN total stays NaN and never passes, as with max; the
-        # reversed test would turn NaN into the floor and return it
+        # holds, so a NaN total stays NaN and fails the test, as with max;
+        # the reversed form, total if total > 1e-300 else 1e-300, would make
+        # NaN the floor and could return NaN as converged. A sum that
+        # overflows is NaN here (acc is inf, comp -inf or NaN), so it
+        # reaches the last branch
         total = abs(acc + comp)
         if abs(term) * tail_scale <= RTOL * (1e-300 if total < 1e-300 else total):
             small_runs += 1
@@ -216,7 +222,9 @@ def appell_f3(
     raises for |z| >= 1 unless (a')_n (b')_n terminates it. The outer sum
     needs |w| < 1 unless (a)_m (b)_m terminates it; it stops as pfq does,
     once two successive tail bounds (the next coefficient over 1 - |w|,
-    times the last |2F1| or 1 if larger) fall below RTOL."""
+    times the last |2F1| or 1 if larger) fall below RTOL. A non-finite
+    parameter or argument raises ValueError, and a partial sum past the
+    double range raises OverflowError, in the outer sum as in each 2F1."""
     params = (a, a_prime, b, b_prime, c)
     if not all(map(math.isfinite, params)):
         raise ValueError(f"appell_f3: parameters must be finite, got {params!r}")
