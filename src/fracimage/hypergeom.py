@@ -7,18 +7,20 @@ runs in backward Horner form on integer numerators and denominators, with
 no gcd along the way, and rounds once in a single correctly rounded integer
 division. An infinite series streams with Neumaier summation and an
 explicit tail criterion, within the tolerance RTOL and the budget of
-MAX_TERMS terms (both read at call time). Appell's F3 is one such stream:
-a single sum of 2F1 series, each summed by pfq. A 2F1 at negative z would
-alternate and cancel digits, so it is summed at z/(z-1) in (0, 1/2) through
-Pfaff's transformation. No analytic continuation is attempted; arguments
-outside the convergence domain raise DivergenceError rather than returning
-a continuation value.
+MAX_TERMS terms (both read at call time). pfq_at sums one series at many
+arguments, every stream sharing each term's parameter factor, and pfq is
+pfq_at at one argument. Appell's F3 is one such stream: a single sum of
+2F1 series, each summed by pfq. A 2F1 at negative z would alternate and
+cancel digits, so it is summed at z/(z-1) in (0, 1/2) through Pfaff's
+transformation. No analytic continuation is attempted; arguments outside
+the convergence domain raise DivergenceError rather than returning a
+continuation value.
 
 One index, the smallest m with a parameter equal to -m, gives both where a
 series terminates (upper) and where (b)_k first vanishes, at k = m + 1.
 
-Everything is plain Python floats and integers: quadrature sums its 2F1
-kernels with gauss_2f1 at one node at a time.
+Everything is plain Python floats and integers: quadrature sums each 2F1
+kernel piece by one pfq_at call over the nodes of its rule.
 """
 
 from __future__ import annotations
@@ -111,7 +113,12 @@ def pfq(
     denominator_params: tuple[float, ...],
     z: float,
 ) -> float:
-    """pFq(numerator; denominator; z) as a float.
+    """pFq(numerator; denominator; z) as a float: pfq_at at the one z."""
+    return pfq_at(numerator_params, denominator_params, (z,))[0]
+
+
+def pfq_at(numerator_params, denominator_params, zs) -> list[float]:
+    """pFq(numerator; denominator; z) as a float at each z of zs.
 
     A terminating series (some numerator parameter a nonpositive integer)
     is summed exactly in |a|+1 terms at any z (exact_series_sum: integer
@@ -121,7 +128,12 @@ def pfq(
     only for |z| < 1; anything else raises DivergenceError. The stream
     stops once two successive tail bounds fall below RTOL times the
     partial sum. A non-finite parameter or argument raises ValueError, and
-    a partial sum past the double range raises OverflowError at that term."""
+    a partial sum past the double range raises OverflowError at that term.
+
+    The parameters and every argument are checked before any series is
+    summed. Term k's parameter factor is formed once and shared by the
+    stream of every argument, so each value is the double a call at that
+    argument alone returns."""
     num = tuple(float(a) for a in numerator_params)
     den = tuple(float(b) for b in denominator_params)
     if not all(map(math.isfinite, num + den)):
@@ -131,71 +143,78 @@ def pfq(
         # the original values are used so an exact Fraction argument is not
         # flattened to a float first; the extra lower parameter 1 gives the
         # k! of each term
-        return exact_series_sum(
-            (1,) * (stop + 1), numerator_params, (*denominator_params, 1), z
-        )
+        return [exact_series_sum((1,) * (stop + 1), numerator_params,
+                                 (*denominator_params, 1), z) for z in zs]
     _check_denominator(den)
 
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"pfq: argument must be finite, got {z!r}")
-    if z == 0.0:
-        return 1.0
+    zs = [float(z) for z in zs]
     p, q = len(num), len(den)
-    if p > q + 1:
-        raise DivergenceError(
-            f"{p}F{q} diverges for every nonzero argument"
-        )
-    if p == q + 1 and not abs(z) < 1.0:
-        raise DivergenceError(
-            f"{p}F{q} requires |z| < 1, got z = {z!r}"
-        )
-    if (p, q) == (2, 1) and z < 0.0:
+    for z in zs:
+        if not math.isfinite(z):
+            raise ValueError(f"pfq: argument must be finite, got {z!r}")
+        if z != 0.0 and p > q + 1:
+            raise DivergenceError(f"{p}F{q} diverges for every nonzero argument")
+        if p == q + 1 and not abs(z) < 1.0:
+            raise DivergenceError(f"{p}F{q} requires |z| < 1, got z = {z!r}")
+    if (p, q) == (2, 1) and any(z < 0.0 for z in zs):
         # the alternating series cancels digits away; Pfaff's transformation
         # (DLMF 15.8.1) sums a series at z/(z-1) in (0, 1/2) instead
         (a, b), (c,) = num, den
-        return (1.0 - z) ** -a * pfq((a, c - b), (c,), z / (z - 1.0))
+        pfaff = iter(pfq_at((a, c - b), (c,), [z / (z - 1.0) for z in zs if z < 0.0]))
+        direct = iter(pfq_at(num, den, [z for z in zs if not z < 0.0]))
+        return [(1.0 - z) ** -a * next(pfaff) if z < 0.0 else next(direct) for z in zs]
 
-    # tail of a p = q+1 series behaves like a geometric series in |z|
-    tail_scale = 1.0 / (1.0 - abs(z)) if p == q + 1 else 1.0
-    acc = 0.0
-    comp = 0.0
-    term = 1.0
-    small_runs = 0
+    factors = []  # term k's parameter factor, shared by every stream
+    values = []
     inf = math.inf  # a local name: the overflow test below runs at every term
-    for k in range(MAX_TERMS):
-        # Neumaier step
-        t = acc + term
-        if abs(acc) >= abs(term):
-            comp += (acc - t) + term
+    for z in zs:
+        if z == 0.0:
+            values.append(1.0)
+            continue
+        # tail of a p = q+1 series behaves like a geometric series in |z|
+        tail_scale = 1.0 / (1.0 - abs(z)) if p == q + 1 else 1.0
+        acc = 0.0
+        comp = 0.0
+        term = 1.0
+        small_runs = 0
+        for k in range(MAX_TERMS):
+            # Neumaier step
+            t = acc + term
+            if abs(acc) >= abs(term):
+                comp += (acc - t) + term
+            else:
+                comp += (term - t) + acc
+            acc = t
+            if k == len(factors):
+                factor = 1.0
+                for a in num:
+                    factor *= a + k
+                for b in den:
+                    factor /= b + k
+                factors.append(factor)
+            term *= factors[k] * z / (k + 1)
+            # max(total, 1e-300) spelt out: a builtin call per term costs a
+            # quarter of the loop. The floor is taken only where total < 1e-300
+            # holds, so a NaN total stays NaN and fails the test, as with max;
+            # the reversed form, total if total > 1e-300 else 1e-300, would make
+            # NaN the floor and could return NaN as converged. A sum that
+            # overflows is NaN here (acc is inf, comp -inf or NaN), so it
+            # reaches the last branch
+            total = abs(acc + comp)
+            if abs(term) * tail_scale <= RTOL * (1e-300 if total < 1e-300 else total):
+                small_runs += 1
+                if small_runs >= 2:
+                    values.append(acc + comp)
+                    break
+            elif total < inf:
+                small_runs = 0
+            else:
+                raise OverflowError(f"pfq: the partial sum overflows the double range at term {k}")
         else:
-            comp += (term - t) + acc
-        acc = t
-        factor = 1.0
-        for a in num:
-            factor *= a + k
-        for b in den:
-            factor /= b + k
-        term *= factor * z / (k + 1)
-        # max(total, 1e-300) spelt out: a builtin call per term costs a
-        # quarter of the loop. The floor is taken only where total < 1e-300
-        # holds, so a NaN total stays NaN and fails the test, as with max;
-        # the reversed form, total if total > 1e-300 else 1e-300, would make
-        # NaN the floor and could return NaN as converged. A sum that
-        # overflows is NaN here (acc is inf, comp -inf or NaN), so it
-        # reaches the last branch
-        total = abs(acc + comp)
-        if abs(term) * tail_scale <= RTOL * (1e-300 if total < 1e-300 else total):
-            small_runs += 1
-            if small_runs >= 2:
-                return acc + comp
-        elif total < inf:
-            small_runs = 0
-        else:
-            raise OverflowError(f"pfq: the partial sum overflows the double range at term {k}")
-    raise NonConvergedError(
-        f"pfq did not converge within {MAX_TERMS} terms (z = {z!r})"
-    )
+            raise NonConvergedError(
+                f"pfq did not converge within {MAX_TERMS} terms (z = {z!r})"
+            )
+    return values
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:

@@ -43,11 +43,11 @@ is never evaluated at a node, so the caller's g is only the smooth
 factor (1 for a monomial, the polynomial for an identity). Every
 integrand takes a rule's nodes as a tuple of floats and returns its
 values there as a sequence of floats, or one constant for all of them.
-The kernel series is summed at each node by the scalar gauss_2f1. Each
-kernel piece's node factor is memoised per (series, piece, power, N) in a
-bounded cache, since it does not depend on the integrand's other factor:
-a grid that sweeps x and the polynomial around one operator sums each
-series once per rule.
+A kernel piece's series is summed at all of its rule's nodes by one
+hypergeom.pfq_at call. Each kernel piece's node factor is memoised per
+(series, piece, power, N) in a bounded cache, since it does not depend
+on the integrand's other factor: a grid that sweeps x and the polynomial
+around one operator sums each series once per rule.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .gammafns import GammaProduct, check_finite, gamma_product_eval, is_nonpositive_integer
-from .hypergeom import gauss_2f1
+from .hypergeom import pfq_at
 from .operators import FAMILIES, OperatorSpec
 
 # |diff| <= NOISE_FLOOR * (sum of |weighted terms|) counts as converged: the
@@ -273,7 +273,8 @@ def _kernel_piece(
     n: int,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The prefactors and points u of one 2F1 kernel piece on the nodes v
-    of the n-point rule, with K = 2F1(series; .) summed by gauss_2f1:
+    of the n-point rule, with K = 2F1(series; .) summed at every point by
+    one pfq_at call:
 
         whole       K(1-u)              at u = v
         right_half  u^power K(1-u)      at u = 1 - v/2
@@ -294,7 +295,7 @@ def _kernel_piece(
     else:
         u = tuple(t / 2.0 for t in v)
         z, base = u, [1.0 - t for t in u]
-    pre = [gauss_2f1(*series, t) for t in z]
+    pre = pfq_at(series[:2], series[2:], z)
     if base is not None:
         pre = [b**power * k for b, k in zip(base, pre)]
     return tuple(pre), u

@@ -889,9 +889,9 @@ def test_lemma_failed_quadrature_keeps_other_records(monkeypatch, error, reason)
 def test_repeated_verify_pass_builds_no_rule_and_sums_no_series(monkeypatch):
     # default-grid throughput rests on the rule and kernel-piece caches: a
     # pass over points already verified builds no rule and sums no 2F1
-    # kernel series
+    # kernel series (each kernel piece sums its series by one pfq_at call)
     calls = {}
-    for name in ("roots_jacobi", "gauss_2f1"):
+    for name in ("roots_jacobi", "pfq_at"):
         def counted(*args, _real=getattr(quadrature, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args)
@@ -901,7 +901,7 @@ def test_repeated_verify_pass_builds_no_rule_and_sums_no_series(monkeypatch):
     quadrature._kernel_piece.cache_clear()
     cfg = SweepConfig(identities=["cor1", "lem1"], grids={})
     first = run_verification(cfg)
-    assert calls["roots_jacobi"] > 0 and calls["gauss_2f1"] > 0
+    assert calls["roots_jacobi"] > 0 and calls["pfq_at"] > 0
     calls.clear()
     assert run_verification(cfg) == first
     assert calls == {}

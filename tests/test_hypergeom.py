@@ -22,6 +22,7 @@ from fracimage.hypergeom import (
     exact_series_sum,
     gauss_2f1,
     pfq,
+    pfq_at,
 )
 
 
@@ -322,6 +323,14 @@ def _refused_at_once(error, match, call) -> None:
 
 
 F3_POINT = (0.5, 0.5, 0.5, 0.5, 1.5, 0.5, 0.5)
+# a 2F1 whose stream at z = 0.999 runs to tens of thousands of terms, 5-15 ms:
+# an argument refused only after fifty of them takes far longer than 0.1 s
+SLOW_2F1 = ((0.3, 0.45), (1.2,))
+
+
+def _after_slow_streams(z) -> list[tuple]:
+    """Argument lists that hold z after fifty slow ones, also amid others."""
+    return [(0.999,) * 50 + (z,), (0.0, -0.5, *(0.999,) * 50, z, 0.25)]
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
@@ -338,9 +347,17 @@ def test_non_finite_series_argument_is_refused_at_once(z):
         ("parameters", lambda: pfq((1.0, 1.0), (z,), 0.5)),
         *(("parameters", lambda i=i: appell_f3(*F3_POINT[:i], z, *F3_POINT[i + 1:]))
           for i in range(5)),
+        # every argument of a list is checked before any series is summed
+        *(("argument", lambda zs=zs: pfq_at(*SLOW_2F1, zs)) for zs in _after_slow_streams(z)),
     ]
     for what, call in refusals:
         _refused_at_once(ValueError, f"{what} must be finite", call)
+
+
+@pytest.mark.parametrize("z", [1.0, -1.0, 1.5])
+def test_divergent_argument_in_a_list_is_refused_at_once(z):
+    for zs in _after_slow_streams(z):
+        _refused_at_once(DivergenceError, r"requires \|z\| < 1", lambda: pfq_at(*SLOW_2F1, zs))
 
 
 @pytest.mark.parametrize("call", [
@@ -362,6 +379,10 @@ def test_appell_f3_outer_budget_raises(monkeypatch):
         appell_f3(0.5, 0.5, 0.5, 0.5, 1.5, 0.99, 0.0)
 
 
+# the 16-node rule's points v/2, where kernel pieces sum their series
+HALF_RULE_POINTS = [0.5 * math.sin(math.pi * (2 * j + 1) / 64) ** 2 for j in range(16)]
+
+
 def test_2f1_term_budget_raises(monkeypatch):
     # the series at 0.999 needs tens of thousands of terms, at 0.9 more than
     # ten; a zero budget refuses even z = 0.01
@@ -375,6 +396,16 @@ def test_2f1_term_budget_raises(monkeypatch):
     monkeypatch.setattr(hypergeom, "MAX_TERMS", 0)
     with pytest.raises(NonConvergedError):
         gauss_2f1(0.5, 0.75, 1.5, 0.01)
+    # the budget bounds each argument's stream, not their sum: sixteen
+    # arguments of at most 0.5 need about 50 terms each
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 100)
+    assert pfq_at((0.5, 0.75), (1.5,), HALF_RULE_POINTS) == [
+        gauss_2f1(0.5, 0.75, 1.5, z) for z in HALF_RULE_POINTS]
+    with pytest.raises(NonConvergedError):
+        pfq_at((0.5, 0.75), (1.5,), [*HALF_RULE_POINTS, 0.9])
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 0)
+    with pytest.raises(NonConvergedError):
+        pfq_at((0.5, 0.75), (1.5,), [0.0, 0.01])
 
 
 # seeded float-series inputs and the doubles the float stream returned for
@@ -401,3 +432,19 @@ def test_float_series_are_bit_identical_to_the_frozen_values(libm):
     assert len(cases) >= 70
     moved = [case for case in cases if _series_value(case).hex() != case["value"]]
     assert not moved, f"{len(moved)} of {len(cases)} moved, first {moved[0]}"
+
+
+def test_pfq_at_is_bit_identical_to_scalar_pfq():
+    # every stream shares each term's parameter factor with the others; each
+    # value must still be the double pfq returns at that argument alone
+    cases = [case for case in FLOAT_SERIES if case["kind"] != "f3"]
+    assert len(cases) >= 200
+    for case in cases:
+        num = tuple(map(float.fromhex, case["num"]))
+        den = tuple(map(float.fromhex, case["den"]))
+        z = float.fromhex(case["z"])
+        zs = [z, *HALF_RULE_POINTS, -0.37, 0.0]
+        want = [pfq(num, den, x).hex() for x in zs]
+        assert want[0] == case["value"]
+        assert [x.hex() for x in pfq_at(num, den, zs)] == want, case
+        assert [x.hex() for x in pfq_at(num, den, zs[::-1])] == want[::-1], case
