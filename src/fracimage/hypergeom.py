@@ -138,6 +138,11 @@ def pfq_at(numerator_params, denominator_params, zs) -> list[float]:
     den = tuple(float(b) for b in denominator_params)
     if not all(map(math.isfinite, num + den)):
         raise ValueError(f"pfq: parameters must be finite, got {num!r}; {den!r}")
+    zs = list(zs)
+    for z in zs:
+        # an int or Fraction is exact at any size, where math.isfinite raises
+        if not isinstance(z, (int, Fraction)) and not math.isfinite(z):
+            raise ValueError(f"pfq: argument must be finite, got {z!r}")
     stop = _termination_index(num)
     if stop is not None:
         # the original values are used so an exact Fraction argument is not
@@ -150,8 +155,6 @@ def pfq_at(numerator_params, denominator_params, zs) -> list[float]:
     zs = [float(z) for z in zs]
     p, q = len(num), len(den)
     for z in zs:
-        if not math.isfinite(z):
-            raise ValueError(f"pfq: argument must be finite, got {z!r}")
         if z != 0.0 and p > q + 1:
             raise DivergenceError(f"{p}F{q} diverges for every nonzero argument")
         if p == q + 1 and not abs(z) < 1.0:

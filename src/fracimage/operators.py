@@ -216,6 +216,8 @@ class OperatorSpec:
                 f"{self.family.value} takes {expected} parameters, "
                 f"got {len(self.params)}"
             )
+        if not all(map(math.isfinite, self.params)):
+            raise DomainError(f"{self.family.value} parameters must be finite, got {self.params!r}")
 
     def named_params(self) -> dict[str, float]:
         return dict(zip(FAMILIES[self.family].params, self.params))

@@ -19,7 +19,7 @@ M_1 = M_0 (a1-a0)/(a0+a1+2) by the forward recurrence
 (a0+a1+2+k) M_(k+1) = 2(a1-a0) M_k - (a0+a1+2-k) M_(k-1), which stays
 within 1.5e-13 M_0 of the exact moments for every k < 4,096 at exponents
 from -0.99 to 1,000 (Piessens and Branders, BIT 13, 1973; Trefethen, SIAM
-Review 50, 2008). Each weight's rules are memoised per node count.
+Review 50, 2008). Each rule is memoised per (N, weight), up to 128 rules.
 
 A quadrature's error is read off its own rule, from the last four
 Chebyshev coefficients of g's interpolant as null rules (Berntsen and
@@ -159,49 +159,36 @@ def _beta(p: float, q: float) -> float:
     return scale * math.gamma(p) * math.gamma(q) / math.gamma(p + q)
 
 
-def roots_jacobi(n: int, weights: list[tuple[float, float]]) -> list:
-    """[(w, mass)] of the n-point Fejer rule of each weight u^a0 (1-u)^a1
-    in weights, given as (a0, a1): int_0^1 u^a0 (1-u)^a1 g(u) du ~
-    mass * sum w g(u) on the nodes of _chebyshev(n), sum w = 1 to rounding.
-    perfbench's rule-build hook times this function by its name.
+def roots_jacobi(n: int, a0: float, a1: float) -> tuple:
+    """(w, mass) of the n-point Fejer rule of the weight u^a0 (1-u)^a1:
+    int_0^1 u^a0 (1-u)^a1 g(u) du ~ mass * sum w g(u) on the nodes of
+    _chebyshev(n), sum w = 1 to rounding. perfbench's rule-build hook
+    times this function by its name.
 
     The weights are those of M_k / M_0, which the recurrence starts from 1
     and (a1-a0)/(a0+a1+2). Raises OverflowError, naming the exponents, if
-    M_0's factor 2^(a0+a1+1) is past the double range, before any rule
-    is built."""
-    for a0, a1 in weights:
-        if a0 + a1 + 1.0 >= sys.float_info.max_exp:
-            raise OverflowError(
-                f"Gauss-Jacobi weight (1-x)^{a1!r} (1+x)^{a0!r}: its mass "
-                "factor 2^(alpha+beta+1) is past the double range"
-            )
-    rules = []
-    for a0, a1 in weights:
-        c = a0 + a1 + 2.0
-        moments = [1.0, (a1 - a0) / c]
-        for k in range(1, n - 1):
-            moments.append((2.0 * (a1 - a0) * moments[k] - (c - k) * moments[k - 1]) / (c + k))
-        rules.append((_fejer_weights(moments[:n]), _beta(a0 + 1.0, a1 + 1.0)))
-    return rules
+    M_0's factor 2^(a0+a1+1) is past the double range, before the rule is
+    built."""
+    if a0 + a1 + 1.0 >= sys.float_info.max_exp:
+        raise OverflowError(
+            f"Gauss-Jacobi weight (1-x)^{a1!r} (1+x)^{a0!r}: its mass "
+            "factor 2^(alpha+beta+1) is past the double range"
+        )
+    c = a0 + a1 + 2.0
+    moments = [1.0, (a1 - a0) / c]
+    for k in range(1, n - 1):
+        moments.append((2.0 * (a1 - a0) * moments[k] - (c - k) * moments[k - 1]) / (c + k))
+    return _fejer_weights(moments[:n]), _beta(a0 + 1.0, a1 + 1.0)
 
 
 @lru_cache(maxsize=128)
-def _gj_rules(a0: float, a1: float) -> dict:
-    """The rules built so far for the weight u^a0 (1-u)^a1, by node count."""
-    return {}
-
-
 def _gj_rule(n: int, a0: float, a1: float):
     """The nodes, the weights, the mass and the rows of the error estimate
     (_chebyshev) of the n-point rule int_0^1 u^a0 (1-u)^a1 g(u) du ~
-    mass * sum w g(u), each a tuple. perfbench's rule-lookup hook counts
-    the calls of this function by its name."""
-    rules = _gj_rules(a0, a1)
-    if n not in rules:
-        ((weights, mass),) = roots_jacobi(n, [(a0, a1)])
-        nodes, rows = _chebyshev(n)
-        rules[n] = (nodes, weights, mass, rows)
-    return rules[n]
+    mass * sum w g(u), each a tuple, memoised per (n, a0, a1). perfbench's
+    rule-lookup hook counts the calls of this function by its name."""
+    nodes, rows = _chebyshev(n)
+    return (nodes, *roots_jacobi(n, a0, a1), rows)
 
 
 def quad_endpoint_singular(
@@ -224,7 +211,7 @@ def quad_endpoint_singular(
     the tail: the t = x/u substitution maps all of it onto (0, 1)."""
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    if exponent_at_0 <= -1.0 or exponent_at_1 <= -1.0:
+    if not (exponent_at_0 > -1.0 and exponent_at_1 > -1.0):
         raise DomainError(
             f"weight exponents must be > -1, got ({exponent_at_0!r}, {exponent_at_1!r})"
         )

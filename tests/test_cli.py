@@ -897,7 +897,7 @@ def test_repeated_verify_pass_builds_no_rule_and_sums_no_series(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(quadrature, name, counted)
-    quadrature._gj_rules.cache_clear()
+    quadrature._gj_rule.cache_clear()
     quadrature._kernel_piece.cache_clear()
     cfg = SweepConfig(identities=["cor1", "lem1"], grids={})
     first = run_verification(cfg)

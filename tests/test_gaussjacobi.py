@@ -4,7 +4,7 @@ first timed), and its refusal of exponents whose rules it cannot scale.
 
 Each case is a list of (n, alpha, beta) rules for the weight
 (1-x)^alpha (1+x)^beta, that is u^beta (1-u)^alpha, built by one
-roots_jacobi call per node count; its digest is the SHA-256 of the
+roots_jacobi call per rule; its digest is the SHA-256 of the
 little-endian doubles of every rule's nodes, then weights, then mass, in
 the case's order. The digests were frozen from the Fejer rule (Python
 3.11, x86-64 Linux with glibc's libm), so a rewrite that changes the
@@ -24,7 +24,7 @@ EDGES = [(0.3, 0.3), (0.0, 0.0), (-0.3, -0.7), (-0.25, 0.25)]
 
 # (n, alpha, beta) for the weight (1-x)^alpha (1+x)^beta
 CASES = {
-    # one weight at 64 and 128 nodes, and three weights in one call, at
+    # one weight at 64 and 128 nodes, and three weights at both, at
     # exponents in random-grid's range
     "pair-0,3.15": [(64, 0.0, 3.15), (128, 0.0, 3.15)],
     "pair--0.71,-0.97": [(64, -0.71, -0.97), (128, -0.71, -0.97)],
@@ -71,15 +71,9 @@ def doubles(values) -> bytes:
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_rules_are_bit_identical_to_the_frozen_digests(name):
-    rules = CASES[name]
-    built = {}
-    for n in dict.fromkeys(n for n, _, _ in rules):
-        pairs = [(alpha, beta) for size, alpha, beta in rules if size == n]
-        weights = [(beta, alpha) for alpha, beta in pairs]
-        built.update(((n, *pair), rule) for pair, rule in zip(pairs, roots_jacobi(n, weights)))
     digest = hashlib.sha256()
-    for n, alpha, beta in rules:
-        w, mass = built[n, alpha, beta]
+    for n, alpha, beta in CASES[name]:
+        w, mass = roots_jacobi(n, beta, alpha)
         digest.update(doubles(_chebyshev(n)[0]))
         digest.update(doubles(w))
         digest.update(doubles([mass]))
@@ -89,11 +83,11 @@ def test_rules_are_bit_identical_to_the_frozen_digests(name):
 @pytest.mark.parametrize("alpha", [1999.0, 1e308])
 def test_exponents_past_the_double_range_raise_before_any_guess(monkeypatch, alpha):
     # the mass factor 2^(alpha+beta+1) overflows past these exponents; the
-    # refusal names the weight before any weight of the call has a rule
+    # refusal names the weight before its rule is built
     def refuse(moments):
-        raise AssertionError("a rule built in a call that cannot be scaled")
+        raise AssertionError("a rule built for a weight that cannot be scaled")
 
     monkeypatch.setattr(quadrature, "_fejer_weights", refuse)
     with pytest.raises(OverflowError) as exc:
-        roots_jacobi(64, [(-0.4, 0.3), (1.0, alpha)])
+        roots_jacobi(64, 1.0, alpha)
     assert f"(1-x)^{alpha!r} (1+x)^1.0" in str(exc.value)

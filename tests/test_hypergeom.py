@@ -349,9 +349,20 @@ def test_non_finite_series_argument_is_refused_at_once(z):
           for i in range(5)),
         # every argument of a list is checked before any series is summed
         *(("argument", lambda zs=zs: pfq_at(*SLOW_2F1, zs)) for zs in _after_slow_streams(z)),
+        # a terminating series summed its first argument exactly, then met
+        # OverflowError converting inf to a ratio
+        ("argument", lambda: pfq_at((-2.0, 1.0), (1.0,), [0.5, z])),
     ]
     for what, call in refusals:
         _refused_at_once(ValueError, f"{what} must be finite", call)
+
+
+def test_exact_arguments_past_the_double_range_sum_exactly():
+    # only a float argument can be non-finite: an int or Fraction past the
+    # double range is an exact rational, and math.isfinite raises on it
+    assert pfq_at((-2.0, 1.0), (1.0,), [Fraction(10**100), 0.5]) == [1e200, 0.25]
+    assert pfq((0.0, 1.0), (1.0,), Fraction(10**400)) == 1.0
+    assert pfq((-1.0,), (), -10**400 // 10**100) == float(10**300 + 1)
 
 
 @pytest.mark.parametrize("z", [1.0, -1.0, 1.5])

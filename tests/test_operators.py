@@ -268,6 +268,17 @@ def test_operator_spec_arity_and_names():
     assert ek.named_params() == {"eta": 0.5, "alpha": 0.75}
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_operator_spec_refuses_a_non_finite_parameter(family, bad):
+    # a NaN order passed every validity inequality (no comparison with NaN
+    # is true) and ended in a quadrature error about the integrand
+    params = [0.5] * len(FAMILIES[family].params)
+    params[-1] = bad
+    with pytest.raises(DomainError, match=f"^{family.value} parameters must be finite"):
+        OperatorSpec(family, params)
+
+
 def test_monomial_convention_table():
     negative = {f for f, spec in FAMILIES.items() if spec.negative_power}
     assert negative == {Family.MSM_RIGHT_INT, Family.MSM_RIGHT_DERIV}

@@ -133,6 +133,58 @@ def test_nonintegrable_weight_rejected():
         quad_endpoint_singular(lambda u: 1.0, 0.0, -1.5)
 
 
+def count_builds(monkeypatch) -> list:
+    """The node count of every rule built from here on, with every rule
+    built before forgotten."""
+    builds = []
+    real = quadrature.roots_jacobi
+    monkeypatch.setattr(quadrature, "roots_jacobi", lambda n, a0, a1: builds.append(n) or
+                        real(n, a0, a1))
+    _gj_rule.cache_clear()
+    return builds
+
+
+@pytest.mark.parametrize("a0, a1", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_nan_weight_exponent_is_refused_before_any_rule(monkeypatch, a0, a1):
+    # no comparison with NaN is true, so a NaN exponent passed the check,
+    # had a rule built and cached under its key, and was then reported as
+    # an integrand not finite on the 16-node rule
+    builds = count_builds(monkeypatch)
+    with pytest.raises(DomainError, match="weight exponents must be > -1"):
+        quad_endpoint_singular(lambda u: 1.0, a0, a1)
+    assert builds == [] and _gj_rule.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("make, family", [
+    # the non-finite-integrand OverflowError of the NaN weight exponent
+    (lambda: rl_left(math.nan), "rl-left"),
+    (lambda: rl_right(math.inf), "rl-right"),
+    # ValueError "cannot convert float NaN to integer" from round(e)
+    (lambda: saigo_left(0.5, math.nan, 0.2), "saigo-left"),
+    (lambda: msm_left_int(0.5, 0.0, 0.2, 0.4, -math.inf), "msm-left-int"),
+])
+def test_non_finite_operator_parameter_is_refused_by_family(monkeypatch, make, family):
+    builds = count_builds(monkeypatch)
+    with pytest.raises(DomainError, match=f"^{family} parameters must be finite"):
+        operator_apply(make(), one, 0.5)
+    assert builds == []
+
+
+def test_each_rule_is_built_once(monkeypatch):
+    # one rule per (node count, weight): a refinement builds each size once,
+    # and a repeated quadrature finds every rule it needs already built
+    builds = count_builds(monkeypatch)
+
+    def g(u):
+        return [math.cos(40.0 * v) for v in u]
+
+    first = quad_endpoint_singular(g, 0.3125, -0.4375)
+    assert first.nodes == 64 and builds == [16, 32, 64]
+    builds.clear()
+    assert quad_endpoint_singular(g, 0.3125, -0.4375) == first
+    assert builds == []
+
+
 def test_nonconverged_oscillatory(monkeypatch):
     monkeypatch.setattr(quadrature, "NODE_COUNT", 8)
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
@@ -852,15 +904,6 @@ def test_nodes_are_the_chebyshev_points():
         want = sorted(math.cos(t / 2.0) ** 2 for t in theta)
         assert max(abs(u - w) for u, w in zip(nodes, want)) <= 4.5e-16
         assert math.isclose(nodes[0], math.sin(math.pi / (4 * n)) ** 2, rel_tol=1e-15)
-
-
-def test_rules_built_together_equal_rules_built_alone():
-    # roots_jacobi builds each weight's rule on its own, whatever it is given
-    # with, far past the exponents of any grid too
-    weights = [(0.3, -0.4), (2.9, 0.0), (-0.93, 12.0), (170.5, 1.0)]
-    together = quadrature.roots_jacobi(64, weights)
-    for pair, rule in zip(weights, together):
-        assert quadrature.roots_jacobi(64, [pair]) == [rule]
 
 
 def test_weight_past_the_double_range_is_refused_by_name():
