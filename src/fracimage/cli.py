@@ -108,8 +108,12 @@ def _parse_scalar(text: str):
         raise ConfigError(f"not a number: {text!r}") from exc
 
 
+def _split(text: str) -> list[str]:
+    return [t for t in (piece.strip() for piece in text.split(",")) if t]
+
+
 def _parse_list(text: str) -> list:
-    items = [t for t in (piece.strip() for piece in text.split(",")) if t]
+    items = _split(text)
     if not items:
         raise ConfigError(f"empty value list: {text!r}")
     return [_parse_scalar(t) for t in items]
@@ -138,15 +142,11 @@ def load_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-def _parse_tags(text: str) -> list[str]:
-    return [t.strip() for t in text.split(",") if t.strip()]
-
-
 def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
     cfg = SweepConfig(identities=list(ALL_TAGS), grids={})
     for key, value in pairs.items():
         if key == "identities":
-            cfg.identities = _parse_tags(value)
+            cfg.identities = _split(value)
         elif key in TOLERANCES:
             setattr(cfg, key, _parse_scalar(value))
         elif key == "as_printed":
@@ -162,7 +162,7 @@ def build_sweep_config(pairs: dict[str, str], args) -> SweepConfig:
             raise ConfigError(f"unknown config key {key!r}")
     # an empty value or a tolerance of 0 is a request as given: test presence, not truth
     if args.identities is not None:
-        cfg.identities = _parse_tags(args.identities)
+        cfg.identities = _split(args.identities)
     if args.as_printed:
         cfg.as_printed = True
     if args.out is not None:
@@ -203,7 +203,7 @@ def _parse_exact(text: str) -> Fraction:
 
 
 def _parse_exact_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(_parse_exact(piece) for piece in text.split(",") if piece.strip())
+    return tuple(map(_parse_exact, _split(text)))
 
 
 # Each eval target returns its JSON fields in output order (after

@@ -265,7 +265,7 @@ def appell_f3(
     for m in range(MAX_TERMS):
         inner = pfq((a_prime, b_prime), (c + m,), z)
         term = coeff * inner
-        # Neumaier step
+        # Neumaier step, written out as in pfq_at: a helper would cost a call per 2F1 term
         t = acc + term
         if abs(acc) >= abs(term):
             comp += (acc - t) + term

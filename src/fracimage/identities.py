@@ -127,10 +127,6 @@ class Correction:
     implemented: str
     edit: Callable[..., tuple] | None = None
 
-    @property
-    def evaluable(self) -> bool:
-        return self.edit is not None
-
 
 CORRECTIONS: tuple[Correction, ...] = (
     Correction(
@@ -668,7 +664,7 @@ def _evaluate_point(tag: str, point: dict, cfg: SweepConfig) -> VerificationReco
             )
     if not ok and cfg.as_printed and identity is not None:
         for c in corrections_for(identity):
-            if c.evaluable:
+            if c.edit is not None:
                 notes.append(
                     f"as-printed schema; adjudicated correction {c.key}: {c.implemented}"
                 )

@@ -53,9 +53,7 @@ class JacobiSpec:
     alpha: float
     beta: float
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"degree must be a nonnegative integer, got {self.n!r}")
+    __post_init__ = PolySpec.__post_init__
 
 
 @lru_cache(maxsize=256)

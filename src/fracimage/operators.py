@@ -358,6 +358,8 @@ def power_image(op: OperatorSpec, tau: float) -> PowerImage:
     names the violated ones. The prefactor is kept uncancelled so its
     argument schema stays visible; any pole that survives exact
     cancellation raises here, as GammaProduct.checked names it."""
+    if not math.isfinite(tau):
+        raise DomainError(f"{op.describe()} needs a finite tau, got {tau!r}")
     if not all(margin > 0.0 for margin in _margins(op.family, op.params, tau)):
         failed = [c.label for c in validate_domain(op, tau) if not c.satisfied]
         raise DomainError(f"{op.describe()} at tau={tau!r} violates: " + "; ".join(failed))

@@ -19,7 +19,8 @@ M_1 = M_0 (a1-a0)/(a0+a1+2) by the forward recurrence
 (a0+a1+2+k) M_(k+1) = 2(a1-a0) M_k - (a0+a1+2-k) M_(k-1), which stays
 within 1.5e-13 M_0 of the exact moments for every k < 4,096 at exponents
 from -0.99 to 1,000 (Piessens and Branders, BIT 13, 1973; Trefethen, SIAM
-Review 50, 2008). Each rule is memoised per (N, weight), up to 128 rules.
+Review 50, 2008). Each rule is memoised per (N, weight), up to 128 rules;
+its nodes, DCT factors, FFT twiddles and null rows are one table per N.
 
 A quadrature's error is read off its own rule, from the last four
 Chebyshev coefficients of g's interpolant as null rules (Berntsen and
@@ -99,35 +100,32 @@ class QuadResult(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-    """The n nodes u_j = sin^2(pi (2j+1) / (4n)), ascending, and the rows R
-    with R . g(nodes) g's interpolant's coefficient on T_k, k = n-1 down to
-    n-4, in y = 1 - 2u: (2/n) cos(k phi_j), phi_j = pi (2j+1) / (2n), each
-    angle reduced exactly before the cosine is taken."""
+def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...], list, list]:
+    """The one table of every n-point rule, whatever its weight: the n nodes
+    u_j = sin^2(pi (2j+1) / (4n)), ascending; the rows R with R . g(nodes)
+    g's interpolant's coefficient on T_k, k = n-1 down to n-4, in y = 1 - 2u:
+    (2/n) cos(k phi_j), phi_j = pi (2j+1) / (2n), each angle reduced exactly
+    before the cosine is taken; the DCT factors exp(i pi k / (2n)), k < n,
+    of _fejer_weights; and per stage of _fft, its step, half-block and twiddles."""
     nodes = tuple(math.sin(math.pi * (2 * j + 1) / (4 * n)) ** 2 for j in range(n))
     rows = tuple(
         tuple(2.0 / n * math.cos(math.pi * (k * (2 * j + 1) % (4 * n)) / (2 * n))
               for j in range(n))
         for k in range(n - 1, max(n - 5, 0), -1))
-    return nodes, rows
-
-
-@lru_cache(maxsize=16)
-def _fft_stages(n: int) -> list:
-    """Per stage of _fft: the block step, the half-block and the twiddles."""
+    shifts = [cmath.rect(1.0, math.pi * k / (2 * n)) for k in range(n)]
     stages, m, s = [], 1, n
     while s > 1:
         h = s // 2
         stages.append((s, h, [cmath.rect(1.0, math.pi * (i // h) / m) for i in range(n // 2)]))
         m, s = 2 * m, h
-    return stages
+    return nodes, rows, shifts, stages
 
 
-def _fft(x: list) -> list:
-    """sum_k x_k exp(2 pi i jk / n) for every j < n, n a power of two, in
-    log2(n) radix-2 stages (Stockham's order: no bit reversal)."""
+def _fft(x: list, stages: list) -> list:
+    """sum_k x_k exp(2 pi i jk / n) for every j < n, n a power of two, in the
+    log2(n) radix-2 stages of _chebyshev(n) (Stockham's order: no bit reversal)."""
     n = len(x)
-    for step, h, twiddles in _fft_stages(n):
+    for step, h, twiddles in stages:
         even = [v for k in range(0, n, step) for v in x[k:k + h]]
         odd = [t * v for t, v in zip(twiddles, [v for k in range(h, n, step) for v in x[k:k + h]])]
         x = [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
@@ -139,8 +137,9 @@ def _fejer_weights(moments: list[float]) -> tuple[float, ...]:
     moments, by one n-point FFT: with V_k = M_k exp(i pi k / (2n)), the
     sum at j = 2m and at j = 2n-1-2m is Re FFT(V)_m."""
     n = len(moments)
-    spectrum = _fft([(m / 2.0 if k == 0 else m) * cmath.rect(1.0, math.pi * k / (2 * n))
-                     for k, m in enumerate(moments)])
+    _, _, shifts, stages = _chebyshev(n)
+    spectrum = _fft([(m / 2.0 if k == 0 else m) * f
+                     for k, (m, f) in enumerate(zip(moments, shifts))], stages)
     return tuple(2.0 / n * spectrum[j // 2 if j % 2 == 0 else n - 1 - j // 2].real
                  for j in range(n))
 
@@ -187,7 +186,7 @@ def _gj_rule(n: int, a0: float, a1: float):
     (_chebyshev) of the n-point rule int_0^1 u^a0 (1-u)^a1 g(u) du ~
     mass * sum w g(u), each a tuple, memoised per (n, a0, a1). perfbench's
     rule-lookup hook counts the calls of this function by its name."""
-    nodes, rows = _chebyshev(n)
+    nodes, rows, _, _ = _chebyshev(n)
     return (nodes, *roots_jacobi(n, a0, a1), rows)
 
 
@@ -376,6 +375,8 @@ def operator_apply(
     finite-sum oracle covers them instead."""
     if not 0.0 < x < math.inf:
         raise DomainError(f"operator_apply needs x > 0 and finite, got {x!r}")
+    if not math.isfinite(power):
+        raise DomainError(f"operator_apply needs a finite power, got {power!r}")
     spec = FAMILIES[op.family]
     recipe = spec.quadrature
     if recipe is None:

@@ -42,6 +42,7 @@ from fracimage.operators import (
     Family,
     OperatorSpec,
     _defining_integral,
+    ek_right,
     msm_left_deriv,
     msm_left_int,
     msm_right_deriv,
@@ -497,6 +498,29 @@ def test_every_evaluator_refuses_a_non_finite_x(x):
         operator_apply(rl_left(0.5), lambda t: t, x, power=1.0)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_every_evaluator_refuses_a_non_finite_tau(tau):
+    # an infinite tau gave an image with prefactor 1.0 (Gamma(inf) / Gamma(inf))
+    # and a value of inf or 0.0, a NaN one was refused as breaking every
+    # condition, and the quadrature raised OverflowError about the rule's
+    # mass or the integrand
+    poly = PolySpec(1, 9.0, 0.0)
+    finite_tau = f"finite tau, got {tau!r}"
+    for op in (rl_left(0.5), ek_right(0.8, 0.5), saigo_left(0.6, 0.2, 0.4)):
+        with pytest.raises(DomainError, match=finite_tau):
+            power_image(op, tau)
+        with pytest.raises(DomainError, match=f"finite power, got {tau!r}"):
+            operator_apply(op, lambda t: 1.0, 2.0, power=tau)
+        with pytest.raises(DomainError, match="finite power"):
+            monomial_quadrature(op, poly, tau, 2.0)
+    with pytest.raises(DomainError, match=finite_tau):
+        image_rhs(IdentityId.COR2, (0.5,), poly, tau, 2.0)
+    with pytest.raises(DomainError, match=finite_tau):
+        lhs_oracle(IdentityId.COR2, (0.5,), poly, tau, 2.0)
+    with pytest.raises(DomainError, match=finite_tau):
+        deriv_composition_oracle(msm_left_deriv(0.3, 0.4, 0.1, 0.2, 0.6), tau, 2.0)
+
+
 def test_quadrature_matches_closed_form():
     poly = PolySpec(2, 7, 0.5)
     cases = [
@@ -557,7 +581,7 @@ def test_corrections_registry():
     assert len(keys) == len(set(keys))
     assert len(CORRECTIONS) >= 4
     # exactly the identities image_rhs(as_printed=True) changes
-    evaluable = {c.identity for c in CORRECTIONS if c.evaluable}
+    evaluable = {c.identity for c in CORRECTIONS if c.edit is not None}
     assert evaluable == {"thm1", "thm3", "cor4"}
     assert corrections_for(IdentityId.THM1)
     assert all(c.printed and c.implemented for c in CORRECTIONS)

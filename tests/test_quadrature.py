@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracimage import identities, quadrature
@@ -383,6 +383,43 @@ def test_saigo_quadrature_at_and_near_logarithmic_kernels(right, alpha, beta, k,
     op = (saigo_right if right else saigo_left)(alpha, beta, beta + k + d)
     edges = [c.margin for c in validate_domain(op, 0.0) if c.label.startswith("tau")]
     tau = min(edges) - inside if right else max(-m for m in edges) + inside
+    power = FAMILIES[op.family].monomial_power(tau)
+    try:
+        want = power_image(op, tau).value_at(x)
+        res = operator_apply(op, one, x, 1e-8, power=power)
+    except (NonConvergedError, DomainError, PoleError, OverflowError):
+        return
+    assert math.isclose(res.value, want, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("right", [False, True])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    a=st.floats(min_value=-1.0, max_value=1.5),
+    b=st.floats(min_value=-1.0, max_value=1.5),
+    c=st.floats(min_value=0.2, max_value=2.0),
+    k=st.sampled_from([-1, 0, 1]),
+    d=st.floats(min_value=-1e-3, max_value=1e-3),
+    inside=st.floats(min_value=0.05, max_value=2.0),
+    x=st.floats(min_value=0.25, max_value=4.0),
+)
+def test_msm_quadrature_at_and_near_logarithmic_kernels(right, a, b, c, k, d, inside, x):
+    # the single-series MSM slices with the kernel's e = kc - ka - kb within
+    # 1e-3 of -1, 0 or 1: msm-left-int at alpha' = 0 with gamma = alpha +
+    # beta + k + d (e = gamma - alpha - beta; c is beta'), msm-right-int at
+    # alpha = 0 with beta' = alpha' + k + d (e = beta' - alpha'; c is gamma),
+    # 20 examples each. The order gamma is at least 0.2 on both sides, as the
+    # Saigo twin's: at an order near 0 the quadrature loses relative
+    # precision ~1e-16 / order whatever the kernel (CHANGES.md, FOUND).
+    # Every tau margin of both is tau - bound, and tau is `inside` past the
+    # binding one
+    if right:
+        op = msm_right_int(0.0, a, b, a + k + d, c)
+    else:
+        assume(a + b + k + d >= 0.2)
+        op = msm_left_int(a, 0.0, b, c, a + b + k + d)
+    edges = [m.margin for m in validate_domain(op, 0.0) if m.label.startswith("tau")]
+    tau = max(-m for m in edges) + inside
     power = FAMILIES[op.family].monomial_power(tau)
     try:
         want = power_image(op, tau).value_at(x)
