@@ -7,7 +7,9 @@ show that the pole, sign and overflow handling around it leave its values
 alone.
 """
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -317,3 +319,38 @@ def test_gamma_product_negative_gamma_signs_combine():
     assert val.to_float() == pytest.approx(
         math.gamma(-0.5) / math.gamma(-1.5), rel=1e-13
     )
+
+
+# seeded products and gamma_product_eval's results, frozen bit for bit by
+# tests/data/make_gamma_products.py; the log magnitudes sum math.lgamma
+# values, so like tests/test_cli.py's pins they hold on glibc 2.36
+GAMMA_PRODUCTS = json.loads(
+    (Path(__file__).parent / "data" / "gamma_products.json").read_text())["cases"]
+
+
+def _frozen_product(case: dict) -> GammaProduct:
+    return GammaProduct(tuple(map(float.fromhex, case["num"])),
+                        tuple(map(float.fromhex, case["den"])), case["sign"])
+
+
+def test_gamma_products_are_bit_identical_to_the_frozen_values():
+    cases = [case for case in GAMMA_PRODUCTS if "raises" not in case]
+    assert len(cases) >= 150
+    assert sum(case["log_magnitude"] in ("inf", "-inf") for case in cases) >= 10
+    for case in cases:
+        value = gamma_product_eval(_frozen_product(case))
+        assert (value.log_magnitude.hex(), value.sign) == (
+            case["log_magnitude"], case["value_sign"]), case
+
+
+def test_gamma_product_refusals_keep_their_type_and_message():
+    # an uncancelled pole on either side is named before a non-finite
+    # argument, and an overflowing log-gamma on both sides is refused
+    cases = [case for case in GAMMA_PRODUCTS if "raises" in case]
+    assert {case["raises"][0] for case in cases} == {
+        "PoleError", "DenominatorPoleError", "ValueError", "OverflowError"}
+    for case in cases:
+        kind, message = case["raises"]
+        with pytest.raises(Exception) as exc:
+            gamma_product_eval(_frozen_product(case))
+        assert (type(exc.value).__name__, str(exc.value)) == (kind, message), case
