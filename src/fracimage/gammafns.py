@@ -61,19 +61,28 @@ class SignedLogValue:
         )
 
 
+def _log_gamma_sign(x: float) -> tuple[float, int]:
+    """(log|Gamma(x)|, sign(Gamma(x))): ValueError unless x is finite,
+    PoleError at a pole, a log of +inf past x ~ 2.5e305, where
+    log|Gamma(x)| itself exceeds double range."""
+    if not math.isfinite(x):
+        raise ValueError(f"log_gamma_signed: argument must be finite, got {x!r}")
+    try:
+        lg = math.lgamma(x)
+    except OverflowError:
+        lg = math.inf
+    except ValueError:  # math.lgamma's domain error: exactly the poles
+        raise PoleError(f"gamma pole at {x!r}") from None
+    # sign(Gamma(x)) for negative non-integer x is (-1)**ceil(-x)
+    return lg, -1 if x < 0.0 and math.ceil(-x) % 2 else 1
+
+
 def log_gamma_signed(x: float) -> SignedLogValue:
     """(log|Gamma(x)|, sign(Gamma(x))) for finite real x off the poles.
 
     Past x ~ 2.5e305 log|Gamma(x)| itself exceeds double range and the
     magnitude is +inf."""
-    _check_argument("log_gamma_signed", x)
-    try:
-        lg = math.lgamma(x)
-    except OverflowError:
-        lg = math.inf
-    # sign(Gamma(x)) for negative non-integer x is (-1)**ceil(-x)
-    sign = -1 if x < 0.0 and math.ceil(-x) % 2 else 1
-    return SignedLogValue(lg, sign)
+    return SignedLogValue(*_log_gamma_sign(x))
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -106,28 +115,7 @@ class GammaProduct:
 
     def cancelled(self) -> "GammaProduct":
         """Remove arguments appearing (exactly equal) in both lists."""
-        num = list(self.numerator_args)
-        den = []
-        for d in self.denominator_args:
-            try:
-                num.remove(d)
-            except ValueError:
-                den.append(d)
-        return GammaProduct(tuple(num), tuple(den), self.sign)
-
-    def checked(self) -> "GammaProduct":
-        """cancelled(), after which any nonpositive-integer argument left
-        raises PoleError in the numerator and DenominatorPoleError in the
-        denominator, naming the argument and its side."""
-        reduced = self.cancelled()
-        for side, args, kind in (
-            ("numerator", reduced.numerator_args, PoleError),
-            ("denominator", reduced.denominator_args, DenominatorPoleError),
-        ):
-            for a in args:
-                if is_nonpositive_integer(a):
-                    raise kind(f"uncancelled gamma pole at {a!r} in the {side}")
-        return reduced
+        return GammaProduct(*_cancel(self.numerator_args, self.denominator_args), self.sign)
 
     def same_factors(self, other: "GammaProduct", rel_tol: float = 0.0) -> bool:
         """True when both products have identical gamma-argument multisets
@@ -153,20 +141,38 @@ class GammaProduct:
         return True
 
 
+def _cancel(num: tuple, den: tuple) -> tuple[tuple, tuple]:
+    """num and den less each argument that is equal on both sides, removed
+    once per pair."""
+    num, rest = list(num), []
+    for d in den:
+        if d in num:
+            num.remove(d)
+        else:
+            rest.append(d)
+    return tuple(num), tuple(rest)
+
+
 def gamma_product_eval(gp: GammaProduct) -> SignedLogValue:
-    """Evaluate a GammaProduct in log space.
+    """Evaluate a GammaProduct in log space, in one pass over plain floats.
 
     Exactly paired arguments cancel before evaluation; any remaining
-    nonpositive-integer argument raises PoleError naming the argument."""
-    reduced = gp.checked()
-    sign = reduced.sign
-    logs = []
-    for a in reduced.numerator_args:
-        slv = log_gamma_signed(a)
-        logs.append(slv.log_magnitude)
-        sign *= slv.sign
-    for a in reduced.denominator_args:
-        slv = log_gamma_signed(a)
-        logs.append(-slv.log_magnitude)
-        sign *= slv.sign
+    nonpositive-integer argument raises PoleError in the numerator and
+    DenominatorPoleError in the denominator, naming the argument and its
+    side, before any argument is refused as non-finite."""
+    num, den = _cancel(gp.numerator_args, gp.denominator_args)
+    for side, args, kind in (("numerator", num, PoleError),
+                             ("denominator", den, DenominatorPoleError)):
+        for a in args:
+            if is_nonpositive_integer(a):
+                raise kind(f"uncancelled gamma pole at {a!r} in the {side}")
+    sign, logs = gp.sign, []
+    for a in num:
+        lg, s = _log_gamma_sign(a)
+        logs.append(lg)
+        sign *= s
+    for a in den:
+        lg, s = _log_gamma_sign(a)
+        logs.append(-lg)
+        sign *= s
     return SignedLogValue(math.fsum(logs), sign)

@@ -340,7 +340,7 @@ def _composed_image(op: OperatorSpec, poly: PolySpec | None, tau: float, x: floa
     total = exact_series_sum(coeffs, base.prefactor.numerator_args,
                              base.prefactor.denominator_args,
                              1 / Fraction(x) if spec.right else x)
-    scale = gamma_product_eval(base.prefactor).times_power(x, base.exponent - m)
+    scale = base.evaluated.times_power(x, base.exponent - m)
     return check_finite("oracle", scale.to_float() * total)
 
 

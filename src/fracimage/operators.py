@@ -6,13 +6,14 @@ third-Appell-function kernel (left/right, integral/derivative), the Saigo
 operators with a Gauss 2F1 kernel, and their Riemann-Liouville and
 Erdelyi-Kober specializations. Each family maps a pure power of t to a
 gamma-factor prefactor times a power of x; the prefactor is returned as a
-symbolic GammaProduct so downstream checks can compare argument multisets
-exactly instead of comparing rounded floats. FAMILIES states everything
-that distinguishes one family from another, once per family: names,
-image, the defining integral (QuadRecipe) of an integral family, and the
-composition that defines a derivative family through an integral one.
-The validity conditions are derived: an operator exists where its
-defining integral's order and image numerator arguments are positive.
+symbolic GammaProduct, beside its value, so downstream checks can compare
+argument multisets exactly instead of comparing rounded floats. FAMILIES
+states everything that distinguishes one family from another, once per
+family: names, image, the defining integral (QuadRecipe) of an integral
+family, and the composition that defines a derivative family through an
+integral one. The validity conditions are derived: an operator exists
+where its defining integral's order and image numerator arguments are
+positive.
 
 Monomial conventions (negative_power in FAMILIES): left-sided families act
 on t^(tau-1); the generalized right-sided families act on t^(-tau); the
@@ -27,7 +28,7 @@ from enum import Enum
 from typing import Callable
 
 from .errors import DomainError, PoleError
-from .gammafns import GammaProduct, gamma_product_eval
+from .gammafns import GammaProduct, SignedLogValue, gamma_product_eval
 
 
 class Family(str, Enum):
@@ -336,28 +337,29 @@ def validate_domain(op: OperatorSpec, tau: float) -> list[ConditionResult]:
 @dataclass(frozen=True)
 class PowerImage:
     """Closed-form image: prefactor (symbolic gamma product) times
-    x^exponent."""
+    x^exponent, with the prefactor's value, evaluated once."""
 
     prefactor: GammaProduct
     exponent: float
+    evaluated: SignedLogValue
 
     def prefactor_value(self) -> float:
-        return gamma_product_eval(self.prefactor).to_float()
+        return self.evaluated.to_float()
 
     def value_at(self, x: float) -> float:
         if not 0.0 < x < math.inf:
             raise DomainError(f"need x > 0 and finite, got {x!r}")
-        return gamma_product_eval(self.prefactor).times_power(x, self.exponent).to_float()
+        return self.evaluated.times_power(x, self.exponent).to_float()
 
 
 def power_image(op: OperatorSpec, tau: float) -> PowerImage:
     """Image of the family's monomial convention under op, as an exact
-    gamma-product prefactor and the output exponent.
+    gamma-product prefactor, its value and the output exponent.
 
     Every validity inequality must hold strictly, otherwise DomainError
     names the violated ones. The prefactor is kept uncancelled so its
     argument schema stays visible; any pole that survives exact
-    cancellation raises here, as GammaProduct.checked names it."""
+    cancellation raises here, as gamma_product_eval names it."""
     if not math.isfinite(tau):
         raise DomainError(f"{op.describe()} needs a finite tau, got {tau!r}")
     if not all(margin > 0.0 for margin in _margins(op.family, op.params, tau)):
@@ -366,10 +368,9 @@ def power_image(op: OperatorSpec, tau: float) -> PowerImage:
     num, den, exponent = FAMILIES[op.family].image(*op.params, tau)
     gp = GammaProduct(tuple(num), tuple(den))
     try:
-        gp.checked()
+        return PowerImage(gp, exponent, gamma_product_eval(gp))
     except PoleError as exc:
         raise type(exc)(f"{op.describe()} image at tau={tau!r}: {exc}") from None
-    return PowerImage(gp, exponent)
 
 
 def saigo_left_as_msm(alpha: float, beta: float, eta: float) -> OperatorSpec:

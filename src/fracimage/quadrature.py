@@ -20,7 +20,7 @@ M_1 = M_0 (a1-a0)/(a0+a1+2) by the forward recurrence
 within 1.5e-13 M_0 of the exact moments for every k < 4,096 at exponents
 from -0.99 to 1,000 (Piessens and Branders, BIT 13, 1973; Trefethen, SIAM
 Review 50, 2008). Each rule is memoised per (N, weight), up to 128 rules;
-its nodes, DCT factors, FFT twiddles and null rows are one table per N.
+its nodes, DCT factors, FFT plan and null rows are one table per N.
 
 A quadrature's error is read off its own rule, from the last four
 Chebyshev coefficients of g's interpolant as null rules (Berntsen and
@@ -100,13 +100,14 @@ class QuadResult(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...], list, list]:
+def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...], list, list, list]:
     """The one table of every n-point rule, whatever its weight: the n nodes
     u_j = sin^2(pi (2j+1) / (4n)), ascending; the rows R with R . g(nodes)
     g's interpolant's coefficient on T_k, k = n-1 down to n-4, in y = 1 - 2u:
     (2/n) cos(k phi_j), phi_j = pi (2j+1) / (2n), each angle reduced exactly
     before the cosine is taken; the DCT factors exp(i pi k / (2n)), k < n,
-    of _fejer_weights; and per stage of _fft, its step, half-block and twiddles."""
+    of _fejer_weights; per stage of _fft, the indices of its even and odd
+    inputs and its twiddles; and the FFT output index of each weight."""
     nodes = tuple(math.sin(math.pi * (2 * j + 1) / (4 * n)) ** 2 for j in range(n))
     rows = tuple(
         tuple(2.0 / n * math.cos(math.pi * (k * (2 * j + 1) % (4 * n)) / (2 * n))
@@ -116,19 +117,22 @@ def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]
     stages, m, s = [], 1, n
     while s > 1:
         h = s // 2
-        stages.append((s, h, [cmath.rect(1.0, math.pi * (i // h) / m) for i in range(n // 2)]))
+        stages.append(([k + i for k in range(0, n, s) for i in range(h)],
+                       [k + i for k in range(h, n, s) for i in range(h)],
+                       [cmath.rect(1.0, math.pi * (i // h) / m) for i in range(n // 2)]))
         m, s = 2 * m, h
-    return nodes, rows, shifts, stages
+    order = [j // 2 if j % 2 == 0 else n - 1 - j // 2 for j in range(n)]
+    return nodes, rows, shifts, stages, order
 
 
 def _fft(x: list, stages: list) -> list:
     """sum_k x_k exp(2 pi i jk / n) for every j < n, n a power of two, in the
     log2(n) radix-2 stages of _chebyshev(n) (Stockham's order: no bit reversal)."""
-    n = len(x)
-    for step, h, twiddles in stages:
-        even = [v for k in range(0, n, step) for v in x[k:k + h]]
-        odd = [t * v for t, v in zip(twiddles, [v for k in range(h, n, step) for v in x[k:k + h]])]
-        x = [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
+    for even, odd, twiddles in stages:
+        at = x.__getitem__
+        even = list(map(at, even))
+        odd = list(map(operator.mul, twiddles, map(at, odd)))
+        x = list(map(operator.add, even, odd)) + list(map(operator.sub, even, odd))
     return x
 
 
@@ -137,11 +141,11 @@ def _fejer_weights(moments: list[float]) -> tuple[float, ...]:
     moments, by one n-point FFT: with V_k = M_k exp(i pi k / (2n)), the
     sum at j = 2m and at j = 2n-1-2m is Re FFT(V)_m."""
     n = len(moments)
-    _, _, shifts, stages = _chebyshev(n)
-    spectrum = _fft([(m / 2.0 if k == 0 else m) * f
-                     for k, (m, f) in enumerate(zip(moments, shifts))], stages)
-    return tuple(2.0 / n * spectrum[j // 2 if j % 2 == 0 else n - 1 - j // 2].real
-                 for j in range(n))
+    _, _, shifts, stages, order = _chebyshev(n)
+    spectrum = _fft([moments[0] / 2.0 * shifts[0], *map(operator.mul, moments[1:], shifts[1:])],
+                    stages)
+    scale = 2.0 / n
+    return tuple(scale * spectrum[i].real for i in order)
 
 
 def _beta(p: float, q: float) -> float:
@@ -186,7 +190,7 @@ def _gj_rule(n: int, a0: float, a1: float):
     (_chebyshev) of the n-point rule int_0^1 u^a0 (1-u)^a1 g(u) du ~
     mass * sum w g(u), each a tuple, memoised per (n, a0, a1). perfbench's
     rule-lookup hook counts the calls of this function by its name."""
-    nodes, rows, _, _ = _chebyshev(n)
+    nodes, rows, *_ = _chebyshev(n)
     return (nodes, *roots_jacobi(n, a0, a1), rows)
 
 

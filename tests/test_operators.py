@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracimage import gammafns
 from fracimage.errors import DenominatorPoleError, DomainError, PoleError
 from fracimage.gammafns import GammaProduct
 from fracimage.identities import (
@@ -20,12 +21,15 @@ from fracimage.identities import (
     TAGS,
     IdentityId,
     deriv_composition_oracle,
+    lhs_oracle,
     monomial_quadrature,
 )
+from fracimage.jacobi import PolySpec
 from fracimage.operators import (
     FAMILIES,
     Family,
     OperatorSpec,
+    _defining_integral,
     ek_left,
     ek_right,
     msm_left_deriv,
@@ -322,3 +326,32 @@ def test_family_cli_names():
     assert Family.MSM_LEFT_INT.value == "msm-left-int"
     assert Family("ek-right") is Family.EK_RIGHT
     assert len(Family) == 10
+
+
+def test_each_image_evaluates_its_product_once(monkeypatch):
+    # power_image evaluated nothing and kept the uncancelled product, so
+    # value_at, prefactor_value and both composition oracles cancelled and
+    # scanned it again; each log-gamma is now taken once, in power_image
+    params, deriv = (0.3, 0.0, 0.2, 0.1, 0.9), msm_left_deriv(0.3, 0.4, 0.1, 0.2, 0.6)
+    inner, inner_params, _ = _defining_integral(deriv.family, deriv.params)
+    once = {}  # the arguments of one evaluation of each image's product
+    for key, op in (("int", msm_left_int(*params)), ("deriv", OperatorSpec(inner, inner_params))):
+        reduced = power_image(op, 2.5).prefactor.cancelled()
+        once[key] = [*reduced.numerator_args, *reduced.denominator_args]
+    seen = []
+    log_gamma_sign = gammafns._log_gamma_sign
+    monkeypatch.setattr(gammafns, "_log_gamma_sign",
+                        lambda x: seen.append(x) or log_gamma_sign(x))
+
+    img = power_image(msm_left_int(*params), 2.5)
+    assert seen == once["int"] and len(seen) == 4  # tau + beta' cancels at alpha' = 0
+    seen.clear()
+    img.value_at(1.5), img.prefactor_value(), img.value_at(0.25)
+    assert seen == []
+    # thm1 is on msm-left-int, an integral family: its oracle's one image
+    assert IDENTITY_FAMILY[IdentityId.THM1] == Family.MSM_LEFT_INT
+    lhs_oracle(IdentityId.THM1, params, PolySpec(3, 9.0, 0.5), 2.5, 1.5)
+    assert seen == once["int"]
+    seen.clear()
+    deriv_composition_oracle(deriv, 2.5, 0.7)
+    assert seen == once["deriv"]
