@@ -379,7 +379,11 @@ def test_near_logarithmic_kernel_meets_its_target(tau, d):
 def test_saigo_quadrature_at_and_near_logarithmic_kernels(right, alpha, beta, k, d, inside, x):
     # eta - beta within 1e-3 of -1, 0 or 1, and tau `inside` past the
     # binding tau margin of validate_domain (tau > bound on the left,
-    # tau < bound on the right); each margin is +-(tau - bound)
+    # tau < bound on the right); each margin is +-(tau - bound). alpha stays
+    # >= 0.2, unlike the MSM twin's order: at alpha 1e-8, beta 0.5, k -1,
+    # d 5.3e-4 the ordinary split (|d| > LOG_STEP / 3) returns a value
+    # 8.7e-9 off at tol 1e-8, with an honest estimate of 2.5e-7 (its
+    # pieces' coefficients cancel; ROADMAP item 3's open part)
     op = (saigo_right if right else saigo_left)(alpha, beta, beta + k + d)
     edges = [c.margin for c in validate_domain(op, 0.0) if c.label.startswith("tau")]
     tau = min(edges) - inside if right else max(-m for m in edges) + inside
@@ -397,7 +401,7 @@ def test_saigo_quadrature_at_and_near_logarithmic_kernels(right, alpha, beta, k,
 @given(
     a=st.floats(min_value=-1.0, max_value=1.5),
     b=st.floats(min_value=-1.0, max_value=1.5),
-    c=st.floats(min_value=0.2, max_value=2.0),
+    c=st.floats(min_value=1e-8, max_value=2.0),
     k=st.sampled_from([-1, 0, 1]),
     d=st.floats(min_value=-1e-3, max_value=1e-3),
     inside=st.floats(min_value=0.05, max_value=2.0),
@@ -408,15 +412,15 @@ def test_msm_quadrature_at_and_near_logarithmic_kernels(right, a, b, c, k, d, in
     # 1e-3 of -1, 0 or 1: msm-left-int at alpha' = 0 with gamma = alpha +
     # beta + k + d (e = gamma - alpha - beta; c is beta'), msm-right-int at
     # alpha = 0 with beta' = alpha' + k + d (e = beta' - alpha'; c is gamma),
-    # 20 examples each. The order gamma is at least 0.2 on both sides, as the
-    # Saigo twin's: at an order near 0 the quadrature loses relative
-    # precision ~1e-16 / order whatever the kernel (CHANGES.md, FOUND).
+    # 20 examples each. The order gamma is at least 1e-8 on both sides: at
+    # 0.2 it hid that the factor divided by Gamma of the exact order while
+    # the rule's mass carried the rounded one, 5e-9 off at gamma = 1e-8.
     # Every tau margin of both is tau - bound, and tau is `inside` past the
     # binding one
     if right:
         op = msm_right_int(0.0, a, b, a + k + d, c)
     else:
-        assume(a + b + k + d >= 0.2)
+        assume(a + b + k + d >= 1e-8)
         op = msm_left_int(a, 0.0, b, c, a + b + k + d)
     edges = [m.margin for m in validate_domain(op, 0.0) if m.label.startswith("tau")]
     tau = max(-m for m in edges) + inside
@@ -427,6 +431,17 @@ def test_msm_quadrature_at_and_near_logarithmic_kernels(right, a, b, c, k, d, in
     except (NonConvergedError, DomainError, PoleError, OverflowError):
         return
     assert math.isclose(res.value, want, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("op, tau", [
+    (rl_left(1e-8), 1.0), (rl_right(1e-8), 0.5), (ek_left(0.5, 1e-8), 1.0)])
+def test_tiny_order_keeps_its_relative_precision(op, tau):
+    # the weight exponent order - 1 rounds, and the rule's mass carries that
+    # rounding as ~1e-16 / order; dividing by Gamma(order) at the exact
+    # order left the value 5.0e-9 off with an error estimate of 5.6e-16
+    want = power_image(op, tau).value_at(1.5)
+    res = operator_apply(op, one, 1.5, power=FAMILIES[op.family].monomial_power(tau))
+    assert math.isclose(res.value, want, rel_tol=1e-14)
 
 
 def test_kinked_integrand_is_not_accepted_at_the_first_rule():
@@ -820,7 +835,7 @@ def per_node_operator_apply(op, g, x, power, tol):
         quad = per_node_quad(smooth, w0, w1, tol)
     else:
         quad = per_node_kernel_quad(recipe.kernel(*op.params), w0, w1, smooth, tol)
-    factor = x ** recipe.x_power(*op.params, power) / math.gamma(order)
+    factor = x ** recipe.x_power(*op.params, power) / math.gamma(w1 + 1.0)
     return QuadResult(factor * quad.value, abs(factor) * quad.error, quad.nodes)
 
 
