@@ -128,10 +128,10 @@ def _chebyshev(n: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]
 def _fft(x: list, stages: list) -> list:
     """sum_k x_k exp(2 pi i jk / n) for every j < n, n a power of two, in the
     log2(n) radix-2 stages of _chebyshev(n) (Stockham's order: no bit reversal)."""
-    for even, odd, twiddles in stages:
+    for evens, odds, twiddles in stages:
         at = x.__getitem__
-        even = list(map(at, even))
-        odd = list(map(operator.mul, twiddles, map(at, odd)))
+        even = list(map(at, evens))
+        odd = list(map(operator.mul, twiddles, map(at, odds)))
         x = list(map(operator.add, even, odd)) + list(map(operator.sub, even, odd))
     return x
 
